@@ -386,26 +386,21 @@ func (ix *Index) SearchContext(cx context.Context, query []byte, opts SearchOpti
 	if err != nil {
 		return nil, err
 	}
+	if opts.Algorithm == ALAE || opts.Algorithm == ALAEHybrid {
+		// One query on a serving lane: the pooled core session brings its
+		// warm buffers and result table, so a one-shot search costs what
+		// a Session search does.
+		ses, err := ix.OpenSession(opts)
+		if err != nil {
+			return nil, err
+		}
+		defer ses.Close()
+		return ses.searchThreshold(cx, query, h)
+	}
 	c := align.NewCollector()
 	res := &Result{Threshold: h, Algorithm: opts.Algorithm}
 
 	switch opts.Algorithm {
-	case ALAE, ALAEHybrid:
-		mode := core.ModeDFS
-		if opts.Algorithm == ALAEHybrid {
-			mode = core.ModeHybrid
-		}
-		e, err := ix.alaeEngine(mode, opts)
-		if err != nil {
-			return nil, err
-		}
-		ses := e.AcquireSession()
-		st, err := ses.SearchContext(cx, query, s, h, c, opts.Parallelism)
-		ses.Release()
-		if err != nil {
-			return nil, err
-		}
-		res.Stats = statsFromCore(st)
 	case BWTSW:
 		// Scheme compatibility was vetted by validateSearchOptions.
 		ix.mu.Lock()

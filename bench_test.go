@@ -447,6 +447,41 @@ func BenchmarkProteinEmission(b *testing.B) {
 	}
 }
 
+// BenchmarkCollectorDrain times the result path's last step on that
+// workload's own hit set: one query's ~290k hits, re-staged into a
+// collector as the row runs the engines emit, drained by Hits. A warm
+// drain sorts block keys, never hits, in scratch the collector keeps:
+// -benchmem must show 1 alloc/op, the result slice.
+func BenchmarkCollectorDrain(b *testing.B) {
+	k := wlKey{kind: "protein-emit", n: 30_000, m: 300, queries: 2, seed: 53}
+	cw := getWorkload(b, k)
+	res, err := cw.ix.Search(cw.wl.Queries[0], alae.SearchOptions{Algorithm: alae.ALAE, Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := align.NewCollector()
+	var run []int32
+	for i, h := range res.Hits {
+		run = append(run, int32(h.Score))
+		if i+1 == len(res.Hits) || res.Hits[i+1].TEnd != h.TEnd || res.Hits[i+1].QEnd != h.QEnd+1 {
+			c.AddRun(h.TEnd, h.QEnd-len(run)+1, run)
+			run = run[:0]
+		}
+	}
+	if got := c.Hits(); !align.EqualHits(got, res.Hits) { // also warms the scratch
+		b.Fatalf("drain returned %d hits, the search %d, or they differ", len(got), len(res.Hits))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drained = c.Hits()
+	}
+	b.ReportMetric(float64(len(drained)), "hits")
+}
+
+// drained keeps BenchmarkCollectorDrain's result alive.
+var drained []align.Hit
+
 // --- Index persistence: save/load throughput ---
 
 func BenchmarkIndexSaveLoad(b *testing.B) {

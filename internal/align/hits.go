@@ -27,6 +27,12 @@ type Hit struct {
 // Fibonacci-hash probe per block (≤ laneWidth cells) instead of one
 // per cell, and single-cell Add costs the same one probe it always
 // did. Keys are stored +1 so zero marks an empty slot.
+//
+// The block key is order-isomorphic to the canonical hit order: it
+// packs tEnd above the qEnd block index, the +1 is monotone and cannot
+// carry into the tEnd half, and the lanes of a block ascend in qEnd. So
+// hits leave the table in (TEnd, QEnd) order by sorting block keys, not
+// hits — see Drain, the only way out.
 type Collector struct {
 	keys   []uint64
 	used   []uint8 // per-slot lane occupancy bitmask
@@ -34,6 +40,10 @@ type Collector struct {
 	n      int     // occupied slots (blocks)
 	hits   int     // distinct (tEnd, qEnd) pairs
 	shift  uint
+
+	// Drain scratch, retained so a warm drain allocates nothing: the
+	// occupied slots in key order, and the radix sort's second buffer.
+	ord, tmp []blockRef
 }
 
 // laneShift sets the block granularity: 1<<laneShift consecutive qEnd
@@ -215,10 +225,29 @@ func (c *Collector) Merge(o *Collector) {
 	}
 }
 
-// Reset empties the collector while keeping its table capacity, so a
-// reused collector (a serving session answering query after query)
-// stays warm-sized and its steady-state Adds never grow the table.
+// shrinkBits is the shrink rule's fixed ratio: Reset re-inits the table
+// at the size the finished use would have grown it to when the table is
+// at least 1<<shrinkBits times that size.
+const shrinkBits = 4
+
+// Reset empties the collector for the next use. The table capacity is
+// kept, so a reused collector (a serving session answering query after
+// query) stays warm-sized and its steady-state Adds never grow the
+// table — unless the use just finished occupied so little of it that
+// clearing it, which is O(capacity), would tax every small query that
+// follows one huge answer on a pooled session: a table 16× or more
+// over the size those blocks need is dropped, drain scratch included,
+// for one of that size.
 func (c *Collector) Reset() {
+	fit := uint(collectorMinBits)
+	for c.n+1 > (1<<fit)*5/8 {
+		fit++
+	}
+	if 64-c.shift >= fit+shrinkBits {
+		c.init(fit)
+		c.ord, c.tmp = nil, nil
+		return
+	}
 	clear(c.keys)
 	clear(c.used)
 	c.n = 0
@@ -272,46 +301,94 @@ func (sc *ShardedCollector) MergeInto(c *Collector, n int) {
 // Len returns the number of distinct end pairs recorded.
 func (c *Collector) Len() int { return c.hits }
 
-// Hits returns all recorded hits sorted by (TEnd, QEnd).
+// Hits returns all recorded hits sorted by (TEnd, QEnd): Drain into an
+// exactly-sized slice, the one allocation of a warm drain.
 func (c *Collector) Hits() []Hit {
 	out := make([]Hit, 0, c.hits)
-	for idx, k := range c.keys {
-		if k == 0 {
-			continue
-		}
-		kk := k - 1
-		tEnd := int(kk >> 32)
-		qBase := int(uint32(kk)) << laneShift
-		base := idx * laneWidth
-		for rem := c.used[idx]; rem != 0; rem &= rem - 1 {
-			l := bits.TrailingZeros8(rem)
-			out = append(out, Hit{TEnd: tEnd, QEnd: qBase + l, Score: int(c.scores[base+l])})
-		}
-	}
-	SortHits(out)
+	c.Drain(func(tEnd, qEnd, score int) {
+		out = append(out, Hit{TEnd: tEnd, QEnd: qEnd, Score: score})
+	})
 	return out
 }
 
-// ForEach streams every recorded hit to fn in table order — NOT sorted.
-// It is the gather surface of the store's streaming scatter: callers
-// that bucket hits by destination (per-member SeqHit buckets) consume
-// the collector directly instead of materialising an intermediate
-// sorted []Hit per lane. The collector is not modified; fn must not
-// call back into it.
-func (c *Collector) ForEach(fn func(tEnd, qEnd, score int)) {
-	for idx, k := range c.keys {
-		if k == 0 {
-			continue
-		}
-		kk := k - 1
+// Drain calls fn for every recorded hit in ascending (TEnd, QEnd)
+// order without comparing a single hit: the occupied slots are sorted
+// by block key, which is that order (see Collector), and each block's
+// lanes are walked in ascending qEnd. Consumers that route hits by
+// coordinate — the store gather's per-member ranges — therefore see
+// each destination's hits contiguously and already sorted. The
+// collector keeps its contents (Reset empties it); fn must not call
+// back into it.
+func (c *Collector) Drain(fn func(tEnd, qEnd, score int)) {
+	for _, r := range c.ordered() {
+		kk := r.key - 1
 		tEnd := int(kk >> 32)
 		qBase := int(uint32(kk)) << laneShift
-		base := idx * laneWidth
-		for rem := c.used[idx]; rem != 0; rem &= rem - 1 {
+		base := int(r.slot) * laneWidth
+		for rem := r.used; rem != 0; rem &= rem - 1 {
 			l := bits.TrailingZeros8(rem)
 			fn(tEnd, qBase+l, int(c.scores[base+l]))
 		}
 	}
+}
+
+// blockRef is one occupied table slot during a drain. It carries the
+// lane mask along so the ordered walk's only random access is the
+// block's scores.
+type blockRef struct {
+	key  uint64 // the stored (+1) block key
+	slot uint32
+	used uint8
+}
+
+// ordered returns the occupied slots sorted by block key: an LSD radix
+// sort, one stable counting pass per key byte. Only bytes on which the
+// keys actually differ get a pass — the OR and the AND of all keys
+// disagree exactly on the varying bits — and real tables vary in few:
+// tEnd below the text length, the qEnd block below a query's, typically
+// 3–4 of the 8. The result aliases the retained scratch and is valid
+// until the next call.
+func (c *Collector) ordered() []blockRef {
+	if c.n == 0 {
+		return nil
+	}
+	if cap(c.ord) < c.n {
+		// Sized with the table, whose load factor bounds n: the scratch
+		// is reallocated only when the table has grown.
+		c.ord = make([]blockRef, len(c.keys)*5/8)
+		c.tmp = make([]blockRef, len(c.keys)*5/8)
+	}
+	a, b := c.ord[:0], c.tmp[:c.n]
+	or, and := uint64(0), ^uint64(0)
+	for i, k := range c.keys {
+		if k != 0 {
+			a = append(a, blockRef{key: k, slot: uint32(i), used: c.used[i]})
+			or |= k
+			and &= k
+		}
+	}
+	for shift, varying := uint(0), or^and; varying>>shift != 0; shift += 8 {
+		if varying>>shift&0xff == 0 {
+			continue
+		}
+		var next [256]int // per digit: count, then the next output index
+		for i := range a {
+			next[a[i].key>>shift&0xff]++
+		}
+		sum := 0
+		for d, n := range next {
+			next[d] = sum
+			sum += n
+		}
+		for i := range a {
+			d := a[i].key >> shift & 0xff
+			b[next[d]] = a[i]
+			next[d]++
+		}
+		a, b = b, a
+	}
+	c.ord, c.tmp = a, b
+	return a
 }
 
 // SortHits sorts a hit slice by (TEnd, QEnd), the canonical order used

@@ -37,7 +37,11 @@ func (ctx *searchCtx) cancelled(pending int64) bool {
 	if ctx.done == nil {
 		return false
 	}
-	if ce := ctx.st.CalculatedEntries() + pending; ce >= ctx.nextPoll {
+	// Summed through the pointer: the value method Stats.CalculatedEntries
+	// would copy the whole struct at every checkpoint of every request
+	// that carries a deadline.
+	st := ctx.st
+	if ce := st.EntriesNGR + st.EntriesBoundary + st.EntriesInterior + pending; ce >= ctx.nextPoll {
 		ctx.nextPoll = ce + cancelEntryBudget
 		select {
 		case <-ctx.done:

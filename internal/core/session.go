@@ -16,10 +16,11 @@ import (
 // in place — qgram.Index.Rearm), the δ score table, the Theorem 2
 // bound tables, the resolved fork families with their backing gram
 // buffer, the traversal workspace, the search context and statistics,
-// and (for parallel searches) the per-worker collector shards. A
-// session is re-armed in place for each query, so in a serving loop —
-// one index answering query after query — a warm sequential Search
-// performs zero allocations end to end (TestSessionSearchAllocFree).
+// the result table the public search surfaces collect into, and (for
+// parallel searches) the per-worker collector shards. A session is
+// re-armed in place for each query, so in a serving loop — one index
+// answering query after query — a warm sequential Search performs zero
+// allocations end to end (TestSessionSearchAllocFree).
 //
 // A Session is NOT safe for concurrent use: it is one serving lane.
 // Concurrency comes from running many sessions against the shared
@@ -43,6 +44,11 @@ type Session struct {
 	gcValid bool
 
 	ws *workspace // the sequential (and worker-0) traversal workspace
+
+	// coll is the session's result table (Collector). It pools with the
+	// session, so a caller that searches into it meets a table still
+	// warm-sized from the last query instead of growing a fresh one.
+	coll *align.Collector
 
 	// stats and ctx back the sequential search path: keeping them on
 	// the session (instead of stack variables whose addresses escape
@@ -93,8 +99,13 @@ func (e *Engine) AcquireSession() *Session {
 	if s, ok := e.sessPool.Get().(*Session); ok {
 		return s
 	}
-	return &Session{e: e, ws: e.getWorkspace()}
+	return &Session{e: e, ws: e.getWorkspace(), coll: align.NewCollector()}
 }
+
+// Collector returns the session's own result table for the caller to
+// Reset, pass to a search as c and drain before Release; searches never
+// touch it otherwise.
+func (ses *Session) Collector() *align.Collector { return ses.coll }
 
 // Release returns the session to the engine's pool.
 func (ses *Session) Release() { ses.e.sessPool.Put(ses) }

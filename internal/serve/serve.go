@@ -598,28 +598,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if len(hits) > maxHits {
 		hits, truncated = alae.TopKSeq(hits, maxHits), true
 	}
-	resp := SearchResponse{
-		Threshold: res.Threshold,
-		Algorithm: res.Algorithm.String(),
-		TotalHits: len(res.Hits),
-		Truncated: truncated,
-		Hits:      make([]SearchHit, len(hits)),
-		ElapsedMS: float64(elapsed.Microseconds()) / 1000,
-		Cached:    res.Stats.QueryCacheHits > 0,
-	}
-	for i, h := range hits {
-		resp.Hits[i] = SearchHit{
-			Name: h.Name, Member: h.Member,
-			TEnd: h.TEnd, LocalTEnd: h.LocalTEnd,
-			QEnd: h.QEnd, Score: h.Score,
-		}
-	}
 	s.nOK.Add(1)
 	s.nEmitted.Add(res.Stats.EmittedHits)
 	s.nSuppressed.Add(res.Stats.SuppressedEmissions)
 	s.nCopied.Add(res.Stats.CopiedEmissions)
+	buf := bodyPool.Get().(*[]byte)
+	*buf = appendSearchBody((*buf)[:0], res, hits, truncated, float64(elapsed.Microseconds())/1000)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(&resp)
+	w.Write(*buf) // a failed write is a gone client; there is no one to tell
+	bodyPool.Put(buf)
 }
 
 // handleHealthz is the load-balancer probe: 200 while serving, 503

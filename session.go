@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/align"
 	"repro/internal/core"
 )
 
@@ -13,8 +12,9 @@ import (
 // query. The session owns every query-specific structure — the q-gram
 // inverted index, δ score table, bound tables, traversal workspace,
 // result collector and (for parallel searches) the per-worker
-// collector shards — and re-arms them in place per call, so a serving
-// loop stops allocating once the buffers are warm. The heavy shared
+// collector shards — through its pooled core session, and re-arms them
+// in place per call, so a serving loop allocates only the hit slices it
+// returns once the buffers are warm. The heavy shared
 // structures (trie, domination index, cross-query gram cache) belong
 // to the Index's engines and are only read.
 //
@@ -27,8 +27,7 @@ type Session struct {
 	ix     *Index
 	opts   SearchOptions
 	s      Scheme
-	cs     *core.Session    // nil for the baseline algorithms
-	coll   *align.Collector // reused result table
+	cs     *core.Session // nil for the baseline algorithms
 	closed bool
 }
 
@@ -62,7 +61,6 @@ func (ix *Index) OpenSession(opts SearchOptions) (*Session, error) {
 			return nil, err
 		}
 		ses.cs = e.AcquireSession()
-		ses.coll = align.NewCollector()
 	}
 	return ses, nil
 }
@@ -113,8 +111,9 @@ func (ses *Session) searchThreshold(cx context.Context, query []byte, h int) (*R
 		o.Threshold, o.EValue = h, 0
 		return ses.ix.SearchContext(cx, query, o)
 	}
-	ses.coll.Reset()
-	st, err := ses.cs.SearchContext(cx, query, ses.s, h, ses.coll, ses.opts.Parallelism)
+	coll := ses.cs.Collector()
+	coll.Reset()
+	st, err := ses.cs.SearchContext(cx, query, ses.s, h, coll, ses.opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -122,19 +121,19 @@ func (ses *Session) searchThreshold(cx context.Context, query []byte, h int) (*R
 		Threshold: h,
 		Algorithm: ses.opts.Algorithm,
 		Stats:     statsFromCore(st),
-		Hits:      ses.coll.Hits(),
+		Hits:      coll.Hits(),
 	}, nil
 }
 
 // searchCollect is the store's collector-resident search: one query at
 // a pinned threshold, dispatched across lanes cost-balanced family
 // slices of the shared index (core.Session.SearchLanes), with the hits
-// left IN the session's collector for the caller to stream (see
-// align.Collector.ForEach) instead of materialised into a sorted
-// Result.Hits slice. This is what makes the store's gather streaming:
-// no per-lane intermediate hit slice ever exists. Baseline algorithms
-// (cs == nil) have no collector; they fall back to searchThreshold and
-// return the materialised *Result as res instead.
+// left IN the core session's collector for the caller to drain in order
+// (align.Collector.Drain) instead of materialised into a Result.Hits
+// slice. This is what makes the store's gather streaming: no per-lane
+// intermediate hit slice ever exists. Baseline algorithms (cs == nil)
+// have no collector; they fall back to searchThreshold and return the
+// materialised *Result as res instead.
 func (ses *Session) searchCollect(cx context.Context, query []byte, h, lanes int) (st Stats, res *Result, err error) {
 	if ses.closed {
 		return Stats{}, nil, fmt.Errorf("alae: Search on a closed Session")
@@ -146,8 +145,9 @@ func (ses *Session) searchCollect(cx context.Context, query []byte, h, lanes int
 		}
 		return r.Stats, r, nil
 	}
-	ses.coll.Reset()
-	cst, err := ses.cs.SearchLanes(cx, query, ses.s, h, ses.coll, lanes)
+	coll := ses.cs.Collector()
+	coll.Reset()
+	cst, err := ses.cs.SearchLanes(cx, query, ses.s, h, coll, lanes)
 	if err != nil {
 		return Stats{}, nil, err
 	}

@@ -21,10 +21,10 @@ import (
 // generation's trie, the resolved fork families are dispatched across
 // K work lanes (contiguous family slices load-balanced by estimated
 // band cost — see core.Session.SearchLanes), every lane runs at the
-// threshold of the whole database, and the gather streams each
-// generation's collector table straight into per-member SeqHit buckets
-// — rejecting hits ending on separator rows and hits inside tombstoned
-// members — with no intermediate per-shard sorted hit slice. K is
+// threshold of the whole database, and the gather drains each
+// generation's collector table, in order, straight into the result —
+// rejecting hits ending on separator rows and hits inside tombstoned
+// members — with no intermediate per-shard hit slice and no sort. K is
 // therefore a parallelism knob, not a layout knob: CalculatedEntries
 // and the hit set are byte-identical for every K. On top sits a
 // result-level query cache: search results are immutable per store

@@ -157,8 +157,12 @@ type storeView struct {
 }
 
 // buildView derives the live directory, alphabet and member mappings
-// from a generation list. It fails on a store with no live members —
-// a Store, like NewStore, always holds at least one sequence.
+// from a generation list. Live members are numbered generation by
+// generation, each generation's in text order: the store's gather
+// relies on it (draining the generations in this order appends hits in
+// ascending global TEnd — storesession.go). It fails on a store with no
+// live members — a Store, like NewStore, always holds at least one
+// sequence.
 func buildView(gens []*generation, stamp uint64) (*storeView, error) {
 	v := &storeView{stamp: stamp, gens: gens}
 	var names []string

@@ -386,9 +386,10 @@ func TestStoreMutateWhileSearching(t *testing.T) {
 // query scatters over the shared index through the family-slice lane
 // dispatch (Shards > 1) — against the full mutation lifecycle. The
 // batch contract under mutation: each result is a complete answer from
-// SOME published view (no errors, no torn hybrids), and the lane
-// dispatch never trips the race detector against Append/Delete/Compact
-// republishing the view underneath it.
+// SOME published view (no errors, no torn hybrids, hits in strict
+// (TEnd, QEnd) order whatever generations and tombstones that view
+// held), and the lane dispatch never trips the race detector against
+// Append/Delete/Compact republishing the view underneath it.
 func TestStoreMutateWhileSearchAll(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 6, 1200, 200, 921)
 	st, err := NewStore(wl.records[:4], StoreOptions{Shards: 3, QueryCacheSize: 32})
@@ -426,6 +427,10 @@ func TestStoreMutateWhileSearchAll(t *testing.T) {
 							t.Errorf("worker %d: hit with empty member name", w)
 							return
 						}
+					}
+					if !strictlyAscending(res.Hits) {
+						t.Errorf("worker %d batch %d: query %d hits are not strictly (TEnd, QEnd)-ascending", w, i, qi)
+						return
 					}
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -59,13 +58,7 @@ type StoreSession struct {
 	ress  []*Result   // per-lane baseline fallback results, reused
 	errs  []error     // per-lane scatter errors, reused
 
-	// Streaming-gather state, reused across searches: one SeqHit
-	// bucket per live member of the bound view, plus the list of
-	// buckets the current gather touched (so resetting is O(touched),
-	// not O(members)).
-	buckets [][]SeqHit
-	touched []int
-	closed  bool
+	closed bool
 }
 
 // OpenSession returns a scatter-gather session for one search
@@ -125,23 +118,12 @@ func (ss *StoreSession) syncView() error {
 			ln.sess.Close()
 		}
 		ss.lanes, ss.view, ss.stats, ss.ress, ss.errs = nil, nil, nil, nil, nil
-		ss.buckets, ss.touched = nil, nil
 		return err
 	}
 	ss.lanes, ss.view = lanes, v
 	ss.stats = make([]Stats, len(lanes))
 	ss.ress = make([]*Result, len(lanes))
 	ss.errs = make([]error, len(lanes))
-	// The gather buckets are keyed by live member index, which a
-	// mutation renumbers; they are always empty between searches, so a
-	// resync only needs to fix their count.
-	if cap(ss.buckets) < len(v.loc) {
-		buckets := make([][]SeqHit, len(v.loc))
-		copy(buckets, ss.buckets)
-		ss.buckets = buckets
-	} else {
-		ss.buckets = ss.buckets[:len(v.loc)]
-	}
 	return nil
 }
 
@@ -150,12 +132,11 @@ func (ss *StoreSession) syncView() error {
 // alphabet of the live virtual concatenation); each generation
 // resolves the query's grams ONCE against its monolithic index and
 // dispatches the resolved fork families across K cost-balanced lanes
-// at that same H; and the gather streams every generation's collector
-// table straight into per-member SeqHit buckets — dropping hits that
-// end on separator rows, inside tombstoned members, or whose score
-// proves the alignment crossed in from another member (bucketHit) —
-// then emits the buckets in live-member order, which is global
-// (TEnd, QEnd) order.
+// at that same H; and the gather drains every generation's collector
+// table, in order, straight into the result — dropping hits that end on
+// separator rows, inside tombstoned members, or whose score proves the
+// alignment crossed in from another member (laneGather) — which comes
+// out in global (TEnd, QEnd) order with nothing sorted.
 // Results are identical to a monolithic index over the live
 // concatenation, hit for hit and entry for entry, for EVERY K — K only
 // partitions the resolved work, never the text — except for alignments
@@ -198,13 +179,40 @@ func (ss *StoreSession) laneWorkers() int {
 	return ss.opts.Parallelism
 }
 
-// bucketHit maps one collector hit into its per-member gather bucket,
-// returning 1 if it survived (0 for separator-row, cross-member and
-// tombstone rejections). gi/g are the lane's generation.
-func (ss *StoreSession) bucketHit(v *storeView, g *generation, gi, tEnd, qEnd, score int) int {
-	lm, local, ok := g.tab.Locate(tEnd, tEnd+1)
-	if !ok {
-		return 0 // ends on a separator row: rejected here, at the gather
+// laneGather maps one generation lane's hits, which arrive in the
+// generation's (tEnd, qEnd) order, onto the live store's coordinates.
+// Consecutive hits mostly end in the same member, so the member's range
+// and its live-directory entry are looked up once per member, not once
+// per hit.
+type laneGather struct {
+	tab   *seq.Table // the generation's members, tombstoned included
+	live  []int      // the generation's member -> live index, -1 when tombstoned
+	seqs  *seq.Table // the live directory
+	match int        // the scheme's match score sa
+
+	lo, hi int    // the generation-text range of the member of the last hit
+	gm     int    // its live index, -1 when tombstoned
+	start  int    // its start in the live concatenation
+	name   string // its name
+}
+
+// append adds one lane hit to hits unless the gather rejects it: it
+// ends on a separator row, in a tombstoned member, or scores more than
+// its member has room for.
+func (ga *laneGather) append(hits []SeqHit, tEnd, qEnd, score int) []SeqHit {
+	if tEnd < ga.lo || tEnd >= ga.hi {
+		lm, _, ok := ga.tab.Locate(tEnd, tEnd+1)
+		if !ok {
+			return hits // ends on a separator row: rejected here, at the gather
+		}
+		ga.lo = ga.tab.Start(lm)
+		ga.hi = ga.lo + ga.tab.SeqLen(lm)
+		if ga.gm = ga.live[lm]; ga.gm >= 0 {
+			ga.start, ga.name = ga.seqs.Start(ga.gm), ga.seqs.Name(ga.gm)
+		}
+	}
+	if ga.gm < 0 {
+		return hits // tombstoned member: deleted, awaiting compaction
 	}
 	// Cross-member backstop: every aligned text row contributes at most
 	// sa, so an alignment scoring `score` spans at least ⌈score/sa⌉ text
@@ -214,27 +222,16 @@ func (ss *StoreSession) bucketHit(v *storeView, g *generation, gi, tEnd, qEnd, s
 	// impossible (the separator is a trie barrier, core.Options), so
 	// this only catches the baseline algorithms, which sweep the
 	// concatenation without the barrier.
-	if minLen := (score + ss.s.Match - 1) / ss.s.Match; local+1 < minLen {
-		return 0
+	local := tEnd - ga.lo
+	if minLen := (score + ga.match - 1) / ga.match; local+1 < minLen {
+		return hits
 	}
-	gm := v.live[gi][lm]
-	if gm < 0 {
-		return 0 // tombstoned member: deleted, awaiting compaction
-	}
-	if len(ss.buckets[gm]) == 0 {
-		ss.touched = append(ss.touched, gm)
-	}
-	ss.buckets[gm] = append(ss.buckets[gm], SeqHit{
-		Hit: Hit{
-			TEnd:  v.seqs.Start(gm) + local,
-			QEnd:  qEnd,
-			Score: score,
-		},
-		Member:    gm,
-		Name:      v.seqs.Name(gm),
+	return append(hits, SeqHit{
+		Hit:       Hit{TEnd: ga.start + local, QEnd: qEnd, Score: score},
+		Member:    ga.gm,
+		Name:      ga.name,
 		LocalTEnd: local,
 	})
-	return 1
 }
 
 // searchCurrent runs the scatter-gather against the already-bound
@@ -285,47 +282,46 @@ func (ss *StoreSession) searchCurrent(cx context.Context, query []byte) (*StoreR
 			return nil, fmt.Errorf("alae: shard %d: %w", k, err)
 		}
 	}
-	// Gather, streaming: each lane's collector table flows straight
-	// into per-member SeqHit buckets — no intermediate per-lane sorted
-	// hit slice is ever built. Tombstoned members are dropped HERE:
-	// their bytes are still indexed until a compaction purges them, but
-	// no hit inside one survives the gather. The buckets then emit in
-	// live-member order; member coordinate ranges ascend in that order,
-	// so after the per-bucket sort the output is exactly the global
-	// (TEnd, QEnd) order a monolithic search over the live
-	// concatenation returns.
+	// Gather, streaming and sort-free. Each lane drains its collector in
+	// the generation's (tEnd, qEnd) order; a member is one contiguous
+	// coordinate range of exactly one generation, and the live directory
+	// numbers members generation by generation in text order (buildView),
+	// so draining the lanes in generation order appends hits in exactly
+	// the global (TEnd, QEnd) order a monolithic search over the live
+	// concatenation returns. Tombstoned members are dropped HERE: their
+	// bytes are still indexed until a compaction purges them, but no hit
+	// inside one survives the gather.
 	out := &StoreResult{Threshold: h, Algorithm: ss.opts.Algorithm}
 	total := 0
 	for k := range ss.lanes {
+		if res := ss.ress[k]; res != nil {
+			total += len(res.Hits)
+		} else {
+			total += ss.lanes[k].sess.cs.Collector().Len()
+		}
+	}
+	hits := make([]SeqHit, 0, total)
+	for k := range ss.lanes {
 		ln := &ss.lanes[k]
-		g := v.gens[ln.gen]
+		ga := laneGather{tab: v.gens[ln.gen].tab, live: v.live[ln.gen], seqs: v.seqs, match: ss.s.Match}
 		if res := ss.ress[k]; res != nil {
 			for _, hh := range res.Hits {
-				total += ss.bucketHit(v, g, ln.gen, hh.TEnd, hh.QEnd, hh.Score)
+				hits = ga.append(hits, hh.TEnd, hh.QEnd, hh.Score)
 			}
 			ss.ress[k] = nil // do not pin fallback results past the gather
 		} else {
-			coll := ln.sess.coll
-			coll.ForEach(func(tEnd, qEnd, score int) {
-				total += ss.bucketHit(v, g, ln.gen, tEnd, qEnd, score)
+			ln.sess.cs.Collector().Drain(func(tEnd, qEnd, score int) {
+				hits = ga.append(hits, tEnd, qEnd, score)
 			})
 		}
 		out.Stats.add(ss.stats[k])
 	}
-	slices.Sort(ss.touched) // bucket emission must follow live-member order
-	out.Hits = make([]SeqHit, 0, total)
-	for _, gm := range ss.touched {
-		b := ss.buckets[gm]
-		slices.SortFunc(b, func(a, c SeqHit) int {
-			if a.TEnd != c.TEnd {
-				return a.TEnd - c.TEnd
-			}
-			return a.QEnd - c.QEnd
-		})
-		out.Hits = append(out.Hits, b...)
-		ss.buckets[gm] = b[:0] // keep capacity warm, never pin hits
+	if len(hits) < cap(hits) {
+		// The gather rejected hits: a result may live on in the query
+		// cache, so it must not pin the capacity they were counted into.
+		hits = append(make([]SeqHit, 0, len(hits)), hits...)
 	}
-	ss.touched = ss.touched[:0]
+	out.Hits = hits
 	return out, nil
 }
 
