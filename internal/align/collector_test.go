@@ -2,6 +2,7 @@ package align
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -179,6 +180,145 @@ func TestRunStage(t *testing.T) {
 				t.Fatalf("stage refused after only %d runs", i)
 			}
 			break
+		}
+	}
+}
+
+// TestStageRun pins StageRun's contract case by case: an open run is
+// continued, a run that does not fit is taken up to the cell capacity,
+// and a run that needs a header past the header capacity is refused
+// whole even though cells are free.
+func TestStageRun(t *testing.T) {
+	seq := func(n int) []int32 {
+		s := make([]int32, n)
+		for i := range s {
+			s[i] = int32(i + 1)
+		}
+		return s
+	}
+	var s RunStage
+	if n := s.StageRun(5, 10, seq(4)); n != 4 {
+		t.Fatalf("first run: took %d of 4", n)
+	}
+	// Continuation: same row, next column — by a run and by a cell.
+	if n := s.StageRun(5, 14, seq(3)); n != 3 {
+		t.Fatalf("continuation: took %d of 3", n)
+	}
+	if !s.Stage(5, 17, 99) {
+		t.Fatal("Stage refused a continuing cell")
+	}
+	if r := s.Runs(); len(r) != 1 || r[0] != (RunHdr{Row: 5, J0: 10, Off: 0, N: 8}) {
+		t.Fatalf("continued run = %+v, want one run of 8 at column 10", r)
+	}
+	// Same column again, a gap, another row: each opens a run.
+	s.StageRun(5, 17, seq(1))
+	s.StageRun(5, 20, seq(2))
+	s.StageRun(6, 22, seq(2))
+	if r := s.Runs(); len(r) != 4 || r[3] != (RunHdr{Row: 6, J0: 22, Off: 11, N: 2}) {
+		t.Fatalf("runs after breaks = %+v", r)
+	}
+	if got, want := s.Cells(), []int32{1, 2, 3, 4, 1, 2, 3, 99, 1, 1, 2, 1, 2}; !slices.Equal(got, want) {
+		t.Fatalf("cells = %v, want %v", got, want)
+	}
+	if n := s.StageRun(6, 24, nil); n != 0 || len(s.Runs()) != 4 {
+		t.Fatalf("empty run: took %d, %d runs", n, len(s.Runs()))
+	}
+
+	// Partial fit: a run longer than the whole stage lands in pieces.
+	s.Reset()
+	long := seq(2*stageMaxCells + 7)
+	s.StageRun(1, 1, seq(10))
+	n := s.StageRun(2, 1, long)
+	if n != stageMaxCells-10 || len(s.Cells()) != stageMaxCells {
+		t.Fatalf("partial fit: took %d, stage holds %d", n, len(s.Cells()))
+	}
+	if s.StageRun(2, 1+int32(n), long[n:]) != 0 || s.Stage(2, 1+int32(n), 0) {
+		t.Fatal("a full stage took cells")
+	}
+	s.Reset()
+	if n2 := s.StageRun(2, 1+int32(n), long[n:]); n2 != stageMaxCells {
+		t.Fatalf("after flush: took %d, want a whole stage", n2)
+	}
+
+	// Header capacity: stageMaxRuns one-cell runs, then a new run is
+	// refused whole while the open one still extends.
+	s.Reset()
+	for i := int32(0); i < stageMaxRuns; i++ {
+		if s.StageRun(1, 2*i, seq(1)) != 1 {
+			t.Fatalf("run %d refused below the header capacity", i)
+		}
+	}
+	if n := s.StageRun(1, 2*stageMaxRuns, seq(5)); n != 0 {
+		t.Fatalf("run past the header capacity: took %d", n)
+	}
+	if n := s.StageRun(1, 2*stageMaxRuns-1, seq(5)); n != 5 {
+		t.Fatalf("continuation at the header capacity: took %d of 5", n)
+	}
+}
+
+// TestStageRunMatchesPerCell feeds random row runs — short, long,
+// adjacent, overlapping — to StageRun under the callers' flush-and-
+// continue loop and, cell by cell, to Stage under its flush-and-retry
+// loop: every flush must see the same runs and cells, so the two paths
+// hand the collector identical batches at identical points.
+func TestStageRunMatchesPerCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	type batch struct {
+		runs  []RunHdr
+		cells []int32
+	}
+	for trial := 0; trial < 200; trial++ {
+		var got, want []batch
+		var s, ref RunStage
+		drain := func(st *RunStage, to *[]batch) {
+			*to = append(*to, batch{slices.Clone(st.Runs()), slices.Clone(st.Cells())})
+			st.Reset()
+		}
+		flush := func() { drain(&s, &got) }
+		refFlush := func() { drain(&ref, &want) }
+		row, j := int32(1), int32(1)
+		for k := 0; k < 400; k++ {
+			switch rng.Intn(4) {
+			case 0:
+				row++
+				j = int32(1 + rng.Intn(50))
+			case 1:
+				j += int32(rng.Intn(3)) // 0 repeats the column, 1 continues, 2 gaps
+			}
+			n := 1 + rng.Intn(5)
+			if trial%4 == 0 && rng.Intn(20) == 0 {
+				n = 1 + rng.Intn(3*stageMaxCells)
+			}
+			scores := make([]int32, n)
+			for i := range scores {
+				scores[i] = int32(rng.Intn(1000))
+			}
+			for j0, rest := j, scores; ; {
+				took := s.StageRun(row, j0, rest)
+				if took == len(rest) {
+					break
+				}
+				flush()
+				j0, rest = j0+int32(took), rest[took:]
+			}
+			for i, sc := range scores {
+				if !ref.Stage(row, j+int32(i), sc) {
+					refFlush()
+					ref.Stage(row, j+int32(i), sc)
+				}
+			}
+			j += int32(n)
+		}
+		flush()
+		refFlush()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d flushes, reference %d", trial, len(got), len(want))
+		}
+		for b := range got {
+			if !slices.Equal(got[b].cells, want[b].cells) || !slices.Equal(got[b].runs, want[b].runs) {
+				t.Fatalf("trial %d flush %d: runs %+v, reference %+v (%d / %d cells)", trial, b,
+					got[b].runs, want[b].runs, len(got[b].cells), len(want[b].cells))
+			}
 		}
 	}
 }

@@ -86,8 +86,8 @@ func blockKey(tEnd, qEnd int) uint64 {
 const fibMix = 0x9E3779B97F4A7C15
 
 // slot returns the table index for block key k (stored +1), claiming
-// an empty slot if the block is new. Callers must reserve() first so
-// the probe never needs to grow mid-scan.
+// an empty slot if the block is new. Callers must reserve first so the
+// probe never needs to grow mid-scan.
 func (c *Collector) slot(k uint64) int {
 	mask := uint64(len(c.keys) - 1)
 	i := (k * fibMix) >> c.shift
@@ -105,17 +105,17 @@ func (c *Collector) slot(k uint64) int {
 	}
 }
 
-// reserve grows the table until one more block insert stays under the
-// 5/8 load factor.
-func (c *Collector) reserve() {
-	for c.n+1 > len(c.keys)*5/8 {
+// reserve grows the table until blocks more block inserts stay under
+// the 5/8 load factor.
+func (c *Collector) reserve(blocks int) {
+	for c.n+blocks > len(c.keys)*5/8 {
 		c.grow()
 	}
 }
 
 // Add records a hit, keeping the best score per end pair.
 func (c *Collector) Add(tEnd, qEnd, score int) {
-	c.reserve()
+	c.reserve(1)
 	i := c.slot(blockKey(tEnd, qEnd) + 1)
 	lane := qEnd & laneMask
 	bit := uint8(1) << lane
@@ -133,16 +133,17 @@ func (c *Collector) Add(tEnd, qEnd, score int) {
 
 // AddRun records a run of hits at one tEnd covering consecutive qEnds
 // qEnd0, qEnd0+1, ..., qEnd0+len(scores)-1, max-merging like Add. One
-// table probe per block touched (≤ laneWidth cells each) — the batched
-// fast path of the emission overhaul.
+// table probe per block touched (≤ laneWidth cells each), and one
+// reservation for all of them: the table may not grow between a run's
+// probes anyway — the batched fast path of the emission overhaul.
 func (c *Collector) AddRun(tEnd, qEnd0 int, scores []int32) {
+	c.reserve((qEnd0&laneMask + len(scores) + laneMask) >> laneShift)
 	for len(scores) > 0 {
 		lane := qEnd0 & laneMask
 		span := laneWidth - lane
 		if span > len(scores) {
 			span = len(scores)
 		}
-		c.reserve()
 		i := c.slot(blockKey(tEnd, qEnd0) + 1)
 		base := i * laneWidth
 		u := c.used[i]
@@ -203,7 +204,7 @@ func (c *Collector) Merge(o *Collector) {
 		if ou == 0 {
 			continue
 		}
-		c.reserve()
+		c.reserve(1)
 		i := c.slot(k)
 		base, obase := i*laneWidth, idx*laneWidth
 		u := c.used[i]

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/strie"
 )
 
@@ -63,6 +65,16 @@ func (b *bandTriple) push(j, m, ga int32) {
 	b.js = append(b.js, j)
 	b.m = append(b.m, m)
 	b.ga = append(b.ga, ga)
+}
+
+// reserve makes room for n more cells and returns that room as views
+// to be written by index; the caller truncates to the cells it kept.
+func (b *bandTriple) reserve(n int) (js, m, ga []int32) {
+	l := len(b.js)
+	if min(cap(b.js), cap(b.m), cap(b.ga)) < l+n {
+		b.js, b.m, b.ga = slices.Grow(b.js, n), slices.Grow(b.m, n), slices.Grow(b.ga, n)
+	}
+	return b.js[l : l+n], b.m[l : l+n], b.ga[l : l+n]
 }
 
 // row returns the cell run [start, start+n) as slice views. The views
@@ -131,29 +143,24 @@ func (ctx *searchCtx) dfsGram(node strie.Node, gram []byte, survivors []int32, o
 // diagonal cell scores q·sa and can already reach the threshold, both
 // for forks still on the diagonal and for band cells from forks whose
 // FGOE fell inside the EMR. Cells stage into the workspace's row-q
-// RunStage (diagonals of adjacent surviving forks and merged-band runs
-// are column-contiguous) and flush through the batched path once.
+// RunStage by align.RunStage's rule (diagonal cells one by one,
+// adjacent surviving forks continuing one run; merged-band stretches
+// whole) and flush through the batched path once.
 func (ctx *searchCtx) dfsEmitRowQ(node strie.Node, occGetter func() []int) {
-	q := node.Depth
+	q := int32(node.Depth)
 	st := &ctx.ws.rowQ
-	stage := func(j int32, score int32) {
-		if !st.Stage(int32(q), j, score) {
-			ctx.flushRowQ(occGetter)
-			st.Stage(int32(q), j, score)
-		}
-	}
+	flush := func() { ctx.flushRowQ(occGetter) }
 	for _, d := range ctx.ws.diags {
-		if int(d.score) >= ctx.h {
-			stage(d.col0+int32(q), d.score)
+		if int(d.score) >= ctx.h && !st.Stage(q, d.col0+q, d.score) {
+			flush()
+			st.Stage(q, d.col0+q, d.score)
 		}
 	}
 	slab := &ctx.ws.slab
-	for k, mv := range slab.m {
-		if mv > negInf && int(mv) >= ctx.h {
-			stage(slab.js[k], mv)
-		}
+	for a, b := nextRun(slab.js, slab.m, 0, ctx.h); a < b; a, b = nextRun(slab.js, slab.m, b, ctx.h) {
+		stageRun(st, flush, q, slab.js[a], slab.m[a:b])
 	}
-	ctx.flushRowQ(occGetter)
+	flush()
 }
 
 // flushRowQ drains the row-q stage: each run fans out over the gram
@@ -510,240 +517,202 @@ func (ctx *searchCtx) dfsLinear(node strie.Node, forkStart, forkLen, bandStart, 
 
 // advanceMergedBand computes the merged band's next row from the
 // parent row (pJs/pM/pGa, all cells alive by invariant) and the new
-// FGOE seeds, appending to out. The sweep is a single fused pass in
-// increasing column order: parent and seed cursors advance linearly, Gb
-// chains to j+1, and the next candidate column is derived from the
-// cursors — no candidate prepass, no binary search, no allocation.
-// Score filtering, boundary/interior entry counting, and threshold
-// emission match the recurrence exactly. Seeds must be sorted by
-// column (diagonals step in ascending col0 order per gram, so they
-// are).
+// FGOE seeds (sorted by column: diagonals step in ascending col0 order
+// per gram), appending it to out, then stages the row's emitting
+// stretches. It only drives bandRow. A contiguous, seedless parent —
+// the dominant shape on homologous paths — is one kernel call. Any
+// other row is cut at its events, the first column of each maximal
+// contiguous parent segment and every seed column: each event starts a
+// kernel call that runs up to the next event, with the Gb carry
+// threaded from call to call.
 func (ctx *searchCtx) advanceMergedBand(pJs, pM, pGa []int32, deltaRow []int32, i int, seeds []seedCell, em *emitCtx, out *bandTriple) {
 	np := len(pJs)
 	if np == 0 && len(seeds) == 0 {
 		return
 	}
-	if len(seeds) == 0 && np > 0 && pJs[np-1]-pJs[0] == int32(np-1) {
-		// The parent row is one contiguous column run — the dominant
-		// shape on homologous paths — so the candidate set is just
-		// [lo, hi+1] plus the Gb tail and every cell indexes the
-		// parent arrays directly.
-		ctx.advanceDenseBand(pJs[0], pM, pGa, deltaRow, i, em, out)
-		return
-	}
-	s := ctx.s
-	open := int32(s.GapOpen + s.GapExtend)
-	ext := int32(s.GapExtend)
-	mq := int32(len(ctx.query))
-	colBound := ctx.colBound
-	rowB := ctx.rowBound(i)
-	var boundary, interior int64
-	const farJ = int32(1) << 30
-
-	gb := negInf
-	pi := 0 // first parent index with pJs[pi] >= j-1
-	si := 0 // first unconsumed seed
-	j := farJ
-	if np > 0 {
-		j = pJs[0]
-	}
-	if len(seeds) > 0 && seeds[0].j < j {
-		j = seeds[0].j
-	}
-	for j <= mq {
-		for pi < np && pJs[pi] < j-1 {
-			pi++
-		}
-		dg, ga := negInf, negInf
-		sources := 0
-		k := pi
-		if k < np && pJs[k] == j-1 {
-			dg = pM[k] + deltaRow[j-1]
-			sources++
-			k++
-		}
-		hasCellAtJ := k < np && pJs[k] == j
-		if hasCellAtJ {
-			// Merged-band cells are always alive (pM[k] > 0), so the
-			// Ga recurrence always has its M source.
-			ga = pM[k] + open
-			sources++
-			if pga := pGa[k]; pga > negInf && pga+ext > ga {
-				ga = pga + ext
+	start := out.len()
+	from := start // cells before it are staged, or not to be
+	end := int32(len(ctx.query)) + 1
+	if len(seeds) == 0 && pJs[np-1]-pJs[0] == int32(np-1) {
+		ctx.bandRow(pJs[0], pM, pGa, deltaRow, i, pJs[0], end, negInf, negInf, out)
+	} else {
+		var lo int32 // the segment whose span [lo, lo+len(sM)] the calls run in
+		var sM, sGa []int32
+		gb := negInf
+		for a, si := 0, 0; a < np || si < len(seeds); {
+			j0, sv := end, negInf
+			if a < np {
+				j0 = pJs[a]
+			}
+			if si < len(seeds) && seeds[si].j <= j0 {
+				j0, sv = seeds[si].j, seeds[si].v
+				si++
+			}
+			if a < np && pJs[a] == j0 {
+				b := a + 1
+				for b < np && pJs[b] == pJs[b-1]+1 {
+					b++
+				}
+				lo, sM, sGa = j0, pM[a:b], pGa[a:b]
+				a = b
+			} else if j0 > lo+int32(len(sM)) {
+				lo, sM, sGa = j0, nil, nil // a seed no parent cell reaches
+			}
+			stop := end
+			if a < np {
+				stop = pJs[a]
+			}
+			if si < len(seeds) {
+				stop = min(stop, seeds[si].j)
+			}
+			n0 := out.len()
+			gb = ctx.bandRow(lo, sM, sGa, deltaRow, i, j0, stop, gb, sv, out)
+			if out.len() > n0 && out.js[n0] == j0 && out.m[n0] == sv {
+				// A seed cell at its own value was emitted by the diagonal
+				// step; only improvements and sweep cells emit here.
+				ctx.emitRuns(em, i, out.js[from:n0], out.m[from:n0])
+				from = n0 + 1
 			}
 		}
-		if gb > negInf {
-			sources++
-		}
-		sv := negInf
-		for si < len(seeds) && seeds[si].j < j {
-			si++
-		}
-		if si < len(seeds) && seeds[si].j == j {
-			sv = seeds[si].v
-			si++
-		}
-		mv := dg
-		if ga > mv {
-			mv = ga
-		}
-		if gb > mv {
-			mv = gb
-		}
-		if sv > mv {
-			mv = sv
-		}
-		if sources > 0 {
-			// Seed-only cells were already counted as NGR entries by
-			// the diagonal step; only sweep-computed cells count here.
-			if sources >= 3 {
-				interior++
-			} else {
-				boundary++
-			}
-		}
-		alive := mv > 0 && mv >= rowB && mv >= colBound[j-1]
-		if alive {
-			if int(mv) >= ctx.h && sv < mv {
-				// Seed cells at their own value were emitted by the
-				// diagonal step; emit only improvements and sweep cells.
-				em.emit(i, j, mv)
-			}
-			out.push(j, mv, ga)
-		}
-		// Gb carry to column j+1.
-		ng := negInf
-		if gb > negInf {
-			ng = gb + ext
-		}
-		if alive && mv+open > ng {
-			ng = mv + open
-		}
-		if ng <= 0 {
-			ng = negInf
-		}
-		gb = ng
-		if gb > negInf {
-			j++
-			continue
-		}
-		// Next candidate column: the first parent contribution past j
-		// (a cell at j feeds j+1 diagonally; otherwise the next stored
-		// column) or the next seed, whichever is smaller.
-		nj := farJ
-		if hasCellAtJ {
-			nj = j + 1
-		} else {
-			t := pi
-			for t < np && pJs[t] <= j {
-				t++
-			}
-			if t < np {
-				nj = pJs[t]
-			}
-		}
-		if si < len(seeds) && seeds[si].j < nj {
-			nj = seeds[si].j
-		}
-		j = nj
 	}
-	if !ctx.mute {
-		ctx.st.EntriesBoundary += boundary
-		ctx.st.EntriesInterior += interior
+	if alaeDebug {
+		ctx.checkBandRow(out, start)
 	}
+	ctx.emitRuns(em, i, out.js[from:], out.m[from:])
 }
 
-// advanceDenseBand is advanceMergedBand specialised to a contiguous,
-// seedless parent row [lo, lo+np): cells index the parent arrays
-// directly, with no column cursors or candidate derivation. Emission,
-// score filtering and entry counting are identical to the general
-// sweep.
-func (ctx *searchCtx) advanceDenseBand(lo int32, pM, pGa []int32, deltaRow []int32, i int, em *emitCtx, out *bandTriple) {
-	s := ctx.s
-	open := int32(s.GapOpen + s.GapExtend)
-	ext := int32(s.GapExtend)
-	mq := int32(len(ctx.query))
+// bandRow is the band row kernel. Inside the span [lo, lo+np] of one
+// contiguous parent segment (pM/pGa; np = 0 for a lone seed) it
+// computes row i over the columns [j0, stop) in four phases, writing
+// the surviving cells to out by index and returning the Gb carry into
+// the column it stopped at (negInf when the carry died first):
+//
+//  1. cell j0, from whichever of its diagonal, vertical, incoming-Gb
+//     (gb) and seed (sv) sources exist;
+//  2. the interior stretch up to lo+np−1, diagonal and vertical sources
+//     both present, over slices cut so that bounds checks vanish;
+//  3. cell lo+np, diagonal source only;
+//  4. the Gb tail, while the carry lives.
+//
+// A cell is alive iff mv > 0, mv ≥ rowBound(i) and mv ≥ colBound[j−1];
+// one with all three sweep sources is an interior entry, any other
+// sweep-computed cell a boundary entry, and a seed-only cell neither
+// (the diagonal step counted it as an NGR entry).
+func (ctx *searchCtx) bandRow(lo int32, pM, pGa, deltaRow []int32, i int, j0, stop, gb, sv int32, out *bandTriple) int32 {
+	open := int32(ctx.s.GapOpen + ctx.s.GapExtend)
+	ext := int32(ctx.s.GapExtend)
 	colBound := ctx.colBound
-	rowB := ctx.rowBound(i)
-	var boundary, interior int64
-	np := int32(len(pM))
+	floor := max(1, ctx.rowBound(i))
+	hi1 := lo + int32(len(pM)) // the last column a parent cell reaches
+	base := out.len()
+	js, m, ga := out.reserve(int(stop - j0))
+	n := 0
 
-	gb := negInf
-	limit := lo + np // hi+1
-	if limit > mq {
-		limit = mq
+	k := j0 - lo
+	dg, gav := negInf, negInf
+	sources := 0
+	if k > 0 {
+		dg = pM[k-1] + deltaRow[j0-1]
+		sources++
 	}
-	for j := lo; j <= limit; j++ {
-		k := j - lo
-		dg, ga := negInf, negInf
-		sources := 0
-		if k > 0 {
-			dg = pM[k-1] + deltaRow[j-1]
-			sources++
-		}
-		if k < np {
-			ga = pM[k] + open
-			sources++
-			if pga := pGa[k]; pga > negInf && pga+ext > ga {
-				ga = pga + ext
+	if j0 < hi1 {
+		gav = max(pM[k]+open, pGa[k]+ext)
+		sources++
+	}
+	if gb > negInf {
+		sources++
+	}
+	cells, interior := int64(min(sources, 1)), int64(sources/3)
+	mv := max(dg, gav, gb, sv)
+	alive := mv >= max(floor, colBound[j0-1])
+	if alive {
+		js[0], m[0], ga[0] = j0, mv, gav
+		n = 1
+	}
+	gb = gbCarry(gb, mv, open, ext, alive)
+
+	if e := min(hi1, stop); e > j0+1 {
+		dgs, vs, gas := pM[k:e-lo-1], pM[k+1:e-lo], pGa[k+1:e-lo]
+		ds, cbs := deltaRow[j0:e-1], colBound[j0:e-1]
+		dgs, gas, ds, cbs = dgs[:len(vs)], gas[:len(vs)], ds[:len(vs)], cbs[:len(vs)]
+		cells += int64(len(vs))
+		for t, v := range vs {
+			if gb > negInf {
+				interior++
 			}
+			gav := max(v+open, gas[t]+ext)
+			mv := max(dgs[t]+ds[t], gav, gb)
+			alive := mv >= max(floor, cbs[t])
+			if alive {
+				js[n], m[n], ga[n] = j0+1+int32(t), mv, gav
+				n++
+			}
+			gb = gbCarry(gb, mv, open, ext, alive)
 		}
-		if gb > negInf {
-			sources++
-		}
-		mv := dg
-		if ga > mv {
-			mv = ga
-		}
-		if gb > mv {
-			mv = gb
-		}
-		if sources >= 3 {
-			interior++
-		} else {
-			boundary++
-		}
-		alive := mv > 0 && mv >= rowB && mv >= colBound[j-1]
+	}
+	j := max(j0+1, hi1)
+	if j == hi1 && j < stop {
+		cells++
+		mv := max(pM[len(pM)-1]+deltaRow[j-1], gb)
+		alive := mv >= max(floor, colBound[j-1])
 		if alive {
-			if int(mv) >= ctx.h {
-				em.emit(i, j, mv)
-			}
-			out.push(j, mv, ga)
+			js[n], m[n], ga[n] = j, mv, negInf
+			n++
 		}
-		ng := negInf
-		if gb > negInf {
-			ng = gb + ext
-		}
-		if alive && mv+open > ng {
-			ng = mv + open
-		}
-		if ng <= 0 {
-			ng = negInf
-		}
-		gb = ng
+		gb = gbCarry(gb, mv, open, ext, alive)
+		j++
 	}
-	// Gb tail past the parent run.
-	for j := limit + 1; j <= mq && gb > negInf; j++ {
-		boundary++
-		mv := gb
-		alive := mv >= rowB && mv >= colBound[j-1]
+	for ; j < stop && gb > negInf; j++ {
+		cells++
+		alive := gb >= max(floor, colBound[j-1])
 		if alive {
-			if int(mv) >= ctx.h {
-				em.emit(i, j, mv)
-			}
-			out.push(j, mv, negInf)
+			js[n], m[n], ga[n] = j, gb, negInf
+			n++
 		}
-		ng := gb + ext
-		if alive && mv+open > ng {
-			ng = mv + open
-		}
-		if ng <= 0 {
-			ng = negInf
-		}
-		gb = ng
+		gb = gbCarry(gb, gb, open, ext, alive)
 	}
+	out.truncate(base + n)
 	if !ctx.mute {
-		ctx.st.EntriesBoundary += boundary
+		ctx.st.EntriesBoundary += cells - interior
 		ctx.st.EntriesInterior += interior
+	}
+	return gb
+}
+
+// gbCarry is the horizontal-gap score a cell hands to column j+1: the
+// incoming carry extended, or a gap opened from the cell when it is
+// alive; negInf once it can no longer be positive.
+func gbCarry(gb, mv, open, ext int32, alive bool) int32 {
+	ng := gb + ext
+	if alive {
+		ng = max(ng, mv+open)
+	}
+	if ng <= 0 {
+		return negInf
+	}
+	return ng
+}
+
+// nextRun returns the first maximal stretch [a, b) of cells at or after
+// index from whose scores reach h and whose columns are consecutive;
+// a == b == len(m) when there is none.
+func nextRun(js, m []int32, from, h int) (a, b int) {
+	for a = from; a < len(m) && int(m[a]) < h; a++ {
+	}
+	for b = a; b < len(m) && int(m[b]) >= h; b++ {
+	}
+	if b > a && int(js[b-1]-js[a]) != b-1-a {
+		// Columns ascend strictly, so the stretch has a gap: cut there.
+		for b = a + 1; js[b] == js[b-1]+1; b++ {
+		}
+	}
+	return a, b
+}
+
+// emitRuns stages, in ascending column order, every maximal stretch of
+// row i's cells that reaches the threshold, each as one run.
+func (ctx *searchCtx) emitRuns(em *emitCtx, i int, js, m []int32) {
+	for a, b := nextRun(js, m, 0, ctx.h); a < b; a, b = nextRun(js, m, b, ctx.h) {
+		em.emitRun(i, js[a], m[a:b])
 	}
 }

@@ -2,14 +2,14 @@ package core
 
 // The batched emission path. Band kernels report threshold-reaching
 // cells through small per-context staging buffers (align.RunStage) as
-// row runs — one append per cell, no table probe, no occurrence
-// resolution. The emit contexts flush staged runs in bulk at natural
-// ownership boundaries (frame pop, child-edge end, linear-walk end):
-// a flush resolves the path node's occurrences once, fans each run out
-// per occurrence, filters it through the per-search diagonal dominance
-// table, and lands the surviving cells in the collector via the
-// block-batched AddRun — one probe window per run block instead of one
-// per cell.
+// row runs — a copy per emitting stretch of a band row, an append per
+// lone cell, no table probe, no occurrence resolution. The emit
+// contexts flush staged runs in bulk at natural ownership boundaries
+// (frame pop, child-edge end, linear-walk end): a flush resolves the
+// path node's occurrences once, fans each run out per occurrence,
+// filters it through the per-search diagonal dominance table, and lands
+// the surviving cells in the collector via the block-batched AddRun —
+// one probe window per run block instead of one per cell.
 //
 // The dominance table is a flat direct-mapped slab keyed by alignment
 // diagonal (tEnd − qEnd): each cell remembers the best-scoring

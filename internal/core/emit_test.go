@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -183,40 +184,66 @@ func TestPropertyCopyReuseLossless(t *testing.T) {
 	}
 }
 
-// TestEmitStageOverflow drives the flush-and-retry path hard: a
-// single-letter text makes every q-gram occur everywhere, so fan-out
+// TestEmitStageOverflow drives the flush-and-continue path hard. DNA:
+// a single-letter text makes every q-gram occur everywhere, so fan-out
 // and run lengths overflow the fixed stage capacities many times per
-// band row. The result must still match the oracle exactly.
+// band row. Protein: the query is a 1 400-residue copy of a text
+// segment, so deep rows of its one path are dense bands whose every
+// cell emits — single runs longer than the whole 1 024-cell stage,
+// which emitRun must land in pieces. The result must still match the
+// oracle exactly.
 func TestEmitStageOverflow(t *testing.T) {
-	s := align.DefaultDNA
-	text := make([]byte, 400)
-	for i := range text {
-		text[i] = 'A'
-	}
+	const stageCells = 1024 // align's stageMaxCells
 	rng := rand.New(rand.NewSource(63))
-	query := make([]byte, 60)
-	for i := range query {
+	dnaText := bytes.Repeat([]byte("A"), 400)
+	dnaQuery := make([]byte, 60)
+	for i := range dnaQuery {
 		if rng.Intn(10) == 0 {
-			query[i] = 'C'
+			dnaQuery[i] = 'C'
 		} else {
-			query[i] = 'A'
+			dnaQuery[i] = 'A'
 		}
 	}
-	h := s.MinThreshold() + 1
-	want := align.LocalAll(text, query, s, h)
-	for _, mode := range []Mode{ModeDFS, ModeHybrid} {
-		e := New(text, Options{Mode: mode})
-		c := align.NewCollector()
-		st, err := e.Search(query, s, h, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !align.EqualHits(c.Hits(), want) {
-			t.Fatalf("mode %v: %d hits vs oracle %d", mode, c.Len(), len(want))
-		}
-		if st.EmittedHits < int64(len(want)) {
-			t.Fatalf("mode %v: EmittedHits %d below distinct hit count %d", mode, st.EmittedHits, len(want))
-		}
+	protText := seq.RandomSeq(seq.Protein, 2000, nil, rng)
+	for _, wl := range []struct {
+		name        string
+		text, query []byte
+		s           align.Scheme
+		longRun     bool // some text end must hit > stageCells consecutive query ends
+	}{
+		{"dna", dnaText, dnaQuery, align.DefaultDNA, false},
+		{"protein", protText, protText[300:1700], align.DefaultProtein, true},
+	} {
+		t.Run(wl.name, func(t *testing.T) {
+			h := wl.s.MinThreshold() + 1
+			want := align.LocalAll(wl.text, wl.query, wl.s, h)
+			longest, run := 0, 0
+			for k, hit := range want {
+				if k > 0 && hit.TEnd == want[k-1].TEnd && hit.QEnd == want[k-1].QEnd+1 {
+					run++
+				} else {
+					run = 1
+				}
+				longest = max(longest, run)
+			}
+			if wl.longRun && longest <= stageCells {
+				t.Fatalf("degenerate workload: longest row run is %d cells, the stage holds %d", longest, stageCells)
+			}
+			for _, mode := range []Mode{ModeDFS, ModeHybrid} {
+				e := New(wl.text, Options{Mode: mode})
+				c := align.NewCollector()
+				st, err := e.Search(wl.query, wl.s, h, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !align.EqualHits(c.Hits(), want) {
+					t.Fatalf("mode %v: %d hits vs oracle %d", mode, c.Len(), len(want))
+				}
+				if st.EmittedHits < int64(len(want)) {
+					t.Fatalf("mode %v: EmittedHits %d below distinct hit count %d", mode, st.EmittedHits, len(want))
+				}
+			}
+		})
 	}
 }
 

@@ -64,7 +64,7 @@ func (b *bandPair) push(m, ga int32) {
 // *emitCtx disables emission (used where it is provably impossible or
 // handled elsewhere). Cells accumulate in a per-context staging buffer
 // as row runs and only reach the collector on flush (emit.go), so a
-// contiguous emitting stretch costs one append per cell plus one
+// contiguous emitting stretch costs one copy into the stage plus one
 // batched AddRun per occurrence, not one table probe per cell per
 // occurrence. All position resolution is lazy and buffered: node mode
 // locates the occurrence list once per flush into a retained buffer,
@@ -72,11 +72,11 @@ func (b *bandPair) push(m, ga int32) {
 // path's text position only if a cell actually reaches the threshold —
 // paths that die silently never pay a locate.
 //
-// Staged runs must never outlive their tenant: reset and
-// resetLinearLazy flush the previous tenant's runs before rebinding,
-// and the traversals flush explicitly wherever an emit context's node
-// goes out of scope without a rebind (frame pop, dead or depth-capped
-// child edges, linear-walk end).
+// Staged runs must never outlive their tenant: the traversals flush
+// wherever an emit context's node goes out of scope (frame pop, dead or
+// depth-capped child edges, linear-walk end), so reset always meets an
+// empty stage — asserted under alaedebug, flushed regardless — and
+// resetLinearLazy's flush hands a node's own row over to its walk.
 type emitCtx struct {
 	ctx    *searchCtx
 	node   strie.Node
@@ -93,6 +93,9 @@ type emitCtx struct {
 const lazyT = -2
 
 func (e *emitCtx) reset(ctx *searchCtx, node strie.Node) {
+	if alaeDebug && !e.stage.Empty() {
+		panic("core: emit context rebound with its last node's runs still staged")
+	}
 	e.flush()
 	e.ctx, e.node, e.occ, e.fixedT = ctx, node, nil, -1
 }
@@ -106,19 +109,43 @@ func (e *emitCtx) resetLinearLazy(ctx *searchCtx) {
 }
 
 // emit stages a hit at matrix row i (== e.node.Depth), 1-based query
-// column j. Lazy-linear position resolution happens here — not at
-// flush — so the caller's walk can switch to direct text reads as soon
-// as anything emits, exactly as the unstaged path did.
+// column j: the per-cell form, for the one-cell-a-row diagonal steps.
 func (e *emitCtx) emit(i int, j int32, score int32) {
 	if e == nil {
 		return
 	}
-	if e.fixedT == lazyT {
-		e.fixedT = e.ctx.e.trie.PathOccurrence(strie.Node{Lo: e.linRow, Hi: e.linRow + 1, Depth: e.linDep})
-	}
+	e.resolve()
 	if !e.stage.Stage(int32(i), j, score) {
 		e.flush()
 		e.stage.Stage(int32(i), j, score)
+	}
+}
+
+// emitRun is emit for a band row's stretch at columns j0, j0+1, ...
+func (e *emitCtx) emitRun(i int, j0 int32, scores []int32) {
+	e.resolve()
+	stageRun(&e.stage, e.flush, int32(i), j0, scores)
+}
+
+// resolve fixes a lazy-linear path's text position at its first emission
+// — not at flush — so the walk switches to direct text reads at once.
+func (e *emitCtx) resolve() {
+	if e.fixedT == lazyT {
+		e.fixedT = e.ctx.e.trie.PathOccurrence(strie.Node{Lo: e.linRow, Hi: e.linRow + 1, Depth: e.linDep})
+	}
+}
+
+// stageRun stages one row run into st, draining the stage through flush
+// whenever it fills: a run longer than the room left — a protein row
+// can exceed the whole stage — lands in pieces, in ascending order.
+func stageRun(st *align.RunStage, flush func(), row, j0 int32, scores []int32) {
+	for {
+		n := st.StageRun(row, j0, scores)
+		if n == len(scores) {
+			return
+		}
+		flush()
+		j0, scores = j0+int32(n), scores[n:]
 	}
 }
 

@@ -909,11 +909,20 @@ func TestStoreGatherAllocBound(t *testing.T) {
 		// Measured: 2 at one lane (the StoreResult and its Hits array), 11
 		// at two, +3 to +4 per lane after that. The slack absorbs a pooled
 		// lane workspace lost to a collection mid-measurement; anything
-		// scaling with the hit count (thousands here) blows far past it.
-		const fixed, perLane = 6, 4
-		if budget := float64(fixed + perLane*lanes); allocs > budget {
-			t.Fatalf("warm StoreSession.Search at %d lanes allocated %.1f objects per query (budget %d + %d·lanes = %.0f): the gather is materialising intermediates",
-				lanes, allocs, fixed, perLane, budget)
+		// scaling with the hit count (170 135 here) blows far past it.
+		// Under the race detector sync.Pool drops a quarter of what is Put
+		// into it, so a lane's pooled workspace is rebuilt (~95 objects)
+		// mid-measurement: 30–61 per query at two lanes on the same code.
+		// The race budget allows every lane a rebuild on every run — still
+		// a per-lane figure, and 270 at two lanes against 170 135 hits.
+		const fixed, perLane, raceRebuild = 6, 4, 128
+		budget := float64(fixed + perLane*lanes)
+		if raceEnabled {
+			budget += raceRebuild * float64(lanes)
+		}
+		if allocs > budget {
+			t.Fatalf("warm StoreSession.Search at %d lanes allocated %.1f objects per query for %d hits (budget %.0f): the gather is materialising intermediates",
+				lanes, allocs, hits, budget)
 		}
 	}
 }
