@@ -447,29 +447,42 @@ func BenchmarkProteinEmission(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectorDrain times the result path's last step on that
-// workload's own hit set: one query's ~290k hits, re-staged into a
-// collector as the row runs the engines emit, drained by Hits. A warm
-// drain sorts block keys, never hits, in scratch the collector keeps:
-// -benchmem must show 1 alloc/op, the result slice.
-func BenchmarkCollectorDrain(b *testing.B) {
+// rowRun is one emitted row run: n consecutive qEnds from qEnd0 at one
+// tEnd, scores at cells[off : off+n].
+type rowRun struct{ tEnd, qEnd0, off, n int }
+
+// proteinEmitRuns searches the protein-emit workload's first query
+// (~290k hits) and cuts its hits into the row runs the engines emit.
+func proteinEmitRuns(b *testing.B) (hits []align.Hit, runs []rowRun, cells []int32) {
 	k := wlKey{kind: "protein-emit", n: 30_000, m: 300, queries: 2, seed: 53}
 	cw := getWorkload(b, k)
 	res, err := cw.ix.Search(cw.wl.Queries[0], alae.SearchOptions{Algorithm: alae.ALAE, Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := align.NewCollector()
-	var run []int32
 	for i, h := range res.Hits {
-		run = append(run, int32(h.Score))
-		if i+1 == len(res.Hits) || res.Hits[i+1].TEnd != h.TEnd || res.Hits[i+1].QEnd != h.QEnd+1 {
-			c.AddRun(h.TEnd, h.QEnd-len(run)+1, run)
-			run = run[:0]
+		if i == 0 || res.Hits[i-1].TEnd != h.TEnd || res.Hits[i-1].QEnd != h.QEnd-1 {
+			runs = append(runs, rowRun{tEnd: h.TEnd, qEnd0: h.QEnd, off: i})
 		}
+		runs[len(runs)-1].n++
+		cells = append(cells, int32(h.Score))
 	}
-	if got := c.Hits(); !align.EqualHits(got, res.Hits) { // also warms the scratch
-		b.Fatalf("drain returned %d hits, the search %d, or they differ", len(got), len(res.Hits))
+	return res.Hits, runs, cells
+}
+
+// BenchmarkCollectorDrain times the result path's last step on that
+// workload's own hit set: one query's hits, re-staged into a collector
+// as row runs, drained by Hits. A warm drain sorts tile keys, never
+// hits, in scratch the collector keeps: -benchmem must show
+// 1 alloc/op, the result slice.
+func BenchmarkCollectorDrain(b *testing.B) {
+	hits, runs, cells := proteinEmitRuns(b)
+	c := align.NewCollector()
+	for _, r := range runs {
+		c.AddRun(r.tEnd, r.qEnd0, cells[r.off:r.off+r.n])
+	}
+	if got := c.Hits(); !align.EqualHits(got, hits) { // also warms the scratch
+		b.Fatalf("drain returned %d hits, the search %d, or they differ", len(got), len(hits))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -481,6 +494,75 @@ func BenchmarkCollectorDrain(b *testing.B) {
 
 // drained keeps BenchmarkCollectorDrain's result alive.
 var drained []align.Hit
+
+// BenchmarkCollectorReplay is the benchmark the collector's tile
+// geometry is chosen by: AddRun alone, on a warm table, under the two
+// streams that pull the geometry opposite ways. revisit is emission as
+// prot-emit does it — every row run of the hit set arrives 13 times
+// (the measured emitted/hit ratio) in whole-table passes, the first
+// pass carrying the winning scores — and rewards a tile whose rows the
+// next pass finds together. isolated is the worst case, and what the
+// benchmark's align.addrun_ns_per_cell probe generates: 4096 runs of
+// 8–39 cells at pseudo-random (tEnd, qEnd), which share no tile, so
+// every row a tile holds beyond the one written is a wasted line.
+// Reports ns/cell and the collector's retained bytes per hit (table
+// and drain scratch); 0 allocs/op.
+func BenchmarkCollectorReplay(b *testing.B) {
+	hits, runs, cells := proteinEmitRuns(b)
+	lowered := make([]int32, len(cells))
+	for i, sc := range cells {
+		lowered[i] = sc - 1
+	}
+	const passes = 13
+	revisit := func(c *align.Collector) int {
+		for p, from := 0, cells; p < passes; p, from = p+1, lowered {
+			for _, r := range runs {
+				c.AddRun(r.tEnd, r.qEnd0, from[r.off:r.off+r.n])
+			}
+		}
+		return passes * len(cells)
+	}
+	n, m := hits[len(hits)-1].TEnd+1, 300
+	isolated := func(c *align.Collector) (total int) {
+		x := uint64(53)
+		for i := 0; i < 4096; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			run := cells[:8+int(x>>59)]
+			c.AddRun(int(x>>8)%n, int(x>>40)%m, run)
+			total += len(run)
+		}
+		return total
+	}
+	for _, stream := range []struct {
+		name   string
+		replay func(*align.Collector) int
+	}{{"revisit", revisit}, {"isolated", isolated}} {
+		b.Run(stream.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC() // the second empties the pools' victim caches
+			runtime.ReadMemStats(&before)
+			c := align.NewCollector()
+			perOp := stream.replay(c)
+			// The drain also warms the scratch; its result is garbage by the GC below.
+			if got := c.Hits(); stream.name == "revisit" && !align.EqualHits(got, hits) {
+				b.Fatalf("replay drained %d hits, the search %d, or they differ", len(got), len(hits))
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Reset()
+				stream.replay(c)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(perOp), "ns/cell")
+			b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(c.Len()), "B/hit")
+		})
+	}
+}
 
 // --- Index persistence: save/load throughput ---
 

@@ -30,7 +30,7 @@ func checkAgainstRef(t *testing.T, c *Collector, ref map[[2]int]int) {
 	}
 }
 
-// TestCollectorAddRandomized drives single-cell Add across block
+// TestCollectorAddRandomized drives single-cell Add across tile
 // boundaries, duplicate pairs, and table growth, against a map oracle.
 func TestCollectorAddRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -46,8 +46,9 @@ func TestCollectorAddRandomized(t *testing.T) {
 }
 
 // TestCollectorAddRun checks the batched run path against per-cell
-// Add semantics: arbitrary run starts (any lane offset), runs spanning
-// multiple blocks, overlapping/duplicate runs, and negative scores.
+// Add semantics: arbitrary run starts (any row, any lane offset), runs
+// spanning multiple tiles, overlapping/duplicate runs, and negative
+// scores.
 func TestCollectorAddRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	c := NewCollector()
@@ -82,23 +83,43 @@ func TestCollectorAddRunEmpty(t *testing.T) {
 	}
 }
 
-// TestCollectorMergeBlocks merges collectors whose blocks partially
-// overlap lane-wise and checks the per-pair max survives.
+// TestCollectorMergeBlocks merges 1, 2 and 3 lanes' collectors whose
+// tiles partially overlap — sparse cells and short runs over a few
+// hundred tiles, so most tiles meet a source tile holding other cells,
+// some of the same cells at other scores, or nothing — into a
+// destination with content of its own, and checks the per-pair max
+// survives and drains in order.
 func TestCollectorMergeBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	ref := map[[2]int]int{}
-	dst := NewCollector()
-	for s := 0; s < 4; s++ {
-		src := NewCollector()
-		for i := 0; i < 3_000; i++ {
-			tEnd, qEnd := rng.Intn(150), rng.Intn(90)
-			score := rng.Intn(500)
-			src.Add(tEnd, qEnd, score)
-			refAdd(ref, tEnd, qEnd, score)
+	run := make([]int32, 20)
+	for lanes := 1; lanes <= 3; lanes++ {
+		ref := map[[2]int]int{}
+		fill := func(c *Collector) {
+			for i := 0; i < 400; i++ {
+				tEnd, qEnd, score := rng.Intn(150), rng.Intn(90), rng.Intn(500)
+				c.Add(tEnd, qEnd, score)
+				refAdd(ref, tEnd, qEnd, score)
+			}
+			for i := 0; i < 60; i++ {
+				tEnd, qEnd0, n := rng.Intn(150), rng.Intn(90), 1+rng.Intn(len(run))
+				for k := range run[:n] {
+					run[k] = int32(rng.Intn(500))
+					refAdd(ref, tEnd, qEnd0+k, int(run[k]))
+				}
+				c.AddRun(tEnd, qEnd0, run[:n])
+			}
 		}
-		dst.Merge(src)
+		dst := NewCollector()
+		fill(dst)
+		for s := 0; s < lanes; s++ {
+			src := NewCollector()
+			fill(src)
+			dst.Merge(src)
+		}
+		if !drainMatchesRef(dst, ref) {
+			t.Fatalf("%d lanes: merged collector is not the per-pair max of its sources, in order", lanes)
+		}
 	}
-	checkAgainstRef(t, dst, ref)
 }
 
 // TestCollectorResetKeepsCapacityBlocks: after Reset, re-adding the
@@ -116,14 +137,14 @@ func TestCollectorResetKeepsCapacityBlocks(t *testing.T) {
 	}
 	fill()
 	want := c.Hits()
-	capBefore := len(c.keys)
+	capBefore := len(c.tiles)
 	c.Reset()
 	if c.Len() != 0 || len(c.Hits()) != 0 {
 		t.Fatalf("reset collector still reports %d hits", c.Len())
 	}
 	fill()
-	if len(c.keys) != capBefore {
-		t.Fatalf("warm re-fill grew the table: %d -> %d", capBefore, len(c.keys))
+	if len(c.tiles) != capBefore {
+		t.Fatalf("warm re-fill grew the table: %d -> %d", capBefore, len(c.tiles))
 	}
 	if !EqualHits(c.Hits(), want) {
 		t.Fatal("hits diverged across Reset + re-fill")

@@ -9,33 +9,41 @@ import (
 )
 
 // tableWalk lists a collector's hits in table order — the unordered
-// walk the ordered drain replaced, kept here as its reference: sorted
-// with SortHits it is what Hits must return, hit for hit.
+// walk the ordered drain replaced, kept here as a second reference that
+// reads the tile layout directly: sorted with SortHits it is what Hits
+// must return, hit for hit.
 func tableWalk(c *Collector) []Hit {
 	var out []Hit
-	for idx, k := range c.keys {
-		if k == 0 {
+	for i := range c.tiles {
+		t := &c.tiles[i]
+		if t.key == 0 {
 			continue
 		}
-		tEnd := int((k - 1) >> 32)
-		qBase := int(uint32(k-1)) << laneShift
-		for rem := c.used[idx]; rem != 0; rem &= rem - 1 {
-			l := bits.TrailingZeros8(rem)
-			out = append(out, Hit{TEnd: tEnd, QEnd: qBase + l, Score: int(c.scores[idx*laneWidth+l])})
+		tBase := int((t.key-1)>>32) << rowShift
+		qBase := int(uint32(t.key-1)) << laneShift
+		for rem := t.used; rem != 0; rem &= rem - 1 {
+			cell := bits.TrailingZeros64(rem)
+			out = append(out, Hit{TEnd: tBase + cell>>laneShift, QEnd: qBase + cell&laneMask, Score: int(t.scores[cell])})
 		}
 	}
 	return out
 }
 
-// drainMatchesWalk checks the drain's whole contract on c's current
-// contents: Hits equals the sorted table walk, is strictly ascending,
-// agrees with Len, and a second drain over the now-stale scratch
-// returns the same.
-func drainMatchesWalk(c *Collector) bool {
-	want := tableWalk(c)
+// drainMatchesRef checks the drain's whole contract on c's current
+// contents against ref, the map[(tEnd, qEnd)]max the same history
+// built: Hits is ref sorted, strictly ascending in (TEnd, QEnd), agrees
+// with Len and with the sorted table walk, and a second drain over the
+// now-stale scratch returns the same.
+func drainMatchesRef(c *Collector, ref map[[2]int]int) bool {
+	want := make([]Hit, 0, len(ref))
+	for k, sc := range ref {
+		want = append(want, Hit{TEnd: k[0], QEnd: k[1], Score: sc})
+	}
 	SortHits(want)
+	walk := tableWalk(c)
+	SortHits(walk)
 	got := c.Hits()
-	if len(got) != c.Len() || !EqualHits(got, want) {
+	if len(got) != c.Len() || !EqualHits(got, want) || !EqualHits(walk, want) {
 		return false
 	}
 	for i := 1; i < len(got); i++ {
@@ -48,39 +56,51 @@ func drainMatchesWalk(c *Collector) bool {
 }
 
 // coordBases are the corners a history can move its coordinates to: the
-// origin (one block), the top of the engines' range (tEnd and qEnd near
-// 2³¹−1, where the +1 key storage and the tEnd/qEnd packing are most at
-// risk), and bases whose high bytes every key then shares, so the radix
-// sort skips those passes.
-var coordBases = []int{0, math.MaxInt32 - 300, 0x12340000, 0x00ff00, 1 << 20}
+// origin (one tile), the top of the engines' range (offset 255 is
+// tEnd = qEnd = 2³¹−1, where the +1 key storage and the band/block
+// packing are most at risk), and bases whose high bytes every key then
+// shares, so the radix sort skips those passes.
+var coordBases = []int{0, math.MaxInt32 - 255, 0x12340000, 0x00ff00, 1 << 20}
 
 // replayHistory interprets data as a history of collector operations,
-// four bytes each, on a collector and a merge source, checking the
-// drain before every Reset and at the end. It covers Add, AddRun (runs
-// of up to 39 cells from any lane, so they cross lanes and blocks),
+// four bytes each, on a collector and a merge source and on a map
+// reference of each, checking the drain before every Reset and at the
+// end. It covers Add, AddRun (runs of up to 199 cells from any lane of
+// any row, so they cross lanes, tiles and — row after row — bands),
 // Merge, Reset followed by reuse, bursts that grow the table, and
 // coordinate moves between coordBases.
 func replayHistory(data []byte) bool {
 	c, src := NewCollector(), NewCollector()
+	ref := map[*Collector]map[[2]int]int{c: {}, src: {}}
 	target := c
 	tBase, qBase := 0, 0
 	clamp := func(v int) int { return min(v, math.MaxInt32) }
-	run := make([]int32, 40)
+	addRun := func(tEnd, q0 int, run []int32) {
+		target.AddRun(tEnd, q0, run)
+		for i, sc := range run {
+			refAdd(ref[target], tEnd, q0+i, int(sc))
+		}
+	}
+	run := make([]int32, 200)
 	for ; len(data) >= 4; data = data[4:] {
 		op, a, b, x := data[0], int(data[1]), int(data[2]), int(data[3])
 		switch op % 8 {
 		case 0:
 			target.Add(clamp(tBase+a), clamp(qBase+b), x-100)
+			refAdd(ref[target], clamp(tBase+a), clamp(qBase+b), x-100)
 		case 1, 2:
 			n := x % len(run)
-			q0 := min(clamp(qBase+b), math.MaxInt32-n)
 			for i := range run[:n] {
 				run[i] = int32((x*31+i*17)%500 - 50)
 			}
-			target.AddRun(clamp(tBase+a), q0, run[:n])
+			addRun(clamp(tBase+a), min(clamp(qBase+b), math.MaxInt32+1-n), run[:n])
 		case 3:
 			c.Merge(src)
+			for k, sc := range ref[src] {
+				refAdd(ref[c], k[0], k[1], sc)
+			}
 			src.Reset()
+			clear(ref[src])
 		case 4:
 			if target == c {
 				target = src
@@ -88,10 +108,11 @@ func replayHistory(data []byte) bool {
 				target = c
 			}
 		case 5:
-			if !drainMatchesWalk(c) {
+			if !drainMatchesRef(c, ref[c]) {
 				return false
 			}
 			c.Reset()
+			clear(ref[c])
 			if c.Len() != 0 || len(c.Hits()) != 0 {
 				return false
 			}
@@ -99,11 +120,11 @@ func replayHistory(data []byte) bool {
 			tBase, qBase = coordBases[a%len(coordBases)], coordBases[b%len(coordBases)]
 		case 7: // a burst of scattered runs: grows the table
 			for i := 0; i < 8*x; i++ {
-				target.AddRun(clamp(tBase+(i*7919+a)%4093), clamp(qBase+(i*104729+b)%1021), run[:1+i%9])
+				addRun(clamp(tBase+(i*7919+a)%4093), clamp(qBase+(i*104729+b)%1021), run[:1+i%9])
 			}
 		}
 	}
-	return drainMatchesWalk(c) && drainMatchesWalk(src)
+	return drainMatchesRef(c, ref[c]) && drainMatchesRef(src, ref[src])
 }
 
 // TestCollectorOrderedDrainQuick: seeded random histories.
@@ -119,22 +140,31 @@ func TestCollectorOrderedDrainQuick(t *testing.T) {
 }
 
 // FuzzCollectorOrderedDrain: any Add/AddRun/Merge/Reset/grow history
-// drains as the sorted table walk. The seeds are the cases the drain
-// was designed around.
+// drains as its map reference, sorted. The seeds are the cases the
+// drain and the tile layout were designed around.
 func FuzzCollectorOrderedDrain(f *testing.F) {
-	f.Add([]byte{})                                                             // empty
-	f.Add([]byte{0, 3, 5, 120, 0, 3, 2, 130})                                   // one block
-	f.Add([]byte{1, 9, 6, 39, 2, 9, 30, 23})                                    // runs crossing lanes and blocks
-	f.Add([]byte{6, 1, 1, 0, 1, 250, 250, 39, 0, 255, 255, 9})                  // tEnd and qEnd near 2³¹−1
-	f.Add([]byte{6, 2, 0, 0, 7, 1, 1, 3, 6, 2, 2, 0, 1, 4, 4, 20})              // shared high bytes
-	f.Add([]byte{7, 0, 0, 40, 5, 0, 0, 0, 0, 1, 1, 1, 5, 0, 0, 0, 1, 2, 3, 17}) // grow, Reset, reuse with stale scratch
-	f.Add([]byte{4, 0, 0, 0, 7, 5, 5, 9, 4, 0, 0, 0, 1, 5, 5, 30, 3, 0, 0, 0})  // Merge
+	f.Add([]byte{})                                                              // empty
+	f.Add([]byte{0, 3, 5, 120, 0, 3, 2, 130})                                    // one tile
+	f.Add([]byte{1, 9, 6, 39, 2, 9, 30, 23})                                     // runs crossing lanes and tiles
+	f.Add([]byte{6, 1, 1, 0, 1, 250, 250, 39, 0, 255, 255, 9})                   // tEnd and qEnd near 2³¹−1
+	f.Add([]byte{6, 2, 0, 0, 7, 1, 1, 3, 6, 2, 2, 0, 1, 4, 4, 20})               // shared high bytes
+	f.Add([]byte{7, 0, 0, 40, 5, 0, 0, 0, 0, 1, 1, 1, 5, 0, 0, 0, 1, 2, 3, 17})  // grow, Reset, reuse with stale scratch
+	f.Add([]byte{4, 0, 0, 0, 7, 5, 5, 9, 4, 0, 0, 0, 1, 5, 5, 30, 3, 0, 0, 0})   // Merge
+	f.Add([]byte{1, 2, 12, 8, 1, 2, 15, 1, 1, 2, 16, 1})                         // a run over a tile's lane edge, qEnd 15→16
+	f.Add([]byte{1, 3, 5, 20, 1, 4, 6, 20, 0, 3, 40, 7, 0, 4, 0, 7})             // rows either side of a band edge, tEnd 3→4
+	f.Add([]byte{1, 6, 9, 199, 2, 7, 10, 70})                                    // runs longer than a tile holds cells
+	f.Add([]byte{6, 1, 1, 0, 0, 255, 255, 200, 1, 255, 255, 1, 1, 255, 200, 56}) // tEnd = qEnd = 2³¹−1 exactly
+	f.Add([]byte{                                                                // Merge of partially overlapping tiles, three sources one after another
+		1, 1, 4, 20, 4, 0, 0, 0, 1, 2, 10, 20, 1, 1, 10, 10, 3, 0, 0, 0,
+		1, 1, 0, 6, 1, 3, 30, 9, 3, 0, 0, 0, 0, 2, 12, 250, 1, 0, 20, 30, 3, 0, 0, 0})
+	f.Add([]byte{1, 5, 0, 16, 1, 5, 36, 4, 1, 5, 0, 48})                         // one run meeting a full, an empty and a mixed tile row
+	f.Add([]byte{7, 0, 0, 255, 5, 0, 0, 0, 0, 1, 1, 1, 5, 0, 0, 0, 1, 2, 3, 17}) // Reset after a use far over 16× smaller
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<12 {
 			t.Skip()
 		}
 		if !replayHistory(data) {
-			t.Fatalf("history %v: the ordered drain is not the sorted table walk", data)
+			t.Fatalf("history %v: the ordered drain is not the sorted map reference", data)
 		}
 	})
 }
@@ -179,11 +209,11 @@ func TestCollectorResetShrinks(t *testing.T) {
 	if !EqualHits(c.Hits(), fresh(large)) {
 		t.Fatal("large fill diverged")
 	}
-	largeTable := len(c.keys)
+	largeTable := len(c.tiles)
 
 	c.Reset() // follows the large use: nothing to judge it against yet
-	if len(c.keys) != largeTable {
-		t.Fatalf("Reset after the large use resized the table: %d -> %d", largeTable, len(c.keys))
+	if len(c.tiles) != largeTable {
+		t.Fatalf("Reset after the large use resized the table: %d -> %d", largeTable, len(c.tiles))
 	}
 	fill(c, small)
 	if !EqualHits(c.Hits(), fresh(small)) {
@@ -191,25 +221,59 @@ func TestCollectorResetShrinks(t *testing.T) {
 	}
 
 	c.Reset() // follows the small use: the table is ≥ 16× too big for it
-	if len(c.keys) >= largeTable>>shrinkBits {
-		t.Fatalf("Reset after a small use kept %d slots of a %d-slot table", len(c.keys), largeTable)
+	if len(c.tiles) >= largeTable>>shrinkBits {
+		t.Fatalf("Reset after a small use kept %d slots of a %d-slot table", len(c.tiles), largeTable)
 	}
 	if c.ord != nil || c.tmp != nil {
 		t.Fatal("shrink kept the large drain scratch")
 	}
-	smallTable := len(c.keys)
+	smallTable := len(c.tiles)
 	for round := 0; round < 3; round++ {
 		fill(c, small)
 		if !EqualHits(c.Hits(), fresh(small)) {
 			t.Fatalf("round %d: small fill on the shrunk table diverged", round)
 		}
 		c.Reset()
-		if len(c.keys) != smallTable {
-			t.Fatalf("round %d: steady small uses resized the table: %d -> %d", round, smallTable, len(c.keys))
+		if len(c.tiles) != smallTable {
+			t.Fatalf("round %d: steady small uses resized the table: %d -> %d", round, smallTable, len(c.tiles))
 		}
 	}
 	fill(c, large) // and it grows back
 	if !EqualHits(c.Hits(), fresh(large)) {
 		t.Fatal("large fill after the shrink diverged")
+	}
+
+	// The rule counts tiles, not hits: on the table the large fill left,
+	// a use 16× smaller in tiles shrinks it to a sixteenth, and the same
+	// number of hits packed 64 to a tile shrinks it to what those few
+	// tiles need.
+	slotsFor := func(tiles int) int {
+		slots := 1 << collectorMinBits
+		for tiles+1 > slots*5/8 {
+			slots *= 2
+		}
+		return slots
+	}
+	const cells = tileRows * tileLanes
+	hits := len(c.tiles)>>shrinkBits*5/8 - 1 // one under what a table 16× smaller holds
+	for _, tc := range []struct {
+		name      string
+		perTile   int
+		wantSlots int
+	}{{"one hit per tile", 1, len(c.tiles) >> shrinkBits}, {"dense", cells, slotsFor((hits + cells - 1) / cells)}} {
+		c.Reset()
+		fill(c, large)
+		c.Reset()
+		for i := 0; i < hits; i++ {
+			tile, cell := i/tc.perTile, i%tc.perTile
+			c.Add(tile*tileRows+cell/tileLanes, cell%tileLanes, 40)
+		}
+		if c.Len() != hits {
+			t.Fatalf("%s: %d hits recorded, want %d", tc.name, c.Len(), hits)
+		}
+		c.Reset()
+		if len(c.tiles) != tc.wantSlots {
+			t.Fatalf("%s: Reset after %d hits left %d slots, want %d", tc.name, hits, len(c.tiles), tc.wantSlots)
+		}
 	}
 }

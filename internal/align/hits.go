@@ -19,43 +19,57 @@ type Hit struct {
 // maximum score, which is exactly the max-merge over matrices that
 // Algorithm 1 (BASIC) performs in lines 6-10.
 //
-// The store is a linear-probing open-addressing table on a packed
-// (tEnd, qEnd-block) key, block-granular: each slot covers laneWidth
-// consecutive qEnd positions of one tEnd (a lane bitmask marks which
-// are present). Emission is row-run shaped — a surviving band row
-// yields a run of consecutive qEnds at one tEnd — so AddRun pays one
-// Fibonacci-hash probe per block (≤ laneWidth cells) instead of one
-// per cell, and single-cell Add costs the same one probe it always
-// did. Keys are stored +1 so zero marks an empty slot.
+// The store is a linear-probing open-addressing table of matrix tiles:
+// one slot covers tileRows consecutive tEnds × tileLanes consecutive
+// qEnds of the hit matrix, key, occupancy word and scores side by side.
+// Emission is row-run shaped and walks down the matrix — a surviving
+// band row yields a run of consecutive qEnds at one tEnd, the next row
+// the same columns shifted by one at tEnd+1 — so AddRun pays one
+// Fibonacci-hash probe per tileLanes columns and finds the tiles of the
+// rows above it still in cache; single-cell Add costs one probe. Keys
+// are stored +1 so zero marks an empty slot.
 //
-// The block key is order-isomorphic to the canonical hit order: it
-// packs tEnd above the qEnd block index, the +1 is monotone and cannot
-// carry into the tEnd half, and the lanes of a block ascend in qEnd. So
-// hits leave the table in (TEnd, QEnd) order by sorting block keys, not
-// hits — see Drain, the only way out.
+// The tile key is order-isomorphic to (tEnd band, qEnd block): it packs
+// tEnd>>rowShift above qEnd>>laneShift, the +1 is monotone and cannot
+// carry into the upper half, and rows and lanes ascend inside a tile.
+// So hits leave the table in (TEnd, QEnd) order by sorting tile keys,
+// not hits — see Drain, the only way out.
 type Collector struct {
-	keys   []uint64
-	used   []uint8 // per-slot lane occupancy bitmask
-	scores []int32 // laneWidth lanes per slot
-	n      int     // occupied slots (blocks)
-	hits   int     // distinct (tEnd, qEnd) pairs
-	shift  uint
+	tiles []tile
+	n     int // occupied slots (tiles)
+	hits  int // distinct (tEnd, qEnd) pairs
+	shift uint
 
 	// Drain scratch, retained so a warm drain allocates nothing: the
 	// occupied slots in key order, and the radix sort's second buffer.
-	ord, tmp []blockRef
+	ord, tmp []tileRef
 }
 
-// laneShift sets the block granularity: 1<<laneShift consecutive qEnd
-// positions share one table slot. 8 lanes fit the used bitmask in one
-// byte and cover typical emission-run lengths with one probe.
+// tile is one table slot. Bit r<<laneShift|l of used marks cell (row r,
+// lane l), whose score is scores[r<<laneShift|l]; scores of unmarked
+// cells are stale.
+type tile struct {
+	key    uint64
+	used   uint64
+	scores [tileRows * tileLanes]int32
+}
+
+// The tile geometry, 4 rows × 16 lanes, is measured, not guessed
+// (BenchmarkCollectorReplay): every 64-cell shape serves a revisiting
+// emission stream equally well, but on isolated runs, which reuse no
+// row, the taller 8×8 costs twice what this one does.
 const (
-	laneShift = 3
-	laneWidth = 1 << laneShift
-	laneMask  = laneWidth - 1
+	rowShift  = 2
+	laneShift = 4
+	tileRows  = 1 << rowShift
+	tileLanes = 1 << laneShift
+	rowMask   = tileRows - 1
+	laneMask  = tileLanes - 1
 )
 
-const collectorMinBits = 6
+// collectorMinBits sizes an empty collector: 8 tiles, 2.2 KB. Every lane
+// of every pooled session holds one, most of them idle.
+const collectorMinBits = 3
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
@@ -65,50 +79,48 @@ func NewCollector() *Collector {
 }
 
 func (c *Collector) init(bits uint) {
-	c.keys = make([]uint64, 1<<bits)
-	c.used = make([]uint8, 1<<bits)
-	c.scores = make([]int32, (1<<bits)*laneWidth)
+	c.tiles = make([]tile, 1<<bits)
 	c.shift = 64 - bits
 	c.n = 0
 	c.hits = 0
 }
 
-// blockKey packs (tEnd, qEnd block index). Injective for the engines'
+// tileKey packs (tEnd band, qEnd block). Injective for the engines'
 // coordinate ranges (0 ≤ tEnd, qEnd < 2^31), and +1 storage cannot
 // carry into the tEnd half.
-func blockKey(tEnd, qEnd int) uint64 {
-	return uint64(uint32(tEnd))<<32 | uint64(uint32(qEnd)>>laneShift)
+func tileKey(tEnd, qEnd int) uint64 {
+	return uint64(uint32(tEnd)>>rowShift)<<32 | uint64(uint32(qEnd)>>laneShift)
 }
 
 // fibMix is 2^64/φ, the Fibonacci-hashing multiplier: consecutive keys
-// (adjacent matrix blocks are the common case) scatter across the
+// (adjacent matrix tiles are the common case) scatter across the
 // table.
 const fibMix = 0x9E3779B97F4A7C15
 
-// slot returns the table index for block key k (stored +1), claiming
-// an empty slot if the block is new. Callers must reserve first so the
-// probe never needs to grow mid-scan.
-func (c *Collector) slot(k uint64) int {
-	mask := uint64(len(c.keys) - 1)
+// slot returns the tile for key k (stored +1), claiming an empty slot
+// if the tile is new. Callers must reserve first so the probe never
+// needs to grow mid-scan.
+func (c *Collector) slot(k uint64) *tile {
+	mask := uint64(len(c.tiles) - 1)
 	i := (k * fibMix) >> c.shift
 	for {
-		stored := c.keys[i]
-		if stored == k {
-			return int(i)
+		t := &c.tiles[i]
+		if t.key == k {
+			return t
 		}
-		if stored == 0 {
-			c.keys[i] = k
+		if t.key == 0 {
+			t.key = k
 			c.n++
-			return int(i)
+			return t
 		}
 		i = (i + 1) & mask
 	}
 }
 
-// reserve grows the table until blocks more block inserts stay under
-// the 5/8 load factor.
-func (c *Collector) reserve(blocks int) {
-	for c.n+blocks > len(c.keys)*5/8 {
+// reserve grows the table until tiles more inserts stay under the 5/8
+// load factor.
+func (c *Collector) reserve(tiles int) {
+	for c.n+tiles > len(c.tiles)*5/8 {
 		c.grow()
 	}
 }
@@ -116,76 +128,77 @@ func (c *Collector) reserve(blocks int) {
 // Add records a hit, keeping the best score per end pair.
 func (c *Collector) Add(tEnd, qEnd, score int) {
 	c.reserve(1)
-	i := c.slot(blockKey(tEnd, qEnd) + 1)
-	lane := qEnd & laneMask
-	bit := uint8(1) << lane
-	si := i*laneWidth + lane
-	if c.used[i]&bit != 0 {
-		if int32(score) > c.scores[si] {
-			c.scores[si] = int32(score)
-		}
-		return
+	t := c.slot(tileKey(tEnd, qEnd) + 1)
+	c.hits += t.put((tEnd&rowMask)<<laneShift|qEnd&laneMask, int32(score))
+}
+
+// put max-merges one cell into the tile and returns 1 if it was new.
+func (t *tile) put(cell int, score int32) int {
+	bit := uint64(1) << cell
+	if t.used&bit != 0 {
+		t.scores[cell] = max(t.scores[cell], score)
+		return 0
 	}
-	c.used[i] |= bit
-	c.scores[si] = int32(score)
-	c.hits++
+	t.used |= bit
+	t.scores[cell] = score
+	return 1
 }
 
 // AddRun records a run of hits at one tEnd covering consecutive qEnds
 // qEnd0, qEnd0+1, ..., qEnd0+len(scores)-1, max-merging like Add. One
-// table probe per block touched (≤ laneWidth cells each), and one
+// table probe per tile touched (≤ tileLanes cells each), and one
 // reservation for all of them: the table may not grow between a run's
-// probes anyway — the batched fast path of the emission overhaul.
+// probes anyway. Each tile row merges by what is already there: all of
+// it (a revisit, the common case at 13 emissions per hit) is a
+// branch-free max, none of it a copy, and only a mix goes cell by cell.
 func (c *Collector) AddRun(tEnd, qEnd0 int, scores []int32) {
 	c.reserve((qEnd0&laneMask + len(scores) + laneMask) >> laneShift)
+	row := (tEnd & rowMask) << laneShift
 	for len(scores) > 0 {
 		lane := qEnd0 & laneMask
-		span := laneWidth - lane
-		if span > len(scores) {
-			span = len(scores)
-		}
-		i := c.slot(blockKey(tEnd, qEnd0) + 1)
-		base := i * laneWidth
-		u := c.used[i]
-		for m := 0; m < span; m++ {
-			l := lane + m
-			bit := uint8(1) << l
-			sc := scores[m]
-			if u&bit != 0 {
-				if sc > c.scores[base+l] {
-					c.scores[base+l] = sc
-				}
-			} else {
-				u |= bit
-				c.scores[base+l] = sc
-				c.hits++
+		src := scores[:min(tileLanes-lane, len(scores))]
+		t := c.slot(tileKey(tEnd, qEnd0) + 1)
+		off := row | lane
+		dst := t.scores[off:][:len(src)]
+		mask := (uint64(1)<<len(src) - 1) << off
+		switch have := t.used & mask; have {
+		case mask:
+			for i, sc := range src {
+				dst[i] = max(dst[i], sc)
 			}
+		case 0:
+			copy(dst, src)
+			c.hits += len(src)
+		default:
+			for i, sc := range src {
+				if have>>(off+i)&1 == 0 || sc > dst[i] {
+					dst[i] = sc
+				}
+			}
+			c.hits += len(src) - bits.OnesCount64(have)
 		}
-		c.used[i] = u
-		qEnd0 += span
-		scores = scores[span:]
+		t.used |= mask
+		qEnd0 += len(src)
+		scores = scores[len(src):]
 	}
 }
 
-// grow doubles the table, reinserting every block.
+// grow doubles the table, moving every tile.
 func (c *Collector) grow() {
-	oldKeys, oldUsed, oldScores := c.keys, c.used, c.scores
-	oldHits := c.hits
-	bits := 65 - c.shift
-	c.init(bits)
+	old, oldHits := c.tiles, c.hits
+	c.init(65 - c.shift)
 	c.hits = oldHits
-	mask := uint64(len(c.keys) - 1)
-	for idx, k := range oldKeys {
+	mask := uint64(len(c.tiles) - 1)
+	for idx := range old {
+		k := old[idx].key
 		if k == 0 {
 			continue
 		}
 		i := (k * fibMix) >> c.shift
-		for c.keys[i] != 0 {
+		for c.tiles[i].key != 0 {
 			i = (i + 1) & mask
 		}
-		c.keys[i] = k
-		c.used[i] = oldUsed[idx]
-		copy(c.scores[int(i)*laneWidth:(int(i)+1)*laneWidth], oldScores[idx*laneWidth:(idx+1)*laneWidth])
+		c.tiles[i] = old[idx]
 		c.n++
 	}
 }
@@ -194,35 +207,19 @@ func (c *Collector) grow() {
 // per end pair. It is the reduction step of the parallel search
 // scheduler: per-worker collectors merge into the caller's, and
 // because the per-pair max is commutative the result is independent of
-// worker scheduling. One probe per source block.
+// worker scheduling. One probe per source tile.
 func (c *Collector) Merge(o *Collector) {
-	for idx, k := range o.keys {
-		if k == 0 {
-			continue
-		}
-		ou := o.used[idx]
-		if ou == 0 {
+	for idx := range o.tiles {
+		ot := &o.tiles[idx]
+		if ot.key == 0 {
 			continue
 		}
 		c.reserve(1)
-		i := c.slot(k)
-		base, obase := i*laneWidth, idx*laneWidth
-		u := c.used[i]
-		for rem := ou; rem != 0; rem &= rem - 1 {
-			l := bits.TrailingZeros8(rem)
-			bit := uint8(1) << l
-			sc := o.scores[obase+l]
-			if u&bit != 0 {
-				if sc > c.scores[base+l] {
-					c.scores[base+l] = sc
-				}
-			} else {
-				u |= bit
-				c.scores[base+l] = sc
-				c.hits++
-			}
+		t := c.slot(ot.key)
+		for rem := ot.used; rem != 0; rem &= rem - 1 {
+			cell := bits.TrailingZeros64(rem)
+			c.hits += t.put(cell, ot.scores[cell])
 		}
-		c.used[i] = u
 	}
 }
 
@@ -237,8 +234,9 @@ const shrinkBits = 4
 // table — unless the use just finished occupied so little of it that
 // clearing it, which is O(capacity), would tax every small query that
 // follows one huge answer on a pooled session: a table 16× or more
-// over the size those blocks need is dropped, drain scratch included,
-// for one of that size.
+// over the size those tiles need is dropped, drain scratch included,
+// for one of that size. Clearing touches key and used only, one cache
+// line of a tile's five.
 func (c *Collector) Reset() {
 	fit := uint(collectorMinBits)
 	for c.n+1 > (1<<fit)*5/8 {
@@ -249,8 +247,9 @@ func (c *Collector) Reset() {
 		c.ord, c.tmp = nil, nil
 		return
 	}
-	clear(c.keys)
-	clear(c.used)
+	for i := range c.tiles {
+		c.tiles[i].key, c.tiles[i].used = 0, 0
+	}
 	c.n = 0
 	c.hits = 0
 }
@@ -314,56 +313,62 @@ func (c *Collector) Hits() []Hit {
 
 // Drain calls fn for every recorded hit in ascending (TEnd, QEnd)
 // order without comparing a single hit: the occupied slots are sorted
-// by block key, which is that order (see Collector), and each block's
-// lanes are walked in ascending qEnd. Consumers that route hits by
-// coordinate — the store gather's per-member ranges — therefore see
+// by tile key, which puts each band of tileRows tEnds together with its
+// tiles ascending in qEnd (see Collector), and each band is walked row
+// by row across its tiles, lanes ascending. Consumers that route hits
+// by coordinate — the store gather's per-member ranges — therefore see
 // each destination's hits contiguously and already sorted. The
 // collector keeps its contents (Reset empties it); fn must not call
 // back into it.
 func (c *Collector) Drain(fn func(tEnd, qEnd, score int)) {
-	for _, r := range c.ordered() {
-		kk := r.key - 1
-		tEnd := int(kk >> 32)
-		qBase := int(uint32(kk)) << laneShift
-		base := int(r.slot) * laneWidth
-		for rem := r.used; rem != 0; rem &= rem - 1 {
-			l := bits.TrailingZeros8(rem)
-			fn(tEnd, qBase+l, int(c.scores[base+l]))
+	for refs := c.ordered(); len(refs) > 0; {
+		band, n := refs[0].key>>32, 1
+		for n < len(refs) && refs[n].key>>32 == band {
+			n++
 		}
+		for row := 0; row < tileRows*tileLanes; row += tileLanes {
+			tEnd := int(band)<<rowShift | row>>laneShift
+			for _, r := range refs[:n] {
+				t := &c.tiles[r.slot]
+				qBase := int(uint32(r.key-1)) << laneShift
+				for rem := t.used >> row & (1<<tileLanes - 1); rem != 0; rem &= rem - 1 {
+					l := bits.TrailingZeros64(rem)
+					fn(tEnd, qBase+l, int(t.scores[row+l]))
+				}
+			}
+		}
+		refs = refs[n:]
 	}
 }
 
-// blockRef is one occupied table slot during a drain. It carries the
-// lane mask along so the ordered walk's only random access is the
-// block's scores.
-type blockRef struct {
-	key  uint64 // the stored (+1) block key
+// tileRef is one occupied table slot during a drain.
+type tileRef struct {
+	key  uint64 // the stored (+1) tile key
 	slot uint32
-	used uint8
 }
 
-// ordered returns the occupied slots sorted by block key: an LSD radix
+// ordered returns the occupied slots sorted by tile key: an LSD radix
 // sort, one stable counting pass per key byte. Only bytes on which the
 // keys actually differ get a pass — the OR and the AND of all keys
 // disagree exactly on the varying bits — and real tables vary in few:
-// tEnd below the text length, the qEnd block below a query's, typically
-// 3–4 of the 8. The result aliases the retained scratch and is valid
-// until the next call.
-func (c *Collector) ordered() []blockRef {
+// the tEnd band below the text length, the qEnd block below a query's,
+// typically 3 of the 8. The result aliases the retained scratch and is
+// valid until the next call.
+func (c *Collector) ordered() []tileRef {
 	if c.n == 0 {
 		return nil
 	}
 	if cap(c.ord) < c.n {
 		// Sized with the table, whose load factor bounds n: the scratch
 		// is reallocated only when the table has grown.
-		c.ord = make([]blockRef, len(c.keys)*5/8)
-		c.tmp = make([]blockRef, len(c.keys)*5/8)
+		c.ord = make([]tileRef, len(c.tiles)*5/8)
+		c.tmp = make([]tileRef, len(c.tiles)*5/8)
 	}
 	a, b := c.ord[:0], c.tmp[:c.n]
 	or, and := uint64(0), ^uint64(0)
-	for i, k := range c.keys {
-		if k != 0 {
-			a = append(a, blockRef{key: k, slot: uint32(i), used: c.used[i]})
+	for i := range c.tiles {
+		if k := c.tiles[i].key; k != 0 {
+			a = append(a, tileRef{key: k, slot: uint32(i)})
 			or |= k
 			and &= k
 		}

@@ -20,18 +20,18 @@ func TestCollectorReset(t *testing.T) {
 	if c.Len() == 0 {
 		t.Fatal("nothing recorded")
 	}
-	capBefore := len(c.keys)
+	capBefore := len(c.tiles)
 	c.Reset()
 	if c.Len() != 0 || len(c.Hits()) != 0 {
 		t.Fatalf("reset collector still reports %d hits", c.Len())
 	}
-	if len(c.keys) != capBefore {
-		t.Fatalf("Reset changed the table size: %d -> %d", capBefore, len(c.keys))
+	if len(c.tiles) != capBefore {
+		t.Fatalf("Reset changed the table size: %d -> %d", capBefore, len(c.tiles))
 	}
 	rng = rand.New(rand.NewSource(40))
 	add()
-	if len(c.keys) != capBefore {
-		t.Fatalf("re-adding the same hits grew the warm table: %d -> %d", capBefore, len(c.keys))
+	if len(c.tiles) != capBefore {
+		t.Fatalf("re-adding the same hits grew the warm table: %d -> %d", capBefore, len(c.tiles))
 	}
 }
 

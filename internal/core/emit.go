@@ -8,8 +8,8 @@ package core
 // (frame pop, child-edge end, linear-walk end): a flush resolves the
 // path node's occurrences once, fans each run out per occurrence,
 // filters it through the per-search diagonal dominance table, and lands
-// the surviving cells in the collector via the block-batched AddRun —
-// one probe window per run block instead of one per cell.
+// the surviving cells in the collector via the tile-batched AddRun —
+// one probe per 16 columns of a run instead of one per cell.
 //
 // The dominance table is a flat direct-mapped slab keyed by alignment
 // diagonal (tEnd − qEnd): each cell remembers the best-scoring
@@ -31,12 +31,13 @@ const (
 )
 
 // diagCell is one dominance-table entry: the packed (tEnd, qEnd) pair
-// last forwarded on this diagonal, its score, and the arming epoch that
-// validates it.
+// last forwarded on this diagonal, and its arming epoch packed above
+// its score. Epochs only grow (the slab is cleared on wrap) and scores
+// are ≥ H ≥ 1, so an entry of an earlier epoch compares below any
+// current one and validity needs no test of its own.
 type diagCell struct {
-	key   uint64
-	score int32
-	epoch uint32
+	key uint64 // tEnd<<32 | qEnd
+	es  uint64 // epoch<<32 | score
 }
 
 // armDiag re-arms the diagonal dominance table for one fork family: an
@@ -67,21 +68,24 @@ func (ctx *searchCtx) forwardRun(tEnd, qEnd0 int, scores []int32) {
 		return
 	}
 	diag := ctx.ws.diag
-	epoch := ctx.ws.diagEpoch
+	epoch := uint64(ctx.ws.diagEpoch) << 32
+	key := uint64(uint32(tEnd))<<32 | uint64(uint32(qEnd0))
+	di := uint32(tEnd - qEnd0)
 	start, kept := 0, 0
 	for idx, sc := range scores {
-		qEnd := qEnd0 + idx
-		key := uint64(uint32(tEnd))<<32 | uint64(uint32(qEnd))
-		d := &diag[uint32(tEnd-qEnd)&diagSlabMask]
-		if d.epoch == epoch && d.key == key && d.score >= sc {
+		d := &diag[di&diagSlabMask]
+		es := epoch | uint64(uint32(sc))
+		if d.key == key && d.es >= es {
 			if idx > start {
 				ctx.c.AddRun(tEnd, qEnd0+start, scores[start:idx])
 				kept += idx - start
 			}
 			start = idx + 1
-			continue
+		} else {
+			d.key, d.es = key, es
 		}
-		d.key, d.score, d.epoch = key, sc, epoch
+		key++
+		di--
 	}
 	if len(scores) > start {
 		ctx.c.AddRun(tEnd, qEnd0+start, scores[start:])

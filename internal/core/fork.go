@@ -151,7 +151,7 @@ func stageRun(st *align.RunStage, flush func(), row, j0 int32, scores []int32) {
 
 // flush drains the staged runs to the collector: occurrences are
 // resolved once, and each run goes through the dominance filter and
-// the block-batched AddRun (emit.go).
+// the tile-batched AddRun (emit.go).
 func (e *emitCtx) flush() {
 	if e.stage.Empty() {
 		return

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -371,22 +371,41 @@ func (st *Store) FormatAlignment(a Alignment, hit SeqHit, query []byte, width in
 // TopKSeq returns the k highest-scoring store hits (all when k ≤ 0),
 // with the same deterministic positional tiebreak as TopK: equal
 // scores order by (TEnd, QEnd). The input is not modified; serving
-// layers use this to truncate large responses to the best hits.
+// layers use this to truncate large responses to the best hits, so k
+// is small and the input may be millions of hits: selection runs in a
+// buffer of 2k — a hit ranking behind the k-th best of the last sort is
+// skipped with one comparison, and a full buffer is sorted and cut back
+// to k — instead of copying and sorting the whole input.
 func TopKSeq(hits []SeqHit, k int) []SeqHit {
-	out := append([]SeqHit(nil), hits...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		if out[i].TEnd != out[j].TEnd {
-			return out[i].TEnd < out[j].TEnd
-		}
-		return out[i].QEnd < out[j].QEnd
-	})
-	if k > 0 && k < len(out) {
-		out = out[:k]
+	if k <= 0 || k >= len(hits) {
+		out := append([]SeqHit(nil), hits...)
+		slices.SortFunc(out, rankSeqHits)
+		return out
 	}
-	return out
+	buf := make([]SeqHit, 0, 2*k)
+	cut := false // buf[k-1] is the k-th best of the hits seen at the last sort
+	for i := range hits {
+		if cut && rankSeqHits(hits[i], buf[k-1]) > 0 {
+			continue
+		}
+		if buf = append(buf, hits[i]); len(buf) == cap(buf) {
+			slices.SortFunc(buf, rankSeqHits)
+			buf, cut = buf[:k], true
+		}
+	}
+	slices.SortFunc(buf, rankSeqHits)
+	return buf[:k]
+}
+
+// rankSeqHits orders by descending score, then ascending (TEnd, QEnd).
+func rankSeqHits(a, b SeqHit) int {
+	if a.Score != b.Score {
+		return b.Score - a.Score
+	}
+	if a.TEnd != b.TEnd {
+		return a.TEnd - b.TEnd
+	}
+	return a.QEnd - b.QEnd
 }
 
 // SampleQuery returns a copy of up to n leading bytes of the store's

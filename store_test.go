@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -876,12 +877,17 @@ func TestStoreSearchAllStopsAfterError(t *testing.T) {
 // its goroutine, context and closure boxes (core.searchFamilySlices).
 // So the lane count is pinned — Shards and Parallelism explicit, never
 // the NumCPU default, which made this gate machine-dependent — and the
-// budget is stated per lane.
+// budget is stated per lane. The one hit slice stays one when the
+// gather rejects a tombstoned member's few hits; it is copied down to
+// size only when the slack would pass an eighth of the hits kept.
 func TestStoreGatherAllocBound(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 5, 3000, 400, 714)
 	query := wl.queries[0]
+	// A sixth member holding a sliver of the answer: 80 bases of the query
+	// itself. Tombstoned, it makes the gather reject a few hits of many.
+	records := append(wl.records, SeqRecord{Name: "sliver", Seq: query[100:180]})
 	for _, lanes := range []int{1, 2} {
-		st, err := NewStore(wl.records, StoreOptions{Shards: lanes, QueryCacheSize: -1})
+		st, err := NewStore(records, StoreOptions{Shards: lanes, QueryCacheSize: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -889,23 +895,21 @@ func TestStoreGatherAllocBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var hits int
-		for warm := 0; warm < 3; warm++ {
+		search := func() *StoreResult {
 			res, err := ss.Search(query)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hits = len(res.Hits)
+			return res
 		}
-		if hits == 0 {
+		var all *StoreResult
+		for warm := 0; warm < 3; warm++ {
+			all = search()
+		}
+		if len(all.Hits) == 0 {
 			t.Fatal("workload produced no hits; the test is vacuous")
 		}
-		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := ss.Search(query); err != nil {
-				t.Fatal(err)
-			}
-		})
-		ss.Close()
+		allocs := testing.AllocsPerRun(5, func() { search() })
 		// Measured: 2 at one lane (the StoreResult and its Hits array), 11
 		// at two, +3 to +4 per lane after that. The slack absorbs a pooled
 		// lane workspace lost to a collection mid-measurement; anything
@@ -922,7 +926,94 @@ func TestStoreGatherAllocBound(t *testing.T) {
 		}
 		if allocs > budget {
 			t.Fatalf("warm StoreSession.Search at %d lanes allocated %.1f objects per query for %d hits (budget %.0f): the gather is materialising intermediates",
-				lanes, allocs, hits, budget)
+				lanes, allocs, len(all.Hits), budget)
+		}
+
+		// A tombstoned member with a small share of the hits: the gather
+		// rejects them and the result is STILL allocated once — its spare
+		// capacity, the rejected hits', is there to see (a copy-down leaves
+		// none) and under an eighth of what was kept.
+		if _, err := st.Delete("sliver"); err != nil {
+			t.Fatal(err)
+		}
+		kept := search()
+		rejected := len(all.Hits) - len(kept.Hits)
+		if rejected <= 0 || rejected > len(kept.Hits)/8 {
+			t.Fatalf("the sliver held %d of %d hits; the case needs a few", rejected, len(all.Hits))
+		}
+		if spare := cap(kept.Hits) - len(kept.Hits); spare != rejected {
+			t.Fatalf("%d lanes, small tombstoned member: result has %d spare slots, want the %d rejected hits' (allocated once, not copied down)",
+				lanes, spare, rejected)
+		}
+
+		// A tombstoned member with a third of the hits: now the copy-down
+		// fires, so a cached result never pins more than 12.5% slack.
+		if _, err := st.Delete("member01"); err != nil {
+			t.Fatal(err)
+		}
+		third := search()
+		if len(third.Hits) == 0 || len(third.Hits) > len(kept.Hits)*3/4 {
+			t.Fatalf("member01 held %d of %d hits; the case needs a large share", len(kept.Hits)-len(third.Hits), len(kept.Hits))
+		}
+		if cap(third.Hits) != len(third.Hits) {
+			t.Fatalf("%d lanes, large tombstoned member: result pins %d slots for %d hits", lanes, cap(third.Hits), len(third.Hits))
+		}
+		ss.Close()
+	}
+}
+
+// topKSeqBySort is TopKSeq as it was — copy everything, sort it
+// reflectively, cut — kept as the reference for the bounded selection.
+func topKSeqBySort(hits []SeqHit, k int) []SeqHit {
+	out := append([]SeqHit(nil), hits...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		if out[i].TEnd != out[j].TEnd {
+			return out[i].TEnd < out[j].TEnd
+		}
+		return out[i].QEnd < out[j].QEnd
+	})
+	if k > 0 && k < len(out) {
+		out = out[:k]
+	}
+	return out
+}
+
+// TestTopKSeqMatchesFullSort: the bounded selection returns exactly
+// what sorting everything returns — same hits, same order — on inputs
+// in (TEnd, QEnd) order with heavy score ties (3 to 40 distinct scores
+// over up to 2000 hits, so the tiebreak decides most of the cut), at
+// every kind of k: ≤ 0, 1, around the buffer's refill points, n−1, n,
+// beyond n. The input must come back untouched.
+func TestTopKSeqMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 120; trial++ {
+		n := rng.Intn(2000)
+		if trial < 20 {
+			n = trial // the tiny inputs, empty included
+		}
+		distinct, rising := 3+rng.Intn(38), rng.Intn(3) == 0
+		hits := make([]SeqHit, n)
+		tEnd := 0
+		for i := range hits {
+			tEnd += rng.Intn(3)
+			score := 20 + rng.Intn(distinct)
+			if rising { // the selection's worst case: every hit beats the cut
+				score = 20 + i*distinct/n
+			}
+			hits[i] = SeqHit{Hit: Hit{TEnd: tEnd, QEnd: i, Score: score}, Member: tEnd % 7, Name: "m", LocalTEnd: tEnd / 7}
+		}
+		orig := append([]SeqHit(nil), hits...)
+		for _, k := range []int{-1, 0, 1, 2, 7, n / 3, n / 2, n - 1, n, n + 1, 1 + rng.Intn(n+1)} {
+			got, want := TopKSeq(hits, k), topKSeqBySort(hits, k)
+			if !seqHitsEqual(got, want) || (got == nil) != (want == nil) {
+				t.Fatalf("trial %d: n=%d k=%d: selection returned %d hits, the full sort %d, or they differ", trial, n, k, len(got), len(want))
+			}
+		}
+		if !seqHitsEqual(hits, orig) {
+			t.Fatalf("trial %d: TopKSeq modified its input", trial)
 		}
 	}
 }
