@@ -128,8 +128,6 @@ type Stats struct {
 	NodesVisited      int64 // emulated suffix-trie nodes entered with live state
 	ForksStarted      int64
 	ForksDominated    int64 // forks pruned by q-prefix domination
-	GramCacheHits     int64 // distinct q-grams resolved from the cross-query cache
-	GramCacheMisses   int64 // distinct q-grams resolved by trie walk
 	QueryCacheHits    int64 // Store only: whole results served from the query cache
 	QueryCacheMisses  int64 // Store only: results computed and published to the cache
 	Seeds             int64 // BLAST only: word hits examined
@@ -157,8 +155,6 @@ func (st *Stats) add(o Stats) {
 	st.NodesVisited += o.NodesVisited
 	st.ForksStarted += o.ForksStarted
 	st.ForksDominated += o.ForksDominated
-	st.GramCacheHits += o.GramCacheHits
-	st.GramCacheMisses += o.GramCacheMisses
 	st.QueryCacheHits += o.QueryCacheHits
 	st.QueryCacheMisses += o.QueryCacheMisses
 	st.Seeds += o.Seeds

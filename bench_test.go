@@ -630,7 +630,8 @@ func getStore(b *testing.B, text []byte, shards, cacheSize int) *alae.Store {
 // with the result cache disabled — the scatter-gather cost — plus the
 // cache-hot exact-repeat point. Both metrics must be identical across
 // lane counts (the shared-index scatter is exact — see DESIGN.md);
-// the bench-json suite gates them, here they are reported.
+// TestStoreShardParity and the k-scaling smoke gate them, here they are
+// reported.
 func BenchmarkStoreSearch(b *testing.B) {
 	k := wlKey{kind: "dna", n: 200_000, m: 5_000, queries: 2, seed: 42}
 	cw := getWorkload(b, k)

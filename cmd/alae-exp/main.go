@@ -9,7 +9,6 @@
 //	alae-exp -exp table2     # one experiment
 //	alae-exp -scale 2 -queries 10
 //	alae-exp -list
-//	alae-exp -bench-json out.json   # machine-readable perf numbers
 package main
 
 import (
@@ -22,14 +21,12 @@ import (
 
 func main() {
 	var (
-		expID     = flag.String("exp", "", "experiment id (empty = all); see -list")
-		scale     = flag.Float64("scale", 1, "workload scale factor (1 = laptop defaults)")
-		seed      = flag.Int64("seed", 42, "RNG seed")
-		queries   = flag.Int("queries", 3, "queries per workload point (paper used 100)")
-		parallel  = flag.Int("p", 0, "ALAE worker goroutines per search (0 = all cores, 1 = sequential)")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		benchJSON = flag.String("bench-json", "", "time the Table 2 workload point and write machine-readable JSON to this file ('-' = stdout)")
-		benchReps = flag.Int("bench-reps", 5, "repetitions per configuration for -bench-json (best wall-clock wins)")
+		expID    = flag.String("exp", "", "experiment id (empty = all); see -list")
+		scale    = flag.Float64("scale", 1, "workload scale factor (1 = laptop defaults)")
+		seed     = flag.Int64("seed", 42, "RNG seed")
+		queries  = flag.Int("queries", 3, "queries per workload point (paper used 100)")
+		parallel = flag.Int("p", 0, "ALAE worker goroutines per search (0 = all cores, 1 = sequential)")
+		list     = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
 
@@ -40,33 +37,6 @@ func main() {
 		return
 	}
 	cfg := exp.Config{Scale: *scale, Seed: *seed, NumQueries: *queries, Parallelism: *parallel}
-	if *benchJSON != "" {
-		// The bench-json workload is pinned to the Table 2 point
-		// (2 queries, p=1 and p=max) so BENCH_*.json numbers stay
-		// comparable across PRs; reject flags that would silently have
-		// no effect.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "p" || f.Name == "queries" || f.Name == "exp" {
-				fmt.Fprintf(os.Stderr, "alae-exp: -%s has no effect with -bench-json (configuration is pinned for trajectory comparability)\n", f.Name)
-				os.Exit(1)
-			}
-		})
-		out := os.Stdout
-		if *benchJSON != "-" {
-			f, err := os.Create(*benchJSON)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "alae-exp:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := exp.RunBenchJSON(out, cfg, *benchReps); err != nil {
-			fmt.Fprintln(os.Stderr, "alae-exp:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	var err error
 	if *expID == "" {
 		err = exp.RunAll(os.Stdout, cfg)

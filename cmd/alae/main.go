@@ -11,8 +11,8 @@
 // -text accepts a comma-separated list of FASTA files; every record of
 // every file becomes one named member of the store, indexed together
 // in one shared index per generation. -shards is a pure parallelism
-// knob: each search's fork families are cut into that many
-// cost-balanced lanes over the shared index, and the answers — hits
+// knob: each search's fork families are pulled by that many
+// work-stealing lanes over the shared index, and the answers — hits
 // AND work counters — are byte-identical at every value. It applies
 // to -load-store too (the lane count is never persisted). Repeated
 // identical queries are answered from the store's result cache. Flags select the engine (alae, alae-hybrid, bwtsw, blast,

@@ -77,7 +77,7 @@ func FuzzLoadStore(f *testing.F) {
 	f.Add(good.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
-	// A multi-generation manifest with tombstones: the v2 surface the
+	// A multi-generation manifest with tombstones: the surface the
 	// generational store adds (appended generation, deleted member).
 	if err := st.Append([]SeqRecord{{Name: "delta", Seq: []byte("GGGGTTTTCCCCAAAA")}}); err != nil {
 		f.Fatal(err)
@@ -91,7 +91,7 @@ func FuzzLoadStore(f *testing.F) {
 	}
 	f.Add(mutated.Bytes())
 	// Truncations at awkward places: inside the magic, the manifest,
-	// the generation table, the shard table, a payload.
+	// the generation table, a payload.
 	for _, src := range []*bytes.Buffer{&good, &mutated} {
 		for _, frac := range []int{1, 4, 7, 10, 13, 20, 40, 60, 80, 99} {
 			n := src.Len() * frac / 100
@@ -104,6 +104,13 @@ func FuzzLoadStore(f *testing.F) {
 			flipped[pos] ^= 1 << (pos % 8)
 			f.Add(flipped)
 		}
+	}
+	// The retired format versions 1 and 2 in an otherwise valid file:
+	// both must be rejected.
+	for _, v := range []byte{1, 2} {
+		legacy := append([]byte(nil), good.Bytes()...)
+		legacy[8] = v
+		f.Add(legacy)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := LoadStore(bytes.NewReader(data), StoreOptions{})

@@ -64,11 +64,6 @@ type Options struct {
 	// GMatrixMaxBytes caps the allocation (default 1 GiB).
 	EnableGMatrix   bool
 	GMatrixMaxBytes int
-	// GramCacheSize is the capacity, in entries, of the cross-query
-	// gram→trie-node LRU cache (gramcache.go). 0 means the default
-	// (65536 entries); negative disables the cache. The cache only
-	// changes where resolution work happens, never its outcome.
-	GramCacheSize int
 	// DisableEmitSuppression turns the emission path's diagonal
 	// dominance filter off, so every occurrence-resolved cell reaches
 	// the collector. The hit set is identical either way — the filter
@@ -101,11 +96,9 @@ type Engine struct {
 	trie *strie.Trie
 	opts Options
 
-	mu      sync.Mutex
-	dom     map[int]*domination.Index // per q, built lazily
-	gcaches map[int]*gramCache        // per q, built lazily (gramcache.go)
+	mu  sync.Mutex
+	dom map[int]*domination.Index // per q, built lazily
 
-	wsPool   sync.Pool // *workspace, reused across searches and workers
 	sessPool sync.Pool // *Session, reused across queries and callers
 }
 
@@ -292,9 +285,8 @@ func (ctx *searchCtx) rowBound(i int) int32 {
 // buffers). Everything is sized by the first searches and reused, so
 // the per-gram path (processGram → dfsGram → advanceMergedBand)
 // allocates nothing in steady state. The hybrid engine keeps its
-// recursive child-enumeration buffer pool. Workspaces live in an
-// engine-level sync.Pool so repeated and concurrent searches share
-// them.
+// recursive child-enumeration buffer pool. Workspaces belong to a
+// Session, one per worker lane, and pool with it.
 type workspace struct {
 	pool []*childScratch // hybrid engine's per-level buffers
 
@@ -315,15 +307,6 @@ type workspace struct {
 	diagEpoch uint32         // current arming epoch; bumped per fork family
 	rowQ      align.RunStage // staging for the gram node's own row-q emissions
 }
-
-func (e *Engine) getWorkspace() *workspace {
-	if ws, ok := e.wsPool.Get().(*workspace); ok {
-		return ws
-	}
-	return &workspace{}
-}
-
-func (e *Engine) putWorkspace(ws *workspace) { e.wsPool.Put(ws) }
 
 // scrub drops the per-search pointers the scratch captured — emit
 // contexts point at the search's collector and query, the hybrid state
@@ -397,9 +380,8 @@ func (ctx *searchCtx) minGainOK(score int32, i int, j int32) bool {
 // processGram runs one pre-resolved fork family: every fork whose
 // q-prefix is this gram, over the whole subtree of the gram's trie
 // node. Gram resolution — and the absent-gram accounting — happened in
-// resolveFamilies. The gram node's occurrence list is located lazily;
-// for cached grams it is memoised on the cache entry, so hot grams of
-// a repeated-query workload locate once per index lifetime.
+// resolveFamilies. The gram node's occurrence list is located lazily,
+// at most once per family.
 func (ctx *searchCtx) processGram(fam *gramFamily) {
 	if ctx.cancelled(0) {
 		return
@@ -408,17 +390,8 @@ func (ctx *searchCtx) processGram(fam *gramFamily) {
 	occ := ctx.ws.occBuf[:0] // lazily located occurrences of the gram
 	occGetter := func() []int {
 		if len(occ) == 0 {
-			if fam.entry != nil {
-				if memo := fam.entry.occurrences(); memo != nil {
-					occ = memo
-					return occ
-				}
-			}
 			occ = ctx.e.trie.OccurrencesAppend(node, occ)
 			ctx.ws.occBuf = occ
-			if fam.entry != nil {
-				fam.entry.memoOccurrences(occ)
-			}
 		}
 		return occ
 	}

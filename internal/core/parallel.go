@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/align"
 )
@@ -17,13 +16,21 @@ import (
 // frequent gram walks a much larger subtree), so the scheduler uses an
 // atomic work-stealing cursor over the sorted family list instead of
 // static striping: idle workers immediately pull the next family.
+// It is the only fan-out: Engine.SearchParallel and
+// Session.SearchContext — and with it the store's K lanes per
+// generation — all run through it.
+// Counters stay scheduling-invariant under stealing — they are
+// per-family sums, the collector merges by a commutative max and the
+// dominance table is re-armed per family — so CalculatedEntries and
+// the hit set are byte-identical for every worker count.
 //
 // Hit recording is sharded: each worker owns one open-addressing table
 // of the session's ShardedCollector, so no Add ever contends, and the
 // shards merge into the caller's collector by table scan afterwards.
-// The shards (and the per-worker Stats) belong to the session and are
-// re-armed per query, so a serving session's parallel path reuses its
-// warm tables instead of allocating per search.
+// The shards, the per-worker Stats and the per-worker traversal
+// workspaces belong to the session and are re-armed per query, so a
+// serving session's parallel path reuses its warm tables and buffers
+// instead of allocating per search.
 
 // searchFamilies fans the pre-resolved fork families out over workers
 // goroutines and merges the per-worker collector shards and statistics
@@ -32,7 +39,6 @@ import (
 // st must already carry Threshold/Q/Lmax (plus the resolution-time
 // fork accounting).
 func (ses *Session) searchFamilies(families []gramFamily, base searchCtx, workers int, c *align.Collector, st *Stats) {
-	e := ses.e
 	if workers > len(families) {
 		workers = len(families)
 	}
@@ -43,14 +49,14 @@ func (ses *Session) searchFamilies(families []gramFamily, base searchCtx, worker
 		// caller's collector or query.
 		ctx := &ses.ctx
 		*ctx = base
-		ctx.c, ctx.st, ctx.ws = c, st, ses.ws
+		ctx.c, ctx.st, ctx.ws = c, st, ses.ws[0]
 		for i := range families {
 			if ctx.stopped {
 				break // cancelled (cancel.go); SearchContext reports the error
 			}
 			ctx.processGram(&families[i])
 		}
-		ses.ws.scrub()
+		ses.ws[0].scrub()
 		*ctx = searchCtx{}
 		return
 	}
@@ -65,20 +71,20 @@ func (ses *Session) searchFamilies(families []gramFamily, base searchCtx, worker
 		ses.wstats = make([]Stats, workers)
 	}
 	wstats := ses.wstats[:workers]
+	for len(ses.ws) < workers {
+		ses.ws = append(ses.ws, &workspace{})
+	}
 
-	var cursor atomic.Int64
+	cursor := &ses.cursor
+	cursor.Store(0)
 	ctxs := make([]*searchCtx, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		// Worker stats start from the search-level constants so the
 		// final Stats.Add merge preserves them.
 		wstats[w] = Stats{Threshold: st.Threshold, Q: st.Q, Lmax: st.Lmax}
-		ws := ses.ws
-		if w > 0 {
-			ws = e.getWorkspace() // extra lanes borrow pooled workspaces
-		}
 		ctx := base
-		ctx.c, ctx.st, ctx.ws = ses.shards.Shard(w), &wstats[w], ws
+		ctx.c, ctx.st, ctx.ws = ses.shards.Shard(w), &wstats[w], ses.ws[w]
 		ctxs[w] = &ctx
 		wg.Add(1)
 		go func(ctx *searchCtx) {
@@ -96,118 +102,9 @@ func (ses *Session) searchFamilies(families []gramFamily, base searchCtx, worker
 		}(ctxs[w])
 	}
 	wg.Wait()
-	for w, ctx := range ctxs {
+	for _, ctx := range ctxs {
 		st.Add(*ctx.st)
 		ctx.ws.scrub()
-		if w > 0 {
-			e.putWorkspace(ctx.ws)
-		}
 	}
 	ses.shards.MergeInto(c, workers)
-}
-
-// familyCost estimates the band work a fork family will do: columns to
-// sweep times the width of the gram's SA range (the subtree the fork
-// descends into). It only steers load balancing — a wrong estimate
-// costs wall-clock, never exactness.
-func familyCost(f *gramFamily) int64 {
-	return int64(len(f.cols)) * int64(f.node.Hi-f.node.Lo)
-}
-
-// partitionFamilies cuts the family list into k contiguous slices
-// balanced by estimated band cost: cuts[w] is the first family of lane
-// w, cuts[k] = len(families). Greedy with a half-family overshoot rule
-// — a family joins the current lane while that lands the lane closer
-// to the remaining average — while always leaving at least one family
-// for every remaining lane. Callers clamp k ≤ len(families), so every
-// lane is non-empty. The cuts depend only on the family list (which is
-// resolution-order deterministic), never on timing, so a sliced search
-// is reproducible.
-func partitionFamilies(families []gramFamily, k int) []int {
-	var remaining int64
-	for i := range families {
-		remaining += familyCost(&families[i])
-	}
-	cuts := make([]int, k+1)
-	cuts[k] = len(families)
-	idx := 0
-	for w := 0; w < k; w++ {
-		cuts[w] = idx
-		target := remaining / int64(k-w)
-		maxEnd := len(families) - (k - w - 1)
-		var acc int64
-		for idx < maxEnd && (idx == cuts[w] || acc+familyCost(&families[idx])/2 <= target) {
-			acc += familyCost(&families[idx])
-			idx++
-		}
-		remaining -= acc
-	}
-	return cuts
-}
-
-// searchFamilySlices is the shared-index scatter's dispatch: the same
-// fan-out as searchFamilies, but each lane owns one pre-cut contiguous
-// family slice (partitionFamilies) instead of pulling from a
-// work-stealing cursor. The store's shard lanes run through here — K
-// shards of a store are K slices of ONE resolved family list over one
-// monolithic index, so every family (and with it every DP entry) is
-// processed exactly once whatever K is: CalculatedEntries and the hit
-// set are byte-identical across lane counts, which is the invariant
-// the old text-partitioned sharding could not offer (it redid ~1.7×
-// the entries at K=4). Static slices also keep each lane's traversal
-// order deterministic, at the price of coarser balancing than
-// stealing — the cost model above is what pays that back.
-func (ses *Session) searchFamilySlices(families []gramFamily, base searchCtx, lanes int, c *align.Collector, st *Stats) {
-	e := ses.e
-	if lanes > len(families) {
-		lanes = len(families)
-	}
-	if lanes <= 1 {
-		ses.searchFamilies(families, base, 1, c, st)
-		return
-	}
-	cuts := partitionFamilies(families, lanes)
-
-	if ses.shards == nil {
-		ses.shards = align.NewSharded(lanes)
-	} else {
-		ses.shards.Resize(lanes)
-	}
-	ses.shards.ResetAll()
-	if cap(ses.wstats) < lanes {
-		ses.wstats = make([]Stats, lanes)
-	}
-	wstats := ses.wstats[:lanes]
-
-	ctxs := make([]*searchCtx, lanes)
-	var wg sync.WaitGroup
-	for w := 0; w < lanes; w++ {
-		wstats[w] = Stats{Threshold: st.Threshold, Q: st.Q, Lmax: st.Lmax}
-		ws := ses.ws
-		if w > 0 {
-			ws = e.getWorkspace()
-		}
-		ctx := base
-		ctx.c, ctx.st, ctx.ws = ses.shards.Shard(w), &wstats[w], ws
-		ctxs[w] = &ctx
-		wg.Add(1)
-		go func(ctx *searchCtx, fams []gramFamily) {
-			defer wg.Done()
-			for i := range fams {
-				if ctx.stopped {
-					return // cancelled (cancel.go); partial stats still merge
-				}
-				ctx.processGram(&fams[i])
-			}
-		}(ctxs[w], families[cuts[w]:cuts[w+1]])
-	}
-	wg.Wait()
-	for w, ctx := range ctxs {
-		st.Add(*ctx.st)
-		ctx.ws.scrub()
-		if w > 0 {
-			e.putWorkspace(ctx.ws)
-		}
-	}
-	ses.shards.MergeInto(c, lanes)
 }

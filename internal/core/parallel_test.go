@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/align"
+	"repro/internal/seq"
 )
 
 // TestSearchParallelMatchesSequential is the scheduler's identity
@@ -77,132 +78,65 @@ func TestSearchParallelGMatrixStaysSequential(t *testing.T) {
 	if !align.EqualHits(parC.Hits(), seqC.Hits()) {
 		t.Fatal("G-matrix parallel search diverged from sequential")
 	}
-	// The gram-cache counters record where resolution came from, not
-	// work done, and legitimately differ between the cold first run and
-	// the warm second; every work counter must be identical.
-	parSt.GramCacheHits, parSt.GramCacheMisses = 0, 0
-	seqSt.GramCacheHits, seqSt.GramCacheMisses = 0, 0
 	if parSt != seqSt {
 		t.Fatalf("G-matrix stats diverge: %+v vs %+v", parSt, seqSt)
 	}
 }
 
-// synthFamilies builds a family list whose only meaningful content is
-// the cost inputs (len(cols) and the node range) — enough to exercise
-// the partitioner, which never looks at grams or entries.
-func synthFamilies(costs []int64) []gramFamily {
-	fams := make([]gramFamily, len(costs))
-	for i, c := range costs {
-		fams[i].cols = make([]int32, 1)
-		fams[i].node.Hi = int(c)
-	}
-	return fams
-}
-
-// TestPartitionFamilies pins the partitioner's contract: the cuts
-// cover the list exactly once in order, every lane is non-empty when
-// k ≤ len(families), the cuts are deterministic, the lane costs are
-// roughly balanced, and one giant family cannot starve the rest.
-func TestPartitionFamilies(t *testing.T) {
-	rng := rand.New(rand.NewSource(779))
-	check := func(name string, costs []int64, k int) []int {
-		t.Helper()
-		fams := synthFamilies(costs)
-		cuts := partitionFamilies(fams, k)
-		if len(cuts) != k+1 || cuts[0] != 0 || cuts[k] != len(fams) {
-			t.Fatalf("%s: cuts %v do not frame %d families in %d lanes", name, cuts, len(fams), k)
-		}
-		for w := 0; w < k; w++ {
-			if cuts[w] > cuts[w+1] {
-				t.Fatalf("%s: cuts %v are not monotone", name, cuts)
-			}
-			if k <= len(fams) && cuts[w] == cuts[w+1] {
-				t.Fatalf("%s: lane %d of %d is empty (cuts %v)", name, w, k, cuts)
-			}
-		}
-		again := partitionFamilies(fams, k)
-		for i := range cuts {
-			if cuts[i] != again[i] {
-				t.Fatalf("%s: partition is not deterministic: %v vs %v", name, cuts, again)
-			}
-		}
-		return cuts
-	}
-
-	for _, k := range []int{1, 2, 3, 7} {
-		costs := make([]int64, 40)
-		var total int64
-		for i := range costs {
-			costs[i] = int64(1 + rng.Intn(1000))
-			total += costs[i]
-		}
-		cuts := check("random", costs, k)
-		// No lane may carry more than a whole extra max-cost family
-		// beyond the ideal share: the greedy cut overshoots by at most
-		// half the family it keeps, and the tail lane absorbs the rest.
-		var maxCost, maxLane int64
-		for _, c := range costs {
-			maxCost = max(maxCost, c)
-		}
-		for w := 0; w < k; w++ {
-			var lane int64
-			for i := cuts[w]; i < cuts[w+1]; i++ {
-				lane += costs[i]
-			}
-			maxLane = max(maxLane, lane)
-		}
-		if limit := total/int64(k) + 2*maxCost; maxLane > limit {
-			t.Fatalf("k=%d: heaviest lane %d exceeds balance bound %d (total %d)", k, maxLane, limit, total)
-		}
-	}
-
-	// One family dwarfing all others: it takes a lane of its own and
-	// every other lane still gets work.
-	giant := []int64{5, 1 << 40, 3, 4, 2, 6, 1, 7}
-	check("giant", giant, 4)
-
-	// Degenerate shapes.
-	check("fewer-than-lanes", []int64{9, 9}, 2)
-	check("single", []int64{42}, 1)
-	check("zero-cost", make([]int64, 10), 3)
-}
-
 // TestSearchLanesMatchesSequential pins the contract the store's
-// shared-index scatter rides on: SearchLanes with any lane count
-// produces the sequential engine's exact hit set and work counters —
-// entries included — because each family is processed exactly once on
-// exactly one lane.
+// shared-index scatter rides on: the work-stealing dispatcher with any
+// lane count produces the sequential engine's exact hit set and the
+// whole Stats struct — entries, emissions and suppressions included —
+// because each family is processed exactly once on exactly one lane,
+// counters are per-family sums, the collector merges by a commutative
+// max and the dominance table is re-armed per family. Every lane count
+// runs ten times so different steal interleavings are exercised; it is
+// part of CI's race-enabled lane parity step.
 func TestSearchLanesMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(780))
-	s := align.DefaultDNA
-	e := New(randDNA(4000, rng), Options{})
-	ses := e.AcquireSession()
-	defer ses.Release()
-	for trial := 0; trial < 4; trial++ {
-		query := randDNA(150+rng.Intn(250), rng)
-		h := s.MinThreshold() + rng.Intn(8)
-
-		seqC := align.NewCollector()
-		seqSt, err := e.Search(query, s, h, seqC)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := seqC.Hits()
-
-		for _, lanes := range []int{1, 2, 4, 9} {
-			c := align.NewCollector()
-			st, err := ses.SearchLanes(context.Background(), query, s, h, c, lanes)
+	dnaText := randDNA(3000, rng)
+	dnaQuery := seq.Mutate(seq.DNA, dnaText[1000:1200], seq.MutationConfig{SubstitutionRate: 0.05, IndelRate: 0.01}, rng)
+	dnaRepText, dnaRepQuery := emitWorkload(seq.DNA, 2000, 100, 781)
+	protText, protQuery := emitWorkload(seq.Protein, 2000, 100, 782)
+	for _, wl := range []struct {
+		name        string
+		text, query []byte
+		s           align.Scheme
+	}{
+		{"dna", dnaText, dnaQuery, align.DefaultDNA},
+		{"dna-repeats", dnaRepText, dnaRepQuery, align.DefaultDNA},
+		{"protein-repeats", protText, protQuery, align.DefaultProtein},
+	} {
+		h := wl.s.MinThreshold() + 2
+		for _, mode := range []Mode{ModeDFS, ModeHybrid} {
+			e := New(wl.text, Options{Mode: mode})
+			seqC := align.NewCollector()
+			seqSt, err := e.Search(wl.query, wl.s, h, seqC)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := c.Hits(); !align.EqualHits(got, want) {
-				t.Fatalf("lanes %d trial %d: %d hits vs %d sequential", lanes, trial, len(got), len(want))
+			want := seqC.Hits()
+			if len(want) == 0 {
+				t.Fatalf("%s: degenerate workload, no hits", wl.name)
 			}
-			if st.CalculatedEntries() != seqSt.CalculatedEntries() ||
-				st.ForksStarted != seqSt.ForksStarted ||
-				st.NodesVisited != seqSt.NodesVisited {
-				t.Fatalf("lanes %d trial %d: stats diverge: %+v vs %+v", lanes, trial, st, seqSt)
+			ses := e.AcquireSession()
+			c := align.NewCollector()
+			for _, lanes := range []int{1, 2, 4, 9} {
+				for rep := 0; rep < 10; rep++ {
+					c.Reset()
+					st, err := ses.SearchLanes(context.Background(), wl.query, wl.s, h, c, lanes)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := c.Hits(); !align.EqualHits(got, want) {
+						t.Fatalf("%s mode %v lanes %d rep %d: %d hits vs %d sequential", wl.name, mode, lanes, rep, len(got), len(want))
+					}
+					if st != seqSt {
+						t.Fatalf("%s mode %v lanes %d rep %d: stats diverge:\n%+v\n%+v", wl.name, mode, lanes, rep, st, seqSt)
+					}
+				}
 			}
+			ses.Release()
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"repro/internal/align"
 	"repro/internal/domination"
@@ -24,7 +25,7 @@ import (
 //
 // A Session is NOT safe for concurrent use: it is one serving lane.
 // Concurrency comes from running many sessions against the shared
-// engine, whose structures (trie, domination index, gram cache) are
+// engine, whose structures (trie, domination index) are
 // read-mostly and safe to share. Engine.AcquireSession and
 // Session.Release pool sessions so bursty callers reuse lanes instead
 // of building new ones.
@@ -37,13 +38,8 @@ type Session struct {
 	fams     []gramFamily
 	gramBuf  []byte
 	resNodes []strie.Node // resolution prefix stack (resolve.go)
-	prevGram []byte
 
-	gc      *gramCache // memoised engine gram cache for gcQ (nil = disabled)
-	gcQ     int
-	gcValid bool
-
-	ws *workspace // the sequential (and worker-0) traversal workspace
+	ws []*workspace // per-worker traversal workspaces; ws[0] is the sequential lane's
 
 	// coll is the session's result table (Collector). It pools with the
 	// session, so a caller that searches into it meets a table still
@@ -57,9 +53,12 @@ type Session struct {
 	stats Stats
 	ctx   searchCtx
 
-	// Parallel-search state, sized to the widest search seen.
+	// Parallel-search state, sized to the widest search seen. cursor is
+	// the work-stealing family cursor (parallel.go); it lives here so a
+	// parallel search does not allocate it.
 	shards *align.ShardedCollector
 	wstats []Stats
+	cursor atomic.Int64
 }
 
 // errQueryTooShort is the shared diagnostic for queries the q-gram
@@ -73,13 +72,12 @@ func errQueryTooShort(m, q int, s align.Scheme) error {
 }
 
 // ResolveGrams runs only the gram-resolution stage of a search: every
-// distinct q-gram of query is resolved against the trie (through the
-// cross-query cache where warm, by the prefix-shared walk otherwise)
-// and the number of present families is returned, with the resolution
-// counters (ForksConsidered/Absent, GramCacheHits/Misses) in st. This
-// is the isolation surface the perf tooling (alae-exp -bench-json and
-// BenchmarkGramResolution) tracks across PRs; the family count is
-// layout-invariant, which is its exactness gate.
+// distinct q-gram of query is resolved against the trie by the
+// prefix-shared walk and the number of present families is returned,
+// with the resolution counters (ForksConsidered/Absent) in st. This is
+// the isolation surface the benchmark's resolve layer and
+// BenchmarkGramResolution time; the family count is layout-invariant,
+// which is its exactness gate.
 func (ses *Session) ResolveGrams(query []byte, s align.Scheme) (families int, st Stats, err error) {
 	q := s.Q()
 	st.Q = q
@@ -99,7 +97,7 @@ func (e *Engine) AcquireSession() *Session {
 	if s, ok := e.sessPool.Get().(*Session); ok {
 		return s
 	}
-	return &Session{e: e, ws: e.getWorkspace(), coll: align.NewCollector()}
+	return &Session{e: e, ws: []*workspace{{}}, coll: align.NewCollector()}
 }
 
 // Collector returns the session's own result table for the caller to
@@ -109,6 +107,13 @@ func (ses *Session) Collector() *align.Collector { return ses.coll }
 
 // Release returns the session to the engine's pool.
 func (ses *Session) Release() { ses.e.sessPool.Put(ses) }
+
+// SearchLanes is SearchContext. It survives only because the
+// benchmark's lane-scaling probe (bench/layers.go) calls it by this
+// name; there is one dispatcher (parallel.go), so lanes are workers.
+func (ses *Session) SearchLanes(cx context.Context, query []byte, s align.Scheme, h int, c *align.Collector, lanes int) (Stats, error) {
+	return ses.SearchContext(cx, query, s, h, c, lanes)
+}
 
 // Engine returns the engine this session serves.
 func (ses *Session) Engine() *Engine { return ses.e }
@@ -136,28 +141,6 @@ func (ses *Session) Search(query []byte, s align.Scheme, h int, c *align.Collect
 // overhead: the done channel is nil and every checkpoint is one field
 // read.
 func (ses *Session) SearchContext(cx context.Context, query []byte, s align.Scheme, h int, c *align.Collector, workers int) (Stats, error) {
-	return ses.searchImpl(cx, query, s, h, c, workers, false)
-}
-
-// SearchLanes is SearchContext with the family-slice dispatch: the
-// resolved fork families are cut into lanes contiguous slices balanced
-// by estimated band cost (partitionFamilies) and each slice runs on
-// its own goroutine with its own workspace and collector shard. This
-// is the store's shared-index scatter seam — one gram resolution, one
-// monolithic index, K lanes of work — and its exactness contract is
-// that CalculatedEntries and the hit set are byte-identical for every
-// lanes value, including lanes = 1 (the sequential path). lanes ≤ 0
-// defaults to runtime.NumCPU().
-func (ses *Session) SearchLanes(cx context.Context, query []byte, s align.Scheme, h int, c *align.Collector, lanes int) (Stats, error) {
-	return ses.searchImpl(cx, query, s, h, c, lanes, true)
-}
-
-// searchImpl is the shared body of SearchContext and SearchLanes:
-// everything up to family dispatch is identical — validation,
-// threshold floor, gram resolution, δ and bound tables — and sliced
-// selects the dispatch (cost-balanced contiguous slices vs the
-// work-stealing cursor).
-func (ses *Session) searchImpl(cx context.Context, query []byte, s align.Scheme, h int, c *align.Collector, workers int, sliced bool) (Stats, error) {
 	e := ses.e
 	if err := s.Validate(); err != nil {
 		return Stats{}, err
@@ -203,10 +186,9 @@ func (ses *Session) searchImpl(cx context.Context, query []byte, s align.Scheme,
 		}
 	}
 
-	// Resolve every distinct gram — against the cross-query cache where
-	// warm, by one prefix-shared trie pass otherwise (see resolve.go);
-	// absent grams die here, so the scheduler and the per-family filters
-	// only ever see live trie nodes.
+	// Resolve every distinct gram by one prefix-shared trie pass (see
+	// resolve.go); absent grams die here, so the scheduler and the
+	// per-family filters only ever see live trie nodes.
 	families := ses.resolveFamilies(&ses.qidx, st)
 	if len(families) == 0 {
 		return *st, nil
@@ -238,11 +220,7 @@ func (ses *Session) searchImpl(cx context.Context, query []byte, s align.Scheme,
 	if gm != nil {
 		workers = 1 // the G-matrix filter's state is traversal-order-dependent
 	}
-	if sliced {
-		ses.searchFamilySlices(families, base, workers, c, st)
-	} else {
-		ses.searchFamilies(families, base, workers, c, st)
-	}
+	ses.searchFamilies(families, base, workers, c, st)
 	if err := cx.Err(); err != nil {
 		return *st, err
 	}

@@ -23,9 +23,6 @@ type Stats struct {
 	ForksGMatrixFiltered int64 // pruned: boolean-matrix global filter (Theorem 4)
 	ForksStarted         int64 // forks that produced a fork area
 
-	GramCacheHits   int64 // distinct grams resolved from the cross-query cache
-	GramCacheMisses int64 // distinct grams resolved by trie walk (and published)
-
 	// NodesVisited counts emulated suffix-trie nodes entered with live
 	// alignment state: the gram node of every started family plus each
 	// descendant whose row retained at least one live diagonal or band
@@ -93,8 +90,6 @@ func (st *Stats) Add(other Stats) {
 	st.ForksDominated += other.ForksDominated
 	st.ForksGMatrixFiltered += other.ForksGMatrixFiltered
 	st.ForksStarted += other.ForksStarted
-	st.GramCacheHits += other.GramCacheHits
-	st.GramCacheMisses += other.GramCacheMisses
 	st.NodesVisited += other.NodesVisited
 	st.EmittedHits += other.EmittedHits
 	st.SuppressedEmissions += other.SuppressedEmissions

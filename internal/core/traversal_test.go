@@ -239,7 +239,7 @@ func benchTraversalCtx(b testing.TB, n, runLen int, opts Options) (*searchCtx, [
 		colBound: buildColBoundsInto(nil, len(query), h, s, false),
 		dom:      dom,
 		barrier:  -1,
-		ws:       ses.ws,
+		ws:       ses.ws[0],
 	}
 	return ctx, fams
 }

@@ -306,17 +306,6 @@ func (idx *Index) lookup(key uint64) (ord int32, ok bool) {
 // Q returns the gram length of the index.
 func (idx *Index) Q() int { return idx.q }
 
-// Packer returns the packed-key encoder of the index, or nil when the
-// alphabet does not pack (the string-keyed fallback is in use). The
-// packed key of a gram is stable across queries over the same alphabet,
-// which is what lets the search engines key cross-query caches by it.
-func (idx *Index) Packer() *Packer {
-	if idx.strKeys != nil {
-		return nil
-	}
-	return idx.packer
-}
-
 // Positions returns the 0-based starting positions of gram in the
 // query, or nil when it does not occur. The returned slice is shared
 // and only valid until the next Rearm; callers must not modify it.
@@ -383,54 +372,32 @@ func (idx *Index) GramsSorted(fn func(gram []byte, positions []int32)) {
 	})
 }
 
-// GramsSortedKeys is GramsSorted additionally passing each gram's
-// packed key — the same keys Packer().Pack would produce, read off the
-// index's own table so callers keying caches by gram avoid re-packing.
-// Packed keys sort in lexicographic gram order because dense codes are
-// assigned in ascending byte order. Only valid when Packer() != nil
-// (the packed layout is in use); it panics otherwise.
-func (idx *Index) GramsSortedKeys(fn func(gram []byte, key uint64, positions []int32)) {
-	if idx.Packer() == nil {
-		panic("qgram: GramsSortedKeys needs the packed-key layout; check Packer() != nil")
-	}
-	// slices.Sort over a reused scratch copy, not sort.Slice: on a
-	// protein query (~m distinct grams) the reflection-based swapper
-	// dominated the whole resolution pass.
-	sorted := append(idx.sorted[:0], idx.keys...)
-	slices.Sort(sorted)
-	idx.sorted = sorted
-	for _, key := range sorted {
-		o, _ := idx.lookup(key)
-		idx.packer.Decode(key, idx.buf)
-		fn(idx.buf, key, idx.ordPositions(o))
-	}
-}
-
 // GramsSortedLCP is GramsSorted extended with the length of the longest
 // common prefix between each gram and its predecessor (0 for the first
 // gram). Consecutive sorted grams share long prefixes — the shared
 // backward-search steps prefix-shared resolution exploits. fn must not
 // retain the gram slice across calls.
 func (idx *Index) GramsSortedLCP(fn func(gram []byte, lcp int, positions []int32)) {
-	if idx.Packer() != nil {
-		// The LCP of two consecutive grams is read off the highest
-		// differing bit of their packed keys.
+	if idx.strKeys == nil {
+		// Packed keys sort in lexicographic gram order because dense
+		// codes are assigned in ascending byte order, and the LCP of two
+		// consecutive grams is read off the highest differing bit of
+		// their keys. slices.Sort over a reused scratch copy, not
+		// sort.Slice: on a protein query (~m distinct grams) the
+		// reflection-based swapper dominated the whole resolution pass.
+		sorted := append(idx.sorted[:0], idx.keys...)
+		slices.Sort(sorted)
+		idx.sorted = sorted
 		cbits := int(idx.packer.bits)
-		first := true
-		var prevKey uint64
-		idx.GramsSortedKeys(func(gram []byte, key uint64, positions []int32) {
+		for i, key := range sorted {
 			lcp := 0
-			if !first {
-				if diff := prevKey ^ key; diff != 0 {
-					lcp = idx.q - 1 - (63-bits.LeadingZeros64(diff))/cbits
-				} else {
-					lcp = idx.q
-				}
+			if i > 0 {
+				lcp = idx.q - 1 - (63-bits.LeadingZeros64(sorted[i-1]^key))/cbits
 			}
-			first = false
-			prevKey = key
-			fn(gram, lcp, positions)
-		})
+			o, _ := idx.lookup(key)
+			idx.packer.Decode(key, idx.buf)
+			fn(idx.buf, lcp, idx.ordPositions(o))
+		}
 		return
 	}
 	keys := make([]string, 0, len(idx.strKeys))

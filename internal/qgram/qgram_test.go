@@ -410,7 +410,7 @@ func TestRearmWarmAllocFree(t *testing.T) {
 		if err := idx.Rearm(q, 11, dnaLetters); err != nil {
 			t.Fatal(err)
 		}
-		idx.GramsSortedKeys(func([]byte, uint64, []int32) {})
+		idx.GramsSortedLCP(func([]byte, int, []int32) {})
 	}
 	qi := 0
 	allocs := testing.AllocsPerRun(5, func() {
@@ -418,9 +418,9 @@ func TestRearmWarmAllocFree(t *testing.T) {
 		if err := idx.Rearm(queries[qi%len(queries)], 11, dnaLetters); err != nil {
 			t.Fatal(err)
 		}
-		idx.GramsSortedKeys(func([]byte, uint64, []int32) {})
+		idx.GramsSortedLCP(func([]byte, int, []int32) {})
 	})
 	if allocs > 0 {
-		t.Fatalf("warm Rearm+GramsSortedKeys allocated %.1f objects; must be 0", allocs)
+		t.Fatalf("warm Rearm+GramsSortedLCP allocated %.1f objects; must be 0", allocs)
 	}
 }

@@ -44,7 +44,7 @@ func TestParallelSearchIdenticalHits(t *testing.T) {
 // TestConcurrentParallelSearches runs concurrent Search calls — each
 // itself multi-worker — against one shared Index. Run under -race in
 // CI, this is the data-race check for the shared trie, domination
-// index, engine cache and workspace pool.
+// index and session pool.
 func TestConcurrentParallelSearches(t *testing.T) {
 	wl := exp.DNAWorkload(30_000, 400, 6, 9)
 	ix := alae.NewIndex(wl.Text)

@@ -177,10 +177,7 @@ var searchAllStarted func(qi int)
 // then on those structures are read-only and shared. Each worker then
 // holds ONE Session for its whole run: per-query state (q-gram
 // inverted index, δ score table, bound tables, collector, traversal
-// workspace) is re-armed in place between queries instead of rebuilt,
-// and the engine's cross-query gram cache is shared read-mostly across
-// the workers, so repeated or overlapping queries resolve their hot
-// grams by hash probe.
+// workspace) is re-armed in place between queries instead of rebuilt.
 func (ix *Index) SearchAll(queries [][]byte, opts SearchOptions, workers int) ([]*Result, error) {
 	if workers <= 0 {
 		workers = 8

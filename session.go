@@ -15,12 +15,12 @@ import (
 // collector shards — through its pooled core session, and re-arms them
 // in place per call, so a serving loop allocates only the hit slices it
 // returns once the buffers are warm. The heavy shared
-// structures (trie, domination index, cross-query gram cache) belong
-// to the Index's engines and are only read.
+// structures (trie, domination index) belong to the Index's engines
+// and are only read.
 //
 // A Session is NOT safe for concurrent use. Open one per serving
-// goroutine; sessions of the same Index share the engines and their
-// caches, which are concurrency-safe. Close returns the underlying
+// goroutine; sessions of the same Index share the engines, which are
+// concurrency-safe. Close returns the underlying
 // pooled state so later sessions (and plain Index.Search calls, which
 // draw from the same pool) reuse it.
 type Session struct {
@@ -126,8 +126,8 @@ func (ses *Session) searchThreshold(cx context.Context, query []byte, h int) (*R
 }
 
 // searchCollect is the store's collector-resident search: one query at
-// a pinned threshold, dispatched across lanes cost-balanced family
-// slices of the shared index (core.Session.SearchLanes), with the hits
+// a pinned threshold, its fork families dispatched across lanes
+// work-stealing workers (core.Session.SearchContext), with the hits
 // left IN the core session's collector for the caller to drain in order
 // (align.Collector.Drain) instead of materialised into a Result.Hits
 // slice. This is what makes the store's gather streaming: no per-lane
@@ -147,7 +147,7 @@ func (ses *Session) searchCollect(cx context.Context, query []byte, h, lanes int
 	}
 	coll := ses.cs.Collector()
 	coll.Reset()
-	cst, err := ses.cs.SearchLanes(cx, query, ses.s, h, coll, lanes)
+	cst, err := ses.cs.SearchContext(cx, query, ses.s, h, coll, lanes)
 	if err != nil {
 		return Stats{}, nil, err
 	}
@@ -175,8 +175,6 @@ func statsFromCore(st core.Stats) Stats {
 		NodesVisited:        st.NodesVisited,
 		ForksStarted:        st.ForksStarted,
 		ForksDominated:      st.ForksDominated,
-		GramCacheHits:       st.GramCacheHits,
-		GramCacheMisses:     st.GramCacheMisses,
 		EmittedHits:         st.EmittedHits,
 		SuppressedEmissions: st.SuppressedEmissions,
 		CopiedEmissions:     st.CopiedEmissions,

@@ -19,8 +19,8 @@ import (
 // separator-framed concatenation and serves searches by a shared-index
 // scatter-gather: the query's grams are resolved ONCE against each
 // generation's trie, the resolved fork families are dispatched across
-// K work lanes (contiguous family slices load-balanced by estimated
-// band cost — see core.Session.SearchLanes), every lane runs at the
+// K work lanes (workers pulling families from one work-stealing
+// cursor — see core.Session.SearchContext), every lane runs at the
 // threshold of the whole database, and the gather drains each
 // generation's collector table, in order, straight into the result —
 // rejecting hits ending on separator rows and hits inside tombstoned
@@ -83,8 +83,8 @@ type StoreOptions struct {
 	// Shards is K, the number of work lanes each search's resolved
 	// fork families are dispatched across per generation. It is a
 	// PARALLELISM knob, not a layout knob: the store always builds one
-	// monolithic index per generation, K slices that index's resolved
-	// work at search time, and the hit set and CalculatedEntries are
+	// monolithic index per generation, K workers share that index's
+	// resolved work at search time, and the hit set and CalculatedEntries are
 	// byte-identical for every K. 0 means 1; when K ≤ 1 the
 	// engine-level SearchOptions.Parallelism governs the fan-out
 	// instead (the pre-refactor default).
@@ -122,7 +122,7 @@ type Store struct {
 	mutMu     sync.Mutex // serialises mutations and their persistence
 	dir       string     // backing directory; "" = memory-only
 	nextGenID uint64
-	k         int // K: family-slice lanes per generation search
+	k         int // K: work-stealing lanes per generation search
 }
 
 // NewStore builds one monolithic index over the records'

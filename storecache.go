@@ -8,8 +8,8 @@ import (
 
 // The result-level query cache of the serving store. A server replays
 // identical queries — health checks, popular reads, retried requests —
-// and even with warm sessions and the cross-query gram cache each
-// replay re-runs the whole traversal. This cache closes that gap:
+// and even with warm sessions each replay re-runs the whole
+// traversal. This cache closes that gap:
 // results are keyed by (mutation stamp, options fingerprint, query
 // bytes). The stamp is the invalidation story: a store mutation
 // (Append/Delete/Compact) bumps it, which makes every pre-mutation
@@ -19,8 +19,8 @@ import (
 // probe and eviction (CLOCK, approximately LRU) is pure capacity
 // management.
 //
-// Concurrency mirrors the gram cache: hits are an RLock-guarded map
-// probe plus one atomic reference-bit store. Population is NOT
+// Concurrency: hits are an RLock-guarded map probe plus one atomic
+// reference-bit store. Population is NOT
 // single-flight — two sessions racing on the same cold query both
 // compute it and the last insert wins, which is sound (both computed
 // the same result against the same stamped view) and keeps misses

@@ -120,7 +120,7 @@ func (g *generation) memberBytes(m int) []byte {
 // buildGeneration builds ONE index over the records' separator-framed
 // concatenation. There is deliberately no shard count here any more:
 // shards are work partitions of this one index at search time
-// (family-slice lanes, storesession.go), so the on-disk and in-memory
+// (work-stealing lanes, storesession.go), so the on-disk and in-memory
 // layout is always the monolithic one the paper's §2.2 model assumes,
 // whatever parallelism later searches pick.
 func buildGeneration(id uint64, records []SeqRecord) *generation {

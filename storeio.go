@@ -19,16 +19,10 @@ import (
 // index payload is length-prefixed, which keeps the indexes' internal
 // buffered readers from consuming past their own frame.
 //
-// Version history:
-//   1 — single implicit generation, no tombstones, per-shard index
-//       payloads (still readable).
-//   2 — generational: mutation stamp, per-generation id and member
-//       flags (bit 0 = tombstoned); per-shard index payloads.
-//   3 — shared-index scatter: ONE index payload per generation, no
-//       shard list. Shards became search-time work partitions, so the
-//       persisted layout is always the monolithic one; loading a v1/v2
-//       file still works by joining its shard texts and rebuilding one
-//       index per generation (a one-time migration cost paid at load).
+// Version history: 1 and 2 persisted one index payload per shard; 3
+// persists ONE index payload per generation, with a mutation stamp,
+// per-generation ids and member flags (bit 0 = tombstoned). Only
+// version 3 is read: no v1/v2 file was ever deployed.
 //
 // The same format also serves as the per-generation file of a
 // directory-backed store (storegen.go), where each generation is
@@ -306,7 +300,7 @@ func LoadStoreFile(path string, opts StoreOptions) (*Store, error) {
 	return LoadStore(f, opts)
 }
 
-// LoadStore reads a store written by Save (any format version). The
+// LoadStore reads a store written by Save (format version 3). The
 // generation list comes from the manifest; opts.Shards sets only the
 // loaded store's search-time lane count (it is a parallelism knob —
 // see StoreOptions — and is never persisted), while opts.QueryCacheSize
@@ -320,20 +314,16 @@ func LoadStore(r io.Reader, opts StoreOptions) (*Store, error) {
 }
 
 // genManifest is one generation's parsed manifest block, pre-payload.
-// shardMembers is only set for legacy (version < 3) files, whose
-// payloads are per-shard; version-3 generations carry one payload.
 type genManifest struct {
-	id           uint64
-	names        []string
-	lengths      []int
-	dead         []bool // nil when no tombstones
-	ndead        int
-	shardMembers []int // legacy per-shard member counts; nil for v3
+	id      uint64
+	names   []string
+	lengths []int
+	dead    []bool // nil when no tombstones
+	ndead   int
 }
 
 // loadGenerations parses Save's format: magic, version, the manifest
-// of every generation, then every generation's index payloads in
-// order (one per generation for v3, one per shard for v1/v2).
+// of every generation, then one index payload per generation in order.
 func loadGenerations(r io.Reader) ([]*generation, uint64, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
@@ -347,8 +337,8 @@ func loadGenerations(r io.Reader) ([]*generation, uint64, error) {
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
 		return nil, 0, fmt.Errorf("alae: reading store version: %w", err)
 	}
-	if version < 1 || version > storeVersion {
-		return nil, 0, fmt.Errorf("alae: unsupported store version %d (this build reads versions 1 through %d)", version, storeVersion)
+	if version != storeVersion {
+		return nil, 0, fmt.Errorf("alae: unsupported store version %d (this build reads version %d only)", version, storeVersion)
 	}
 	u64 := func(what string, limit uint64) (uint64, error) {
 		var v uint64
@@ -360,35 +350,30 @@ func loadGenerations(r io.Reader) ([]*generation, uint64, error) {
 		}
 		return v, nil
 	}
-	stamp, genCount := uint64(1), uint64(1)
-	if version >= 2 {
-		var err error
-		if stamp, err = u64("stamp", 1<<62); err != nil {
-			return nil, 0, err
-		}
-		if genCount, err = u64("generation count", maxStoreMembers); err != nil {
-			return nil, 0, err
-		}
-		if genCount == 0 {
-			return nil, 0, fmt.Errorf("alae: store holds no generations")
-		}
+	stamp, err := u64("stamp", 1<<62)
+	if err != nil {
+		return nil, 0, err
+	}
+	genCount, err := u64("generation count", maxStoreMembers)
+	if err != nil {
+		return nil, 0, err
+	}
+	if genCount == 0 {
+		return nil, 0, fmt.Errorf("alae: store holds no generations")
 	}
 	total := uint64(0) // declared concatenation length, overflow-guarded
 	manifests := make([]*genManifest, 0, min(int(genCount), 1024))
 	seen := make(map[uint64]bool)
 	for gi := uint64(0); gi < genCount; gi++ {
-		gm := &genManifest{id: gi + 1}
-		if version >= 2 {
-			id, err := u64("generation id", 1<<62)
-			if err != nil {
-				return nil, 0, err
-			}
-			if seen[id] {
-				return nil, 0, fmt.Errorf("alae: store holds generation %d twice", id)
-			}
-			seen[id] = true
-			gm.id = id
+		id, err := u64("generation id", 1<<62)
+		if err != nil {
+			return nil, 0, err
 		}
+		if seen[id] {
+			return nil, 0, fmt.Errorf("alae: store holds generation %d twice", id)
+		}
+		seen[id] = true
+		gm := &genManifest{id: id}
 		members, err := u64("member count", maxStoreMembers)
 		if err != nil {
 			return nil, 0, err
@@ -424,56 +409,26 @@ func loadGenerations(r io.Reader) ([]*generation, uint64, error) {
 				// bound below) inside int range on hostile manifests.
 				return nil, 0, fmt.Errorf("alae: implausible store total length (> %d)", int64(maxStoreSeqLen))
 			}
-			if version >= 2 {
-				flags, err := br.ReadByte()
-				if err != nil {
-					return nil, 0, fmt.Errorf("alae: reading store member flags: %w", err)
-				}
-				if flags&^1 != 0 {
-					return nil, 0, fmt.Errorf("alae: unknown store member flags %#x", flags)
-				}
-				if flags&1 != 0 {
-					if gm.dead == nil {
-						gm.dead = make([]bool, int(members))
-					}
-					gm.dead[i] = true
-					gm.ndead++
-				}
-			}
-		}
-		if version < 3 {
-			// Legacy files partition each generation's text into shard
-			// payloads; the list is read (and validated) so the payload
-			// loop can reassemble the monolithic text.
-			shardCount, err := u64("shard count", maxStoreMembers)
+			flags, err := br.ReadByte()
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, fmt.Errorf("alae: reading store member flags: %w", err)
 			}
-			if shardCount == 0 || shardCount > members {
-				return nil, 0, fmt.Errorf("alae: store generation %d has %d shards for %d members", gm.id, shardCount, members)
+			if flags&^1 != 0 {
+				return nil, 0, fmt.Errorf("alae: unknown store member flags %#x", flags)
 			}
-			gm.shardMembers = make([]int, shardCount)
-			sum := 0
-			for s := range gm.shardMembers {
-				n, err := u64("shard member count", members)
-				if err != nil {
-					return nil, 0, err
+			if flags&1 != 0 {
+				if gm.dead == nil {
+					gm.dead = make([]bool, int(members))
 				}
-				if n == 0 {
-					return nil, 0, fmt.Errorf("alae: store shard %d is empty", s)
-				}
-				gm.shardMembers[s] = int(n)
-				sum += int(n)
-			}
-			if sum != int(members) {
-				return nil, 0, fmt.Errorf("alae: store shard boundaries cover %d members, manifest has %d", sum, members)
+				gm.dead[i] = true
+				gm.ndead++
 			}
 		}
 		manifests = append(manifests, gm)
 	}
 	gens := make([]*generation, len(manifests))
 	for gi, gm := range manifests {
-		g, err := loadGenPayloads(br, gm)
+		g, err := loadGenPayload(br, gm)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -515,13 +470,9 @@ func readIndexPayload(br *bufio.Reader, textLen int, what string) (*Index, error
 	return ix, nil
 }
 
-// loadGenPayloads reads and validates one generation's index payload —
-// or, for legacy v1/v2 files, its per-shard payloads, whose texts are
-// rejoined with the member separator and reindexed as one monolithic
-// index (shards are search-time work partitions now, not persisted
-// layout; the rebuild is the one-time migration cost of loading an old
-// file) — and assembles the generation.
-func loadGenPayloads(br *bufio.Reader, gm *genManifest) (*generation, error) {
+// loadGenPayload reads and validates one generation's index payload
+// and assembles the generation.
+func loadGenPayload(br *bufio.Reader, gm *genManifest) (*generation, error) {
 	g := &generation{
 		id:    gm.id,
 		tab:   seq.NewTable(gm.names, gm.lengths),
@@ -529,45 +480,16 @@ func loadGenPayloads(br *bufio.Reader, gm *genManifest) (*generation, error) {
 		dead:  gm.dead,
 		ndead: gm.ndead,
 	}
-	if gm.shardMembers == nil {
-		ix, err := readIndexPayload(br, g.tab.TotalLen(), fmt.Sprintf("generation %d", gm.id))
-		if err != nil {
-			return nil, err
-		}
-		// The payload is the plain serialized index; the barrier is an
-		// engine option, not persisted state, so re-arm it here exactly
-		// as buildGeneration would have (engines build lazily at search
-		// time, after this).
-		ix.barrier = seq.Separator
-		g.ix = ix
-	} else {
-		// Legacy layout: one payload per shard. Each shard index is
-		// loaded (validating its own frame), its text is taken, and the
-		// monolithic generation index is rebuilt over the rejoined
-		// concatenation — byte-identical to what building the
-		// generation from its records would have produced, because
-		// shard texts were themselves separator-framed member runs.
-		joined := make([]byte, 0, g.tab.TotalLen())
-		base := 0
-		for s, n := range gm.shardMembers {
-			lo, hi := base, base+n
-			tab := seq.NewTable(gm.names[lo:hi], gm.lengths[lo:hi])
-			ix, err := readIndexPayload(br, tab.TotalLen(), fmt.Sprintf("shard %d", s))
-			if err != nil {
-				return nil, err
-			}
-			if s > 0 {
-				joined = append(joined, seq.Separator)
-			}
-			joined = append(joined, ix.Text()...)
-			base = hi
-		}
-		if len(joined) != g.tab.TotalLen() {
-			return nil, fmt.Errorf("alae: store generation %d shards join to %d bytes, manifest says %d",
-				gm.id, len(joined), g.tab.TotalLen())
-		}
-		g.ix = newBarrierIndex(joined, seq.Separator)
+	ix, err := readIndexPayload(br, g.tab.TotalLen(), fmt.Sprintf("generation %d", gm.id))
+	if err != nil {
+		return nil, err
 	}
+	// The payload is the plain serialized index; the barrier is an
+	// engine option, not persisted state, so re-arm it here exactly as
+	// buildGeneration would have (engines build lazily at search time,
+	// after this).
+	ix.barrier = seq.Separator
+	g.ix = ix
 	// Spot-check the separator layout the manifest promises, and
 	// recover each member's byte mask from its text slice (σ after a
 	// future delete needs per-member masks, not one global set).

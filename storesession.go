@@ -28,9 +28,9 @@ func validateStoreQuery(query []byte) error {
 
 // storeLane is one scatter lane of a StoreSession: a Session over one
 // generation's monolithic index. The K-way parallelism WITHIN a lane
-// comes from the family-slice dispatch (core.Session.SearchLanes), not
-// from more lanes: the query's grams are resolved once per generation,
-// and the resolved families are cut into K cost-balanced slices.
+// comes from the work-stealing family dispatcher (core.Session.
+// SearchContext), not from more lanes: the query's grams are resolved
+// once per generation, and K workers pull the resolved families.
 type storeLane struct {
 	gen  int // index into the bound view's generation list
 	ix   *Index
@@ -131,7 +131,7 @@ func (ss *StoreSession) syncView() error {
 // threshold is resolved once against the WHOLE live store (length and
 // alphabet of the live virtual concatenation); each generation
 // resolves the query's grams ONCE against its monolithic index and
-// dispatches the resolved fork families across K cost-balanced lanes
+// dispatches the resolved fork families across K work-stealing lanes
 // at that same H; and the gather drains every generation's collector
 // table, in order, straight into the result — dropping hits that end on
 // separator rows, inside tombstoned members, or whose score proves the
@@ -168,7 +168,7 @@ func (ss *StoreSession) SearchContext(cx context.Context, query []byte) (*StoreR
 	return ss.searchCurrent(cx, query)
 }
 
-// laneWorkers is the family-slice fan-out each generation search runs
+// laneWorkers is the fork-family fan-out each generation search runs
 // at: the store's K when set above 1, else the engine-level
 // SearchOptions.Parallelism (which keeps the pre-refactor behaviour
 // for unsharded stores, including its 0 = NumCPU default).
