@@ -7,8 +7,8 @@
 // scoring scheme ⟨sa,sb,sg,ss⟩ and a score threshold (or an E-value),
 // it reports every end-position pair whose best local-alignment score
 // reaches the threshold — the same answer a full Smith-Waterman sweep
-// produces — using a compressed suffix array, a family of pruning
-// filters, and cross-fork score reuse.
+// produces — using a compressed suffix array and a family of pruning
+// filters.
 //
 // Basic use:
 //
@@ -60,11 +60,10 @@ type Algorithm int
 
 const (
 	// ALAE is the paper's contribution (DFS engine mode): exact, with
-	// all filters enabled.
+	// all filters enabled. The paper's score-reuse mode (Algorithm 3)
+	// is kept only as the reproduction reference of its reuse figures
+	// and is not served.
 	ALAE Algorithm = iota
-	// ALAEHybrid is ALAE's Algorithm 3 mode with cross-fork score
-	// reuse; exact, and the mode that reports reuse statistics.
-	ALAEHybrid
 	// BWTSW is the exact baseline of Lam et al. 2008.
 	BWTSW
 	// BLAST is the heuristic seed-and-extend baseline; fast but may
@@ -78,8 +77,6 @@ func (a Algorithm) String() string {
 	switch a {
 	case ALAE:
 		return "ALAE"
-	case ALAEHybrid:
-		return "ALAE-hybrid"
 	case BWTSW:
 		return "BWT-SW"
 	case BLAST:
@@ -122,8 +119,6 @@ type SearchOptions struct {
 // paper's evaluation uses.
 type Stats struct {
 	CalculatedEntries int64 // DP cells computed
-	ReusedEntries     int64 // cells copied by the reuse technique (§4)
-	AccessedEntries   int64 // calculated + reused
 	ComputationCost   int64 // weighted cost (§7.2 Table 4 accounting)
 	NodesVisited      int64 // emulated suffix-trie nodes entered with live state
 	ForksStarted      int64
@@ -133,24 +128,18 @@ type Stats struct {
 	Seeds             int64 // BLAST only: word hits examined
 
 	// EmittedHits counts the occurrence-resolved (tEnd, qEnd) cells the
-	// ALAE engines forwarded to the result collector;
+	// ALAE engine forwarded to the result collector;
 	// SuppressedEmissions counts the duplicates the diagonal dominance
-	// filter dropped before the collector; CopiedEmissions counts the
-	// cells the hybrid vertical phase recognised as already forwarded
-	// by an earlier branch of the same fork family and skipped (both
-	// are provable no-ops, so hit sets are unaffected). All three are
-	// invariant under Parallelism.
+	// filter dropped before the collector (a provable no-op, so hit sets
+	// are unaffected). Both are invariant under Parallelism.
 	EmittedHits         int64
 	SuppressedEmissions int64
-	CopiedEmissions     int64
 }
 
 // add accumulates another search's counters into st — the gather step
 // of the sharded store sums its per-shard statistics with it.
 func (st *Stats) add(o Stats) {
 	st.CalculatedEntries += o.CalculatedEntries
-	st.ReusedEntries += o.ReusedEntries
-	st.AccessedEntries += o.AccessedEntries
 	st.ComputationCost += o.ComputationCost
 	st.NodesVisited += o.NodesVisited
 	st.ForksStarted += o.ForksStarted
@@ -160,7 +149,6 @@ func (st *Stats) add(o Stats) {
 	st.Seeds += o.Seeds
 	st.EmittedHits += o.EmittedHits
 	st.SuppressedEmissions += o.SuppressedEmissions
-	st.CopiedEmissions += o.CopiedEmissions
 }
 
 // Result is one search's outcome.
@@ -171,12 +159,11 @@ type Result struct {
 	Stats     Stats
 }
 
-// engineKey identifies one ALAE engine configuration: the search mode
-// plus the ablation filter switches. Every configuration is cached, so
-// repeated searches — ablation sweeps included — reuse engines instead
-// of rebuilding them per call.
+// engineKey identifies one ALAE engine configuration: the ablation
+// filter switches. Every configuration is cached, so repeated searches
+// — ablation sweeps included — reuse engines instead of rebuilding them
+// per call.
 type engineKey struct {
-	mode                            core.Mode
 	noLength, noScore, noDomination bool
 }
 
@@ -235,22 +222,22 @@ func (ix *Index) PackedSizeBytes() int { return ix.trie.Index().PackedSizeBytes(
 
 // DominationIndexSize reports the size of the q-prefix domination
 // index for the given scheme (the "dominate index" of Figure 11),
-// building it if needed.
+// building it if needed. A zero scheme means DefaultDNAScheme, as in
+// SearchOptions.
 func (ix *Index) DominationIndexSize(s Scheme) (int, error) {
-	e, err := ix.alaeEngine(core.ModeDFS, SearchOptions{})
+	s, err := resolveScheme(SearchOptions{Scheme: s})
 	if err != nil {
 		return 0, err
 	}
-	dom, err := e.DominationIndex(s.Q())
+	dom, err := ix.alaeEngine(SearchOptions{}).DominationIndex(s.Q())
 	if err != nil {
 		return 0, err
 	}
 	return dom.SizeBytes(), nil
 }
 
-func (ix *Index) alaeEngine(mode core.Mode, opts SearchOptions) (*core.Engine, error) {
+func (ix *Index) alaeEngine(opts SearchOptions) *core.Engine {
 	key := engineKey{
-		mode:         mode,
 		noLength:     opts.DisableLengthFilter,
 		noScore:      opts.DisableScoreFilter,
 		noDomination: opts.DisableDomination,
@@ -258,34 +245,65 @@ func (ix *Index) alaeEngine(mode core.Mode, opts SearchOptions) (*core.Engine, e
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if e, ok := ix.alae[key]; ok {
-		return e, nil
+		return e
 	}
 	e := core.NewFromTrie(ix.trie, core.Options{
-		Mode:                mode,
 		DisableLengthFilter: opts.DisableLengthFilter,
 		DisableScoreFilter:  opts.DisableScoreFilter,
 		DisableDomination:   opts.DisableDomination,
 		BarrierByte:         ix.barrier,
 	})
 	ix.alae[key] = e
-	return e, nil
+	return e
+}
+
+// resolveScheme is the one options gate: Index.OpenSession (and so
+// Index.SearchContext), ResolveThreshold, Store.SearchContext,
+// Store.OpenSession and the SearchAll pool all pass it. It returns the
+// scheme the search runs with (zero means DefaultDNAScheme) and rejects
+// configurations that are always caller bugs, independently of any
+// query: an invalid scheme; a negative threshold, E-value or
+// parallelism (silently falling back to the defaults would hide them);
+// an alphabet size of 1 or below 0, for which the E-value statistics
+// are undefined; an unknown algorithm; and a scheme the selected
+// baseline cannot run.
+func resolveScheme(opts SearchOptions) (Scheme, error) {
+	s := opts.Scheme
+	if s == (Scheme{}) {
+		s = DefaultDNAScheme
+	}
+	if err := s.Validate(); err != nil {
+		return Scheme{}, err
+	}
+	switch {
+	case opts.Threshold < 0:
+		return Scheme{}, fmt.Errorf("alae: negative threshold %d; use 0 to derive the threshold from the E-value", opts.Threshold)
+	case opts.EValue < 0:
+		return Scheme{}, fmt.Errorf("alae: negative E-value %g; use 0 for the default of 10", opts.EValue)
+	case opts.Parallelism < 0:
+		return Scheme{}, fmt.Errorf("alae: negative parallelism %d; use 0 for all cores, 1 for the sequential engine", opts.Parallelism)
+	case opts.AlphabetSize < 0 || opts.AlphabetSize == 1:
+		return Scheme{}, fmt.Errorf("alae: alphabet size %d; use 0 for the indexed text's, or at least 2", opts.AlphabetSize)
+	}
+	switch opts.Algorithm {
+	case ALAE, BLAST, SmithWaterman:
+	case BWTSW:
+		if !s.BWTSWCompatible() {
+			return Scheme{}, fmt.Errorf("alae: BWT-SW requires |sb| ≥ 3·|sa| (scheme %v); see §2.4", s)
+		}
+	default:
+		return Scheme{}, fmt.Errorf("alae: unknown algorithm %v", opts.Algorithm)
+	}
+	return s, nil
 }
 
 // resolveThresholdOver derives the raw score threshold for a query of
 // length m against a database of length n and alphabet size dbSigma —
 // the one shared derivation behind Index.ResolveThreshold and the
 // store's global-threshold resolution, so the two can never diverge
-// (the store's shard-parity gates depend on them agreeing). Negative
-// thresholds and negative E-values are rejected: both are always
-// caller bugs, and silently falling back to the defaults would hide
-// them.
+// (the store's shard-parity gates depend on them agreeing). s and opts
+// must have passed resolveScheme.
 func resolveThresholdOver(s Scheme, opts SearchOptions, m, n, dbSigma int) (int, error) {
-	if opts.Threshold < 0 {
-		return 0, fmt.Errorf("alae: negative threshold %d; use 0 to derive the threshold from the E-value", opts.Threshold)
-	}
-	if opts.EValue < 0 {
-		return 0, fmt.Errorf("alae: negative E-value %g; use 0 for the default of 10", opts.EValue)
-	}
 	if opts.Threshold > 0 {
 		return opts.Threshold, nil
 	}
@@ -304,58 +322,28 @@ func resolveThresholdOver(s Scheme, opts SearchOptions, m, n, dbSigma int) (int,
 }
 
 // ResolveThreshold returns the raw score threshold a search with
-// these options would use for a query of length m; see
-// resolveThresholdOver for the derivation and rejection rules.
+// these options would use for a query of length m, or the error such
+// a search would fail with.
 func (ix *Index) ResolveThreshold(m int, opts SearchOptions) (int, error) {
-	s := opts.Scheme
-	if s == (Scheme{}) {
-		s = DefaultDNAScheme
+	s, err := resolveScheme(opts)
+	if err != nil {
+		return 0, err
 	}
 	return resolveThresholdOver(s, opts, m, ix.Len(), ix.trie.Index().Sigma())
 }
 
-// validateSearchOptions rejects search configurations that are always
-// caller bugs, independently of any query: negative thresholds and
-// E-values (silently falling back to the defaults would hide them),
-// negative parallelism, unknown algorithms, and schemes the selected
-// baseline cannot run. Index.Search applies it per call; OpenSession
-// applies it eagerly so a misconfigured serving lane fails at open —
-// for every algorithm, not only the ALAE engines — instead of on its
-// first query.
-func validateSearchOptions(opts SearchOptions, s Scheme) error {
-	if opts.Threshold < 0 {
-		return fmt.Errorf("alae: negative threshold %d; use 0 to derive the threshold from the E-value", opts.Threshold)
-	}
-	if opts.EValue < 0 {
-		return fmt.Errorf("alae: negative E-value %g; use 0 for the default of 10", opts.EValue)
-	}
-	if opts.Parallelism < 0 {
-		return fmt.Errorf("alae: negative parallelism %d; use 0 for all cores, 1 for the sequential engine", opts.Parallelism)
-	}
-	switch opts.Algorithm {
-	case ALAE, ALAEHybrid, BLAST, SmithWaterman:
-	case BWTSW:
-		if !s.BWTSWCompatible() {
-			return fmt.Errorf("alae: BWT-SW requires |sb| ≥ 3·|sa| (scheme %v); see §2.4", s)
-		}
-	default:
-		return fmt.Errorf("alae: unknown algorithm %v", opts.Algorithm)
-	}
-	return nil
-}
-
 // Search runs a local-alignment search for query against the index.
 //
-// For the ALAE engines (the q-gram-based modes), queries shorter than
-// the scheme's gram length q are rejected with a descriptive error: no
-// q-gram window fits, so the engines would otherwise return a silently
+// For the ALAE engine (q-gram based), queries shorter than the
+// scheme's gram length q are rejected with a descriptive error: no
+// q-gram window fits, so the engine would otherwise return a silently
 // empty hit set — almost always a caller bug (truncated input, wrong
 // scheme). The Smith-Waterman baseline has no such floor.
 func (ix *Index) Search(query []byte, opts SearchOptions) (*Result, error) {
 	return ix.SearchContext(context.Background(), query, opts)
 }
 
-// SearchContext is Search under a context. The ALAE engines poll the
+// SearchContext is Search under a context. The ALAE engine polls the
 // context's done channel at entry-budget checkpoints inside the
 // traversal loops, so a deadline or cancellation aborts a running
 // search with the context's error within a bounded number of DP
@@ -365,40 +353,26 @@ func (ix *Index) Search(query []byte, opts SearchOptions) (*Result, error) {
 // they complete; they exist for offline evaluation, not serving. A
 // background context adds no measurable overhead to any path.
 func (ix *Index) SearchContext(cx context.Context, query []byte, opts SearchOptions) (*Result, error) {
-	s := opts.Scheme
-	if s == (Scheme{}) {
-		s = DefaultDNAScheme
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateSearchOptions(opts, s); err != nil {
-		return nil, err
-	}
-	if err := cx.Err(); err != nil {
-		return nil, err // admission check; the only one the baselines get
-	}
-	h, err := ix.ResolveThreshold(len(query), opts)
+	// One query on a serving lane: for ALAE the pooled core session
+	// brings its warm buffers and result table, so a one-shot search
+	// costs what a Session search does.
+	ses, err := ix.OpenSession(opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Algorithm == ALAE || opts.Algorithm == ALAEHybrid {
-		// One query on a serving lane: the pooled core session brings its
-		// warm buffers and result table, so a one-shot search costs what
-		// a Session search does.
-		ses, err := ix.OpenSession(opts)
-		if err != nil {
-			return nil, err
-		}
-		defer ses.Close()
-		return ses.searchThreshold(cx, query, h)
-	}
-	c := align.NewCollector()
-	res := &Result{Threshold: h, Algorithm: opts.Algorithm}
+	defer ses.Close()
+	return ses.SearchContext(cx, query)
+}
 
-	switch opts.Algorithm {
+// searchBaseline runs one query through a baseline algorithm (BWT-SW,
+// BLAST or Smith-Waterman) at threshold h. alg and s have passed
+// resolveScheme.
+func (ix *Index) searchBaseline(query []byte, alg Algorithm, s Scheme, h int) *Result {
+	c := align.NewCollector()
+	res := &Result{Threshold: h, Algorithm: alg}
+	switch alg {
 	case BWTSW:
-		// Scheme compatibility was vetted by validateSearchOptions.
+		// Scheme compatibility was vetted by resolveScheme.
 		ix.mu.Lock()
 		if ix.bwtsw == nil {
 			ix.bwtsw = bwtsw.NewFromTrie(ix.trie)
@@ -408,7 +382,6 @@ func (ix *Index) SearchContext(cx context.Context, query []byte, opts SearchOpti
 		st := e.Search(query, s, h, c)
 		res.Stats = Stats{
 			CalculatedEntries: st.CalculatedEntries,
-			AccessedEntries:   st.CalculatedEntries,
 			ComputationCost:   st.ComputationCost(),
 			NodesVisited:      st.NodesVisited,
 		}
@@ -422,27 +395,25 @@ func (ix *Index) SearchContext(cx context.Context, query []byte, opts SearchOpti
 		st := e.Search(query, s, h, c)
 		res.Stats = Stats{
 			CalculatedEntries: st.CalculatedEntries,
-			AccessedEntries:   st.CalculatedEntries,
 			Seeds:             st.Seeds,
 		}
 	case SmithWaterman:
 		cells := align.LocalAllInto(ix.text, query, s, h, c)
 		res.Stats = Stats{
 			CalculatedEntries: int64(cells),
-			AccessedEntries:   int64(cells),
 			ComputationCost:   3 * int64(cells),
 		}
-	default:
-		return nil, fmt.Errorf("alae: unknown algorithm %v", opts.Algorithm)
 	}
 	res.Hits = c.Hits()
-	return res, nil
+	return res
 }
 
 // Align reconstructs the best alignment ending at a hit, for display.
+// A zero scheme means DefaultDNAScheme, as in SearchOptions.
 func (ix *Index) Align(query []byte, s Scheme, hit Hit) (Alignment, error) {
-	if s == (Scheme{}) {
-		s = DefaultDNAScheme
+	s, err := resolveScheme(SearchOptions{Scheme: s})
+	if err != nil {
+		return Alignment{}, err
 	}
 	return align.Traceback(ix.text, query, s, hit)
 }

@@ -30,7 +30,7 @@ func TestAllExactAlgorithmsAgree(t *testing.T) {
 	text, query := workload(200, 2000, 400)
 	ix := NewIndex(text)
 	var ref []Hit
-	for _, alg := range []Algorithm{SmithWaterman, ALAE, ALAEHybrid, BWTSW} {
+	for _, alg := range []Algorithm{SmithWaterman, ALAE, BWTSW} {
 		res, err := ix.Search(query, SearchOptions{Algorithm: alg, Threshold: 20})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
@@ -107,29 +107,6 @@ func TestBWTSWRejectsIncompatibleScheme(t *testing.T) {
 	}
 }
 
-func TestHybridReportsReuse(t *testing.T) {
-	// A query with heavy internal repetition produces duplicated fork
-	// suffixes, which is what the reuse technique exploits.
-	rng := rand.New(rand.NewSource(203))
-	unit := randDNA(60, rng)
-	text := append(append(append([]byte(nil), unit...), randDNA(100, rng)...), unit...)
-	var query []byte
-	for i := 0; i < 6; i++ {
-		query = append(query, unit...)
-	}
-	ix := NewIndex(text)
-	res, err := ix.Search(query, SearchOptions{Algorithm: ALAEHybrid, Threshold: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.AccessedEntries != res.Stats.CalculatedEntries+res.Stats.ReusedEntries {
-		t.Error("accessed != calculated + reused")
-	}
-	if res.Stats.ReusedEntries == 0 {
-		t.Log("note: no reuse on this workload (acceptable but unexpected)")
-	}
-}
-
 func TestAlignTraceback(t *testing.T) {
 	text, query := workload(204, 1500, 300)
 	ix := NewIndex(text)
@@ -180,7 +157,7 @@ func TestUnknownAlgorithmAndBadScheme(t *testing.T) {
 	if _, err := ix.Search([]byte("ACGT"), SearchOptions{Scheme: Scheme{Match: -1, Mismatch: 1, GapOpen: 1, GapExtend: 1}}); err == nil {
 		t.Error("invalid scheme accepted")
 	}
-	for _, alg := range []Algorithm{ALAE, ALAEHybrid, BWTSW, BLAST, SmithWaterman, Algorithm(99)} {
+	for _, alg := range []Algorithm{ALAE, BWTSW, BLAST, SmithWaterman, Algorithm(99)} {
 		if alg.String() == "" {
 			t.Error("empty algorithm name")
 		}

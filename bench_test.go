@@ -20,7 +20,9 @@ import (
 	"repro/internal/align"
 	"repro/internal/analysis"
 	"repro/internal/bwt"
+	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/strie"
 )
 
 // workloadCache shares built indexes across sub-benchmark invocations
@@ -74,9 +76,35 @@ func benchSearch(b *testing.B, cw cachedWorkload, opts alae.SearchOptions) {
 	}
 	b.ReportMetric(float64(last.Hits), "hits")
 	b.ReportMetric(float64(last.Stats.CalculatedEntries), "entries")
-	if last.Stats.ReusedEntries > 0 {
-		b.ReportMetric(float64(last.Stats.ReusedEntries), "reused")
+}
+
+// hybridEngine builds the hybrid engine (Algorithm 3, cross-fork score
+// reuse) over the workload's text: the reproduction reference of the
+// reuse figures, which the public API does not serve.
+func hybridEngine(cw cachedWorkload) *core.Engine {
+	return core.NewFromTrie(strie.New(cw.wl.Text), core.Options{Mode: core.ModeHybrid})
+}
+
+// hybridStats sums e's work counters over the workload's queries, each
+// searched on all cores at the threshold the index resolves for it
+// under scheme s.
+func hybridStats(b *testing.B, e *core.Engine, cw cachedWorkload, s alae.Scheme) core.Stats {
+	b.Helper()
+	c := align.NewCollector()
+	var st core.Stats
+	for _, q := range cw.wl.Queries {
+		h, err := cw.ix.ResolveThreshold(len(q), alae.SearchOptions{Scheme: s})
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Reset()
+		one, err := e.SearchParallel(q, s, h, c, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st.Add(one)
 	}
+	return st
 }
 
 // --- Table 2: time and result counts vs query length m ---
@@ -136,19 +164,16 @@ func BenchmarkTable5(b *testing.B) {
 		{Match: 1, Mismatch: -1, GapOpen: -5, GapExtend: -2},
 		{Match: 1, Mismatch: -3, GapOpen: -2, GapExtend: -2},
 	}
+	e := hybridEngine(cw)
 	for _, s := range schemes {
 		b.Run(s.String(), func(b *testing.B) {
-			var last exp.Measurement
+			var last core.Stats
 			for i := 0; i < b.N; i++ {
-				last = exp.Measure(cw.ix, cw.wl,
-					alae.SearchOptions{Algorithm: alae.ALAEHybrid, Scheme: s})
-				if last.Err != nil {
-					b.Fatal(last.Err)
-				}
+				last = hybridStats(b, e, cw, s)
 			}
-			b.ReportMetric(float64(last.Stats.ReusedEntries), "reused")
-			b.ReportMetric(float64(last.Stats.AccessedEntries), "accessed")
-			b.ReportMetric(float64(last.Stats.CalculatedEntries), "entries")
+			b.ReportMetric(float64(last.ReusedEntries), "reused")
+			b.ReportMetric(float64(last.AccessedEntries()), "accessed")
+			b.ReportMetric(float64(last.CalculatedEntries()), "entries")
 		})
 	}
 }
@@ -170,18 +195,19 @@ func BenchmarkFig7(b *testing.B) {
 		k := wlKey{kind: "dna", n: tc.n, m: tc.m, queries: 2, seed: 46}
 		b.Run(tc.name, func(b *testing.B) {
 			cw := getWorkload(b, k)
+			e := hybridEngine(cw)
+			b.ResetTimer()
 			var filtering, reusing float64
 			for i := 0; i < b.N; i++ {
 				a := exp.Measure(cw.ix, cw.wl, alae.SearchOptions{Algorithm: alae.ALAE})
 				bw := exp.Measure(cw.ix, cw.wl, alae.SearchOptions{Algorithm: alae.BWTSW})
-				hy := exp.Measure(cw.ix, cw.wl, alae.SearchOptions{Algorithm: alae.ALAEHybrid})
-				for _, m := range []exp.Measurement{a, bw, hy} {
+				for _, m := range []exp.Measurement{a, bw} {
 					if m.Err != nil {
 						b.Fatal(m.Err)
 					}
 				}
 				filtering = exp.FilteringRatio(a.Stats.CalculatedEntries, bw.Stats.CalculatedEntries)
-				reusing = float64(hy.Stats.ReusedEntries) / float64(max(hy.Stats.AccessedEntries, 1))
+				reusing = hybridStats(b, e, cw, alae.DefaultDNAScheme).ReusingRatio()
 			}
 			b.ReportMetric(100*filtering, "filtering%")
 			b.ReportMetric(100*reusing, "reusing%")
@@ -231,18 +257,19 @@ func BenchmarkFig10(b *testing.B) {
 		}
 		b.Run(s.String(), func(b *testing.B) {
 			cw := getWorkload(b, k)
+			e := hybridEngine(cw)
+			b.ResetTimer()
 			var filtering, reusing float64
 			for i := 0; i < b.N; i++ {
 				a := exp.Measure(cw.ix, cw.wl, alae.SearchOptions{Algorithm: alae.ALAE, Scheme: alae.Scheme(s)})
 				bw := exp.Measure(cw.ix, cw.wl, alae.SearchOptions{Algorithm: alae.BWTSW, Scheme: alae.Scheme(s)})
-				hy := exp.Measure(cw.ix, cw.wl, alae.SearchOptions{Algorithm: alae.ALAEHybrid, Scheme: alae.Scheme(s)})
-				for _, m := range []exp.Measurement{a, bw, hy} {
+				for _, m := range []exp.Measurement{a, bw} {
 					if m.Err != nil {
 						b.Fatal(m.Err)
 					}
 				}
 				filtering = exp.FilteringRatio(a.Stats.CalculatedEntries, bw.Stats.CalculatedEntries)
-				reusing = float64(hy.Stats.ReusedEntries) / float64(max(hy.Stats.AccessedEntries, 1))
+				reusing = hybridStats(b, e, cw, alae.Scheme(s)).ReusingRatio()
 			}
 			b.ReportMetric(100*filtering, "filtering%")
 			b.ReportMetric(100*reusing, "reusing%")
@@ -440,11 +467,9 @@ func BenchmarkParallelSearch(b *testing.B) {
 func BenchmarkProteinEmission(b *testing.B) {
 	k := wlKey{kind: "protein-emit", n: 30_000, m: 300, queries: 2, seed: 53}
 	cw := getWorkload(b, k)
-	for _, alg := range []alae.Algorithm{alae.ALAE, alae.ALAEHybrid} {
-		b.Run(alg.String(), func(b *testing.B) {
-			benchSearch(b, cw, alae.SearchOptions{Algorithm: alg, Parallelism: 1})
-		})
-	}
+	b.Run(alae.ALAE.String(), func(b *testing.B) {
+		benchSearch(b, cw, alae.SearchOptions{Algorithm: alae.ALAE, Parallelism: 1})
+	})
 }
 
 // rowRun is one emitted row run: n consecutive qEnds from qEnd0 at one

@@ -69,7 +69,7 @@ func run() error {
 	var (
 		storePath = flag.String("store", "", "store file written by `alae -save-store` (required)")
 		addr      = flag.String("addr", ":7734", "listen address")
-		algorithm = flag.String("algorithm", "alae", "engine: alae, alae-hybrid, bwtsw, blast, sw")
+		algorithm = flag.String("algorithm", "alae", "engine: alae, bwtsw, blast, sw")
 		schemeStr = flag.String("scheme", "1,-3,-5,-2", "scoring scheme sa,sb,sg,ss")
 		threshold = flag.Int("threshold", 0, "raw score threshold H (0 = derive from -evalue)")
 		eValue    = flag.Float64("evalue", 10, "expectation value used when -threshold is 0")
@@ -253,8 +253,6 @@ func parseAlgorithm(s string) (alae.Algorithm, error) {
 	switch strings.ToLower(s) {
 	case "alae":
 		return alae.ALAE, nil
-	case "alae-hybrid", "hybrid":
-		return alae.ALAEHybrid, nil
 	case "bwtsw", "bwt-sw":
 		return alae.BWTSW, nil
 	case "blast":

@@ -15,9 +15,10 @@
 // work-stealing lanes over the shared index, and the answers — hits
 // AND work counters — are byte-identical at every value. It applies
 // to -load-store too (the lane count is never persisted). Repeated
-// identical queries are answered from the store's result cache. Flags select the engine (alae, alae-hybrid, bwtsw, blast,
-// sw), the scoring scheme ⟨sa,sb,sg,ss⟩ and either a raw score
-// threshold or an E-value. Exit status is non-zero on any error.
+// identical queries are answered from the store's result cache.
+// Flags select the engine (alae, bwtsw, blast, sw), the scoring scheme
+// ⟨sa,sb,sg,ss⟩ and either a raw score threshold or an E-value. Exit
+// status is non-zero on any error.
 //
 // The store is generational and mutable in place:
 //
@@ -55,7 +56,7 @@ func run() error {
 	var (
 		textPath  = flag.String("text", "", "comma-separated FASTA file(s) with the database sequences (required)")
 		queryPath = flag.String("query", "", "FASTA file with the query sequences (required)")
-		algorithm = flag.String("algorithm", "alae", "engine: alae, alae-hybrid, bwtsw, blast, sw")
+		algorithm = flag.String("algorithm", "alae", "engine: alae, bwtsw, blast, sw")
 		schemeStr = flag.String("scheme", "1,-3,-5,-2", "scoring scheme sa,sb,sg,ss")
 		threshold = flag.Int("threshold", 0, "raw score threshold H (0 = derive from -evalue)")
 		eValue    = flag.Float64("evalue", 10, "expectation value used when -threshold is 0")
@@ -280,8 +281,6 @@ func parseAlgorithm(s string) (alae.Algorithm, error) {
 	switch strings.ToLower(s) {
 	case "alae":
 		return alae.ALAE, nil
-	case "alae-hybrid", "hybrid":
-		return alae.ALAEHybrid, nil
 	case "bwtsw", "bwt-sw":
 		return alae.BWTSW, nil
 	case "blast":

@@ -135,7 +135,7 @@ func TestIndexSearchContextAllAlgorithms(t *testing.T) {
 	ix := NewIndex(text)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, alg := range []Algorithm{ALAE, ALAEHybrid, BWTSW, BLAST, SmithWaterman} {
+	for _, alg := range []Algorithm{ALAE, BWTSW, BLAST, SmithWaterman} {
 		opts := SearchOptions{Threshold: 40, Algorithm: alg}
 		if _, err := ix.SearchContext(cancelled, query, opts); err != context.Canceled {
 			t.Errorf("%v: cancelled search returned %v, want context.Canceled", alg, err)

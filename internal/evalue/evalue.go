@@ -84,9 +84,12 @@ var publishedK = map[[2]int]float64{
 
 // New computes the Karlin-Altschul parameters for a scheme over a
 // background distribution (uniform when freqs is nil, given the
-// alphabet size sigma).
+// alphabet size sigma, which must then be at least 2).
 func New(s align.Scheme, sigma int, freqs []float64) (Params, error) {
 	if freqs == nil {
+		if sigma < 2 {
+			return Params{}, fmt.Errorf("evalue: alphabet size %d; a uniform background needs at least 2 letters", sigma)
+		}
 		freqs = make([]float64, sigma)
 		for i := range freqs {
 			freqs[i] = 1 / float64(sigma)

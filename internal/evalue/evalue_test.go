@@ -134,6 +134,17 @@ func TestThresholdForRealisticScale(t *testing.T) {
 	}
 }
 
+func TestNewRejectsDegenerateAlphabet(t *testing.T) {
+	for _, sigma := range []int{-1, 0, 1} {
+		if _, err := New(align.DefaultDNA, sigma, nil); err == nil {
+			t.Errorf("sigma %d accepted", sigma)
+		}
+		if _, err := ThresholdFor(align.DefaultDNA, sigma, 100, 1000, 10); err == nil {
+			t.Errorf("ThresholdFor: sigma %d accepted", sigma)
+		}
+	}
+}
+
 func TestNewProteinFallbackK(t *testing.T) {
 	p, err := New(align.DefaultProtein, 20, nil)
 	if err != nil {

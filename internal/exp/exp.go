@@ -16,7 +16,9 @@ import (
 	"repro"
 	"repro/internal/align"
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/seq"
+	"repro/internal/strie"
 )
 
 // Config scales the workloads. Scale 1.0 is the laptop default
@@ -128,12 +130,8 @@ type Measurement struct {
 // dominations offline").
 func Measure(ix *alae.Index, w Workload, opts alae.SearchOptions) Measurement {
 	m := Measurement{Algorithm: opts.Algorithm}
-	if opts.Algorithm == alae.ALAE || opts.Algorithm == alae.ALAEHybrid {
-		s := opts.Scheme
-		if s == (alae.Scheme{}) {
-			s = alae.DefaultDNAScheme
-		}
-		if _, err := ix.DominationIndexSize(s); err != nil {
+	if opts.Algorithm == alae.ALAE {
+		if _, err := ix.DominationIndexSize(opts.Scheme); err != nil {
 			m.Err = err
 			return m
 		}
@@ -150,8 +148,6 @@ func Measure(ix *alae.Index, w Workload, opts alae.SearchOptions) Measurement {
 		m.Hits += len(res.Hits)
 		m.Threshold = res.Threshold
 		m.Stats.CalculatedEntries += res.Stats.CalculatedEntries
-		m.Stats.ReusedEntries += res.Stats.ReusedEntries
-		m.Stats.AccessedEntries += res.Stats.AccessedEntries
 		m.Stats.ComputationCost += res.Stats.ComputationCost
 		m.Stats.NodesVisited += res.Stats.NodesVisited
 		m.Stats.ForksStarted += res.Stats.ForksStarted
@@ -159,12 +155,42 @@ func Measure(ix *alae.Index, w Workload, opts alae.SearchOptions) Measurement {
 		m.Stats.Seeds += res.Stats.Seeds
 		m.Stats.EmittedHits += res.Stats.EmittedHits
 		m.Stats.SuppressedEmissions += res.Stats.SuppressedEmissions
-		m.Stats.CopiedEmissions += res.Stats.CopiedEmissions
 	}
 	if len(w.Queries) > 0 {
 		m.AvgTime = total / time.Duration(len(w.Queries))
 	}
 	return m
+}
+
+// hybridEngine builds the hybrid engine (Algorithm 3, cross-fork score
+// reuse) over text: the reproduction reference behind the reuse columns
+// of Table 5 and Figures 7 and 10. It is not served.
+func hybridEngine(text []byte) *core.Engine {
+	return core.NewFromTrie(strie.New(text), core.Options{Mode: core.ModeHybrid})
+}
+
+// measureHybrid runs every query of the workload through e, a
+// hybridEngine over w.Text. Each query searches at the threshold ix
+// resolves for it under opts, with opts.Scheme, which must be set. It
+// returns the summed work counters and each query's hits.
+func measureHybrid(e *core.Engine, ix *alae.Index, w Workload, opts alae.SearchOptions) (core.Stats, [][]align.Hit, error) {
+	c := align.NewCollector()
+	var st core.Stats
+	hits := make([][]align.Hit, len(w.Queries))
+	for i, q := range w.Queries {
+		h, err := ix.ResolveThreshold(len(q), opts)
+		if err != nil {
+			return core.Stats{}, nil, err
+		}
+		c.Reset()
+		one, err := e.SearchParallel(q, opts.Scheme, h, c, opts.Parallelism)
+		if err != nil {
+			return core.Stats{}, nil, err
+		}
+		st.Add(one)
+		hits[i] = c.Hits()
+	}
+	return st, hits, nil
 }
 
 // FilteringRatio is Equation 5: the share of BWT-SW's calculated
@@ -355,18 +381,17 @@ func Table5(w io.Writer, cfg Config) error {
 	}
 	wl := DNAWorkload(n, m, cfg.NumQueries, cfg.Seed)
 	ix := alae.NewIndex(wl.Text)
+	hyb := hybridEngine(wl.Text)
 	tw := newTab(w)
 	fmt.Fprintf(tw, "n=%d, m=%d, E=10 (hybrid engine)\n", n, m)
 	fmt.Fprint(tw, "Scheme\tReused\tAccessed\tCalculated\tReusing ratio\n")
 	for _, s := range schemes {
-		meas := Measure(ix, wl, alae.SearchOptions{Parallelism: cfg.Parallelism, Algorithm: alae.ALAEHybrid, Scheme: s})
-		if meas.Err != nil {
-			return meas.Err
+		st, _, err := measureHybrid(hyb, ix, wl, alae.SearchOptions{Parallelism: cfg.Parallelism, Scheme: s})
+		if err != nil {
+			return err
 		}
-		ratio := float64(meas.Stats.ReusedEntries) / float64(max(meas.Stats.AccessedEntries, 1))
 		fmt.Fprintf(tw, "%v\t%d\t%d\t%d\t%.1f%%\n",
-			s, meas.Stats.ReusedEntries, meas.Stats.AccessedEntries,
-			meas.Stats.CalculatedEntries, 100*ratio)
+			s, st.ReusedEntries, st.AccessedEntries(), st.CalculatedEntries(), 100*st.ReusingRatio())
 	}
 	return tw.Flush()
 }
@@ -413,13 +438,11 @@ func ratios(ix *alae.Index, wl Workload, cfg Config) (filtering, reusing float64
 	if b.Err != nil {
 		return 0, 0, b.Err
 	}
-	hyb := Measure(ix, wl, alae.SearchOptions{Parallelism: cfg.Parallelism, Algorithm: alae.ALAEHybrid})
-	if hyb.Err != nil {
-		return 0, 0, hyb.Err
+	hyb, _, err := measureHybrid(hybridEngine(wl.Text), ix, wl, alae.SearchOptions{Parallelism: cfg.Parallelism, Scheme: align.DefaultDNA})
+	if err != nil {
+		return 0, 0, err
 	}
-	filtering = FilteringRatio(a.Stats.CalculatedEntries, b.Stats.CalculatedEntries)
-	reusing = float64(hyb.Stats.ReusedEntries) / float64(max(hyb.Stats.AccessedEntries, 1))
-	return filtering, reusing, nil
+	return FilteringRatio(a.Stats.CalculatedEntries, b.Stats.CalculatedEntries), hyb.ReusingRatio(), nil
 }
 
 // Fig8 varies the E-value; the paper's observation is that ALAE is
@@ -483,33 +506,31 @@ func Fig10(w io.Writer, cfg Config) error {
 	m := cfg.scaled(5_000)
 	wl := DNAWorkload(n, m, cfg.NumQueries, cfg.Seed)
 	ix := alae.NewIndex(wl.Text)
+	hyb := hybridEngine(wl.Text)
 	tw := newTab(w)
 	fmt.Fprintf(tw, "n=%d, m=%d, E=10\n", n, m)
 	fmt.Fprint(tw, "Scheme\tfiltering\treusing\n")
 	for _, s := range align.Fig9Schemes {
+		st, _, err := measureHybrid(hyb, ix, wl, alae.SearchOptions{Parallelism: cfg.Parallelism, Scheme: s})
+		if err != nil {
+			return err
+		}
 		if !s.BWTSWCompatible() {
 			// The filtering ratio needs the BWT-SW entry count; the
 			// paper measures it against its own BWT-SW runs, which are
 			// unavailable for this scheme — report reuse only.
-			hyb := Measure(ix, wl, alae.SearchOptions{Parallelism: cfg.Parallelism, Algorithm: alae.ALAEHybrid, Scheme: s})
-			if hyb.Err != nil {
-				return hyb.Err
-			}
-			r := float64(hyb.Stats.ReusedEntries) / float64(max(hyb.Stats.AccessedEntries, 1))
-			fmt.Fprintf(tw, "%v\tn/a\t%.1f%%\n", s, 100*r)
+			fmt.Fprintf(tw, "%v\tn/a\t%.1f%%\n", s, 100*st.ReusingRatio())
 			continue
 		}
 		a := Measure(ix, wl, alae.SearchOptions{Parallelism: cfg.Parallelism, Algorithm: alae.ALAE, Scheme: s})
 		b := Measure(ix, wl, alae.SearchOptions{Parallelism: cfg.Parallelism, Algorithm: alae.BWTSW, Scheme: s})
-		hyb := Measure(ix, wl, alae.SearchOptions{Parallelism: cfg.Parallelism, Algorithm: alae.ALAEHybrid, Scheme: s})
-		for _, meas := range []Measurement{a, b, hyb} {
+		for _, meas := range []Measurement{a, b} {
 			if meas.Err != nil {
 				return meas.Err
 			}
 		}
 		f := FilteringRatio(a.Stats.CalculatedEntries, b.Stats.CalculatedEntries)
-		r := float64(hyb.Stats.ReusedEntries) / float64(max(hyb.Stats.AccessedEntries, 1))
-		fmt.Fprintf(tw, "%v\t%.1f%%\t%.1f%%\n", s, 100*f, 100*r)
+		fmt.Fprintf(tw, "%v\t%.1f%%\t%.1f%%\n", s, 100*f, 100*st.ReusingRatio())
 	}
 	return tw.Flush()
 }

@@ -105,6 +105,48 @@ func TestFilteringRatio(t *testing.T) {
 	}
 }
 
+// TestHybridReportsReuse checks the hybrid path of Table 5 and
+// Figures 7 and 10 on a query with heavy internal repetition, whose
+// duplicated fork suffixes are what the reuse technique exploits: the
+// hybrid reference returns ALAE's hit set, accounts accessed entries as
+// calculated plus reused, and reuses some.
+func TestHybridReportsReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(203))
+	randDNA := func(n int) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = "ACGT"[rng.Intn(4)]
+		}
+		return out
+	}
+	unit := randDNA(60)
+	text := append(append(append([]byte(nil), unit...), randDNA(100)...), unit...)
+	var query []byte
+	for i := 0; i < 6; i++ {
+		query = append(query, unit...)
+	}
+	wl := Workload{Text: text, Queries: [][]byte{query}, Alphabet: seq.DNA}
+	ix := alae.NewIndex(text)
+	opts := alae.SearchOptions{Scheme: alae.DefaultDNAScheme, Threshold: 30}
+	st, hits, err := measureHybrid(hybridEngine(text), ix, wl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ix.Search(query, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Hits) == 0 || !align.EqualHits(hits[0], want.Hits) {
+		t.Fatalf("hybrid returns %d hits, ALAE %d", len(hits[0]), len(want.Hits))
+	}
+	if st.AccessedEntries() != st.CalculatedEntries()+st.ReusedEntries {
+		t.Error("accessed != calculated + reused")
+	}
+	if st.ReusedEntries == 0 {
+		t.Error("no reuse on a query built to repeat its fork suffixes")
+	}
+}
+
 // TestExactEnginesAgreeOnHarnessWorkload ties the harness back to the
 // exactness invariant at a slightly larger scale than the unit tests.
 func TestExactEnginesAgreeOnHarnessWorkload(t *testing.T) {

@@ -156,12 +156,9 @@ type Server struct {
 	nErrors         atomic.Int64 // other 500s
 
 	// Emission-path totals across answered searches: cells forwarded to
-	// the collectors, duplicates the dominance filter suppressed, and
-	// cells the hybrid vertical phase skipped as already forwarded by an
-	// earlier branch (copy reuse).
+	// the collectors, and duplicates the dominance filter suppressed.
 	nEmitted    atomic.Int64
 	nSuppressed atomic.Int64
-	nCopied     atomic.Int64
 
 	hooks serveHooks
 }
@@ -601,7 +598,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.nOK.Add(1)
 	s.nEmitted.Add(res.Stats.EmittedHits)
 	s.nSuppressed.Add(res.Stats.SuppressedEmissions)
-	s.nCopied.Add(res.Stats.CopiedEmissions)
 	buf := bodyPool.Get().(*[]byte)
 	*buf = appendSearchBody((*buf)[:0], res, hits, truncated, float64(elapsed.Microseconds())/1000)
 	w.Header().Set("Content-Type", "application/json")
@@ -643,7 +639,6 @@ type StatsResponse struct {
 
 	EmittedHits         int64 `json:"emitted_hits"`
 	SuppressedEmissions int64 `json:"suppressed_emissions"`
-	CopiedEmissions     int64 `json:"copied_emissions"`
 
 	StoreMembers     int    `json:"store_members"`
 	StoreShards      int    `json:"store_shards"` // scatter lanes per search (a parallelism knob, not a data partition)
@@ -683,7 +678,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 		EmittedHits:         s.nEmitted.Load(),
 		SuppressedEmissions: s.nSuppressed.Load(),
-		CopiedEmissions:     s.nCopied.Load(),
 
 		StoreMembers:     st.Sequences().Len(),
 		StoreShards:      st.Shards(),

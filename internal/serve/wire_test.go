@@ -84,7 +84,7 @@ func TestSearchBodyMatchesSchema(t *testing.T) {
 	}{
 		{"full", res, res.Hits, false, 12.345},
 		{"truncated", res, alae.TopKSeq(res.Hits, 7), true, 0.001},
-		{"empty", &alae.StoreResult{Threshold: 9, Algorithm: alae.ALAEHybrid}, nil, false, 0},
+		{"empty", &alae.StoreResult{Threshold: 9, Algorithm: alae.ALAE}, nil, false, 0},
 		{"cached", &cached, cached.Hits[:3], true, 1e-7},
 	} {
 		got := appendSearchBody(nil, tc.res, tc.hits, tc.truncated, tc.elapsedMS)

@@ -10,32 +10,28 @@ import (
 )
 
 // TestParallelSearchIdenticalHits is the acceptance check of the
-// parallel fork-family scheduler on the Table 2 workload: for both
-// ALAE modes, a parallel search must produce exactly the sequential
-// engine's hit set (after the collector's canonical sort) and the same
-// CalculatedEntries.
+// parallel fork-family scheduler on the Table 2 workload: a parallel
+// search must produce exactly the sequential engine's hit set (after
+// the collector's canonical sort) and the same CalculatedEntries.
 func TestParallelSearchIdenticalHits(t *testing.T) {
 	wl := exp.DNAWorkload(200_000, 1_000, 2, 42)
 	ix := alae.NewIndex(wl.Text)
-	for _, alg := range []alae.Algorithm{alae.ALAE, alae.ALAEHybrid} {
-		for _, query := range wl.Queries {
-			seq, err := ix.Search(query, alae.SearchOptions{Algorithm: alg, Parallelism: 1})
+	for _, query := range wl.Queries {
+		seq, err := ix.Search(query, alae.SearchOptions{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{0, 4} {
+			par, err := ix.Search(query, alae.SearchOptions{Parallelism: p})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range []int{0, 4} {
-				par, err := ix.Search(query, alae.SearchOptions{Algorithm: alg, Parallelism: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !align.EqualHits(par.Hits, seq.Hits) {
-					t.Fatalf("%v parallelism %d: %d hits vs %d sequential",
-						alg, p, len(par.Hits), len(seq.Hits))
-				}
-				if par.Stats.CalculatedEntries != seq.Stats.CalculatedEntries {
-					t.Fatalf("%v parallelism %d: CalculatedEntries %d vs %d",
-						alg, p, par.Stats.CalculatedEntries, seq.Stats.CalculatedEntries)
-				}
+			if !align.EqualHits(par.Hits, seq.Hits) {
+				t.Fatalf("parallelism %d: %d hits vs %d sequential", p, len(par.Hits), len(seq.Hits))
+			}
+			if par.Stats.CalculatedEntries != seq.Stats.CalculatedEntries {
+				t.Fatalf("parallelism %d: CalculatedEntries %d vs %d",
+					p, par.Stats.CalculatedEntries, seq.Stats.CalculatedEntries)
 			}
 		}
 	}
@@ -59,17 +55,13 @@ func TestConcurrentParallelSearches(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				alg := alae.ALAE
-				if (g+i)%2 == 1 {
-					alg = alae.ALAEHybrid
-				}
 				res, err := ix.Search(wl.Queries[(g+i)%len(wl.Queries)],
-					alae.SearchOptions{Algorithm: alg, Parallelism: g % 4})
+					alae.SearchOptions{Parallelism: g % 4})
 				if err != nil {
 					errs <- err
 					return
 				}
-				if (g+i)%len(wl.Queries) == 0 && alg == alae.ALAE && !align.EqualHits(res.Hits, want.Hits) {
+				if (g+i)%len(wl.Queries) == 0 && !align.EqualHits(res.Hits, want.Hits) {
 					errs <- errMismatch
 					return
 				}
@@ -91,7 +83,9 @@ func (*mismatchError) Error() string { return "concurrent search diverged from s
 
 // TestNegativeOptionsRejected pins the validation of Threshold and
 // EValue: negatives must error out instead of silently falling back to
-// the defaults.
+// the defaults. An AlphabetSize below 0 or of 1 leaves the E-value
+// statistics undefined, and must error out on every search surface
+// instead of panicking or failing each query.
 func TestNegativeOptionsRejected(t *testing.T) {
 	ix := alae.NewIndex([]byte("ACGTACGTACGTACGTACGT"))
 	if _, err := ix.Search([]byte("ACGTACGT"), alae.SearchOptions{Threshold: -5}); err == nil {
@@ -105,6 +99,25 @@ func TestNegativeOptionsRejected(t *testing.T) {
 	}
 	if _, err := ix.ResolveThreshold(8, alae.SearchOptions{EValue: -0.5}); err == nil {
 		t.Error("ResolveThreshold accepted a negative E-value")
+	}
+	st, err := alae.NewStore([]alae.SeqRecord{{Name: "a", Seq: []byte("ACGTACGTACGTACGTACGT")}}, alae.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sigma := range []int{-1, 1} {
+		opts := alae.SearchOptions{AlphabetSize: sigma}
+		if _, err := ix.Search([]byte("ACGTACGT"), opts); err == nil {
+			t.Errorf("Index.Search accepted AlphabetSize %d", sigma)
+		}
+		if _, err := ix.OpenSession(opts); err == nil {
+			t.Errorf("Index.OpenSession accepted AlphabetSize %d", sigma)
+		}
+		if _, err := st.Search([]byte("ACGTACGT"), opts); err == nil {
+			t.Errorf("Store.Search accepted AlphabetSize %d", sigma)
+		}
+		if _, err := st.OpenSession(opts); err == nil {
+			t.Errorf("Store.OpenSession accepted AlphabetSize %d", sigma)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package alae
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -148,122 +149,119 @@ func (ix *Index) SearchBothStrands(query []byte, opts SearchOptions) ([]StrandHi
 }
 
 // searchAllStarted, when non-nil, observes each query index a
-// SearchAll worker picks up. Test hook for the cancellation contract;
-// never set in production code.
+// SearchAll worker (Index's or Store's) picks up. Test hook for the
+// cancellation contract; never set in production code.
 var searchAllStarted func(qi int)
 
 // SearchAll runs many queries concurrently over the shared index with
-// the given parallelism (0 means one worker per query up to 8).
-// Results are returned in query order; the first error cancels the
-// remaining work — queries not yet started are never launched (their
-// result slots stay nil) and exactly the first error in query order is
-// returned, wrapped with its query index.
+// the given parallelism (0 means one worker per query up to 8) and
+// returns the results in query order. The first error in query order
+// stops the batch — queries not yet started are never launched — and
+// is returned wrapped with its query index; a configuration error is
+// returned unwrapped before any query runs (see searchAll). Each worker
+// holds one Session for its whole run, so per-query state (q-gram
+// inverted index, δ score table, bound tables, collector, traversal
+// workspace) is re-armed in place between queries instead of rebuilt.
+func (ix *Index) SearchAll(queries [][]byte, opts SearchOptions, workers int) ([]*Result, error) {
+	return searchAll(context.Background(), opts, len(queries), workers, "query", []*Index{ix},
+		func() (*Session, error) { return ix.OpenSession(opts) },
+		func(ses *Session, qi int) (*Result, error) { return ses.Search(queries[qi]) },
+		(*Session).Close)
+}
+
+// searchAll is the one multi-query pool, behind Index.SearchAll and
+// Store.SearchAllContext: it answers n queries on min(workers, n)
+// goroutines (workers ≤ 0 means 8) and returns their results in query
+// order.
+//
+// Options are checked once, by resolveScheme, and a configuration error
+// is returned as it is. For ALAE, the domination index of the scheme's
+// q is then built once on each of warm, so workers never race to build
+// it redundantly; from then on it is read-only and shared. open is
+// called once per worker, before any worker starts, for the lane the
+// worker searches with and hands to release when it is done; an open
+// error is returned as it is.
 //
 // First-error determinism: workers claim query indexes from an atomic
 // cursor in ascending order, so when any query fails, every
 // lower-indexed query has already been claimed and runs to completion
 // on its worker. Each failure CAS-min's its index into a shared slot;
-// after the pool drains, that slot therefore holds the globally lowest
-// failing index among the queries that ran — the same error every
-// time, however the workers interleave. (The previous implementation
-// raced two same-window failures on a boolean flag and could both
-// report the later error and, on a configuration error, drop the
-// error entirely while returning nil result slots.)
-//
-// Warm-up contract: before any worker starts, SearchAll builds the
-// shared lazy structures once — the engine for the requested
-// configuration and (for the ALAE engines) the domination index of the
-// scheme's q — so workers never race to build them redundantly; from
-// then on those structures are read-only and shared. Each worker then
-// holds ONE Session for its whole run: per-query state (q-gram
-// inverted index, δ score table, bound tables, collector, traversal
-// workspace) is re-armed in place between queries instead of rebuilt.
-func (ix *Index) SearchAll(queries [][]byte, opts SearchOptions, workers int) ([]*Result, error) {
+// after the pool drains, that slot holds the globally lowest failing
+// index among the queries that ran — the same error every time,
+// however the workers interleave — and it is returned wrapped as
+// "alae: <what> <index>: <error>". No query is claimed after a failure
+// is marked. A context error outranks any per-query failure it
+// induced, and is returned bare.
+func searchAll[L, R any](cx context.Context, opts SearchOptions, n, workers int, what string, warm []*Index,
+	open func() (L, error), search func(lane L, qi int) (R, error), release func(L)) ([]R, error) {
 	if workers <= 0 {
 		workers = 8
 	}
-	workers = min(workers, len(queries))
+	workers = min(workers, n)
 	if workers == 0 {
 		return nil, nil
 	}
-	// Warm the shared lazy structures (domination index, engine
-	// caches) once so workers don't race to build them redundantly.
-	if len(queries) > 0 {
-		s := opts.Scheme
-		if s == (Scheme{}) {
-			s = DefaultDNAScheme
-		}
-		if opts.Algorithm == ALAE || opts.Algorithm == ALAEHybrid {
+	s, err := resolveScheme(opts)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Algorithm == ALAE {
+		for _, ix := range warm {
 			if _, err := ix.DominationIndexSize(s); err != nil {
 				return nil, err
 			}
 		}
 	}
-	results := make([]*Result, len(queries))
-	errs := make([]error, len(queries))
+	lanes := make([]L, workers)
+	for w := range lanes {
+		if lanes[w], err = open(); err != nil {
+			for _, lane := range lanes[:w] {
+				release(lane)
+			}
+			return nil, err
+		}
+	}
+	results := make([]R, n)
+	errs := make([]error, n)
 	var (
 		wg       sync.WaitGroup
 		cursor   atomic.Int64
-		failedAt atomic.Int64 // lowest failing query index; len(queries) = none
-		openOnce sync.Once
-		openErr  error // configuration error, when no query owns one
+		failedAt atomic.Int64 // lowest failing query index; n = none
 	)
-	failedAt.Store(int64(len(queries)))
-	// markFailed CAS-min's qi into failedAt. errs[qi] must be written
-	// before the call; wg.Wait() publishes both to the final read.
-	markFailed := func(qi int) {
-		for {
-			cur := failedAt.Load()
-			if int64(qi) >= cur || failedAt.CompareAndSwap(cur, int64(qi)) {
-				return
-			}
-		}
-	}
-	for w := 0; w < workers; w++ {
+	failedAt.Store(int64(n))
+	for _, lane := range lanes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ses, err := ix.OpenSession(opts)
-			if err != nil {
-				// Configuration errors apply to every query, not any
-				// particular one: keep the error in its own slot (so it
-				// is never misreported as "query N") and claim the next
-				// index only to stop later queries from launching. A
-				// genuine per-query failure at a lower index still wins
-				// the CAS-min and is reported instead.
-				openOnce.Do(func() { openErr = err })
+			defer release(lane)
+			for failedAt.Load() == int64(n) {
 				qi := int(cursor.Add(1)) - 1
-				markFailed(min(qi, len(queries)-1))
-				return
-			}
-			defer ses.Close()
-			for {
-				if failedAt.Load() < int64(len(queries)) {
-					return
-				}
-				qi := int(cursor.Add(1)) - 1
-				if qi >= len(queries) {
+				if qi >= n {
 					return
 				}
 				if searchAllStarted != nil {
 					searchAllStarted(qi)
 				}
-				results[qi], errs[qi] = ses.Search(queries[qi])
-				if errs[qi] != nil {
-					markFailed(qi)
-					return
+				if results[qi], errs[qi] = search(lane, qi); errs[qi] == nil {
+					continue
+				}
+				// CAS-min qi into failedAt. errs[qi] is written first;
+				// wg.Wait() publishes both to the final read.
+				for {
+					cur := failedAt.Load()
+					if int64(qi) >= cur || failedAt.CompareAndSwap(cur, int64(qi)) {
+						return
+					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if fa := int(failedAt.Load()); fa < len(queries) {
-		if errs[fa] != nil {
-			return nil, fmt.Errorf("alae: query %d: %w", fa, errs[fa])
-		}
-		// The failure mark came from a configuration error, which no
-		// query owns; report it unwrapped.
-		return nil, openErr
+	if err := cx.Err(); err != nil {
+		return nil, err
+	}
+	if fa := int(failedAt.Load()); fa < n {
+		return nil, fmt.Errorf("alae: %s %d: %w", what, fa, errs[fa])
 	}
 	return results, nil
 }

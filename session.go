@@ -33,34 +33,20 @@ type Session struct {
 
 // OpenSession returns a session for the given search configuration.
 // Configuration errors — an invalid scheme, negative Threshold, EValue
-// or Parallelism, an unknown algorithm, a baseline-incompatible scheme
-// — surface here for every algorithm, not on the first query; for the
-// ALAE engines the engine is additionally bound eagerly. Baseline
-// algorithms (BWT-SW, BLAST, Smith-Waterman) are stateless per query;
-// their sessions simply forward to Index.Search.
+// or Parallelism, an alphabet size of 1 or below 0, an unknown
+// algorithm, a baseline-incompatible scheme — surface here for every
+// algorithm, not on the first query; for ALAE the engine is
+// additionally bound eagerly. Baseline algorithms (BWT-SW, BLAST,
+// Smith-Waterman) are stateless per query; their sessions hold no
+// pooled state.
 func (ix *Index) OpenSession(opts SearchOptions) (*Session, error) {
-	s := opts.Scheme
-	if s == (Scheme{}) {
-		s = DefaultDNAScheme
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateSearchOptions(opts, s); err != nil {
+	s, err := resolveScheme(opts)
+	if err != nil {
 		return nil, err
 	}
 	ses := &Session{ix: ix, opts: opts, s: s}
-	switch opts.Algorithm {
-	case ALAE, ALAEHybrid:
-		mode := core.ModeDFS
-		if opts.Algorithm == ALAEHybrid {
-			mode = core.ModeHybrid
-		}
-		e, err := ix.alaeEngine(mode, opts)
-		if err != nil {
-			return nil, err
-		}
-		ses.cs = e.AcquireSession()
+	if opts.Algorithm == ALAE {
+		ses.cs = ix.alaeEngine(opts).AcquireSession()
 	}
 	return ses, nil
 }
@@ -82,13 +68,7 @@ func (ses *Session) Search(query []byte) (*Result, error) {
 // algorithms' admission-only cancellation). The session remains fully
 // reusable after a cancelled search.
 func (ses *Session) SearchContext(cx context.Context, query []byte) (*Result, error) {
-	if ses.closed {
-		return nil, fmt.Errorf("alae: Search on a closed Session")
-	}
-	if ses.cs == nil {
-		return ses.ix.SearchContext(cx, query, ses.opts)
-	}
-	h, err := ses.ix.ResolveThreshold(len(query), ses.opts)
+	h, err := resolveThresholdOver(ses.s, ses.opts, len(query), ses.ix.Len(), ses.ix.trie.Index().Sigma())
 	if err != nil {
 		return nil, err
 	}
@@ -106,10 +86,11 @@ func (ses *Session) searchThreshold(cx context.Context, query []byte, h int) (*R
 	if ses.closed {
 		return nil, fmt.Errorf("alae: Search on a closed Session")
 	}
+	if err := cx.Err(); err != nil {
+		return nil, err // admission check; the only one the baselines get
+	}
 	if ses.cs == nil {
-		o := ses.opts
-		o.Threshold, o.EValue = h, 0
-		return ses.ix.SearchContext(cx, query, o)
+		return ses.ix.searchBaseline(query, ses.opts.Algorithm, ses.s, h), nil
 	}
 	coll := ses.cs.Collector()
 	coll.Reset()
@@ -135,10 +116,7 @@ func (ses *Session) searchThreshold(cx context.Context, query []byte, h int) (*R
 // have no collector; they fall back to searchThreshold and return the
 // materialised *Result as res instead.
 func (ses *Session) searchCollect(cx context.Context, query []byte, h, lanes int) (st Stats, res *Result, err error) {
-	if ses.closed {
-		return Stats{}, nil, fmt.Errorf("alae: Search on a closed Session")
-	}
-	if ses.cs == nil {
+	if ses.cs == nil { // a baseline, or closed: searchThreshold rejects a closed session
 		r, err := ses.searchThreshold(cx, query, h)
 		if err != nil {
 			return Stats{}, nil, err
@@ -169,14 +147,11 @@ func (ses *Session) Close() {
 func statsFromCore(st core.Stats) Stats {
 	return Stats{
 		CalculatedEntries:   st.CalculatedEntries(),
-		ReusedEntries:       st.ReusedEntries,
-		AccessedEntries:     st.AccessedEntries(),
 		ComputationCost:     st.ComputationCost(),
 		NodesVisited:        st.NodesVisited,
 		ForksStarted:        st.ForksStarted,
 		ForksDominated:      st.ForksDominated,
 		EmittedHits:         st.EmittedHits,
 		SuppressedEmissions: st.SuppressedEmissions,
-		CopiedEmissions:     st.CopiedEmissions,
 	}
 }

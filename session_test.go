@@ -12,8 +12,7 @@ import (
 
 // TestSessionReuseParity is the serving-core acceptance test: the same
 // hits must come back whether a Session is fresh or re-armed, whether
-// the search runs sequentially or in parallel — for both ALAE engines,
-// over DNA and protein.
+// the search runs sequentially or in parallel, over DNA and protein.
 func TestSessionReuseParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
 	type tc struct {
@@ -40,38 +39,36 @@ func TestSessionReuseParity(t *testing.T) {
 					seq.MutationConfig{SubstitutionRate: 0.05, IndelRate: 0.01}, rng))
 			}
 			ix := NewIndex(text)
-			for _, alg := range []Algorithm{ALAE, ALAEHybrid} {
-				for _, par := range []int{1, 0} {
-					opts := SearchOptions{Algorithm: alg, Scheme: c.scheme, Threshold: 25, Parallelism: par}
-					ses, err := ix.OpenSession(opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					// Two passes re-arm the session. Every result must equal a
-					// one-shot Index.Search, work counters included.
-					for pass := 0; pass < 2; pass++ {
-						for qi, q := range queries {
-							got, err := ses.Search(q)
-							if err != nil {
-								t.Fatal(err)
-							}
-							want, err := ix.Search(q, opts)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !align.EqualHits(got.Hits, want.Hits) {
-								t.Fatalf("%v p=%d pass %d query %d: session hits diverge (%d vs %d)",
-									alg, par, pass, qi, len(got.Hits), len(want.Hits))
-							}
-							if got.Stats != want.Stats {
-								t.Fatalf("%v p=%d pass %d query %d: stats diverge: %+v vs %+v",
-									alg, par, pass, qi, got.Stats, want.Stats)
-							}
+			for _, par := range []int{1, 0} {
+				opts := SearchOptions{Scheme: c.scheme, Threshold: 25, Parallelism: par}
+				ses, err := ix.OpenSession(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Two passes re-arm the session. Every result must equal a
+				// one-shot Index.Search, work counters included.
+				for pass := 0; pass < 2; pass++ {
+					for qi, q := range queries {
+						got, err := ses.Search(q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := ix.Search(q, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !align.EqualHits(got.Hits, want.Hits) {
+							t.Fatalf("p=%d pass %d query %d: session hits diverge (%d vs %d)",
+								par, pass, qi, len(got.Hits), len(want.Hits))
+						}
+						if got.Stats != want.Stats {
+							t.Fatalf("p=%d pass %d query %d: stats diverge: %+v vs %+v",
+								par, pass, qi, got.Stats, want.Stats)
 						}
 					}
-					ses.Close()
-					ses.Close() // idempotent
 				}
+				ses.Close()
+				ses.Close() // idempotent
 			}
 		})
 	}
@@ -79,7 +76,7 @@ func TestSessionReuseParity(t *testing.T) {
 
 // TestShortQueryRejectedPublicSurface pins the too-short-query
 // contract at the public layer: Index.Search and Session.Search reject
-// queries shorter than the scheme's gram length for both ALAE engines
+// queries shorter than the scheme's gram length for the ALAE engine
 // with a descriptive error, while the Smith-Waterman baseline (which
 // has no gram-length floor) still answers them.
 func TestShortQueryRejectedPublicSurface(t *testing.T) {
@@ -87,31 +84,29 @@ func TestShortQueryRejectedPublicSurface(t *testing.T) {
 	ix := NewIndex(randDNA(400, rng))
 	q := DefaultDNAScheme.Q()
 	short := randDNA(q-1, rng)
-	for _, alg := range []Algorithm{ALAE, ALAEHybrid} {
-		opts := SearchOptions{Algorithm: alg, Threshold: 25}
-		if _, err := ix.Search(short, opts); err == nil {
-			t.Errorf("%v: Index.Search accepted a query of length %d < q=%d", alg, len(short), q)
-		}
-		ses, err := ix.OpenSession(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ses.Search(short); err == nil {
-			t.Errorf("%v: Session.Search accepted a short query", alg)
-		}
-		// The session must stay usable after the rejection.
-		if _, err := ses.Search(randDNA(50, rng)); err != nil {
-			t.Errorf("%v: session broken after short-query rejection: %v", alg, err)
-		}
-		ses.Close()
+	opts := SearchOptions{Threshold: 25}
+	if _, err := ix.Search(short, opts); err == nil {
+		t.Errorf("Index.Search accepted a query of length %d < q=%d", len(short), q)
 	}
+	ses, err := ix.OpenSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ses.Search(short); err == nil {
+		t.Error("Session.Search accepted a short query")
+	}
+	// The session must stay usable after the rejection.
+	if _, err := ses.Search(randDNA(50, rng)); err != nil {
+		t.Errorf("session broken after short-query rejection: %v", err)
+	}
+	ses.Close()
 	if _, err := ix.Search(short, SearchOptions{Algorithm: SmithWaterman, Threshold: 25}); err != nil {
 		t.Errorf("Smith-Waterman rejected a short query: %v", err)
 	}
 }
 
 // TestSessionBaselineAlgorithms pins the fallback: sessions over the
-// stateless baseline engines forward to Index.Search.
+// stateless baseline engines answer as Index.Search does.
 func TestSessionBaselineAlgorithms(t *testing.T) {
 	text, query := workload(601, 2000, 300)
 	ix := NewIndex(text)
@@ -151,8 +146,7 @@ func TestSessionBaselineAlgorithms(t *testing.T) {
 
 // TestSaveLoadProteinRoundTrip is the byte-rank-layout round trip: a
 // protein index (σ = 20 forces the byte rank core) must serialise and
-// reload into an index that answers identically, for both ALAE engines
-// and under session reuse.
+// reload into an index that answers identically, under session reuse.
 func TestSaveLoadProteinRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(602))
 	letters := seq.Protein.Letters()
@@ -184,25 +178,21 @@ func TestSaveLoadProteinRoundTrip(t *testing.T) {
 	if !bytes.Equal(loaded.Text(), text) {
 		t.Fatal("protein text changed through save/load")
 	}
-	for _, alg := range []Algorithm{ALAE, ALAEHybrid} {
-		o := opts
-		o.Algorithm = alg
-		ses, err := loaded.OpenSession(o)
+	ses, err := loaded.OpenSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ { // re-armed and cache-hot too
+		got, err := ses.Search(query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for pass := 0; pass < 2; pass++ { // re-armed and cache-hot too
-			got, err := ses.Search(query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !align.EqualHits(got.Hits, want.Hits) {
-				t.Fatalf("%v pass %d: loaded protein index returns %d hits, original %d",
-					alg, pass, len(got.Hits), len(want.Hits))
-			}
+		if !align.EqualHits(got.Hits, want.Hits) {
+			t.Fatalf("pass %d: loaded protein index returns %d hits, original %d",
+				pass, len(got.Hits), len(want.Hits))
 		}
-		ses.Close()
 	}
+	ses.Close()
 }
 
 // TestSearchAllStopsAfterError pins the cancellation contract: after

@@ -242,14 +242,7 @@ func (st *Store) Search(query []byte, opts SearchOptions) (*StoreResult, error) 
 // cache probe, so a cached result never masks a cancelled request, and
 // a cancelled search is never published to the cache.
 func (st *Store) SearchContext(cx context.Context, query []byte, opts SearchOptions) (*StoreResult, error) {
-	s := opts.Scheme
-	if s == (Scheme{}) {
-		s = DefaultDNAScheme
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateSearchOptions(opts, s); err != nil {
+	if _, err := resolveScheme(opts); err != nil {
 		return nil, err
 	}
 	if err := cx.Err(); err != nil {
@@ -257,18 +250,23 @@ func (st *Store) SearchContext(cx context.Context, query []byte, opts SearchOpti
 	}
 	fp := optionsFingerprint(opts)
 	pool := st.sessionPool(fp)
-	var ss *StoreSession
-	if v := pool.Get(); v != nil {
-		ss = v.(*StoreSession)
-	} else {
-		var err error
-		if ss, err = st.OpenSession(opts); err != nil {
-			return nil, err
-		}
+	ss, err := st.pooledSession(pool, opts)
+	if err != nil {
+		return nil, err
 	}
 	res, err := st.cachedSearch(cx, ss, fp, query)
 	pool.Put(ss)
 	return res, err
+}
+
+// pooledSession takes a warm session for opts from pool (the pool of
+// opts' fingerprint), opening one when the pool is empty. Callers Put
+// it back when done.
+func (st *Store) pooledSession(pool *sync.Pool, opts SearchOptions) (*StoreSession, error) {
+	if v := pool.Get(); v != nil {
+		return v.(*StoreSession), nil
+	}
+	return st.OpenSession(opts)
 }
 
 // cachedSearch answers query through the cache when possible,

@@ -121,7 +121,6 @@ func TestStoreShardParity(t *testing.T) {
 	}{
 		{"dna-alae", seq.DNA, SearchOptions{}, 700, 3000, 300},
 		{"dna-alae-par", seq.DNA, SearchOptions{Parallelism: 0}, 700, 3000, 300},
-		{"dna-hybrid", seq.DNA, SearchOptions{Algorithm: ALAEHybrid}, 701, 2500, 250},
 		{"dna-evalue", seq.DNA, SearchOptions{EValue: 1e-5}, 702, 3000, 300},
 		{"protein-alae", seq.Protein, SearchOptions{Scheme: DefaultProteinScheme}, 703, 1500, 200},
 	}
@@ -800,7 +799,7 @@ func TestStoreLaneKnob(t *testing.T) {
 // OpenSession, not on the first Search.
 func TestOpenSessionValidatesEagerly(t *testing.T) {
 	ix := NewIndex([]byte("ACGTACGTACGTACGTACGTACGTACGT"))
-	algorithms := []Algorithm{ALAE, ALAEHybrid, BWTSW, BLAST, SmithWaterman}
+	algorithms := []Algorithm{ALAE, BWTSW, BLAST, SmithWaterman}
 	for _, alg := range algorithms {
 		if _, err := ix.OpenSession(SearchOptions{Algorithm: alg, Threshold: -1}); err == nil {
 			t.Errorf("%v: negative threshold accepted at open", alg)
@@ -810,6 +809,11 @@ func TestOpenSessionValidatesEagerly(t *testing.T) {
 		}
 		if _, err := ix.OpenSession(SearchOptions{Algorithm: alg, Parallelism: -3}); err == nil {
 			t.Errorf("%v: negative parallelism accepted at open", alg)
+		}
+		for _, sigma := range []int{-1, 1} {
+			if _, err := ix.OpenSession(SearchOptions{Algorithm: alg, AlphabetSize: sigma}); err == nil {
+				t.Errorf("%v: alphabet size %d accepted at open", alg, sigma)
+			}
 		}
 	}
 	if _, err := ix.OpenSession(SearchOptions{Algorithm: Algorithm(97)}); err == nil {
@@ -838,6 +842,14 @@ func TestOpenSessionValidatesEagerly(t *testing.T) {
 	if _, err := st.Search([]byte("ACGTACGTACGTACGT"), SearchOptions{EValue: -1}); err == nil {
 		t.Error("Store.Search accepted a negative E-value")
 	}
+	for _, sigma := range []int{-1, 1} {
+		if _, err := st.OpenSession(SearchOptions{AlphabetSize: sigma}); err == nil {
+			t.Errorf("StoreSession accepted alphabet size %d at open", sigma)
+		}
+		if _, err := st.Search([]byte("ACGTACGTACGTACGT"), SearchOptions{AlphabetSize: sigma}); err == nil {
+			t.Errorf("Store.Search accepted alphabet size %d", sigma)
+		}
+	}
 }
 
 // TestStoreSearchAllStopsAfterError pins the store batch path's
@@ -859,12 +871,12 @@ func TestStoreSearchAllStopsAfterError(t *testing.T) {
 		mu      sync.Mutex
 		started int
 	)
-	storeSearchAllStarted = func(int) {
+	searchAllStarted = func(int) {
 		mu.Lock()
 		started++
 		mu.Unlock()
 	}
-	defer func() { storeSearchAllStarted = nil }()
+	defer func() { searchAllStarted = nil }()
 
 	_, err = st.SearchAll(queries, SearchOptions{}, 2)
 	if err == nil || !strings.Contains(err.Error(), "store query 0") {
@@ -872,6 +884,17 @@ func TestStoreSearchAllStopsAfterError(t *testing.T) {
 	}
 	if started > 4 {
 		t.Fatalf("%d of %d queries were launched after the first error; cancellation is not stopping work", started, len(queries))
+	}
+
+	// A configuration error applies to every query: it comes back raw,
+	// not misattributed to a "store query N", and launches nothing.
+	started = 0
+	_, err = st.SearchAll(queries, SearchOptions{Scheme: Scheme{Match: -1}}, 2)
+	if err == nil || strings.Contains(err.Error(), "query ") {
+		t.Fatalf("configuration error = %v, want it unattributed to any query", err)
+	}
+	if started != 0 {
+		t.Fatalf("%d queries launched under a configuration error", started)
 	}
 }
 

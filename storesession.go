@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/seq"
 )
@@ -65,14 +64,8 @@ type StoreSession struct {
 // configuration. Configuration errors surface here (see
 // Index.OpenSession); one lane is opened per generation.
 func (st *Store) OpenSession(opts SearchOptions) (*StoreSession, error) {
-	s := opts.Scheme
-	if s == (Scheme{}) {
-		s = DefaultDNAScheme
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateSearchOptions(opts, s); err != nil {
+	s, err := resolveScheme(opts)
+	if err != nil {
 		return nil, err
 	}
 	ss := &StoreSession{st: st, opts: opts, s: s}
@@ -339,15 +332,8 @@ func (ss *StoreSession) Close() {
 	ss.closed = true
 }
 
-// storeSearchAllStarted mirrors searchAllStarted for Store.SearchAll;
-// test hook only.
-var storeSearchAllStarted func(qi int)
-
-// SearchAll runs many queries concurrently over the store with the
-// given worker count (0 means one worker per query up to 8). Results
-// come back in query order; the first error (lowest query index, same
-// determinism contract as Index.SearchAll) cancels the remaining work
-// and is returned wrapped with its query index. Each worker holds one
+// SearchAll is Index.SearchAll over the store, with the same worker
+// count, result order and error contract. Each worker holds one
 // StoreSession for its whole run, and every query goes through the
 // query cache, so batches with repeated queries collapse into probes.
 func (st *Store) SearchAll(queries [][]byte, opts SearchOptions, workers int) ([]*StoreResult, error) {
@@ -360,95 +346,14 @@ func (st *Store) SearchAll(queries [][]byte, opts SearchOptions, workers int) ([
 // launching, and returns the context's own error (result slots of
 // unfinished queries stay nil).
 func (st *Store) SearchAllContext(cx context.Context, queries [][]byte, opts SearchOptions, workers int) ([]*StoreResult, error) {
-	if workers <= 0 {
-		workers = 8
-	}
-	workers = min(workers, len(queries))
-	if workers == 0 {
-		return nil, nil
-	}
-	// Warm the shared lazy structures once (domination indexes for the
-	// ALAE engines) so workers do not race to build them redundantly.
-	s := opts.Scheme
-	if s == (Scheme{}) {
-		s = DefaultDNAScheme
-	}
-	if opts.Algorithm == ALAE || opts.Algorithm == ALAEHybrid {
-		for _, g := range st.currentView().gens {
-			if _, err := g.ix.DominationIndexSize(s); err != nil {
-				return nil, err
-			}
-		}
-	}
 	fp := optionsFingerprint(opts)
 	pool := st.sessionPool(fp)
-	results := make([]*StoreResult, len(queries))
-	errs := make([]error, len(queries))
-	var (
-		wg       sync.WaitGroup
-		cursor   atomic.Int64
-		failedAt atomic.Int64 // lowest failing query index; len(queries) = none
-		openOnce sync.Once
-		openErr  error
-	)
-	failedAt.Store(int64(len(queries)))
-	markFailed := func(qi int) {
-		for {
-			cur := failedAt.Load()
-			if int64(qi) >= cur || failedAt.CompareAndSwap(cur, int64(qi)) {
-				return
-			}
-		}
+	var warm []*Index
+	for _, g := range st.currentView().gens {
+		warm = append(warm, g.ix)
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ss *StoreSession
-			if v := pool.Get(); v != nil {
-				ss = v.(*StoreSession)
-			} else {
-				var err error
-				if ss, err = st.OpenSession(opts); err != nil {
-					// Configuration errors apply to every query; see
-					// Index.SearchAll for the claim-and-mark rationale.
-					openOnce.Do(func() { openErr = err })
-					qi := int(cursor.Add(1)) - 1
-					markFailed(min(qi, len(queries)-1))
-					return
-				}
-			}
-			defer pool.Put(ss)
-			for {
-				if failedAt.Load() < int64(len(queries)) {
-					return
-				}
-				qi := int(cursor.Add(1)) - 1
-				if qi >= len(queries) {
-					return
-				}
-				if storeSearchAllStarted != nil {
-					storeSearchAllStarted(qi)
-				}
-				results[qi], errs[qi] = st.cachedSearch(cx, ss, fp, queries[qi])
-				if errs[qi] != nil {
-					markFailed(qi)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := cx.Err(); err != nil {
-		// The batch was cancelled: the context's error outranks any
-		// per-query failure it induced.
-		return nil, err
-	}
-	if fa := int(failedAt.Load()); fa < len(queries) {
-		if errs[fa] != nil {
-			return nil, fmt.Errorf("alae: store query %d: %w", fa, errs[fa])
-		}
-		return nil, openErr
-	}
-	return results, nil
+	return searchAll(cx, opts, len(queries), workers, "store query", warm,
+		func() (*StoreSession, error) { return st.pooledSession(pool, opts) },
+		func(ss *StoreSession, qi int) (*StoreResult, error) { return st.cachedSearch(cx, ss, fp, queries[qi]) },
+		func(ss *StoreSession) { pool.Put(ss) })
 }
