@@ -257,10 +257,10 @@ func (ix *Index) alaeEngine(opts SearchOptions) *core.Engine {
 	return e
 }
 
-// resolveScheme is the one options gate: Index.OpenSession (and so
-// Index.SearchContext), ResolveThreshold, Store.SearchContext,
-// Store.OpenSession and the SearchAll pool all pass it. It returns the
-// scheme the search runs with (zero means DefaultDNAScheme) and rejects
+// resolveScheme is the one options gate: Index.SearchContext,
+// ResolveThreshold, Store.SearchContext and the SearchAll pool all pass
+// it, once per call, before any lane opens. It returns the scheme the
+// search runs with (zero means DefaultDNAScheme) and rejects
 // configurations that are always caller bugs, independently of any
 // query: an invalid scheme; a negative threshold, E-value or
 // parallelism (silently falling back to the defaults would hide them);
@@ -332,7 +332,9 @@ func (ix *Index) ResolveThreshold(m int, opts SearchOptions) (int, error) {
 	return resolveThresholdOver(s, opts, m, ix.Len(), ix.trie.Index().Sigma())
 }
 
-// Search runs a local-alignment search for query against the index.
+// Search runs a local-alignment search for query against the index on
+// a lane drawn warm from the engine's pool: once warm it allocates only
+// the lane, the Result and the hit slice (TestIndexSearchAllocBound).
 //
 // For the ALAE engine (q-gram based), queries shorter than the
 // scheme's gram length q are rejected with a descriptive error: no
@@ -353,23 +355,19 @@ func (ix *Index) Search(query []byte, opts SearchOptions) (*Result, error) {
 // they complete; they exist for offline evaluation, not serving. A
 // background context adds no measurable overhead to any path.
 func (ix *Index) SearchContext(cx context.Context, query []byte, opts SearchOptions) (*Result, error) {
-	// One query on a serving lane: for ALAE the pooled core session
-	// brings its warm buffers and result table, so a one-shot search
-	// costs what a Session search does.
-	ses, err := ix.OpenSession(opts)
+	s, err := resolveScheme(opts)
 	if err != nil {
 		return nil, err
 	}
-	defer ses.Close()
-	return ses.SearchContext(cx, query)
+	ln := ix.newLane(opts, s)
+	defer ln.release()
+	return ln.searchIndex(cx, query)
 }
 
 // searchBaseline runs one query through a baseline algorithm (BWT-SW,
-// BLAST or Smith-Waterman) at threshold h. alg and s have passed
-// resolveScheme.
-func (ix *Index) searchBaseline(query []byte, alg Algorithm, s Scheme, h int) *Result {
-	c := align.NewCollector()
-	res := &Result{Threshold: h, Algorithm: alg}
+// BLAST or Smith-Waterman) at threshold h, collecting into c. alg and s
+// have passed resolveScheme.
+func (ix *Index) searchBaseline(query []byte, alg Algorithm, s Scheme, h int, c *align.Collector) Stats {
 	switch alg {
 	case BWTSW:
 		// Scheme compatibility was vetted by resolveScheme.
@@ -380,7 +378,7 @@ func (ix *Index) searchBaseline(query []byte, alg Algorithm, s Scheme, h int) *R
 		e := ix.bwtsw
 		ix.mu.Unlock()
 		st := e.Search(query, s, h, c)
-		res.Stats = Stats{
+		return Stats{
 			CalculatedEntries: st.CalculatedEntries,
 			ComputationCost:   st.ComputationCost(),
 			NodesVisited:      st.NodesVisited,
@@ -393,19 +391,17 @@ func (ix *Index) searchBaseline(query []byte, alg Algorithm, s Scheme, h int) *R
 		e := ix.blast
 		ix.mu.Unlock()
 		st := e.Search(query, s, h, c)
-		res.Stats = Stats{
+		return Stats{
 			CalculatedEntries: st.CalculatedEntries,
 			Seeds:             st.Seeds,
 		}
-	case SmithWaterman:
+	default: // SmithWaterman
 		cells := align.LocalAllInto(ix.text, query, s, h, c)
-		res.Stats = Stats{
+		return Stats{
 			CalculatedEntries: int64(cells),
 			ComputationCost:   3 * int64(cells),
 		}
 	}
-	res.Hits = c.Hits()
-	return res
 }
 
 // Align reconstructs the best alignment ending at a hit, for display.

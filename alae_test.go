@@ -1,6 +1,7 @@
 package alae
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -156,6 +157,25 @@ func TestUnknownAlgorithmAndBadScheme(t *testing.T) {
 	}
 	if _, err := ix.Search([]byte("ACGT"), SearchOptions{Scheme: Scheme{Match: -1, Mismatch: 1, GapOpen: 1, GapExtend: 1}}); err == nil {
 		t.Error("invalid scheme accepted")
+	}
+	// The same configuration errors on the store, and BWT-SW's scheme
+	// floor on both surfaces.
+	st, err := NewStore([]SeqRecord{{Name: "a", Seq: bytes.Repeat([]byte("ACGT"), 16)}}, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := []byte("ACGTACGTACGTACGT")
+	for _, opts := range []SearchOptions{
+		{Algorithm: Algorithm(97)},
+		{Scheme: Scheme{Match: -1}},
+		{Algorithm: BWTSW, Scheme: Scheme{Match: 1, Mismatch: -1, GapOpen: -5, GapExtend: -2}, Threshold: 10},
+	} {
+		if _, err := ix.Search(query, opts); err == nil {
+			t.Errorf("Index.Search accepted %+v", opts)
+		}
+		if _, err := st.Search(query, opts); err == nil {
+			t.Errorf("Store.Search accepted %+v", opts)
+		}
 	}
 	for _, alg := range []Algorithm{ALAE, BWTSW, BLAST, SmithWaterman, Algorithm(99)} {
 		if alg.String() == "" {

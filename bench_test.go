@@ -591,11 +591,18 @@ func BenchmarkCollectorReplay(b *testing.B) {
 
 // --- Index persistence: save/load throughput ---
 
+// BenchmarkIndexSaveLoad times persisting one text the one way there
+// is — a one-record store through Save and LoadStore — against
+// rebuilding its index.
 func BenchmarkIndexSaveLoad(b *testing.B) {
 	k := wlKey{kind: "dna", n: 500_000, m: 64, queries: 1, seed: 52}
 	cw := getWorkload(b, k)
+	st, err := alae.NewStore([]alae.SeqRecord{{Name: "text", Seq: cw.wl.Text}}, alae.StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := cw.ix.Save(&buf); err != nil {
+	if err := st.Save(&buf); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -603,7 +610,7 @@ func BenchmarkIndexSaveLoad(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
 			var w bytes.Buffer
-			if err := cw.ix.Save(&w); err != nil {
+			if err := st.Save(&w); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -611,7 +618,7 @@ func BenchmarkIndexSaveLoad(b *testing.B) {
 	b.Run("load", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			if _, err := alae.Load(bytes.NewReader(data)); err != nil {
+			if _, err := alae.LoadStore(bytes.NewReader(data), alae.StoreOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -68,26 +68,21 @@ func TestStoreSearchContextCancellation(t *testing.T) {
 }
 
 // TestStoreSessionSearchContextCancellation pins the same contract on
-// an explicitly held StoreSession — one serving lane, cancelled and
-// then reused.
+// one held store session — its lanes cancelled and then reused.
 func TestStoreSessionSearchContextCancellation(t *testing.T) {
 	st, queries := storeCancelWorkload(t)
-	ss, err := st.OpenSession(SearchOptions{Threshold: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
+	ss := openStoreSession(t, st, SearchOptions{Threshold: 60})
 
-	ref, err := ss.Search(queries[0])
+	ref, err := searchSession(context.Background(), ss, queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ss.SearchContext(cancelled, queries[0]); err != context.Canceled {
+	if _, err := searchSession(cancelled, ss, queries[0]); err != context.Canceled {
 		t.Fatalf("cancelled session search returned %v, want context.Canceled", err)
 	}
-	res, err := ss.Search(queries[0])
+	res, err := searchSession(context.Background(), ss, queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +178,9 @@ func TestStoreRejectsSeparatorQueries(t *testing.T) {
 	if _, err := st.Search(bad, SearchOptions{Threshold: 30}); err == nil || !strings.Contains(err.Error(), "separator") {
 		t.Fatalf("Store.Search accepted a separator query (err=%v)", err)
 	}
-	ss, err := st.OpenSession(SearchOptions{Threshold: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	if _, err := ss.Search(bad); err == nil || !strings.Contains(err.Error(), "separator") {
-		t.Fatalf("StoreSession.Search accepted a separator query (err=%v)", err)
+	ss := openStoreSession(t, st, SearchOptions{Threshold: 30})
+	if _, err := searchSession(context.Background(), ss, bad); err == nil || !strings.Contains(err.Error(), "separator") {
+		t.Fatalf("a store session accepted a separator query (err=%v)", err)
 	}
 	if _, err := st.SearchAll([][]byte{wl.queries[0], bad}, SearchOptions{Threshold: 30}, 2); err == nil || !strings.Contains(err.Error(), "separator") {
 		t.Fatalf("Store.SearchAll accepted a separator query (err=%v)", err)

@@ -32,19 +32,20 @@ func FuzzReadFASTA(f *testing.F) {
 	})
 }
 
-// FuzzLoad must reject arbitrary bytes cleanly (no panic, no runaway
-// allocation) and accept its own output.
+// FuzzLoad drives the index-payload decoder a store's load runs per
+// generation: it must reject arbitrary bytes cleanly (no panic, no
+// runaway allocation) and accept the encoder's output.
 func FuzzLoad(f *testing.F) {
 	ix := NewIndex([]byte("ACGTACGTACGTACGT"))
 	var good bytes.Buffer
-	if err := ix.Save(&good); err != nil {
+	if err := encodeIndex(&good, ix); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := Load(bytes.NewReader(data))
+		loaded, err := decodeIndex(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

@@ -11,11 +11,12 @@
 //
 //   - Admission control. Concurrent searches are bounded by a fixed
 //     number of lanes (default GOMAXPROCS) — each admitted request
-//     holds one lane token, which maps one-to-one onto a pooled
-//     StoreSession's scatter. Behind the lanes sits a bounded wait
-//     queue; a request that finds both full is rejected immediately
-//     with 429 and a Retry-After hint, so overload sheds load at the
-//     door instead of stacking goroutines until memory runs out.
+//     holds one lane token, which maps one-to-one onto one
+//     Store.SearchContext call's pooled scatter. Behind the lanes sits
+//     a bounded wait queue; a request that finds both full is rejected
+//     immediately with 429 and a Retry-After hint, so overload sheds
+//     load at the door instead of stacking goroutines until memory
+//     runs out.
 //
 //   - Cancellation. Every search runs under the request's context
 //     plus the configured per-search deadline, plumbed down into the

@@ -104,19 +104,30 @@ func TestNegativeOptionsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sigma := range []int{-1, 1} {
-		opts := alae.SearchOptions{AlphabetSize: sigma}
-		if _, err := ix.Search([]byte("ACGTACGT"), opts); err == nil {
-			t.Errorf("Index.Search accepted AlphabetSize %d", sigma)
+	// Every bad option, for every algorithm — the baselines included —
+	// fails on both search surfaces before any lane opens.
+	query := []byte("ACGTACGTACGT")
+	for _, alg := range []alae.Algorithm{alae.ALAE, alae.BWTSW, alae.BLAST, alae.SmithWaterman} {
+		good := alae.SearchOptions{Algorithm: alg, Threshold: 5}
+		if _, err := ix.Search(query, good); err != nil {
+			t.Fatalf("%v: the query itself is rejected (%v), so the cases below prove nothing", alg, err)
 		}
-		if _, err := ix.OpenSession(opts); err == nil {
-			t.Errorf("Index.OpenSession accepted AlphabetSize %d", sigma)
+		if _, err := st.Search(query, good); err != nil {
+			t.Fatalf("%v: the query itself is rejected by the store (%v)", alg, err)
 		}
-		if _, err := st.Search([]byte("ACGTACGT"), opts); err == nil {
-			t.Errorf("Store.Search accepted AlphabetSize %d", sigma)
-		}
-		if _, err := st.OpenSession(opts); err == nil {
-			t.Errorf("Store.OpenSession accepted AlphabetSize %d", sigma)
+		for _, opts := range []alae.SearchOptions{
+			{Algorithm: alg, Threshold: -1},
+			{Algorithm: alg, EValue: -2},
+			{Algorithm: alg, Parallelism: -3},
+			{Algorithm: alg, AlphabetSize: -1},
+			{Algorithm: alg, AlphabetSize: 1},
+		} {
+			if _, err := ix.Search(query, opts); err == nil {
+				t.Errorf("Index.Search accepted %+v", opts)
+			}
+			if _, err := st.Search(query, opts); err == nil {
+				t.Errorf("Store.Search accepted %+v", opts)
+			}
 		}
 	}
 }

@@ -1,68 +1,14 @@
 package alae
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/bwt"
-	"repro/internal/core"
-	"repro/internal/strie"
 )
 
 // This file holds the production conveniences around the core Search:
-// index persistence (build once, reload instantly — the first step of
-// the paper's external-memory future work), both-strand DNA search,
-// and parallel multi-query search.
-
-// Save serialises the index (text plus compressed suffix array) so a
-// later process can Load it instead of rebuilding. The format is
-// versioned and validated on load.
-func (ix *Index) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(ix.text))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(ix.text); err != nil {
-		return err
-	}
-	if _, err := ix.trie.Index().WriteTo(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// Load reads an index written by Save.
-func Load(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
-	var n uint64
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("alae: reading index: %w", err)
-	}
-	if n > 1<<40 {
-		return nil, fmt.Errorf("alae: implausible text length %d", n)
-	}
-	text, err := bwt.ReadExact(br, n)
-	if err != nil {
-		return nil, fmt.Errorf("alae: reading text: %w", err)
-	}
-	fm, err := bwt.ReadFMIndex(br)
-	if err != nil {
-		return nil, err
-	}
-	if fm.Len() != len(text) {
-		return nil, fmt.Errorf("alae: index length %d does not match text length %d", fm.Len(), len(text))
-	}
-	return &Index{
-		text: text,
-		trie: strie.NewFromIndex(text, fm),
-		alae: make(map[engineKey]*core.Engine),
-	}, nil
-}
+// the DNA reverse complement and parallel multi-query search.
 
 // complementTable maps each DNA base to its complement — upper AND
 // lower case, plus the IUPAC ambiguity codes — and every other byte to
@@ -71,7 +17,7 @@ func Load(r io.Reader) (*Index, error) {
 //
 // The original table only complemented uppercase ACGT, so soft-masked
 // (lowercase) or ambiguity-coded FASTA input passed through unchanged
-// and SearchBothStrands silently searched a *reversed but
+// and a both-strand search silently searched a *reversed but
 // uncomplemented* strand — wrong answers, no diagnostic.
 var complementTable = func() [256]byte {
 	var t [256]byte
@@ -109,45 +55,6 @@ func ReverseComplement(s []byte) []byte {
 	return out
 }
 
-// Strand labels a hit's query orientation.
-type Strand int
-
-const (
-	// Forward means the query aligned as given.
-	Forward Strand = iota
-	// Reverse means the reverse complement of the query aligned.
-	Reverse
-)
-
-// StrandHit is a hit annotated with its strand. For Reverse hits, QEnd
-// is a position in the reverse-complemented query.
-type StrandHit struct {
-	Hit
-	Strand Strand
-}
-
-// SearchBothStrands runs the query and its reverse complement — how
-// nucleotide searches are actually performed, since a homologous
-// region can sit on either strand of the genome.
-func (ix *Index) SearchBothStrands(query []byte, opts SearchOptions) ([]StrandHit, error) {
-	fwd, err := ix.Search(query, opts)
-	if err != nil {
-		return nil, err
-	}
-	rev, err := ix.Search(ReverseComplement(query), opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]StrandHit, 0, len(fwd.Hits)+len(rev.Hits))
-	for _, h := range fwd.Hits {
-		out = append(out, StrandHit{Hit: h, Strand: Forward})
-	}
-	for _, h := range rev.Hits {
-		out = append(out, StrandHit{Hit: h, Strand: Reverse})
-	}
-	return out, nil
-}
-
 // searchAllStarted, when non-nil, observes each query index a
 // SearchAll worker (Index's or Store's) picks up. Test hook for the
 // cancellation contract; never set in production code.
@@ -159,14 +66,15 @@ var searchAllStarted func(qi int)
 // stops the batch — queries not yet started are never launched — and
 // is returned wrapped with its query index; a configuration error is
 // returned unwrapped before any query runs (see searchAll). Each worker
-// holds one Session for its whole run, so per-query state (q-gram
+// holds one lane for its whole run, so per-query state (q-gram
 // inverted index, δ score table, bound tables, collector, traversal
-// workspace) is re-armed in place between queries instead of rebuilt.
+// workspace) is re-armed in place between queries instead of rebuilt;
+// the results equal Index.Search's, query by query.
 func (ix *Index) SearchAll(queries [][]byte, opts SearchOptions, workers int) ([]*Result, error) {
-	return searchAll(context.Background(), opts, len(queries), workers, "query", []*Index{ix},
-		func() (*Session, error) { return ix.OpenSession(opts) },
-		func(ses *Session, qi int) (*Result, error) { return ses.Search(queries[qi]) },
-		(*Session).Close)
+	return searchAll(context.Background(), opts, len(queries), workers, "query",
+		func(s Scheme) *lane { return ix.newLane(opts, s) },
+		func(ln *lane, qi int) (*Result, error) { return ln.searchIndex(context.Background(), queries[qi]) },
+		(*lane).release)
 }
 
 // searchAll is the one multi-query pool, behind Index.SearchAll and
@@ -175,12 +83,9 @@ func (ix *Index) SearchAll(queries [][]byte, opts SearchOptions, workers int) ([
 // order.
 //
 // Options are checked once, by resolveScheme, and a configuration error
-// is returned as it is. For ALAE, the domination index of the scheme's
-// q is then built once on each of warm, so workers never race to build
-// it redundantly; from then on it is read-only and shared. open is
-// called once per worker, before any worker starts, for the lane the
-// worker searches with and hands to release when it is done; an open
-// error is returned as it is.
+// is returned as it is. open is then called once per worker, with the
+// resolved scheme, for the lane the worker searches with and hands to
+// release when it is done.
 //
 // First-error determinism: workers claim query indexes from an atomic
 // cursor in ascending order, so when any query fails, every
@@ -192,8 +97,8 @@ func (ix *Index) SearchAll(queries [][]byte, opts SearchOptions, workers int) ([
 // "alae: <what> <index>: <error>". No query is claimed after a failure
 // is marked. A context error outranks any per-query failure it
 // induced, and is returned bare.
-func searchAll[L, R any](cx context.Context, opts SearchOptions, n, workers int, what string, warm []*Index,
-	open func() (L, error), search func(lane L, qi int) (R, error), release func(L)) ([]R, error) {
+func searchAll[L, R any](cx context.Context, opts SearchOptions, n, workers int, what string,
+	open func(Scheme) L, search func(ln L, qi int) (R, error), release func(L)) ([]R, error) {
 	if workers <= 0 {
 		workers = 8
 	}
@@ -205,22 +110,6 @@ func searchAll[L, R any](cx context.Context, opts SearchOptions, n, workers int,
 	if err != nil {
 		return nil, err
 	}
-	if opts.Algorithm == ALAE {
-		for _, ix := range warm {
-			if _, err := ix.DominationIndexSize(s); err != nil {
-				return nil, err
-			}
-		}
-	}
-	lanes := make([]L, workers)
-	for w := range lanes {
-		if lanes[w], err = open(); err != nil {
-			for _, lane := range lanes[:w] {
-				release(lane)
-			}
-			return nil, err
-		}
-	}
 	results := make([]R, n)
 	errs := make([]error, n)
 	var (
@@ -229,11 +118,12 @@ func searchAll[L, R any](cx context.Context, opts SearchOptions, n, workers int,
 		failedAt atomic.Int64 // lowest failing query index; n = none
 	)
 	failedAt.Store(int64(n))
-	for _, lane := range lanes {
+	for range workers {
+		ln := open(s)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer release(lane)
+			defer release(ln)
 			for failedAt.Load() == int64(n) {
 				qi := int(cursor.Add(1)) - 1
 				if qi >= n {
@@ -242,7 +132,7 @@ func searchAll[L, R any](cx context.Context, opts SearchOptions, n, workers int,
 				if searchAllStarted != nil {
 					searchAllStarted(qi)
 				}
-				if results[qi], errs[qi] = search(lane, qi); errs[qi] == nil {
+				if results[qi], errs[qi] = search(ln, qi); errs[qi] == nil {
 					continue
 				}
 				// CAS-min qi into failedAt. errs[qi] is written first;

@@ -10,52 +10,88 @@ import (
 	"repro/internal/seq"
 )
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	text, query := workload(300, 3000, 400)
-	ix := NewIndex(text)
-	want, err := ix.Search(query, SearchOptions{Threshold: 20})
+// saveLoadOneRecord persists text the one way there is — as a
+// one-record store, through Save and LoadStore — and returns the
+// reloaded store, with its query cache off so every search computes.
+func saveLoadOneRecord(t *testing.T, text []byte) *Store {
+	t.Helper()
+	st, err := NewStore([]SeqRecord{{Name: "text", Seq: text}}, StoreOptions{QueryCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := st.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := LoadStore(&buf, StoreOptions{QueryCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(loaded.Text(), text) {
+	if got := loaded.currentView().gens[0].ix.Text(); !bytes.Equal(got, text) {
 		t.Fatal("text changed through save/load")
 	}
+	return loaded
+}
+
+// indexHitsEqual reports whether a one-record store's hits are an
+// index's hits: same coordinates and scores, in the same order, all in
+// member 0 with local coordinates equal to global ones.
+func indexHitsEqual(got []SeqHit, want []Hit) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i, sh := range got {
+		if sh.Hit != want[i] || sh.Member != 0 || sh.LocalTEnd != want[i].TEnd {
+			return false
+		}
+	}
+	return true
+}
+
+func TestSaveLoadRoundTrip(t *testing.T) {
+	text, query := workload(300, 3000, 400)
+	want, err := NewIndex(text).Search(query, SearchOptions{Threshold: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := saveLoadOneRecord(t, text)
 	got, err := loaded.Search(query, SearchOptions{Threshold: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !align.EqualHits(got.Hits, want.Hits) {
-		t.Fatalf("loaded index returns %d hits, original %d", len(got.Hits), len(want.Hits))
+	if !indexHitsEqual(got.Hits, want.Hits) {
+		t.Fatalf("loaded store returns %d hits, index %d", len(got.Hits), len(want.Hits))
 	}
-	// Every algorithm must work on a loaded index, including ones that
+	// Every algorithm must work on a loaded store, including ones that
 	// lazily build engines.
 	for _, alg := range []Algorithm{BWTSW, BLAST} {
 		if _, err := loaded.Search(query, SearchOptions{Algorithm: alg, Threshold: 20}); err != nil {
-			t.Fatalf("%v on loaded index: %v", alg, err)
+			t.Fatalf("%v on loaded store: %v", alg, err)
 		}
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
+	if _, err := decodeIndex(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := Load(bytes.NewReader([]byte("not an index at all, definitely"))); err == nil {
+	if _, err := decodeIndex(bytes.NewReader([]byte("not an index at all, definitely"))); err == nil {
 		t.Error("garbage accepted")
 	}
 	// A huge claimed length must fail fast, not allocate terabytes.
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
-	if _, err := Load(bytes.NewReader(huge)); err == nil {
+	if _, err := decodeIndex(bytes.NewReader(huge)); err == nil {
 		t.Error("implausible length accepted")
+	}
+	// An FM-index that does not cover exactly the text is rejected.
+	var good bytes.Buffer
+	if err := encodeIndex(&good, NewIndex([]byte("ACGTACGTACGT"))); err != nil {
+		t.Fatal(err)
+	}
+	short := append([]byte{11, 0, 0, 0, 0, 0, 0, 0}, good.Bytes()[8:8+11]...)
+	short = append(short, good.Bytes()[8+12:]...)
+	if _, err := decodeIndex(bytes.NewReader(short)); err == nil {
+		t.Error("index over 12 bytes accepted for an 11-byte text")
 	}
 }
 
@@ -105,6 +141,18 @@ func TestReverseComplement(t *testing.T) {
 	}
 }
 
+// reverseStrandHits searches query's reverse complement — the second
+// of a both-strand search's two searches, the one that finds homology
+// on the other strand.
+func reverseStrandHits(t *testing.T, ix *Index, query []byte) []Hit {
+	t.Helper()
+	rev, err := ix.Search(ReverseComplement(query), SearchOptions{Threshold: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rev.Hits
+}
+
 func TestSearchBothStrands(t *testing.T) {
 	rng := rand.New(rand.NewSource(302))
 	text := randDNA(5000, rng)
@@ -113,25 +161,11 @@ func TestSearchBothStrands(t *testing.T) {
 	query := append(randDNA(50, rng), append(ReverseComplement(segment), randDNA(50, rng)...)...)
 
 	ix := NewIndex(text)
-	fwd, err := ix.Search(query, SearchOptions{Threshold: 40})
-	if err != nil {
+	if _, err := ix.Search(query, SearchOptions{Threshold: 40}); err != nil {
 		t.Fatal(err)
 	}
-	both, err := ix.SearchBothStrands(query, SearchOptions{Threshold: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reverse := 0
-	for _, h := range both {
-		if h.Strand == Reverse {
-			reverse++
-		}
-	}
-	if reverse == 0 {
+	if len(reverseStrandHits(t, ix, query)) == 0 {
 		t.Error("planted reverse-strand homology not found")
-	}
-	if len(both) <= len(fwd.Hits) {
-		t.Errorf("both-strand search found %d ≤ forward-only %d", len(both), len(fwd.Hits))
 	}
 }
 
@@ -154,17 +188,7 @@ func TestSearchBothStrandsSoftMaskedAndN(t *testing.T) {
 	// strand: RC must complement case-preservingly for this to match.
 	segment := text[1010:1110]
 	query := append(randDNA(40, rng), append(ReverseComplement(segment), randDNA(40, rng)...)...)
-	hits, err := ix.SearchBothStrands(query, SearchOptions{Threshold: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reverse := 0
-	for _, h := range hits {
-		if h.Strand == Reverse {
-			reverse++
-		}
-	}
-	if reverse == 0 {
+	if len(reverseStrandHits(t, ix, query)) == 0 {
 		t.Error("soft-masked reverse-strand homology not found")
 	}
 
@@ -175,17 +199,7 @@ func TestSearchBothStrandsSoftMaskedAndN(t *testing.T) {
 	for _, p := range []int{20, 50, 80} {
 		nQuery[p] = 'N'
 	}
-	hits, err = ix.SearchBothStrands(nQuery, SearchOptions{Threshold: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reverse = 0
-	for _, h := range hits {
-		if h.Strand == Reverse {
-			reverse++
-		}
-	}
-	if reverse == 0 {
+	if len(reverseStrandHits(t, ix, nQuery)) == 0 {
 		t.Error("N-containing reverse-strand homology not found")
 	}
 }
@@ -250,7 +264,7 @@ func TestSearchAllFirstErrorDeterministic(t *testing.T) {
 		}
 	}
 
-	// A configuration error (invalid scheme fails OpenSession) applies
+	// A configuration error (an invalid scheme fails the options gate) applies
 	// to every query: it must come back raw, not misattributed to a
 	// "query N".
 	bad := SearchOptions{Scheme: Scheme{Match: -1}, Threshold: 25}

@@ -2,144 +2,82 @@ package alae
 
 import (
 	"context"
-	"fmt"
 
+	"repro/internal/align"
 	"repro/internal/core"
 )
 
-// Session is a reusable serving lane over an Index: one configuration
-// (algorithm, scheme, filters, parallelism) answering query after
-// query. The session owns every query-specific structure — the q-gram
-// inverted index, δ score table, bound tables, traversal workspace,
-// result collector and (for parallel searches) the per-worker
-// collector shards — through its pooled core session, and re-arms them
-// in place per call, so a serving loop allocates only the hit slices it
-// returns once the buffers are warm. The heavy shared
-// structures (trie, domination index) belong to the Index's engines
-// and are only read.
-//
-// A Session is NOT safe for concurrent use. Open one per serving
-// goroutine; sessions of the same Index share the engines, which are
-// concurrency-safe. Close returns the underlying
-// pooled state so later sessions (and plain Index.Search calls, which
-// draw from the same pool) reuse it.
-type Session struct {
-	ix     *Index
-	opts   SearchOptions
-	s      Scheme
-	cs     *core.Session // nil for the baseline algorithms
-	closed bool
+// lane is the one search type between the public API and the core
+// engine: one resolved configuration over one Index, answering query
+// after query. Index.Search draws one per call, each Index.SearchAll
+// worker holds one, and a store session holds one per generation. An
+// ALAE lane holds a pooled core session, which owns every per-query
+// structure (gram table, δ and bound tables, workspace, result table,
+// worker shards) and re-arms it in place; a baseline lane holds only its
+// own result table. A search leaves its hits in coll, for the caller to
+// take (Collector.Hits) or drain in order (Collector.Drain). A lane is
+// NOT safe for concurrent use; lanes of one Index share its engines.
+type lane struct {
+	ix   *Index
+	opts SearchOptions
+	s    Scheme           // opts' scheme, resolved by resolveScheme
+	cs   *core.Session    // ALAE only: the pooled core session
+	coll *align.Collector // the lane's result table
 }
 
-// OpenSession returns a session for the given search configuration.
-// Configuration errors — an invalid scheme, negative Threshold, EValue
-// or Parallelism, an alphabet size of 1 or below 0, an unknown
-// algorithm, a baseline-incompatible scheme — surface here for every
-// algorithm, not on the first query; for ALAE the engine is
-// additionally bound eagerly. Baseline algorithms (BWT-SW, BLAST,
-// Smith-Waterman) are stateless per query; their sessions hold no
-// pooled state.
-func (ix *Index) OpenSession(opts SearchOptions) (*Session, error) {
-	s, err := resolveScheme(opts)
-	if err != nil {
-		return nil, err
-	}
-	ses := &Session{ix: ix, opts: opts, s: s}
+// newLane opens a lane for opts over ix. opts must have passed
+// resolveScheme, which returned s; so opening cannot fail.
+func (ix *Index) newLane(opts SearchOptions, s Scheme) *lane {
+	ln := &lane{ix: ix, opts: opts, s: s}
 	if opts.Algorithm == ALAE {
-		ses.cs = ix.alaeEngine(opts).AcquireSession()
+		ln.cs = ix.alaeEngine(opts).AcquireSession()
+		ln.coll = ln.cs.Collector()
+	} else {
+		ln.coll = align.NewCollector()
 	}
-	return ses, nil
+	return ln
 }
 
-// Search runs one query through the session; results are identical to
-// Index.Search with the session's options, whether the session is
-// fresh or re-armed and whatever ran through it before — including the
-// rejection of queries shorter than the scheme's gram length (see
-// Index.Search). A closed session errors rather than silently
-// degrading to one-shot searches.
-func (ses *Session) Search(query []byte) (*Result, error) {
-	return ses.SearchContext(context.Background(), query)
-}
-
-// SearchContext is Search under a context: an ALAE-engine search polls
-// the context at entry-budget checkpoints and aborts with the
-// context's error within a bounded number of DP entries (see
-// Index.SearchContext for the contract, including the baseline
-// algorithms' admission-only cancellation). The session remains fully
-// reusable after a cancelled search.
-func (ses *Session) SearchContext(cx context.Context, query []byte) (*Result, error) {
-	h, err := resolveThresholdOver(ses.s, ses.opts, len(query), ses.ix.Len(), ses.ix.trie.Index().Sigma())
-	if err != nil {
-		return nil, err
-	}
-	return ses.searchThreshold(cx, query, h)
-}
-
-// searchThreshold is SearchContext with the score threshold pinned by
-// the caller instead of derived from the session's options. The
-// sharded store's scatter step needs it: E-value statistics depend on
-// the database length n, so every shard must search at the threshold
-// of the WHOLE store — per-shard re-derivation over the shard's
-// smaller n would loosen thresholds and break parity with a monolithic
-// index.
-func (ses *Session) searchThreshold(cx context.Context, query []byte, h int) (*Result, error) {
-	if ses.closed {
-		return nil, fmt.Errorf("alae: Search on a closed Session")
-	}
+// search runs one query at threshold h, leaving its hits in the lane's
+// table. workers is the ALAE fork-family fan-out; the baselines ignore
+// it, and check the context only at admission (see
+// Index.SearchContext). The lane stays usable after a failed search.
+func (ln *lane) search(cx context.Context, query []byte, h, workers int) (Stats, error) {
 	if err := cx.Err(); err != nil {
-		return nil, err // admission check; the only one the baselines get
+		return Stats{}, err
 	}
-	if ses.cs == nil {
-		return ses.ix.searchBaseline(query, ses.opts.Algorithm, ses.s, h), nil
+	ln.coll.Reset()
+	if ln.cs == nil {
+		return ln.ix.searchBaseline(query, ln.opts.Algorithm, ln.s, h, ln.coll), nil
 	}
-	coll := ses.cs.Collector()
-	coll.Reset()
-	st, err := ses.cs.SearchContext(cx, query, ses.s, h, coll, ses.opts.Parallelism)
+	st, err := ln.cs.SearchContext(cx, query, ln.s, h, ln.coll, workers)
+	if err != nil {
+		return Stats{}, err
+	}
+	return statsFromCore(st), nil
+}
+
+// searchIndex answers query over the lane's own index: the threshold
+// from the index's (n, σ), the search, then the hits taken from the
+// lane's table.
+func (ln *lane) searchIndex(cx context.Context, query []byte) (*Result, error) {
+	h, err := resolveThresholdOver(ln.s, ln.opts, len(query), ln.ix.Len(), ln.ix.trie.Index().Sigma())
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Threshold: h,
-		Algorithm: ses.opts.Algorithm,
-		Stats:     statsFromCore(st),
-		Hits:      coll.Hits(),
-	}, nil
-}
-
-// searchCollect is the store's collector-resident search: one query at
-// a pinned threshold, its fork families dispatched across lanes
-// work-stealing workers (core.Session.SearchContext), with the hits
-// left IN the core session's collector for the caller to drain in order
-// (align.Collector.Drain) instead of materialised into a Result.Hits
-// slice. This is what makes the store's gather streaming: no per-lane
-// intermediate hit slice ever exists. Baseline algorithms (cs == nil)
-// have no collector; they fall back to searchThreshold and return the
-// materialised *Result as res instead.
-func (ses *Session) searchCollect(cx context.Context, query []byte, h, lanes int) (st Stats, res *Result, err error) {
-	if ses.cs == nil { // a baseline, or closed: searchThreshold rejects a closed session
-		r, err := ses.searchThreshold(cx, query, h)
-		if err != nil {
-			return Stats{}, nil, err
-		}
-		return r.Stats, r, nil
-	}
-	coll := ses.cs.Collector()
-	coll.Reset()
-	cst, err := ses.cs.SearchContext(cx, query, ses.s, h, coll, lanes)
+	st, err := ln.search(cx, query, h, ln.opts.Parallelism)
 	if err != nil {
-		return Stats{}, nil, err
+		return nil, err
 	}
-	return statsFromCore(cst), nil, nil
+	return &Result{Hits: ln.coll.Hits(), Threshold: h, Algorithm: ln.opts.Algorithm, Stats: st}, nil
 }
 
-// Close hands the session's pooled state back to the engine. The
-// session must not be used afterwards; Close is idempotent.
-func (ses *Session) Close() {
-	if ses.cs != nil {
-		ses.cs.Release()
-		ses.cs = nil
+// release hands an ALAE lane's core session back to the engine's pool.
+// The lane must not be used afterwards.
+func (ln *lane) release() {
+	if ln.cs != nil {
+		ln.cs.Release()
 	}
-	ses.closed = true
 }
 
 // statsFromCore converts the core engine's counters to the public

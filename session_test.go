@@ -1,7 +1,7 @@
 package alae
 
 import (
-	"bytes"
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,9 +10,39 @@ import (
 	"repro/internal/seq"
 )
 
+// openLane is the options gate, then a lane: what Index.SearchContext
+// does, with the lane kept for the test to re-arm.
+func openLane(t testing.TB, ix *Index, opts SearchOptions) *lane {
+	t.Helper()
+	s, err := resolveScheme(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix.newLane(opts, s)
+}
+
+// openStoreSession is the options gate, then a store session: what
+// Store.SearchContext does, without the pool.
+func openStoreSession(t testing.TB, st *Store, opts SearchOptions) *storeSession {
+	t.Helper()
+	s, err := resolveScheme(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &storeSession{st: st, opts: opts, s: s}
+}
+
+// searchSession is Store.SearchContext's computing path on a held
+// session: bind to the current view, then scatter-gather, with the
+// query cache bypassed.
+func searchSession(cx context.Context, ss *storeSession, query []byte) (*StoreResult, error) {
+	ss.syncView()
+	return ss.search(cx, query)
+}
+
 // TestSessionReuseParity is the serving-core acceptance test: the same
-// hits must come back whether a Session is fresh or re-armed, whether
-// the search runs sequentially or in parallel, over DNA and protein.
+// hits must come back whether a lane is fresh or re-armed, whether the
+// search runs sequentially or in parallel, over DNA and protein.
 func TestSessionReuseParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
 	type tc struct {
@@ -41,15 +71,12 @@ func TestSessionReuseParity(t *testing.T) {
 			ix := NewIndex(text)
 			for _, par := range []int{1, 0} {
 				opts := SearchOptions{Scheme: c.scheme, Threshold: 25, Parallelism: par}
-				ses, err := ix.OpenSession(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Two passes re-arm the session. Every result must equal a
+				ln := openLane(t, ix, opts)
+				// Two passes re-arm the lane. Every result must equal a
 				// one-shot Index.Search, work counters included.
 				for pass := 0; pass < 2; pass++ {
 					for qi, q := range queries {
-						got, err := ses.Search(q)
+						got, err := ln.searchIndex(context.Background(), q)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -58,7 +85,7 @@ func TestSessionReuseParity(t *testing.T) {
 							t.Fatal(err)
 						}
 						if !align.EqualHits(got.Hits, want.Hits) {
-							t.Fatalf("p=%d pass %d query %d: session hits diverge (%d vs %d)",
+							t.Fatalf("p=%d pass %d query %d: lane hits diverge (%d vs %d)",
 								par, pass, qi, len(got.Hits), len(want.Hits))
 						}
 						if got.Stats != want.Stats {
@@ -67,16 +94,15 @@ func TestSessionReuseParity(t *testing.T) {
 						}
 					}
 				}
-				ses.Close()
-				ses.Close() // idempotent
+				ln.release()
 			}
 		})
 	}
 }
 
 // TestShortQueryRejectedPublicSurface pins the too-short-query
-// contract at the public layer: Index.Search and Session.Search reject
-// queries shorter than the scheme's gram length for the ALAE engine
+// contract: Index.Search and a held lane reject queries shorter than
+// the scheme's gram length for the ALAE engine
 // with a descriptive error, while the Smith-Waterman baseline (which
 // has no gram-length floor) still answers them.
 func TestShortQueryRejectedPublicSurface(t *testing.T) {
@@ -88,65 +114,50 @@ func TestShortQueryRejectedPublicSurface(t *testing.T) {
 	if _, err := ix.Search(short, opts); err == nil {
 		t.Errorf("Index.Search accepted a query of length %d < q=%d", len(short), q)
 	}
-	ses, err := ix.OpenSession(opts)
-	if err != nil {
-		t.Fatal(err)
+	ln := openLane(t, ix, opts)
+	if _, err := ln.searchIndex(context.Background(), short); err == nil {
+		t.Error("a lane accepted a short query")
 	}
-	if _, err := ses.Search(short); err == nil {
-		t.Error("Session.Search accepted a short query")
+	// The lane must stay usable after the rejection.
+	if _, err := ln.searchIndex(context.Background(), randDNA(50, rng)); err != nil {
+		t.Errorf("lane broken after short-query rejection: %v", err)
 	}
-	// The session must stay usable after the rejection.
-	if _, err := ses.Search(randDNA(50, rng)); err != nil {
-		t.Errorf("session broken after short-query rejection: %v", err)
-	}
-	ses.Close()
+	ln.release()
 	if _, err := ix.Search(short, SearchOptions{Algorithm: SmithWaterman, Threshold: 25}); err != nil {
 		t.Errorf("Smith-Waterman rejected a short query: %v", err)
 	}
 }
 
-// TestSessionBaselineAlgorithms pins the fallback: sessions over the
-// stateless baseline engines answer as Index.Search does.
+// TestSessionBaselineAlgorithms pins the baseline lanes: a lane over a
+// baseline engine, re-armed, answers as Index.Search does, work
+// counters included.
 func TestSessionBaselineAlgorithms(t *testing.T) {
 	text, query := workload(601, 2000, 300)
 	ix := NewIndex(text)
 	for _, alg := range []Algorithm{BWTSW, BLAST, SmithWaterman} {
 		opts := SearchOptions{Algorithm: alg, Threshold: 25}
-		ses, err := ix.OpenSession(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ses.Search(query)
-		if err != nil {
-			t.Fatal(err)
-		}
 		want, err := ix.Search(query, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !align.EqualHits(got.Hits, want.Hits) {
-			t.Fatalf("%v: session hits diverge", alg)
+		ln := openLane(t, ix, opts)
+		for pass := 0; pass < 2; pass++ {
+			got, err := ln.searchIndex(context.Background(), query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !align.EqualHits(got.Hits, want.Hits) || got.Stats != want.Stats {
+				t.Fatalf("%v pass %d: lane diverges from Index.Search (%d vs %d hits)", alg, pass, len(got.Hits), len(want.Hits))
+			}
 		}
-		ses.Close()
-	}
-	// Invalid configurations surface at open time for the ALAE engines.
-	if _, err := ix.OpenSession(SearchOptions{Scheme: Scheme{Match: -1}}); err == nil {
-		t.Error("invalid scheme accepted by OpenSession")
-	}
-	// Use after Close must error, not silently degrade to one-shots.
-	ses, err := ix.OpenSession(SearchOptions{Threshold: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ses.Close()
-	if _, err := ses.Search(query); err == nil {
-		t.Error("Search on a closed session succeeded")
+		ln.release()
 	}
 }
 
-// TestSaveLoadProteinRoundTrip is the byte-rank-layout round trip: a
-// protein index (σ = 20 forces the byte rank core) must serialise and
-// reload into an index that answers identically, under session reuse.
+// TestSaveLoadProteinRoundTrip is the plane-rank-layout round trip: a
+// protein text (σ = 20 puts it on the bit-plane rank core, whose layout
+// tag the payload carries) persisted as a one-record store must reload
+// into a store that answers as the index does, search after search.
 func TestSaveLoadProteinRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(602))
 	letters := seq.Protein.Letters()
@@ -167,32 +178,70 @@ func TestSaveLoadProteinRoundTrip(t *testing.T) {
 		t.Fatal("vacuous protein workload")
 	}
 
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
+	loaded := saveLoadOneRecord(t, text)
+	if sigma := loaded.currentView().gens[0].ix.trie.Index().Sigma(); sigma <= 4 || sigma > 32 {
+		t.Fatalf("σ = %d: the workload does not exercise the plane rank layout", sigma)
 	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(loaded.Text(), text) {
-		t.Fatal("protein text changed through save/load")
-	}
-	ses, err := loaded.OpenSession(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ { // re-armed and cache-hot too
-		got, err := ses.Search(query)
+	for pass := 0; pass < 2; pass++ { // fresh, then re-armed
+		got, err := loaded.Search(query, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !align.EqualHits(got.Hits, want.Hits) {
-			t.Fatalf("pass %d: loaded protein index returns %d hits, original %d",
+		if !indexHitsEqual(got.Hits, want.Hits) {
+			t.Fatalf("pass %d: loaded protein store returns %d hits, index %d",
 				pass, len(got.Hits), len(want.Hits))
 		}
 	}
-	ses.Close()
+}
+
+// TestIndexSearchAllocBound pins what makes a held lane unnecessary: a
+// warm one-shot ALAE Index.Search allocates only the lane, the Result
+// and the hit slice — the core session, its collector and every
+// per-query table come warm from the engine's pool. Under the race
+// detector sync.Pool drops a share of what is Put into it, so a search
+// may rebuild its core session; the budget then allows one rebuild
+// (TestStoreGatherAllocBound states the same figure per lane).
+func TestIndexSearchAllocBound(t *testing.T) {
+	text, query := workload(603, 8000, 300)
+	ix := NewIndex(text)
+	opts := SearchOptions{Threshold: 25, Parallelism: 1}
+	search := func() *Result {
+		res, err := ix.Search(query, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	var res *Result
+	for warm := 0; warm < 3; warm++ {
+		res = search()
+	}
+	if len(res.Hits) == 0 {
+		t.Fatal("workload produced no hits; the test is vacuous")
+	}
+	budget := 3.0
+	if raceEnabled {
+		budget += 128
+	}
+	if allocs := testing.AllocsPerRun(5, func() { search() }); allocs > budget {
+		t.Fatalf("warm Index.Search allocated %.1f objects per query for %d hits (budget %.0f)", allocs, len(res.Hits), budget)
+	}
+}
+
+// TestSearchAllBuildsOneEngine: SearchAll builds the one engine its
+// options select and no other. With DisableDomination in particular it
+// must not build an O(n) domination index on the default-filter engine,
+// which no search of the batch reads.
+func TestSearchAllBuildsOneEngine(t *testing.T) {
+	text, query := workload(604, 4000, 300)
+	ix := NewIndex(text)
+	qs := [][]byte{query, query[50:250], query[100:]}
+	if _, err := ix.SearchAll(qs, SearchOptions{Threshold: 25, DisableDomination: true}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ix.alae); n != 1 {
+		t.Fatalf("SearchAll built %d engines, want 1", n)
+	}
 }
 
 // TestSearchAllStopsAfterError pins the cancellation contract: after

@@ -48,13 +48,6 @@ type SeqRecord struct {
 // same type serves single-index collections.
 type SeqTable = seq.Table
 
-// NewSeqTable builds the directory for members with the given names
-// and sequence lengths, laid out in input order with one separator
-// byte between consecutive members (§2.2's T = T1 # T2 # … # Tn).
-func NewSeqTable(names []string, lengths []int) *SeqTable {
-	return seq.NewTable(names, lengths)
-}
-
 // SeqHit is a hit mapped to a member sequence of a Store. The embedded
 // Hit carries global coordinates — TEnd is a position in the virtual
 // concatenation T1 # T2 # … # Tn of the LIVE members, comparable
@@ -117,7 +110,7 @@ type Store struct {
 	cache *queryCache // nil when disabled
 
 	mu    sync.Mutex
-	pools map[string]*sync.Pool // options fingerprint → *StoreSession pool
+	pools map[string]*sync.Pool // options fingerprint → *storeSession pool
 
 	mutMu     sync.Mutex // serialises mutations and their persistence
 	dir       string     // backing directory; "" = memory-only
@@ -210,12 +203,12 @@ func optionsFingerprint(o SearchOptions) string {
 	return string(b)
 }
 
-// sessionPool returns (building if needed) the StoreSession pool for
-// one options fingerprint. Pools hold warm sessions — per-shard lanes
-// whose core sessions, collectors and gram tables are already sized —
-// so bursty Store.Search traffic reuses lanes instead of opening per
-// call. Sessions re-sync themselves to the current view per search, so
-// pools survive mutations.
+// sessionPool returns (building if needed) the storeSession pool for
+// one options fingerprint. Pools hold warm sessions — per-generation
+// lanes whose core sessions, collectors and gram tables are already
+// sized — so bursty Store.Search traffic reuses lanes instead of
+// opening per call. Sessions re-sync themselves to the current view per
+// search, so pools survive mutations.
 func (st *Store) sessionPool(fp string) *sync.Pool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -228,9 +221,10 @@ func (st *Store) sessionPool(fp string) *sync.Pool {
 }
 
 // Search runs one query through the store: a query-cache probe, then —
-// on a miss — a pooled scatter-gather session (see StoreSession). The
-// returned result may be shared with the cache; callers must not
-// modify its Hits.
+// on a miss — a scatter-gather over the generations on pooled lanes (see
+// the file comment). The returned result may be shared with the cache;
+// callers must not modify its Hits. A store built with
+// StoreOptions{QueryCacheSize: -1} has no cache, so every search computes.
 func (st *Store) Search(query []byte, opts SearchOptions) (*StoreResult, error) {
 	return st.SearchContext(context.Background(), query, opts)
 }
@@ -242,7 +236,8 @@ func (st *Store) Search(query []byte, opts SearchOptions) (*StoreResult, error) 
 // cache probe, so a cached result never masks a cancelled request, and
 // a cancelled search is never published to the cache.
 func (st *Store) SearchContext(cx context.Context, query []byte, opts SearchOptions) (*StoreResult, error) {
-	if _, err := resolveScheme(opts); err != nil {
+	s, err := resolveScheme(opts)
+	if err != nil {
 		return nil, err
 	}
 	if err := cx.Err(); err != nil {
@@ -250,23 +245,20 @@ func (st *Store) SearchContext(cx context.Context, query []byte, opts SearchOpti
 	}
 	fp := optionsFingerprint(opts)
 	pool := st.sessionPool(fp)
-	ss, err := st.pooledSession(pool, opts)
-	if err != nil {
-		return nil, err
-	}
+	ss := st.pooledSession(pool, opts, s)
 	res, err := st.cachedSearch(cx, ss, fp, query)
 	pool.Put(ss)
 	return res, err
 }
 
 // pooledSession takes a warm session for opts from pool (the pool of
-// opts' fingerprint), opening one when the pool is empty. Callers Put
-// it back when done.
-func (st *Store) pooledSession(pool *sync.Pool, opts SearchOptions) (*StoreSession, error) {
+// opts' fingerprint), making one when the pool is empty. opts must have
+// passed resolveScheme, which returned s. Callers Put it back when done.
+func (st *Store) pooledSession(pool *sync.Pool, opts SearchOptions, s Scheme) *storeSession {
 	if v := pool.Get(); v != nil {
-		return v.(*StoreSession), nil
+		return v.(*storeSession)
 	}
-	return st.OpenSession(opts)
+	return &storeSession{st: st, opts: opts, s: s}
 }
 
 // cachedSearch answers query through the cache when possible,
@@ -277,12 +269,10 @@ func (st *Store) pooledSession(pool *sync.Pool, opts SearchOptions) (*StoreSessi
 // same store state — a concurrent mutation can only make an entry
 // stale-keyed (unreachable), never wrong. Errors — cancellation
 // included — are never cached: only a completed result is published.
-func (st *Store) cachedSearch(cx context.Context, ss *StoreSession, fp string, query []byte) (*StoreResult, error) {
-	if err := ss.syncView(); err != nil {
-		return nil, err
-	}
+func (st *Store) cachedSearch(cx context.Context, ss *storeSession, fp string, query []byte) (*StoreResult, error) {
+	ss.syncView()
 	if st.cache == nil {
-		return ss.searchCurrent(cx, query)
+		return ss.search(cx, query)
 	}
 	key := cacheKey(ss.view.stamp, fp, query)
 	if cached, ok := st.cache.get(key); ok {
@@ -292,7 +282,7 @@ func (st *Store) cachedSearch(cx context.Context, ss *StoreSession, fp string, q
 		cp.Stats.QueryCacheHits = 1
 		return &cp, nil
 	}
-	res, err := ss.searchCurrent(cx, query)
+	res, err := ss.search(cx, query)
 	if err != nil {
 		return nil, err
 	}

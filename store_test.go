@@ -2,6 +2,7 @@ package alae
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -101,7 +102,7 @@ func seqHitsEqual(a, b []SeqHit) bool {
 
 // TestStoreShardParity is the tentpole acceptance gate: over DNA and
 // protein workloads, for sequential and parallel searches, through
-// one-shot Store.Search and fresh and re-armed StoreSessions, a store
+// one-shot Store.Search and fresh and re-armed store sessions, a store
 // with K ∈ {1, 2, 5} shards returns exactly the monolithic index's
 // mapped hit set — same members, same local and global coordinates,
 // same scores, same E-value-derived threshold, in the same strictly
@@ -160,10 +161,7 @@ func TestStoreShardParity(t *testing.T) {
 				if st.Shards() != k {
 					t.Fatalf("built %d shards, want %d", st.Shards(), k)
 				}
-				ss, err := st.OpenSession(tc.opts)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ss := openStoreSession(t, st, tc.opts)
 				for pass := 0; pass < 2; pass++ { // fresh, then re-armed
 					for qi, query := range wl.queries {
 						got, err := st.Search(query, tc.opts) // pooled scatter-gather
@@ -178,7 +176,7 @@ func TestStoreShardParity(t *testing.T) {
 							t.Fatalf("K=%d pass %d query %d: store hits diverge from monolithic (%d vs %d)",
 								k, pass, qi, len(got.Hits), len(wantHits[qi]))
 						}
-						ses, err := ss.Search(query) // session path, cache bypassed
+						ses, err := searchSession(context.Background(), ss, query) // cache bypassed
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -200,11 +198,6 @@ func TestStoreShardParity(t *testing.T) {
 								k, pass, qi, ses.Stats.CalculatedEntries, wantEntries[qi])
 						}
 					}
-				}
-				ss.Close()
-				ss.Close() // idempotent
-				if _, err := ss.Search(wl.queries[0]); err == nil {
-					t.Fatal("Search on a closed StoreSession succeeded")
 				}
 			}
 
@@ -249,7 +242,9 @@ func TestStoreShardParity(t *testing.T) {
 
 // TestStoreSingleRecordMatchesIndex pins the K=1 degenerate case: a
 // store over one record is the raw index — no separators, global
-// coordinates equal to text coordinates, identical hit set and work.
+// coordinates equal to text coordinates, identical hit set and work —
+// for every algorithm, the baselines' lanes included, through a fresh
+// and then a pooled store session.
 func TestStoreSingleRecordMatchesIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(710))
 	letters := seq.DNA.Letters()
@@ -260,34 +255,47 @@ func TestStoreSingleRecordMatchesIndex(t *testing.T) {
 	query := seq.Mutate(seq.DNA, text[4_000:4_400],
 		seq.MutationConfig{SubstitutionRate: 0.05, IndelRate: 0.01}, rng)
 	ix := NewIndex(text)
-	want, err := ix.Search(query, SearchOptions{})
+	st, err := NewStore([]SeqRecord{{Name: "only", Seq: text}}, StoreOptions{QueryCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want.Hits) == 0 {
-		t.Fatal("vacuous workload")
-	}
-	st, err := NewStore([]SeqRecord{{Name: "only", Seq: text}}, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.Search(query, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Threshold != want.Threshold {
-		t.Fatalf("threshold %d, index %d", got.Threshold, want.Threshold)
-	}
-	if len(got.Hits) != len(want.Hits) {
-		t.Fatalf("%d hits, index %d", len(got.Hits), len(want.Hits))
-	}
-	for i, sh := range got.Hits {
-		if sh.Hit != want.Hits[i] || sh.Member != 0 || sh.Name != "only" || sh.LocalTEnd != want.Hits[i].TEnd {
-			t.Fatalf("hit %d: %+v, index hit %+v", i, sh, want.Hits[i])
+	for _, alg := range []Algorithm{ALAE, BWTSW, BLAST, SmithWaterman} {
+		opts := SearchOptions{Algorithm: alg}
+		want, err := ix.Search(query, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got.Stats.CalculatedEntries != want.Stats.CalculatedEntries {
-		t.Fatalf("entries %d, index %d", got.Stats.CalculatedEntries, want.Stats.CalculatedEntries)
+		if len(want.Hits) == 0 {
+			t.Fatalf("%v: vacuous workload", alg)
+		}
+		for pass := 0; pass < 2; pass++ { // fresh, then pooled
+			got, err := st.Search(query, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Threshold != want.Threshold {
+				t.Fatalf("%v pass %d: threshold %d, index %d", alg, pass, got.Threshold, want.Threshold)
+			}
+			if !indexHitsEqual(got.Hits, want.Hits) {
+				t.Fatalf("%v pass %d: %d hits, index %d", alg, pass, len(got.Hits), len(want.Hits))
+			}
+			for _, sh := range got.Hits {
+				if sh.Name != "only" {
+					t.Fatalf("%v pass %d: hit %+v in member %q", alg, pass, sh, sh.Name)
+				}
+			}
+			if got.Stats.CalculatedEntries != want.Stats.CalculatedEntries {
+				t.Fatalf("%v pass %d: entries %d, index %d", alg, pass, got.Stats.CalculatedEntries, want.Stats.CalculatedEntries)
+			}
+		}
+		if alg != ALAE && !raceEnabled { // reported, not gated; -race's pool drops make it noise
+			search := func() {
+				if _, err := st.Search(query, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			t.Logf("%v: a warm store search makes %.0f allocations", alg, testing.AllocsPerRun(2, search))
+		}
 	}
 }
 
@@ -794,61 +802,56 @@ func TestStoreLaneKnob(t *testing.T) {
 	}
 }
 
-// TestOpenSessionValidatesEagerly pins the satellite fix: for EVERY
-// algorithm — the baselines included — configuration errors surface at
-// OpenSession, not on the first Search.
+// TestOpenSessionValidatesEagerly pins that, for EVERY algorithm — the
+// baselines included — a configuration error surfaces at the options
+// gate, before any lane opens: the failed search builds no engine on the
+// index and no session pool on the store.
 func TestOpenSessionValidatesEagerly(t *testing.T) {
 	ix := NewIndex([]byte("ACGTACGTACGTACGTACGTACGTACGT"))
-	algorithms := []Algorithm{ALAE, BWTSW, BLAST, SmithWaterman}
-	for _, alg := range algorithms {
-		if _, err := ix.OpenSession(SearchOptions{Algorithm: alg, Threshold: -1}); err == nil {
-			t.Errorf("%v: negative threshold accepted at open", alg)
-		}
-		if _, err := ix.OpenSession(SearchOptions{Algorithm: alg, EValue: -2}); err == nil {
-			t.Errorf("%v: negative E-value accepted at open", alg)
-		}
-		if _, err := ix.OpenSession(SearchOptions{Algorithm: alg, Parallelism: -3}); err == nil {
-			t.Errorf("%v: negative parallelism accepted at open", alg)
-		}
-		for _, sigma := range []int{-1, 1} {
-			if _, err := ix.OpenSession(SearchOptions{Algorithm: alg, AlphabetSize: sigma}); err == nil {
-				t.Errorf("%v: alphabet size %d accepted at open", alg, sigma)
-			}
-		}
-	}
-	if _, err := ix.OpenSession(SearchOptions{Algorithm: Algorithm(97)}); err == nil {
-		t.Error("unknown algorithm accepted at open")
-	}
-	// BWT-SW's scheme floor is a configuration error too.
-	if _, err := ix.OpenSession(SearchOptions{
-		Algorithm: BWTSW,
-		Scheme:    Scheme{Match: 1, Mismatch: -1, GapOpen: -5, GapExtend: -2},
-		Threshold: 10,
-	}); err == nil {
-		t.Error("BWT-SW-incompatible scheme accepted at open")
-	}
-	// Index.Search applies the same validation.
-	if _, err := ix.Search([]byte("ACGTACGTACGT"), SearchOptions{Parallelism: -1, Threshold: 20}); err == nil {
-		t.Error("Index.Search accepted negative parallelism")
-	}
-	// The store session inherits the eager contract.
 	st, err := NewStore([]SeqRecord{{Name: "a", Seq: bytes.Repeat([]byte("ACGT"), 16)}}, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.OpenSession(SearchOptions{Threshold: -1}); err == nil {
-		t.Error("StoreSession accepted a negative threshold at open")
+	query := []byte("ACGTACGTACGTACGT")
+	var bad []SearchOptions
+	for _, alg := range []Algorithm{ALAE, BWTSW, BLAST, SmithWaterman} {
+		bad = append(bad,
+			SearchOptions{Algorithm: alg, Threshold: -1},
+			SearchOptions{Algorithm: alg, EValue: -2},
+			SearchOptions{Algorithm: alg, Parallelism: -3},
+			SearchOptions{Algorithm: alg, AlphabetSize: -1},
+			SearchOptions{Algorithm: alg, AlphabetSize: 1},
+		)
 	}
-	if _, err := st.Search([]byte("ACGTACGTACGTACGT"), SearchOptions{EValue: -1}); err == nil {
-		t.Error("Store.Search accepted a negative E-value")
+	bad = append(bad,
+		SearchOptions{Algorithm: Algorithm(97)},
+		SearchOptions{Algorithm: BWTSW, Scheme: Scheme{Match: 1, Mismatch: -1, GapOpen: -5, GapExtend: -2}, Threshold: 10},
+	)
+	for _, opts := range bad {
+		if _, err := resolveScheme(opts); err == nil {
+			t.Errorf("resolveScheme accepted %+v", opts)
+		}
+		if _, err := ix.Search(query, opts); err == nil {
+			t.Errorf("Index.Search accepted %+v", opts)
+		}
+		if _, err := ix.SearchAll([][]byte{query, query}, opts, 2); err == nil {
+			t.Errorf("Index.SearchAll accepted %+v", opts)
+		}
+		if _, err := st.Search(query, opts); err == nil {
+			t.Errorf("Store.Search accepted %+v", opts)
+		}
+		if _, err := st.SearchAll([][]byte{query, query}, opts, 2); err == nil {
+			t.Errorf("Store.SearchAll accepted %+v", opts)
+		}
 	}
-	for _, sigma := range []int{-1, 1} {
-		if _, err := st.OpenSession(SearchOptions{AlphabetSize: sigma}); err == nil {
-			t.Errorf("StoreSession accepted alphabet size %d at open", sigma)
-		}
-		if _, err := st.Search([]byte("ACGTACGTACGTACGT"), SearchOptions{AlphabetSize: sigma}); err == nil {
-			t.Errorf("Store.Search accepted alphabet size %d", sigma)
-		}
+	if n := len(ix.alae); n != 0 {
+		t.Errorf("rejected searches built %d engines, want 0", n)
+	}
+	st.mu.Lock()
+	pools := len(st.pools)
+	st.mu.Unlock()
+	if pools != 0 {
+		t.Errorf("rejected searches built %d session pools, want 0", pools)
 	}
 }
 
@@ -899,10 +902,10 @@ func TestStoreSearchAllStopsAfterError(t *testing.T) {
 }
 
 // TestStoreGatherAllocBound pins the streaming gather's shape: a warm
-// StoreSession search materialises ONE hit slice — the caller's
+// store session search materialises ONE hit slice — the caller's
 // StoreResult.Hits — with no per-lane intermediate Result.Hits, bucket
-// or scratch copy in between; each lane's collector drains straight
-// into it. The steady-state allocation count is therefore independent
+// or scratch copy in between; each lane's table drains straight into
+// it. The steady-state allocation count is therefore independent
 // of how many hits the query produces. It is NOT independent of the
 // lane count: a parallel search (core.Session.searchFamilies) costs its
 // context list and wait group, and every work-stealing lane its context
@@ -924,12 +927,9 @@ func TestStoreGatherAllocBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := st.OpenSession(SearchOptions{Threshold: 60, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ss := openStoreSession(t, st, SearchOptions{Threshold: 60, Parallelism: 1})
 		search := func() *StoreResult {
-			res, err := ss.Search(query)
+			res, err := searchSession(context.Background(), ss, query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -962,7 +962,7 @@ func TestStoreGatherAllocBound(t *testing.T) {
 			budget += raceRebuild * float64(lanes)
 		}
 		if allocs > budget {
-			t.Fatalf("warm StoreSession.Search at %d lanes allocated %.1f objects per query for %d hits (budget %.0f): the gather is materialising intermediates",
+			t.Fatalf("warm store session search at %d lanes allocated %.1f objects per query for %d hits (budget %.0f): the gather is materialising intermediates",
 				lanes, allocs, len(all.Hits), budget)
 		}
 
@@ -995,7 +995,6 @@ func TestStoreGatherAllocBound(t *testing.T) {
 		if cap(third.Hits) != len(third.Hits) {
 			t.Fatalf("%d lanes, large tombstoned member: result pins %d slots for %d hits", lanes, cap(third.Hits), len(third.Hits))
 		}
-		ss.Close()
 	}
 }
 

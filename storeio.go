@@ -9,15 +9,19 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/bwt"
+	"repro/internal/core"
 	"repro/internal/seq"
+	"repro/internal/strie"
 )
 
-// Store persistence: a versioned manifest — generations, member names
-// and lengths, tombstone flags — framing the existing per-index
-// serialization, so a saved store round-trips through the Index.Save
-// format (including its own versioning and rank-layout tags). Each
-// index payload is length-prefixed, which keeps the indexes' internal
-// buffered readers from consuming past their own frame.
+// Store persistence, the one on-disk format: a versioned manifest —
+// generations, member names and lengths, tombstone flags — framing one
+// index payload per generation (encodeIndex: the text plus the
+// compressed suffix array, with the FM-index's own versioning and
+// rank-layout tags). Each index payload is length-prefixed, which keeps
+// the indexes' internal buffered readers from consuming past their own
+// frame. A bare text is persisted as a one-record store.
 //
 // Version history: 1 and 2 persisted one index payload per shard; 3
 // persists ONE index payload per generation, with a mutation stamp,
@@ -196,7 +200,7 @@ func saveGenerations(w io.Writer, gens []*generation, stamp uint64) error {
 	for _, g := range gens {
 		ix := g.ix
 		var cnt countingSink
-		if err := ix.Save(&cnt); err != nil {
+		if err := encodeIndex(&cnt, ix); err != nil {
 			return err
 		}
 		var pfx [8]byte
@@ -205,7 +209,7 @@ func saveGenerations(w io.Writer, gens []*generation, stamp uint64) error {
 			return err
 		}
 		tee := countingTee{w: w}
-		if err := ix.Save(&tee); err != nil {
+		if err := encodeIndex(&tee, ix); err != nil {
 			return err
 		}
 		if tee.n != cnt.n {
@@ -213,6 +217,52 @@ func saveGenerations(w io.Writer, gens []*generation, stamp uint64) error {
 		}
 	}
 	return nil
+}
+
+// encodeIndex writes one generation's index payload: the text length,
+// the text, then the FM-index serialization.
+func encodeIndex(w io.Writer, ix *Index) error {
+	bw := bufio.NewWriter(w)
+	if err := binary.Write(bw, binary.LittleEndian, uint64(len(ix.text))); err != nil {
+		return err
+	}
+	if _, err := bw.Write(ix.text); err != nil {
+		return err
+	}
+	if _, err := ix.trie.Index().WriteTo(bw); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// decodeIndex reads an index payload written by encodeIndex. An
+// implausible text length fails before any allocation, and the
+// FM-index must cover exactly the text.
+func decodeIndex(r io.Reader) (*Index, error) {
+	br := bufio.NewReader(r)
+	var n uint64
+	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+		return nil, fmt.Errorf("alae: reading index: %w", err)
+	}
+	if n > 1<<40 {
+		return nil, fmt.Errorf("alae: implausible text length %d", n)
+	}
+	text, err := bwt.ReadExact(br, n)
+	if err != nil {
+		return nil, fmt.Errorf("alae: reading text: %w", err)
+	}
+	fm, err := bwt.ReadFMIndex(br)
+	if err != nil {
+		return nil, err
+	}
+	if fm.Len() != len(text) {
+		return nil, fmt.Errorf("alae: index length %d does not match text length %d", fm.Len(), len(text))
+	}
+	return &Index{
+		text: text,
+		trie: strie.NewFromIndex(text, fm),
+		alae: make(map[engineKey]*core.Engine),
+	}, nil
 }
 
 // atomicWriteFile publishes bytes at path crash-safely: write writes
@@ -459,7 +509,7 @@ func readIndexPayload(br *bufio.Reader, textLen int, what string) (*Index, error
 	if _, err := io.CopyN(&payload, br, int64(payloadLen)); err != nil {
 		return nil, fmt.Errorf("alae: reading store %s: %w", what, err)
 	}
-	ix, err := Load(bytes.NewReader(payload.Bytes()))
+	ix, err := decodeIndex(bytes.NewReader(payload.Bytes()))
 	if err != nil {
 		return nil, fmt.Errorf("alae: store %s: %w", what, err)
 	}

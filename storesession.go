@@ -25,147 +25,60 @@ func validateStoreQuery(query []byte) error {
 	return nil
 }
 
-// storeLane is one scatter lane of a StoreSession: a Session over one
-// generation's monolithic index. The K-way parallelism WITHIN a lane
-// comes from the work-stealing family dispatcher (core.Session.
-// SearchContext), not from more lanes: the query's grams are resolved
-// once per generation, and K workers pull the resolved families.
-type storeLane struct {
-	gen  int // index into the bound view's generation list
-	ix   *Index
-	sess *Session
-}
-
-// StoreSession is a reusable scatter-gather serving lane over a Store:
-// one search configuration answering query after query, holding one
-// Session per generation (each of which owns pooled per-query state
-// from the generation engine's session pool — see Session). The
-// session binds to the store view current at each search and re-syncs
-// itself after a mutation, reusing the lanes of every generation that
-// survived (mutations never modify an existing generation's index, so
-// surviving lanes stay valid). Like Session, a StoreSession is NOT
-// safe for concurrent use; concurrency comes from many sessions over
-// the shared store, which Store.Search manages automatically through
-// per-configuration pools.
-type StoreSession struct {
+// storeSession is Store.Search's scatter-gather state for one search
+// configuration: the store view it is bound to, one lane per generation
+// of that view (lanes[k] searches gens[k]'s index), and the scatter's
+// per-lane scratch. Store keeps warm sessions in per-options pools. The
+// K-way parallelism WITHIN a lane comes from the work-stealing family
+// dispatcher (core.Session.SearchContext), not from more lanes: the
+// query's grams are resolved once per generation, and K workers pull the
+// resolved families. A storeSession is NOT safe for concurrent use.
+type storeSession struct {
 	st    *Store
 	opts  SearchOptions
-	s     Scheme
-	view  *storeView  // the bound view; searches run against it
-	lanes []storeLane // one per generation of the bound view
-	stats []Stats     // per-lane scatter stats, reused
-	ress  []*Result   // per-lane baseline fallback results, reused
-	errs  []error     // per-lane scatter errors, reused
-
-	closed bool
-}
-
-// OpenSession returns a scatter-gather session for one search
-// configuration. Configuration errors surface here (see
-// Index.OpenSession); one lane is opened per generation.
-func (st *Store) OpenSession(opts SearchOptions) (*StoreSession, error) {
-	s, err := resolveScheme(opts)
-	if err != nil {
-		return nil, err
-	}
-	ss := &StoreSession{st: st, opts: opts, s: s}
-	if err := ss.syncView(); err != nil {
-		return nil, err
-	}
-	return ss, nil
+	s     Scheme     // opts' scheme, resolved by resolveScheme
+	view  *storeView // the bound view; searches run against it
+	lanes []*lane    // one per generation of the bound view
+	stats []Stats    // per-lane scatter stats, reused
+	errs  []error    // per-lane scatter errors, reused
 }
 
 // syncView binds the session to the store's current view, opening and
-// closing lanes as the generation list demands. Lanes whose generation
-// index survived the mutation (the common case: appends add
-// generations, deletes only flip tombstones) are kept warm — matched
-// by Index identity — so pooled sessions pay only for genuinely new or
-// compacted-away generations. On error the session is left empty but
-// reusable (the next sync retries from scratch).
-func (ss *StoreSession) syncView() error {
+// releasing lanes as the generation list demands. Mutations never
+// modify an existing generation's index, so the lanes of every
+// generation that survived (the common case: appends add generations,
+// deletes only flip tombstones) are kept warm — matched by Index
+// identity — and pooled sessions survive mutations.
+func (ss *storeSession) syncView() {
 	v := ss.st.currentView()
 	if v == ss.view {
-		return nil
+		return
 	}
-	old := make(map[*Index]*Session, len(ss.lanes))
+	old := make(map[*Index]*lane, len(ss.lanes))
 	for _, ln := range ss.lanes {
-		old[ln.ix] = ln.sess
+		old[ln.ix] = ln
 	}
-	lanes := make([]storeLane, 0, len(v.gens))
-	var err error
+	lanes := make([]*lane, len(v.gens))
 	for gi, g := range v.gens {
-		ix := g.ix
-		sess := old[ix]
-		if sess != nil {
-			delete(old, ix)
-		} else if sess, err = ix.OpenSession(ss.opts); err != nil {
-			break
+		if lanes[gi] = old[g.ix]; lanes[gi] != nil {
+			delete(old, g.ix)
+		} else {
+			lanes[gi] = g.ix.newLane(ss.opts, ss.s)
 		}
-		lanes = append(lanes, storeLane{gen: gi, ix: ix, sess: sess})
 	}
-	for _, sess := range old {
-		sess.Close() // generations compacted away (or error path below)
-	}
-	if err != nil {
-		for _, ln := range lanes {
-			ln.sess.Close()
-		}
-		ss.lanes, ss.view, ss.stats, ss.ress, ss.errs = nil, nil, nil, nil, nil
-		return err
+	for _, ln := range old {
+		ln.release() // generations compacted away
 	}
 	ss.lanes, ss.view = lanes, v
 	ss.stats = make([]Stats, len(lanes))
-	ss.ress = make([]*Result, len(lanes))
 	ss.errs = make([]error, len(lanes))
-	return nil
-}
-
-// Search scatter-gathers one query across the store's generations. The
-// threshold is resolved once against the WHOLE live store (length and
-// alphabet of the live virtual concatenation); each generation
-// resolves the query's grams ONCE against its monolithic index and
-// dispatches the resolved fork families across K work-stealing lanes
-// at that same H; and the gather drains every generation's collector
-// table, in order, straight into the result — dropping hits that end on
-// separator rows, inside tombstoned members, or whose score proves the
-// alignment crossed in from another member (laneGather) — which comes
-// out in global (TEnd, QEnd) order with nothing sorted.
-// Results are identical to a monolithic index over the live
-// concatenation, hit for hit and entry for entry, for EVERY K — K only
-// partitions the resolved work, never the text — except for alignments
-// that would cross a generation boundary's separator (the separator
-// scores as a mismatch in the monolithic text; it does not exist
-// between generations).
-//
-// StoreSession.Search does not consult the store's query cache — that
-// is Store.Search's job — so it is also the cache-bypass path.
-func (ss *StoreSession) Search(query []byte) (*StoreResult, error) {
-	return ss.SearchContext(context.Background(), query)
-}
-
-// SearchContext is Search under a context: the context is shared by
-// every lane of the scatter, so a deadline or cancellation aborts ALL
-// lanes within their entry budgets and the context's own error is
-// returned (never a per-lane wrapping — a cancelled scatter is the
-// caller's doing, not any lane's). The session remains fully reusable
-// after a cancelled search, and re-syncs to the store's current view
-// first, so a session opened before a mutation searches the
-// post-mutation store.
-func (ss *StoreSession) SearchContext(cx context.Context, query []byte) (*StoreResult, error) {
-	if ss.closed {
-		return nil, fmt.Errorf("alae: Search on a closed StoreSession")
-	}
-	if err := ss.syncView(); err != nil {
-		return nil, err
-	}
-	return ss.searchCurrent(cx, query)
 }
 
 // laneWorkers is the fork-family fan-out each generation search runs
 // at: the store's K when set above 1, else the engine-level
 // SearchOptions.Parallelism (which keeps the pre-refactor behaviour
 // for unsharded stores, including its 0 = NumCPU default).
-func (ss *StoreSession) laneWorkers() int {
+func (ss *storeSession) laneWorkers() int {
 	if k := ss.st.k; k > 1 {
 		return k
 	}
@@ -227,13 +140,29 @@ func (ga *laneGather) append(hits []SeqHit, tEnd, qEnd, score int) []SeqHit {
 	})
 }
 
-// searchCurrent runs the scatter-gather against the already-bound
-// view. Store.cachedSearch calls it directly after its own sync so the
-// cache key's stamp and the computation describe the same view.
-func (ss *StoreSession) searchCurrent(cx context.Context, query []byte) (*StoreResult, error) {
-	if ss.closed {
-		return nil, fmt.Errorf("alae: Search on a closed StoreSession")
-	}
+// search scatter-gathers one query across the generations of the
+// bound view. The threshold is resolved once against the WHOLE live
+// store (length and alphabet of the live virtual concatenation); each
+// generation's lane resolves the query's grams ONCE against its
+// monolithic index and dispatches the resolved fork families across K
+// work-stealing workers at that same H; and the gather drains every
+// lane's table, in order, straight into the result — dropping hits that
+// end on separator rows, inside tombstoned members, or whose score
+// proves the alignment crossed in from another member (laneGather) —
+// which comes out in global (TEnd, QEnd) order with nothing sorted.
+// Results are identical to a monolithic index over the live
+// concatenation, hit for hit and entry for entry, for EVERY K — K only
+// partitions the resolved work, never the text — except for alignments
+// that would cross a generation boundary's separator (the separator
+// scores as a mismatch in the monolithic text; it does not exist
+// between generations).
+//
+// Every lane shares the context, so a cancellation aborts them all and
+// the context's own error is returned, never a per-lane wrapping; the
+// session stays reusable. search does not consult the query cache:
+// Store.cachedSearch calls it after its own sync, so the cache key's
+// stamp and the computation describe the same view.
+func (ss *storeSession) search(cx context.Context, query []byte) (*StoreResult, error) {
 	if err := validateStoreQuery(query); err != nil {
 		return nil, err
 	}
@@ -244,39 +173,33 @@ func (ss *StoreSession) searchCurrent(cx context.Context, query []byte) (*StoreR
 	}
 	// Scatter: every generation lane at the same pinned threshold, in
 	// parallel when there is more than one generation. Each lane leaves
-	// its hits resident in its session's collector (searchCollect);
-	// baselines, which have no collector, fall back to a materialised
-	// per-lane Result.
-	lanes := ss.laneWorkers()
+	// its hits resident in its table.
+	workers := ss.laneWorkers()
 	if len(ss.lanes) == 1 {
-		ss.stats[0], ss.ress[0], ss.errs[0] = ss.lanes[0].sess.searchCollect(cx, query, h, lanes)
+		ss.stats[0], ss.errs[0] = ss.lanes[0].search(cx, query, h, workers)
 	} else {
 		var wg sync.WaitGroup
-		for k := range ss.lanes {
+		for k, ln := range ss.lanes {
 			wg.Add(1)
-			go func(k int) {
+			go func() {
 				defer wg.Done()
-				ss.stats[k], ss.ress[k], ss.errs[k] = ss.lanes[k].sess.searchCollect(cx, query, h, lanes)
-			}(k)
+				ss.stats[k], ss.errs[k] = ln.search(cx, query, h, workers)
+			}()
 		}
 		wg.Wait()
 	}
 	if err := cx.Err(); err != nil {
 		// The context died during the scatter: report ITS error, bare,
-		// whatever subset of lanes happened to observe it. Partial
-		// fallback results must not outlive the error path (collectors
-		// are session-owned and reset by the next search).
-		clear(ss.ress)
+		// whatever subset of lanes happened to observe it.
 		return nil, err
 	}
 	for k, err := range ss.errs {
 		if err != nil {
-			clear(ss.ress)
 			return nil, fmt.Errorf("alae: shard %d: %w", k, err)
 		}
 	}
-	// Gather, streaming and sort-free. Each lane drains its collector in
-	// the generation's (tEnd, qEnd) order; a member is one contiguous
+	// Gather, streaming and sort-free. Each lane drains its table in the
+	// generation's (tEnd, qEnd) order; a member is one contiguous
 	// coordinate range of exactly one generation, and the live directory
 	// numbers members generation by generation in text order (buildView),
 	// so draining the lanes in generation order appends hits in exactly
@@ -286,27 +209,15 @@ func (ss *StoreSession) searchCurrent(cx context.Context, query []byte) (*StoreR
 	// inside one survives the gather.
 	out := &StoreResult{Threshold: h, Algorithm: ss.opts.Algorithm}
 	total := 0
-	for k := range ss.lanes {
-		if res := ss.ress[k]; res != nil {
-			total += len(res.Hits)
-		} else {
-			total += ss.lanes[k].sess.cs.Collector().Len()
-		}
+	for _, ln := range ss.lanes {
+		total += ln.coll.Len()
 	}
 	hits := make([]SeqHit, 0, total)
-	for k := range ss.lanes {
-		ln := &ss.lanes[k]
-		ga := laneGather{tab: v.gens[ln.gen].tab, live: v.live[ln.gen], seqs: v.seqs, match: ss.s.Match}
-		if res := ss.ress[k]; res != nil {
-			for _, hh := range res.Hits {
-				hits = ga.append(hits, hh.TEnd, hh.QEnd, hh.Score)
-			}
-			ss.ress[k] = nil // do not pin fallback results past the gather
-		} else {
-			ln.sess.cs.Collector().Drain(func(tEnd, qEnd, score int) {
-				hits = ga.append(hits, tEnd, qEnd, score)
-			})
-		}
+	for k, ln := range ss.lanes {
+		ga := laneGather{tab: v.gens[k].tab, live: v.live[k], seqs: v.seqs, match: ss.s.Match}
+		ln.coll.Drain(func(tEnd, qEnd, score int) {
+			hits = ga.append(hits, tEnd, qEnd, score)
+		})
 		out.Stats.add(ss.stats[k])
 	}
 	if cap(hits)-len(hits) > len(hits)/8 {
@@ -322,19 +233,9 @@ func (ss *StoreSession) searchCurrent(cx context.Context, query []byte) (*StoreR
 	return out, nil
 }
 
-// Close closes every generation lane, handing their pooled state back
-// to the engines. Idempotent; the session must not be used after.
-func (ss *StoreSession) Close() {
-	for _, ln := range ss.lanes {
-		ln.sess.Close()
-	}
-	ss.lanes = nil
-	ss.closed = true
-}
-
 // SearchAll is Index.SearchAll over the store, with the same worker
-// count, result order and error contract. Each worker holds one
-// StoreSession for its whole run, and every query goes through the
+// count, result order and error contract. Each worker holds one pooled
+// store session for its whole run, and every query goes through the
 // query cache, so batches with repeated queries collapse into probes.
 func (st *Store) SearchAll(queries [][]byte, opts SearchOptions, workers int) ([]*StoreResult, error) {
 	return st.SearchAllContext(context.Background(), queries, opts, workers)
@@ -347,13 +248,10 @@ func (st *Store) SearchAll(queries [][]byte, opts SearchOptions, workers int) ([
 // unfinished queries stay nil).
 func (st *Store) SearchAllContext(cx context.Context, queries [][]byte, opts SearchOptions, workers int) ([]*StoreResult, error) {
 	fp := optionsFingerprint(opts)
-	pool := st.sessionPool(fp)
-	var warm []*Index
-	for _, g := range st.currentView().gens {
-		warm = append(warm, g.ix)
-	}
-	return searchAll(cx, opts, len(queries), workers, "store query", warm,
-		func() (*StoreSession, error) { return st.pooledSession(pool, opts) },
-		func(ss *StoreSession, qi int) (*StoreResult, error) { return st.cachedSearch(cx, ss, fp, queries[qi]) },
-		func(ss *StoreSession) { pool.Put(ss) })
+	// Made past searchAll's options gate: rejected options leave no pool.
+	pool := sync.OnceValue(func() *sync.Pool { return st.sessionPool(fp) })
+	return searchAll(cx, opts, len(queries), workers, "store query",
+		func(s Scheme) *storeSession { return st.pooledSession(pool(), opts, s) },
+		func(ss *storeSession, qi int) (*StoreResult, error) { return st.cachedSearch(cx, ss, fp, queries[qi]) },
+		func(ss *storeSession) { pool().Put(ss) })
 }
