@@ -136,8 +136,8 @@ type Stats struct {
 	SuppressedEmissions int64
 }
 
-// add accumulates another search's counters into st — the gather step
-// of the sharded store sums its per-shard statistics with it.
+// add accumulates another search's counters into st — the store's
+// gather sums its per-generation statistics with it.
 func (st *Stats) add(o Stats) {
 	st.CalculatedEntries += o.CalculatedEntries
 	st.ComputationCost += o.ComputationCost

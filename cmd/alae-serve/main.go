@@ -24,12 +24,12 @@
 // -shards sets the store's scatter width: the number of lanes each
 // search's fork families fan out over inside the one shared index (a
 // pure parallelism knob — answers and work are identical at every
-// value, and nothing is persisted). Background jobs —
-// periodic store reload from -store (-reload), generational store
-// compaction (-compact), query-cache pressure sweeps (-sweep), and a
-// self-probe that searches the store's own data (-probe) — run with
-// panic isolation and never take the daemon down; a failed reload
-// keeps the previous store serving.
+// value, and nothing is persisted). -query-cache is the result cache's
+// byte budget, enforced at every insert. Background jobs — periodic
+// store reload from -store (-reload), generational store compaction
+// (-compact), and a self-probe that searches the store's own data
+// (-probe) — run with panic isolation and never take the daemon down;
+// a failed reload keeps the previous store serving.
 //
 // -pprof serves net/http/pprof on a separate loopback-only listener
 // (off by default), so live daemons can be profiled without exposing
@@ -74,7 +74,7 @@ func run() error {
 		threshold = flag.Int("threshold", 0, "raw score threshold H (0 = derive from -evalue)")
 		eValue    = flag.Float64("evalue", 10, "expectation value used when -threshold is 0")
 		parallel  = flag.Int("p", 1, "ALAE worker goroutines per search (serving default 1: lanes are the concurrency)")
-		cacheSize = flag.Int("query-cache", 0, "result-cache capacity in queries (0 = default, -1 = disabled)")
+		cacheSize = flag.Int("query-cache", 0, "result-cache budget in bytes (0 = 64 MiB, -1 = disabled)")
 
 		lanes      = flag.Int("lanes", 0, "max concurrent searches (0 = GOMAXPROCS)")
 		queueDepth = flag.Int("queue-depth", 0, "requests waiting beyond the lanes before 429 (0 = 2x lanes)")
@@ -90,8 +90,6 @@ func run() error {
 
 		reloadEvery  = flag.Duration("reload", 0, "re-read -store on this period and swap it in (0 = off)")
 		compactEvery = flag.Duration("compact", 0, "run store compaction on this period: merge generations, purge tombstones (0 = off)")
-		sweepEvery   = flag.Duration("sweep", time.Minute, "query-cache pressure sweep period (0 = off)")
-		sweepHits    = flag.Int64("sweep-hits", 1_000_000, "max total hits the query cache may pin between sweeps")
 		probeEvery   = flag.Duration("probe", time.Minute, "self-probe period: search a member prefix, fail loudly if it misses (0 = off)")
 		probeLen     = flag.Int("probe-len", 64, "self-probe query length")
 
@@ -147,9 +145,6 @@ func run() error {
 	}
 	if *compactEvery > 0 {
 		srv.AddJob(&serve.CompactJob{Server: srv, Every: *compactEvery})
-	}
-	if *sweepEvery > 0 {
-		srv.AddJob(&serve.SweepJob{Server: srv, MaxCachedHits: *sweepHits, Every: *sweepEvery})
 	}
 	if *probeEvery > 0 {
 		srv.AddJob(&serve.ProbeJob{Server: srv, QueryLen: *probeLen, Timeout: *searchTO, Every: *probeEvery})

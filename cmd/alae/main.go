@@ -62,7 +62,7 @@ func run() error {
 		eValue    = flag.Float64("evalue", 10, "expectation value used when -threshold is 0")
 		parallel  = flag.Int("p", 0, "ALAE worker goroutines per search (0 = all cores, 1 = sequential)")
 		shards    = flag.Int("shards", 1, "scatter lanes per search over the store's shared index (parallelism only; answers are identical at every value)")
-		cacheSize = flag.Int("query-cache", 0, "result-cache capacity in queries (0 = default, -1 = disabled)")
+		cacheSize = flag.Int("query-cache", 0, "result-cache budget in bytes (0 = 64 MiB, -1 = disabled)")
 		showAlign = flag.Bool("align", false, "print the best alignment per query")
 		maxHits   = flag.Int("max-hits", 10, "hits printed per query (0 = all)")
 		stats     = flag.Bool("stats", false, "print work statistics per query")

@@ -158,8 +158,6 @@ func TestFilterAblationsStayExact(t *testing.T) {
 		{DisableScoreFilter: true},
 		{DisableDomination: true},
 		{DisableLengthFilter: true, DisableScoreFilter: true, DisableDomination: true},
-		{EnableGMatrix: true},
-		{EnableGMatrix: true, DisableDomination: true},
 		{Mode: ModeHybrid, DisableScoreFilter: true},
 		{Mode: ModeHybrid, DisableDomination: true},
 	}
@@ -331,32 +329,6 @@ func TestDominationPrunesForksOnTandemRepeat(t *testing.T) {
 	want := oracle(text, query, s, h)
 	if !align.EqualHits(got, want) {
 		t.Fatalf("domination broke exactness:\n got %v\nwant %v", got, want)
-	}
-}
-
-func TestGMatrixFiltersRepeatedForks(t *testing.T) {
-	rng := rand.New(rand.NewSource(109))
-	unit := randDNA(30, rng)
-	text := append(append([]byte(nil), unit...), unit...)
-	query := append(append([]byte(nil), unit...), unit...)
-	s := align.DefaultDNA
-	h := 20
-	got, st := runEngine(t, text, query, s, h,
-		Options{EnableGMatrix: true, DisableDomination: true})
-	want := oracle(text, query, s, h)
-	if !align.EqualHits(got, want) {
-		t.Fatalf("G-matrix broke exactness:\n got %v\nwant %v", got, want)
-	}
-	if st.ForksGMatrixFiltered == 0 {
-		t.Logf("note: no forks filtered by G matrix on this workload (stats %+v)", st)
-	}
-}
-
-func TestGMatrixMemoryCap(t *testing.T) {
-	e := New([]byte("ACGTACGTACGT"), Options{EnableGMatrix: true, GMatrixMaxBytes: 1})
-	c := align.NewCollector()
-	if _, err := e.Search([]byte("ACGTACGT"), align.DefaultDNA, 4, c); err == nil {
-		t.Error("G matrix over cap accepted")
 	}
 }
 

@@ -44,10 +44,9 @@ const (
 	ModeHybrid
 )
 
-// Options configures an Engine. The zero value enables every filter
-// except the space-hungry G-matrix, matching the paper's ALAE
-// configuration; individual filters can be switched off for the
-// ablation experiments.
+// Options configures an Engine. The zero value enables every filter,
+// matching the paper's ALAE configuration; individual filters can be
+// switched off for the ablation experiments.
 type Options struct {
 	Mode Mode
 
@@ -58,12 +57,6 @@ type Options struct {
 	DisableScoreFilter bool
 	// DisableDomination turns the Lemma 1 global filter off.
 	DisableDomination bool
-	// EnableGMatrix turns the §3.2.1 boolean-matrix global filter on.
-	// It needs O(n·m/8) bytes per searched query in the worst case,
-	// which is why the paper develops domination as its replacement;
-	// GMatrixMaxBytes caps the allocation (default 1 GiB).
-	EnableGMatrix   bool
-	GMatrixMaxBytes int
 	// DisableEmitSuppression turns the emission path's diagonal
 	// dominance filter off, so every occurrence-resolved cell reaches
 	// the collector. The hit set is identical either way — the filter
@@ -110,9 +103,6 @@ func New(text []byte, opts Options) *Engine {
 // NewFromTrie wraps an existing emulated suffix trie (shareable with
 // the BWT-SW engine).
 func NewFromTrie(t *strie.Trie, opts Options) *Engine {
-	if opts.GMatrixMaxBytes <= 0 {
-		opts.GMatrixMaxBytes = 1 << 30
-	}
 	return &Engine{trie: t, opts: opts, dom: make(map[int]*domination.Index)}
 }
 
@@ -151,8 +141,7 @@ func (e *Engine) Search(query []byte, s align.Scheme, h int, c *align.Collector)
 // column set — so workers pull families from a shared queue, collect
 // hits into private collector shards, and the results merge by
 // max-score, producing exactly the sequential engine's hit set and
-// entry counts regardless of scheduling. The order-dependent G-matrix
-// global filter forces workers to 1 when enabled.
+// entry counts regardless of scheduling.
 //
 // SearchParallel is the one-shot shell over the session machinery: it
 // borrows a pooled Session (which owns every per-query structure and
@@ -246,7 +235,6 @@ type searchCtx struct {
 	delta    []int32 // δ table: delta[k*m+j] = δ(letter k, query[j]); read-only, shared
 	colBound []int32 // Theorem 2 column bounds: h − (m−j)·sa, or negInf when disabled
 	dom      *domination.Index
-	gm       *gMatrix
 	mute     bool // suppress gap-region entry counting (hybrid oracles)
 	barrier  int  // dense code of Options.BarrierByte, or -1 (no barrier)
 
@@ -311,7 +299,7 @@ type workspace struct {
 // scrub drops the per-search pointers the scratch captured — emit
 // contexts point at the search's collector and query, the hybrid state
 // at its whole searchCtx — so an idle pooled workspace pins only its
-// own buffers, never the last caller's collector, G-matrix or query.
+// own buffers, never the last caller's collector or query.
 // Retained locate buffers survive (they are workspace-owned). Staging
 // buffers are emptied unconditionally: a cancelled search may abandon
 // staged runs mid-walk, and they must not leak into the next query.
@@ -402,16 +390,9 @@ func (ctx *searchCtx) processGram(fam *gramFamily) {
 			ctx.st.ForksDominated++
 			continue
 		}
-		if ctx.gm != nil && ctx.gm.covered(int(col0), occGetter()) {
-			ctx.st.ForksGMatrixFiltered++
-			continue
-		}
 		survivors = append(survivors, col0)
 		ctx.st.ForksStarted++
 		ctx.st.EntriesEMR += int64(len(gram))
-		if ctx.gm != nil {
-			ctx.gm.markEMR(int(col0), len(gram), occGetter())
-		}
 	}
 	ctx.ws.survivors = survivors
 	if len(survivors) == 0 {

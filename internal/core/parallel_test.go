@@ -55,34 +55,6 @@ func TestSearchParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSearchParallelGMatrixStaysSequential pins the safety rule: the
-// order-dependent G-matrix filter must force one worker, and results
-// must still match the sequential engine.
-func TestSearchParallelGMatrixStaysSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(778))
-	s := align.DefaultDNA
-	e := New(randDNA(2000, rng), Options{EnableGMatrix: true})
-	query := randDNA(200, rng)
-	h := s.MinThreshold() + 4
-
-	seqC := align.NewCollector()
-	seqSt, err := e.Search(query, s, h, seqC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parC := align.NewCollector()
-	parSt, err := e.SearchParallel(query, s, h, parC, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !align.EqualHits(parC.Hits(), seqC.Hits()) {
-		t.Fatal("G-matrix parallel search diverged from sequential")
-	}
-	if parSt != seqSt {
-		t.Fatalf("G-matrix stats diverge: %+v vs %+v", parSt, seqSt)
-	}
-}
-
 // TestSearchLanesMatchesSequential pins the contract the store's
 // shared-index scatter rides on: the work-stealing dispatcher with any
 // lane count produces the sequential engine's exact hit set and the

@@ -29,7 +29,7 @@ type gramFamily struct {
 // by one incremental prefix-shared pass and returns the present
 // families in lexicographic gram order. ForksConsidered/ForksAbsent
 // accounting for the pruned grams lands in st; the per-family filters
-// (domination, G-matrix) still run at processing time.
+// (domination) still run at processing time.
 func (ses *Session) resolveFamilies(qidx *qgram.Index, st *Stats) []gramFamily {
 	e := ses.e
 	q := qidx.Q()

@@ -178,13 +178,6 @@ func (ses *Session) SearchContext(cx context.Context, query []byte, s align.Sche
 			return *st, err
 		}
 	}
-	var gm *gMatrix
-	if e.opts.EnableGMatrix {
-		gm, err = newGMatrix(e.trie.Index().Len(), m, e.opts.GMatrixMaxBytes)
-		if err != nil {
-			return *st, err
-		}
-	}
 
 	// Resolve every distinct gram by one prefix-shared trie pass (see
 	// resolve.go); absent grams die here, so the scheduler and the
@@ -210,15 +203,11 @@ func (ses *Session) SearchContext(cx context.Context, query []byte, s align.Sche
 		delta:    ses.delta,
 		colBound: ses.colBound,
 		dom:      dom,
-		gm:       gm,
 		barrier:  barrierCode(e.trie.Letters(), e.opts.BarrierByte),
 		done:     cx.Done(), // nil for background contexts: checkpoints are free
 	}
 	if workers <= 0 {
 		workers = runtime.NumCPU()
-	}
-	if gm != nil {
-		workers = 1 // the G-matrix filter's state is traversal-order-dependent
 	}
 	ses.searchFamilies(families, base, workers, c, st)
 	if err := cx.Err(); err != nil {

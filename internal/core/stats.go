@@ -17,11 +17,10 @@ type Stats struct {
 	EntriesInterior int64 // calculated gap-region interior entries (cost 3)
 	ReusedEntries   int64 // entries copied from previous forks (§4)
 
-	ForksConsidered      int64 // q-gram matches examined
-	ForksAbsent          int64 // pruned: q-prefix absent from the text (Theorem 3)
-	ForksDominated       int64 // pruned: q-prefix domination (Lemma 1)
-	ForksGMatrixFiltered int64 // pruned: boolean-matrix global filter (Theorem 4)
-	ForksStarted         int64 // forks that produced a fork area
+	ForksConsidered int64 // q-gram matches examined
+	ForksAbsent     int64 // pruned: q-prefix absent from the text (Theorem 3)
+	ForksDominated  int64 // pruned: q-prefix domination (Lemma 1)
+	ForksStarted    int64 // forks that produced a fork area
 
 	// NodesVisited counts emulated suffix-trie nodes entered with live
 	// alignment state: the gram node of every started family plus each
@@ -88,7 +87,6 @@ func (st *Stats) Add(other Stats) {
 	st.ForksConsidered += other.ForksConsidered
 	st.ForksAbsent += other.ForksAbsent
 	st.ForksDominated += other.ForksDominated
-	st.ForksGMatrixFiltered += other.ForksGMatrixFiltered
 	st.ForksStarted += other.ForksStarted
 	st.NodesVisited += other.NodesVisited
 	st.EmittedHits += other.EmittedHits

@@ -17,7 +17,7 @@ import (
 // Each job runs on its own ticker goroutine; a run that returns an
 // error is counted and logged (the next tick retries), and a run that
 // PANICS is recovered to an error — a bad store file or a bug in a
-// sweep degrades that job, not the process. Jobs stop with the drain.
+// job degrades that job, not the process. Jobs stop with the drain.
 
 // Job is one scheduled maintenance task.
 type Job interface {
@@ -200,27 +200,6 @@ func (j *ReloadJob) Run(ctx context.Context) error {
 		return fmt.Errorf("keeping the previous store: %w", err)
 	}
 	j.Server.store.Store(st)
-	return nil
-}
-
-// SweepJob bounds the query cache's footprint between requests: when
-// the cache pins more than MaxCachedHits hits, the coldest results are
-// shed (CLOCK order) until it fits. Serving keeps its hot set; the
-// long tail of one-off large results stops accumulating.
-type SweepJob struct {
-	Server        *Server
-	MaxCachedHits int64
-	Every         time.Duration
-}
-
-func (j *SweepJob) Name() string            { return "cache-sweep" }
-func (j *SweepJob) Interval() time.Duration { return j.Every }
-func (j *SweepJob) Run(ctx context.Context) error {
-	st := j.Server.Store()
-	if _, hits := st.QueryCachePressure(); hits > j.MaxCachedHits {
-		evicted := st.ShedQueryCache(j.MaxCachedHits)
-		j.Server.logf("serve: cache-sweep evicted %d cached results (over %d pinned hits)", evicted, j.MaxCachedHits)
-	}
 	return nil
 }
 

@@ -32,8 +32,8 @@
 //   - Lifecycle. SIGTERM (wired in cmd/alae-serve) starts a drain:
 //     /healthz flips to 503 so load balancers stop routing here, new
 //     searches are refused, in-flight searches finish, then the
-//     process exits 0. Background jobs (store reload, cache-pressure
-//     sweeps, the bench self-probe) run on their own tickers with the
+//     process exits 0. Background jobs (store reload, compaction,
+//     the bench self-probe) run on their own tickers with the
 //     same panic isolation, and a failed job run — a corrupt store
 //     file, most importantly — keeps the last good state.
 package serve

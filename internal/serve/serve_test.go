@@ -510,28 +510,10 @@ func (*panicJob) Run(context.Context) error {
 	panic("injected job fault")
 }
 
-// TestServeSweepAndProbeJobs: the cache sweep sheds pressure and the
-// self-probe passes against a healthy store.
-func TestServeSweepAndProbeJobs(t *testing.T) {
-	store := testStore(t, 4, 3000, 2, 64)
-	srv := testServer(t, Config{Store: store})
-	srv.AddJob(&SweepJob{Server: srv, MaxCachedHits: 0, Every: time.Hour})
+// TestServeProbeJob: the self-probe passes against a healthy store.
+func TestServeProbeJob(t *testing.T) {
+	srv := testServer(t, Config{})
 	srv.AddJob(&ProbeJob{Server: srv, QueryLen: 100, Every: time.Hour})
-
-	// Populate the cache, then sweep it empty (budget 0).
-	if _, err := store.Search(store.SampleQuery(100), srv.cfg.Options); err != nil {
-		t.Fatal(err)
-	}
-	if results, _ := store.QueryCachePressure(); results == 0 {
-		t.Fatal("search did not populate the query cache")
-	}
-	if err := srv.RunJobOnce(t.Context(), "cache-sweep"); err != nil {
-		t.Fatal(err)
-	}
-	if results, hits := store.QueryCachePressure(); results != 0 || hits != 0 {
-		t.Fatalf("after the sweep the cache still pins %d results / %d hits", results, hits)
-	}
-
 	if err := srv.RunJobOnce(t.Context(), "probe"); err != nil {
 		t.Fatalf("self-probe failed on a healthy store: %v", err)
 	}
@@ -736,7 +718,7 @@ func TestServePerClientRateLimit(t *testing.T) {
 // deleted store back to one clean generation on the serving path, and
 // /stats reports the generational state before and after.
 func TestServeCompactJob(t *testing.T) {
-	store := testStore(t, 4, 2000, 2, 64)
+	store := testStore(t, 4, 2000, 2, 0)
 	srv := testServer(t, Config{Store: store})
 	srv.AddJob(&CompactJob{Server: srv, Every: time.Hour})
 	ts := httptest.NewServer(srv.Handler())

@@ -29,7 +29,7 @@ echo "== generate data and build the store"
 echo "== start the daemon"
 addr="127.0.0.1:7741"
 "$workdir/alae-serve" -store "$workdir/db.alae" -addr "$addr" \
-  -search-timeout 20s -reload 5s -sweep 5s -probe 5s \
+  -search-timeout 20s -reload 5s -probe 5s \
   >"$workdir/serve.log" 2>&1 &
 server_pid=$!
 

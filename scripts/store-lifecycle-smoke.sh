@@ -3,9 +3,10 @@
 # append a generation, tombstone a member, kill a compaction mid-run,
 # then require the directory to reload with the right answers — the
 # appended member must hit, the deleted member must not — and a clean
-# compaction afterwards to leave a single purged generation. CI runs
-# this; it is the check that crash-safe mutation actually survives a
-# kill -9, not just that the crash matrix passes in-process.
+# compaction afterwards to leave a single purged generation and no
+# debris: loads only read, and the first writer after the kill sweeps.
+# CI runs this; it is the check that crash-safe mutation actually
+# survives a kill -9, not just that the crash matrix passes in-process.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,15 +70,24 @@ del_hits=$(hits "$workdir/q_del.fa")
 [ "$del_hits" -eq 0 ] || { echo "deleted member resurfaced after kill ($del_hits hits)"; exit 1; }
 echo "post-kill answers: appended=$new_hits deleted=$del_hits"
 
-if ls "$workdir/db"/*.tmp-* >/dev/null 2>&1; then
-  echo "temp debris survived the recovery load:"; ls "$workdir/db"; exit 1
-fi
-
 echo "== clean compaction"
+# Tombstone one more member first, so the compaction always commits,
+# and so sweeps, even when the killed one had committed before the kill.
+"$workdir/alae" -load-store "$workdir/db" -delete m3 >"$workdir/delete2.log"
+grep -q "deleted 1 member" "$workdir/delete2.log"
 "$workdir/alae" -load-store "$workdir/db" -compact >"$workdir/compact2.log"
 grep -q "store now:" "$workdir/compact2.log" || { echo "compaction did not report store state"; exit 1; }
 grep -q "0 tombstone(s)" "$workdir/compact2.log" || {
   echo "tombstones survived compaction:"; cat "$workdir/compact2.log"; exit 1
+}
+if ls "$workdir/db"/*.tmp-* >/dev/null 2>&1; then
+  echo "temp debris survived the writers after the kill:"; ls "$workdir/db"; exit 1
+fi
+gens=$(sed -n 's/^store now: .*, \([0-9]*\) generation(s).*/\1/p' "$workdir/compact2.log")
+files=$(find "$workdir/db" -maxdepth 1 -name 'gen-*.alae' | wc -l)
+[ "$files" -eq "$gens" ] || {
+  echo "orphan generation files survived the writers after the kill ($files files, $gens generations):"
+  ls "$workdir/db"; exit 1
 }
 
 echo "== post-compaction answers unchanged"

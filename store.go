@@ -24,7 +24,7 @@ import (
 // threshold of the whole database, and the gather drains each
 // generation's collector table, in order, straight into the result —
 // rejecting hits ending on separator rows and hits inside tombstoned
-// members — with no intermediate per-shard hit slice and no sort. K is
+// members — with no intermediate per-lane hit slice and no sort. K is
 // therefore a parallelism knob, not a layout knob: CalculatedEntries
 // and the hit set are byte-identical for every K. On top sits a
 // result-level query cache: search results are immutable per store
@@ -51,7 +51,7 @@ type SeqTable = seq.Table
 // SeqHit is a hit mapped to a member sequence of a Store. The embedded
 // Hit carries global coordinates — TEnd is a position in the virtual
 // concatenation T1 # T2 # … # Tn of the LIVE members, comparable
-// across shard counts — while Member, Name and LocalTEnd give the
+// across lane counts — while Member, Name and LocalTEnd give the
 // member-level view. Member indexes the live directory of the store
 // state the search ran against (see Store.Stamp): a mutation can
 // renumber members, so hits must not be held across mutations.
@@ -68,7 +68,7 @@ type StoreResult struct {
 	Hits      []SeqHit
 	Threshold int // the H actually used, derived from the WHOLE store's length
 	Algorithm Algorithm
-	Stats     Stats // summed over shards; QueryCacheHits/Misses are per-call
+	Stats     Stats // summed over generations; QueryCacheHits/Misses are per-call
 }
 
 // StoreOptions configures NewStore.
@@ -82,8 +82,8 @@ type StoreOptions struct {
 	// engine-level SearchOptions.Parallelism governs the fan-out
 	// instead (the pre-refactor default).
 	Shards int
-	// QueryCacheSize is the capacity, in cached results, of the
-	// result-level query cache. 0 means the default (1024 results);
+	// QueryCacheSize is the byte budget of the result-level query
+	// cache, enforced at every insert. 0 means the default (64 MiB);
 	// negative disables the cache. The cache never changes results:
 	// keys carry the store's mutation stamp, so an Append/Delete/
 	// Compact strands every pre-mutation entry (they age out through
@@ -92,15 +92,12 @@ type StoreOptions struct {
 	QueryCacheSize int
 }
 
-// defaultQueryCacheSize is the default query-cache capacity in cached
-// results. An entry holds the mapped hit slice of one search, so the
-// footprint is workload-dependent; serving workloads that cache large
-// result sets should size this deliberately.
-const defaultQueryCacheSize = 1024
+// defaultQueryCacheBytes is the default query-cache byte budget.
+const defaultQueryCacheBytes = 64 << 20
 
-// Store is a sharded, multi-sequence serving layer above Index.
-// Building one costs K index builds (run in parallel); afterwards any
-// number of concurrent searches can run against it, interleaved with
+// Store is a multi-sequence serving layer above Index: one index per
+// generation, searched by K work lanes. Any number of concurrent
+// searches can run against it, interleaved with
 // mutations: searches read an immutable view swapped atomically by
 // Append/Delete/Compact, which serialise among themselves. See the
 // file comment for the search pipeline and storegen.go for the
@@ -170,9 +167,9 @@ func (st *Store) Shards() int { return st.k }
 // resolveThreshold derives the score threshold for a query of length m
 // exactly as a monolithic Index over the whole live concatenation
 // would (resolveThresholdOver with the view's TOTAL length and
-// alphabet). Neither sharding nor generations may change thresholds —
-// that is what keeps the sharded and generational hit sets
-// byte-identical to the monolithic ones.
+// alphabet). Neither the lane count nor generations may change
+// thresholds — that is what keeps the hit sets of every K and every
+// generation list byte-identical to the monolithic ones.
 func (v *storeView) resolveThreshold(m int, opts SearchOptions, s Scheme) (int, error) {
 	return resolveThresholdOver(s, opts, m, v.seqs.TotalLen(), v.sigma)
 }
@@ -230,7 +227,7 @@ func (st *Store) Search(query []byte, opts SearchOptions) (*StoreResult, error) 
 }
 
 // SearchContext is Search under a context: a deadline or cancellation
-// aborts the scatter across every shard within a bounded number of DP
+// aborts the scatter across every generation within a bounded number of DP
 // entries per worker and returns the context's error (see
 // Index.SearchContext). An already-dead context is rejected before the
 // cache probe, so a cached result never masks a cancelled request, and
@@ -303,9 +300,8 @@ func (st *Store) QueryCacheStats() (hits, misses int64) {
 }
 
 // QueryCachePressure reports the query cache's current footprint: live
-// cached results and the total number of hits they pin (the dominant,
-// workload-dependent part of the cache's memory). Both are zero when
-// the cache is disabled.
+// cached results and the total number of hits they pin (the dominant
+// part of its bytes). Both are zero when the cache is disabled.
 func (st *Store) QueryCachePressure() (results int, totalHits int64) {
 	if st.cache == nil {
 		return 0, 0
@@ -315,8 +311,8 @@ func (st *Store) QueryCachePressure() (results int, totalHits int64) {
 
 // ShedQueryCache evicts cached results (approximately least recently
 // used first) until the cache pins at most maxHits total hits, and
-// reports how many results were evicted. Serving sweeps call it on a
-// schedule to bound the cache's worst-case footprint between requests;
+// reports how many results were evicted. The byte budget already
+// bounds the cache at every insert; this drops memory on demand, and
 // maxHits ≤ 0 empties the cache. No-op when the cache is disabled.
 func (st *Store) ShedQueryCache(maxHits int64) (evicted int) {
 	if st.cache == nil {
@@ -402,7 +398,7 @@ func rankSeqHits(a, b SeqHit) int {
 // a live member's own prefix must come back with hits, whatever the
 // store holds, so an empty answer means the serving path (not the
 // data) is broken. Tombstoned members are never sampled (their bytes
-// would return no hits by design). The copy never aliases shard texts
+// would return no hits by design). The copy never aliases generation texts
 // and never contains a separator byte.
 func (st *Store) SampleQuery(n int) []byte {
 	v := st.currentView()

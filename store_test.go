@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/seq"
 )
@@ -630,10 +631,6 @@ func TestStoreQueryCache(t *testing.T) {
 	})
 
 	t.Run("eviction", func(t *testing.T) {
-		st, err := NewStore(wl.records, StoreOptions{Shards: 2, QueryCacheSize: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
 		ref, err := NewStore(wl.records, StoreOptions{Shards: 2, QueryCacheSize: -1})
 		if err != nil {
 			t.Fatal(err)
@@ -642,6 +639,21 @@ func TestStoreQueryCache(t *testing.T) {
 		for i := range queries {
 			queries[i] = append([]byte(nil), query...)
 			queries[i][i] = 'A' // distinct cache keys
+		}
+		// A budget that fits the largest result but not all four.
+		var total, largest int64
+		for _, q := range queries {
+			res, err := ref.Search(q, SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			size := entrySize(cacheKey(ref.Stamp(), optionsFingerprint(SearchOptions{}), q), res)
+			total, largest = total+size, max(largest, size)
+		}
+		budget := max(total/2, largest)
+		st, err := NewStore(wl.records, StoreOptions{Shards: 2, QueryCacheSize: int(budget)})
+		if err != nil {
+			t.Fatal(err)
 		}
 		for round := 0; round < 3; round++ {
 			for qi, q := range queries {
@@ -657,11 +669,64 @@ func TestStoreQueryCache(t *testing.T) {
 					t.Fatalf("round %d query %d: eviction-pressured cache diverged", round, qi)
 				}
 			}
-			if st.cache.len() > 2 {
-				t.Fatalf("cache grew to %d entries, capacity 2", st.cache.len())
+			if n := len(st.cache.m); n == len(queries) || st.cache.bytes > budget {
+				t.Fatalf("cache holds %d of %d results charged %d bytes, budget %d", n, len(queries), st.cache.bytes, budget)
 			}
 		}
 	})
+}
+
+// TestQueryCacheByteBudget pins the cache's one bound with no job
+// running: whatever is inserted, the live entries are never charged
+// more than the byte budget, a result charged more than the whole
+// budget is not cached, an evicting put keeps the entry it inserts and
+// the one inserted before it, and zero-hit results are not free.
+func TestQueryCacheByteBudget(t *testing.T) {
+	result := func(hits int) *StoreResult { return &StoreResult{Hits: make([]SeqHit, hits)} }
+	key := func(i int) string { return cacheKey(1, "fp", []byte(fmt.Sprintf("query-%05d", i))) }
+	qc := newQueryCache(int(8 * entrySize(key(0), result(500))))
+	check := func(what string) {
+		t.Helper()
+		var charged, hits int64
+		for _, e := range qc.m {
+			charged += e.size
+			hits += int64(len(e.res.Hits))
+		}
+		if charged != qc.bytes || hits != qc.totalHits || len(qc.ring) != len(qc.m) {
+			t.Fatalf("%s: books %d bytes / %d hits / %d ring slots, entries hold %d / %d / %d",
+				what, qc.bytes, qc.totalHits, len(qc.ring), charged, hits, len(qc.m))
+		}
+		if qc.bytes > qc.budget {
+			t.Fatalf("%s: %d bytes charged, budget %d", what, qc.bytes, qc.budget)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		qc.put(key(i), result(500))
+		check(fmt.Sprintf("put %d", i))
+		for _, k := range []int{i, i - 1} {
+			if k >= 0 && qc.m[key(k)] == nil {
+				t.Fatalf("put %d evicted the entry of put %d", i, k)
+			}
+		}
+	}
+	if len(qc.m) != 8 {
+		t.Fatalf("cache holds %d results, its budget fits 8", len(qc.m))
+	}
+	huge := cacheKey(1, "fp", []byte("huge"))
+	qc.put(huge, result(int(qc.budget)/int(unsafe.Sizeof(SeqHit{}))))
+	if qc.m[huge] != nil || len(qc.m) != 8 {
+		t.Fatalf("a result over the whole budget was cached or evicted others (%d results)", len(qc.m))
+	}
+	for i := 100; i < 3000; i++ {
+		qc.put(key(i), result(0))
+		check(fmt.Sprintf("zero-hit put %d", i))
+	}
+	if n := len(qc.m); n == 0 || int64(n)*entryOverhead > qc.budget {
+		t.Fatalf("%d zero-hit results cached under a %d-byte budget", n, qc.budget)
+	}
+	if qc.shed(0); len(qc.m) != 0 || qc.bytes != 0 {
+		t.Fatalf("shed(0) left %d results charged %d bytes", len(qc.m), qc.bytes)
+	}
 }
 
 // TestStoreQueryCacheConcurrent hammers one store from many goroutines
@@ -670,21 +735,23 @@ func TestStoreQueryCache(t *testing.T) {
 // result must equal the uncached reference.
 func TestStoreQueryCacheConcurrent(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 4, 1500, 200, 714)
-	st, err := NewStore(wl.records, StoreOptions{Shards: 2, QueryCacheSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref, err := NewStore(wl.records, StoreOptions{Shards: 2, QueryCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wants := make([][]SeqHit, len(wl.queries))
+	var budget int64 // about two results, so that the goroutines' puts evict
 	for qi, q := range wl.queries {
 		res, err := ref.Search(q, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wants[qi] = res.Hits
+		budget = max(budget, 2*entrySize(cacheKey(ref.Stamp(), optionsFingerprint(SearchOptions{}), q), res))
+	}
+	st, err := NewStore(wl.records, StoreOptions{Shards: 2, QueryCacheSize: int(budget)})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	errc := make(chan error, 32)

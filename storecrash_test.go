@@ -1,10 +1,12 @@
 package alae
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +20,8 @@ import (
 // post-mutation store. storeFSHook (storegen.go) is the seam: the
 // matrix snapshots the directory after each step (exactly the on-disk
 // state a crash there would leave, leftover temp files included) and
-// replays every snapshot through LoadStoreFile.
+// replays every snapshot through LoadStoreFile. A load deletes
+// nothing; the first mutation after it sweeps the crash's debris.
 
 func readFileBytes(path string) ([]byte, error) { return os.ReadFile(path) }
 
@@ -115,9 +118,13 @@ func TestStoreCrashMatrix(t *testing.T) {
 				t.Fatalf("matrix vacuous: only %d durable steps snapshotted", len(snaps))
 			}
 			for i, snap := range snaps {
+				files := dirFiles(t, snap)
 				loaded, err := LoadStoreFile(snap, StoreOptions{})
 				if err != nil {
 					t.Fatalf("snapshot %d (%s) does not load: %v", i, steps[i], err)
+				}
+				if after := dirFiles(t, snap); !slices.Equal(after, files) {
+					t.Fatalf("snapshot %d (%s): the load changed the directory from %v to %v", i, steps[i], files, after)
 				}
 				got := storeHits(t, loaded, wl.queries, SearchOptions{})
 				matchPre := storeResultsEqual(got, pre)
@@ -131,16 +138,11 @@ func TestStoreCrashMatrix(t *testing.T) {
 				if i == len(snaps)-1 && !matchPost {
 					t.Fatalf("final snapshot (%s) does not reload as the post-%s store", steps[i], mut.name)
 				}
-				// Recovery must also sweep the debris the crash left.
-				ents, err := os.ReadDir(snap)
-				if err != nil {
-					t.Fatal(err)
+				// The next mutation sweeps the debris the crash left.
+				if err := loaded.Append([]SeqRecord{{Name: "sweeper", Seq: wl.records[0].Seq[:300]}}); err != nil {
+					t.Fatalf("snapshot %d (%s): mutation after recovery: %v", i, steps[i], err)
 				}
-				for _, e := range ents {
-					if strings.Contains(e.Name(), ".tmp-") {
-						t.Fatalf("snapshot %d (%s): temp file %s survives recovery", i, steps[i], e.Name())
-					}
-				}
+				assertNoDebris(t, loaded, fmt.Sprintf("snapshot %d (%s)", i, steps[i]))
 			}
 		})
 	}
@@ -151,6 +153,36 @@ func TestStoreCrashMatrix(t *testing.T) {
 	}
 	if !storeResultsEqual(storeHits(t, final, wl.queries, SearchOptions{}), storeHits(t, st, wl.queries, SearchOptions{})) {
 		t.Fatal("post-gauntlet reload disagrees with the live store")
+	}
+}
+
+// dirFiles lists the names of dir's entries, sorted.
+func dirFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(ents))
+	for i, e := range ents {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// assertNoDebris fails when st's directory holds a temp file or a
+// generation file st's view does not reference.
+func assertNoDebris(t *testing.T, st *Store, what string) {
+	t.Helper()
+	keep := make(map[string]bool)
+	for _, g := range st.currentView().gens {
+		keep[genFileName(g.id)] = true
+	}
+	for _, name := range dirFiles(t, st.Dir()) {
+		orphan := strings.HasPrefix(name, "gen-") && !keep[name]
+		if orphan || strings.Contains(name, ".tmp-") {
+			t.Fatalf("%s: %s survives the next mutation's sweep", what, name)
+		}
 	}
 }
 
@@ -213,8 +245,8 @@ func TestStoreMutationAbortsCleanly(t *testing.T) {
 
 // TestStoreDirSweep plants the debris an interrupted compaction leaves
 // — an orphan generation file and a stale temp file — and asserts a
-// load serves the manifest's store and removes the debris, while
-// leaving foreign files alone.
+// load serves the manifest's store and deletes nothing, and that the
+// next mutation removes the debris while leaving foreign files alone.
 func TestStoreDirSweep(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 4, 1200, 200, 922)
 	dir := filepath.Join(t.TempDir(), "db")
@@ -246,11 +278,177 @@ func TestStoreDirSweep(t *testing.T) {
 		t.Fatal("debris changed the loaded store")
 	}
 	for _, path := range []string{orphan, temp} {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("the load deleted %s: %v", filepath.Base(path), err)
+		}
+	}
+	if _, err := loaded.Delete(wl.records[0].Name); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{orphan, temp} {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("%s survived the load sweep", filepath.Base(path))
+			t.Fatalf("%s survived the next mutation's sweep", filepath.Base(path))
 		}
 	}
 	if _, err := os.Stat(foreign); err != nil {
 		t.Fatal("the sweep removed a foreign file")
 	}
+}
+
+// TestStoreLoadMidAppend loads the directory, as a serving daemon's
+// reload job would, between an Append's generation rename and its
+// manifest commit. The load must delete nothing: the committed
+// manifest names the new generation, so the directory must still load,
+// appended member included.
+func TestStoreLoadMidAppend(t *testing.T) {
+	wl := buildStoreWorkload(seq.DNA, 4, 1200, 200, 923)
+	dir := filepath.Join(t.TempDir(), "db")
+	st, err := NewStore(wl.records[:3], StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	loads := 0
+	storeFSHook = func(step, path string) error {
+		if step != "renamed" || !strings.HasPrefix(filepath.Base(path), "gen-") {
+			return nil
+		}
+		loads++
+		_, err := LoadStoreFile(dir, StoreOptions{})
+		return err
+	}
+	err = st.Append(wl.records[3:4])
+	storeFSHook = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loads != 1 {
+		t.Fatalf("the reader loaded %d times mid-append, want 1", loads)
+	}
+	reloaded, err := LoadStoreFile(dir, StoreOptions{})
+	if err != nil {
+		t.Fatalf("the directory no longer loads after a reader loaded mid-append: %v", err)
+	}
+	if n := reloaded.Sequences().Len(); n != 4 {
+		t.Fatalf("reloaded store holds %d members, want 4", n)
+	}
+	if !storeResultsEqual(storeHits(t, reloaded, wl.queries[:1], SearchOptions{}), storeHits(t, st, wl.queries[:1], SearchOptions{})) {
+		t.Fatal("reloaded store disagrees with the appending store")
+	}
+}
+
+// TestStoreStaleHandleMutationFails: two handles load one directory
+// and one of them appends. The other's view is now stale, so its
+// mutation must fail and change nothing, instead of committing a
+// manifest that drops the appended generation.
+func TestStoreStaleHandleMutationFails(t *testing.T) {
+	wl := buildStoreWorkload(seq.DNA, 4, 1200, 200, 924)
+	dir := filepath.Join(t.TempDir(), "db")
+	st, err := NewStore(wl.records[:3], StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	appender, err := LoadStoreFile(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := LoadStoreFile(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appender.Append(wl.records[3:4]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stale.Delete(wl.records[0].Name); err == nil {
+		t.Fatal("a stale handle's Delete committed over another handle's Append")
+	}
+	if stale.Stamp() != st.Stamp() || stale.Sequences().Len() != 3 {
+		t.Fatalf("the failed Delete changed the stale handle: stamp %d, %d members", stale.Stamp(), stale.Sequences().Len())
+	}
+	reloaded, err := LoadStoreFile(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reloaded.Sequences().Len(); n != 4 {
+		t.Fatalf("reloaded store holds %d members, the appender's view 4", n)
+	}
+	// A handle reloaded after the commit mutates normally.
+	if _, err := reloaded.Delete(wl.records[0].Name); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreDirManifestMismatch: a generation file whose members differ
+// from what the manifest says — in name or in length — fails the load,
+// and so does the retired version-1 directory manifest.
+func TestStoreDirManifestMismatch(t *testing.T) {
+	recs := []SeqRecord{
+		{Name: "alpha", Seq: []byte("ACGTACGTACGTACGTACGT")},
+		{Name: "beta", Seq: []byte("TTTTACGTACGTGGGG")},
+	}
+	dir := filepath.Join(t.TempDir(), "db")
+	st, err := NewStore(recs, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	renamed := slices.Clone(recs)
+	renamed[1].Name = "gamma"
+	shortened := slices.Clone(recs)
+	shortened[1].Seq = shortened[1].Seq[1:]
+	for _, tc := range []struct {
+		name    string
+		records []SeqRecord
+		want    string
+	}{
+		{"name", renamed, `"beta" of 16 bytes, manifest says "gamma" of 16`},
+		{"length", shortened, `"beta" of 16 bytes, manifest says "beta" of 15`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			other, err := NewStore(tc.records, StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var manifest bytes.Buffer
+			v := other.currentView()
+			if err := writeStoreManifest(&manifest, v.gens, v.stamp); err != nil {
+				t.Fatal(err)
+			}
+			bad := t.TempDir()
+			linkStoreDir(t, dir, bad)
+			if err := os.Remove(filepath.Join(bad, manifestName)); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeFileBytes(filepath.Join(bad, manifestName), manifest.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadStoreFile(bad, StoreOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("load error = %v, want one containing %s", err, tc.want)
+			}
+		})
+	}
+	t.Run("version-1", func(t *testing.T) {
+		old := t.TempDir()
+		linkStoreDir(t, dir, old)
+		if err := os.Remove(filepath.Join(old, manifestName)); err != nil {
+			t.Fatal(err)
+		}
+		v1 := append([]byte("ALAEMANF"), 1, 0, 0, 0)
+		if err := writeFileBytes(filepath.Join(old, manifestName), v1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadStoreFile(old, StoreOptions{}); err == nil || !strings.Contains(err.Error(), "version-1 directory manifest") {
+			t.Fatalf("load error = %v, want the old-format message", err)
+		}
+		if _, err := StoreDirStamp(old); err == nil || !strings.Contains(err.Error(), "version-1 directory manifest") {
+			t.Fatalf("StoreDirStamp error = %v, want the old-format message", err)
+		}
+	})
 }

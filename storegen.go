@@ -1,6 +1,7 @@
 package alae
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -44,8 +45,9 @@ import (
 // or SaveDir) publishes every mutation as temp-write + fsync + atomic
 // rename — generation files first, then the manifest, which is the
 // commit point. A crash at ANY step leaves a directory that loads as
-// either the pre- or the post-mutation store, never a torn one;
-// orphaned generation files and leftover temp files are swept on load.
+// either the pre- or the post-mutation store, never a torn one. Loads
+// only read: the orphaned generation files and leftover temp files a
+// crash leaves are swept by the next writer, right after its commit.
 
 // byteMask is a 256-bit presence set over byte values: which bytes a
 // member sequence contains. Masks are what let a mutation recompute
@@ -241,7 +243,7 @@ func validateRecords(records []SeqRecord) error {
 // existing members keep their coordinates. On a directory-backed store
 // the mutation is crash-safe: the generation file lands first, then
 // the manifest commit; a crash between them leaves the pre-append
-// store (the orphaned generation file is swept on the next load).
+// store (the orphaned generation file is swept by the next mutation).
 func (st *Store) Append(records []SeqRecord) error {
 	if len(records) == 0 {
 		return fmt.Errorf("alae: Append needs at least one record")
@@ -258,7 +260,7 @@ func (st *Store) Append(records []SeqRecord) error {
 	if err != nil {
 		return err
 	}
-	if err := st.persistMutation(next, []*generation{g}, nil); err != nil {
+	if err := st.persistMutation(next, []*generation{g}); err != nil {
 		return err
 	}
 	st.nextGenID++
@@ -320,7 +322,7 @@ func (st *Store) Delete(names ...string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := st.persistMutation(next, nil, nil); err != nil {
+	if err := st.persistMutation(next, nil); err != nil {
 		return 0, err
 	}
 	st.view.Store(next)
@@ -347,8 +349,7 @@ type CompactStats struct {
 // unchanged by compaction. A pass with nothing to do is a no-op that
 // does not bump the mutation stamp. On a directory-backed store the
 // pass is crash-safe: merged generation file, then manifest commit,
-// then best-effort removal of the superseded files (leftovers are
-// swept on the next load).
+// then a best-effort sweep of the superseded files.
 func (st *Store) Compact() (CompactStats, error) {
 	st.mutMu.Lock()
 	defer st.mutMu.Unlock()
@@ -398,11 +399,7 @@ func (st *Store) Compact() (CompactStats, error) {
 	if merged != nil {
 		write = append(write, merged)
 	}
-	removed := make([]uint64, len(victims))
-	for i, gi := range victims {
-		removed[i] = cur.gens[gi].id
-	}
-	if err := st.persistMutation(next, write, removed); err != nil {
+	if err := st.persistMutation(next, write); err != nil {
 		return cs, err
 	}
 	if merged != nil {
@@ -447,14 +444,11 @@ func compactionVictims(gens []*generation) []int {
 // ---------------------------------------------------------------------
 // Directory persistence: the generation manifest.
 
-// manifestName is the commit record of a directory-backed store: which
-// generation files are current and which members are tombstoned. It is
+// manifestName is the commit record of a directory-backed store: the
+// store file's manifest (writeStoreManifest) with no payloads, naming
+// the current generations, their members and the tombstones. It is
 // always replaced by atomic rename, so it is the mutation commit point.
 const manifestName = "MANIFEST"
-
-var manifestMagic = [8]byte{'A', 'L', 'A', 'E', 'M', 'A', 'N', 'F'}
-
-const manifestVersion uint32 = 1
 
 // genFileName names generation id's file within a store directory.
 func genFileName(id uint64) string { return fmt.Sprintf("gen-%08d.alae", id) }
@@ -462,7 +456,7 @@ func genFileName(id uint64) string { return fmt.Sprintf("gen-%08d.alae", id) }
 // storeFSHook is the failure-injection seam of the mutation
 // persistence path: when set (tests only), it runs after every durable
 // step — temp created, temp written, temp synced, renamed into place,
-// superseded file removed — with the step name and the file involved.
+// debris swept — with the step name and the file involved.
 // The crash matrix snapshots the directory at each step (the on-disk
 // state a crash there would leave) and asserts every snapshot reloads
 // as the pre- or post-mutation store; returning an error aborts the
@@ -479,13 +473,20 @@ func fsStep(step, path string) error {
 
 // persistMutation writes one mutation's durable footprint to the
 // backing directory (no-op for memory-only stores): new generation
-// files first, then the manifest — the commit point — then best-effort
-// removal of superseded generation files. An interruption before the
-// manifest rename leaves the previous store plus debris the next load
-// sweeps; after it, the new store plus debris. Never a torn state.
-func (st *Store) persistMutation(next *storeView, write []*generation, removed []uint64) error {
+// files, then the manifest — the commit point — then a sweep of the
+// files the committed view does not reference. A crash before the
+// rename leaves the previous store plus debris, after it the new store
+// plus debris; never a torn state. It fails before writing anything
+// when another handle has committed since this one loaded, whose
+// commit it would otherwise drop.
+func (st *Store) persistMutation(next *storeView, write []*generation) error {
 	if st.dir == "" {
 		return nil
+	}
+	if onDisk, err := StoreDirStamp(st.dir); err != nil {
+		return err
+	} else if cur := st.currentView().stamp; onDisk != cur {
+		return fmt.Errorf("alae: store directory %s is at stamp %d, this store at %d: another handle committed since this one loaded; reload before mutating", st.dir, onDisk, cur)
 	}
 	for _, g := range write {
 		if err := writeGenerationFile(st.dir, g); err != nil {
@@ -495,11 +496,7 @@ func (st *Store) persistMutation(next *storeView, write []*generation, removed [
 	if err := writeManifest(st.dir, next); err != nil {
 		return err
 	}
-	for _, id := range removed {
-		path := filepath.Join(st.dir, genFileName(id))
-		os.Remove(path)
-		fsStep("gen-removed", path) // post-commit: outcome cannot abort the mutation
-	}
+	sweepStoreDir(st.dir, next)
 	return nil
 }
 
@@ -520,143 +517,74 @@ func writeGenerationFile(dir string, g *generation) error {
 // writeManifest publishes the commit record for view v.
 func writeManifest(dir string, v *storeView) error {
 	return atomicWriteFile(filepath.Join(dir, manifestName), func(w io.Writer) error {
-		bw := newByteWriter(w)
-		bw.bytes(manifestMagic[:])
-		bw.u32(manifestVersion)
-		bw.u64(v.stamp)
-		bw.u64(uint64(len(v.gens)))
-		for _, g := range v.gens {
-			bw.u64(g.id)
-			bw.u64(uint64(g.tab.Len()))
-			bw.u64(uint64(g.ndead))
-			for m := 0; m < g.tab.Len(); m++ {
-				if g.isDead(m) {
-					bw.u64(uint64(m))
-				}
-			}
-		}
-		return bw.flush()
+		return writeStoreManifest(w, v.gens, v.stamp)
 	})
 }
 
-// manifestGen is one generation's manifest entry.
-type manifestGen struct {
-	id      uint64
-	members int
-	dead    []int
-}
-
-// readManifest parses and validates a manifest file.
-func readManifest(path string) (stamp uint64, gens []manifestGen, err error) {
-	data, err := os.ReadFile(path)
+// readManifest parses and validates a directory's MANIFEST, or only
+// its header when headerOnly is set; the old version-1 manifest, with
+// its own magic, is rejected by name.
+func readManifest(dir string, headerOnly bool) ([]*genManifest, uint64, error) {
+	path := filepath.Join(dir, manifestName)
+	f, err := os.Open(path)
 	if err != nil {
-		return 0, nil, fmt.Errorf("alae: reading store manifest: %w", err)
+		return nil, 0, fmt.Errorf("alae: reading store manifest: %w", err)
 	}
-	br := newByteReader(data)
-	var magic [8]byte
-	br.bytes(magic[:])
-	if br.err == nil && magic != manifestMagic {
-		return 0, nil, fmt.Errorf("alae: not a store manifest (bad magic %q)", magic[:])
+	defer f.Close()
+	br := bufio.NewReader(f)
+	if magic, _ := br.Peek(8); string(magic) == "ALAEMANF" {
+		return nil, 0, fmt.Errorf("alae: %s is a version-1 directory manifest, an old format this build no longer reads; rebuild the store directory", path)
 	}
-	if v := br.u32(); br.err == nil && v != manifestVersion {
-		return 0, nil, fmt.Errorf("alae: unsupported store manifest version %d (this build reads version %d)", v, manifestVersion)
+	if headerOnly {
+		stamp, err := readStoreHeader(br)
+		return nil, stamp, err
 	}
-	stamp = br.u64()
-	count := br.u64()
-	if br.err == nil && count > maxStoreMembers {
-		return 0, nil, fmt.Errorf("alae: implausible manifest generation count %d", count)
-	}
-	seen := make(map[uint64]bool)
-	for i := uint64(0); i < count && br.err == nil; i++ {
-		var g manifestGen
-		g.id = br.u64()
-		if br.err == nil && seen[g.id] {
-			return 0, nil, fmt.Errorf("alae: manifest lists generation %d twice", g.id)
-		}
-		seen[g.id] = true
-		members := br.u64()
-		if br.err == nil && members > maxStoreMembers {
-			return 0, nil, fmt.Errorf("alae: implausible manifest member count %d", members)
-		}
-		g.members = int(members)
-		tombs := br.u64()
-		if br.err == nil && tombs > members {
-			return 0, nil, fmt.Errorf("alae: manifest generation %d tombstones %d of %d members", g.id, tombs, members)
-		}
-		last := -1
-		for t := uint64(0); t < tombs && br.err == nil; t++ {
-			m := br.u64()
-			if br.err != nil {
-				break
-			}
-			if m >= members || int(m) <= last {
-				return 0, nil, fmt.Errorf("alae: manifest generation %d has an invalid tombstone index %d", g.id, m)
-			}
-			last = int(m)
-			g.dead = append(g.dead, int(m))
-		}
-		gens = append(gens, g)
-	}
-	if br.err != nil {
-		return 0, nil, fmt.Errorf("alae: reading store manifest: %w", br.err)
-	}
-	if len(gens) == 0 {
-		return 0, nil, fmt.Errorf("alae: store manifest lists no generations")
-	}
-	return stamp, gens, nil
+	return readStoreManifest(br)
 }
 
 // StoreDirStamp reads the mutation stamp of a directory-backed store
-// from its manifest alone, without loading any generation index. A
-// serving daemon's reload job polls this: when the stamp matches the
-// store it is already serving, the (expensive) reload is skipped —
-// the manifest rename is the commit point of every mutation, so an
-// unchanged stamp means an unchanged store.
+// from its manifest's header alone. A serving daemon's reload job polls
+// it and skips the reload while the stamp matches the store it serves:
+// the manifest rename commits every mutation.
 func StoreDirStamp(dir string) (uint64, error) {
-	stamp, _, err := readManifest(filepath.Join(dir, manifestName))
+	_, stamp, err := readManifest(dir, true)
 	return stamp, err
 }
 
 // loadStoreDir loads a directory-backed store: manifest, then each
-// generation file it references, with the manifest's tombstones
-// overlaid. Debris from interrupted mutations — generation files the
-// manifest does not reference, leftover temp files — is swept after a
-// successful load.
+// generation file it references, checked against the manifest's id,
+// member names and lengths, with the manifest's tombstones overlaid.
+// It deletes nothing: files the manifest does not reference are never
+// read, and the next writer sweeps them.
 func loadStoreDir(dir string, opts StoreOptions) (*Store, error) {
-	stamp, entries, err := readManifest(filepath.Join(dir, manifestName))
+	entries, stamp, err := readManifest(dir, false)
 	if err != nil {
 		return nil, err
 	}
 	gens := make([]*generation, len(entries))
-	keep := make(map[string]bool, len(entries)+1)
 	for i, e := range entries {
 		name := genFileName(e.id)
-		keep[name] = true
 		g, err := loadGenerationFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, fmt.Errorf("alae: store generation %d: %w", e.id, err)
 		}
-		if g.id != e.id {
-			return nil, fmt.Errorf("alae: generation file %s holds generation %d", name, g.id)
+		if g.id != e.id || g.tab.Len() != len(e.names) {
+			return nil, fmt.Errorf("alae: generation file %s holds generation %d with %d members, manifest says generation %d with %d",
+				name, g.id, g.tab.Len(), e.id, len(e.names))
 		}
-		if g.tab.Len() != e.members {
-			return nil, fmt.Errorf("alae: generation %d has %d members, manifest says %d", e.id, g.tab.Len(), e.members)
-		}
-		if len(e.dead) > 0 {
-			dead := make([]bool, g.tab.Len())
-			for _, m := range e.dead {
-				dead[m] = true
+		for m, n := range e.names {
+			if g.tab.Name(m) != n || g.tab.SeqLen(m) != e.lengths[m] {
+				return nil, fmt.Errorf("alae: generation %d member %d is %q of %d bytes, manifest says %q of %d",
+					e.id, m, g.tab.Name(m), g.tab.SeqLen(m), n, e.lengths[m])
 			}
-			g = g.withTombstones(dead, len(e.dead))
 		}
-		gens[i] = g
+		gens[i] = g.withTombstones(e.dead, e.ndead)
 	}
 	st, err := newStoreFromGens(gens, stamp, opts)
 	if err != nil {
 		return nil, err
 	}
 	st.dir = dir
-	sweepStoreDir(dir, keep)
 	return st, nil
 }
 
@@ -678,26 +606,31 @@ func loadGenerationFile(path string) (*generation, error) {
 	return gens[0], nil
 }
 
-// sweepStoreDir removes the debris an interrupted mutation can leave:
-// generation files the manifest no longer (or does not yet) reference
-// and temp files that never got renamed. Only files matching the
-// store's own naming patterns are touched; removal is best-effort —
-// sweeping is hygiene, not correctness, because the loader never reads
-// unreferenced files in the first place.
-func sweepStoreDir(dir string, keep map[string]bool) {
+// sweepStoreDir removes the debris interrupted mutations leave: the
+// generation files view v does not reference, and temp files. Only a
+// writer calls it, right after committing v — a reader cannot tell a
+// crash's debris from the generation file a concurrent writer is about
+// to commit. Removal is best-effort hygiene: the loader never reads
+// unreferenced files.
+func sweepStoreDir(dir string, v *storeView) {
+	keep := make(map[string]bool, len(v.gens))
+	for _, g := range v.gens {
+		keep[genFileName(g.id)] = true
+	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || name == manifestName || keep[name] {
+		if e.IsDir() || keep[name] {
 			continue
 		}
 		orphanGen := strings.HasPrefix(name, "gen-") && strings.HasSuffix(name, ".alae")
-		leftoverTemp := strings.Contains(name, ".tmp-")
-		if orphanGen || leftoverTemp {
-			os.Remove(filepath.Join(dir, name))
+		if orphanGen || strings.Contains(name, ".tmp-") {
+			path := filepath.Join(dir, name)
+			os.Remove(path)
+			fsStep("swept", path) // post-commit: outcome cannot abort the mutation
 		}
 	}
 }
@@ -714,17 +647,15 @@ func (st *Store) SaveDir(dir string) error {
 		return fmt.Errorf("alae: creating store directory: %w", err)
 	}
 	v := st.currentView()
-	keep := make(map[string]bool, len(v.gens)+1)
 	for _, g := range v.gens {
 		if err := writeGenerationFile(dir, g); err != nil {
 			return err
 		}
-		keep[genFileName(g.id)] = true
 	}
 	if err := writeManifest(dir, v); err != nil {
 		return err
 	}
 	st.dir = dir
-	sweepStoreDir(dir, keep)
+	sweepStoreDir(dir, v)
 	return nil
 }

@@ -3,6 +3,7 @@ package alae
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -212,7 +213,7 @@ func TestStoreMutationSemantics(t *testing.T) {
 // right answer is.
 func TestStoreMutationInvalidatesCache(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 4, 1500, 200, 916)
-	st, err := NewStore(wl.records, StoreOptions{QueryCacheSize: 64})
+	st, err := NewStore(wl.records, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestStoreMutatedRoundTrip(t *testing.T) {
 // that were live in SOME published view).
 func TestStoreMutateWhileSearching(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 6, 1200, 200, 918)
-	st, err := NewStore(wl.records[:4], StoreOptions{Shards: 2, QueryCacheSize: 32})
+	st, err := NewStore(wl.records[:4], StoreOptions{Shards: 2, QueryCacheSize: 256 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +393,7 @@ func TestStoreMutateWhileSearching(t *testing.T) {
 // Append/Delete/Compact republishing the view underneath it.
 func TestStoreMutateWhileSearchAll(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 6, 1200, 200, 921)
-	st, err := NewStore(wl.records[:4], StoreOptions{Shards: 3, QueryCacheSize: 32})
+	st, err := NewStore(wl.records[:4], StoreOptions{Shards: 3, QueryCacheSize: 256 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,12 +480,12 @@ func TestStoreCompactionFoldsTail(t *testing.T) {
 	}
 }
 
-// FuzzLoadStoreDir hammers the directory manifest loader: arbitrary
-// MANIFEST bytes over a directory of REAL generation files must be
-// rejected cleanly or produce a searchable store — and must never make
-// the sweeper delete files a hostile manifest merely fails to mention
-// properly. The generation files are built once; each fuzz case gets a
-// fresh directory of hard links to them.
+// FuzzLoadStoreDir hammers the directory manifest loader — the store
+// file's manifest parser: arbitrary MANIFEST bytes over a directory of
+// REAL generation files must be rejected cleanly or produce a
+// searchable store, and the load must delete nothing. The generation
+// files are built once; each fuzz case gets a fresh directory of hard
+// links to them.
 func FuzzLoadStoreDir(f *testing.F) {
 	st, err := NewStore([]SeqRecord{
 		{Name: "alpha", Seq: []byte("ACGTACGTACGTACGTACGT")},
@@ -524,7 +525,11 @@ func FuzzLoadStoreDir(f *testing.F) {
 		if err := writeFileBytes(filepath.Join(dir, manifestName), manifest); err != nil {
 			t.Fatal(err)
 		}
+		files := dirFiles(t, dir)
 		loaded, err := LoadStoreFile(dir, StoreOptions{})
+		if after := dirFiles(t, dir); !slices.Equal(after, files) {
+			t.Fatalf("the load changed the directory from %v to %v", files, after)
+		}
 		if err != nil {
 			return
 		}

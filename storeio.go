@@ -28,10 +28,9 @@ import (
 // per-generation ids and member flags (bit 0 = tombstoned). Only
 // version 3 is read: no v1/v2 file was ever deployed.
 //
-// The same format also serves as the per-generation file of a
-// directory-backed store (storegen.go), where each generation is
-// written as a single-generation store file and the MANIFEST file owns
-// the tombstones.
+// A directory-backed store (storegen.go) writes each generation as a
+// one-generation store file, and its MANIFEST is the whole store's
+// manifest with no payloads, whose member flags own the tombstones.
 
 // storeMagic opens every serialised store.
 var storeMagic = [8]byte{'A', 'L', 'A', 'E', 'S', 'T', 'O', 'R'}
@@ -94,45 +93,6 @@ func (b *byteWriter) flush() error {
 	return b.w.Flush()
 }
 
-// byteReader is byteWriter's in-memory counterpart for small fixed
-// records (the directory manifest). Short input surfaces as a sticky
-// io.ErrUnexpectedEOF.
-type byteReader struct {
-	data []byte
-	err  error
-}
-
-func newByteReader(data []byte) *byteReader { return &byteReader{data: data} }
-
-func (b *byteReader) take(n int) []byte {
-	if b.err != nil {
-		return nil
-	}
-	if len(b.data) < n {
-		b.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	p := b.data[:n]
-	b.data = b.data[n:]
-	return p
-}
-
-func (b *byteReader) bytes(p []byte) { copy(p, b.take(len(p))) }
-
-func (b *byteReader) u32() uint32 {
-	if p := b.take(4); p != nil {
-		return binary.LittleEndian.Uint32(p)
-	}
-	return 0
-}
-
-func (b *byteReader) u64() uint64 {
-	if p := b.take(8); p != nil {
-		return binary.LittleEndian.Uint64(p)
-	}
-	return 0
-}
-
 // countingSink measures a serialization without holding it: the
 // pre-pass of the streaming save.
 type countingSink struct{ n int64 }
@@ -174,27 +134,7 @@ func (st *Store) Save(w io.Writer) error {
 // post-check turns any violation of that assumption into a save error
 // instead of a corrupt file.
 func saveGenerations(w io.Writer, gens []*generation, stamp uint64) error {
-	bw := newByteWriter(w)
-	bw.bytes(storeMagic[:])
-	bw.u32(storeVersion)
-	bw.u64(stamp)
-	bw.u64(uint64(len(gens)))
-	for _, g := range gens {
-		bw.u64(g.id)
-		bw.u64(uint64(g.tab.Len()))
-		for m := 0; m < g.tab.Len(); m++ {
-			name := g.tab.Name(m)
-			bw.u64(uint64(len(name)))
-			bw.str(name)
-			bw.u64(uint64(g.tab.SeqLen(m)))
-			var flags uint8
-			if g.isDead(m) {
-				flags |= 1
-			}
-			bw.u8(flags)
-		}
-	}
-	if err := bw.flush(); err != nil {
+	if err := writeStoreManifest(w, gens, stamp); err != nil {
 		return err
 	}
 	for _, g := range gens {
@@ -217,6 +157,33 @@ func saveGenerations(w io.Writer, gens []*generation, stamp uint64) error {
 		}
 	}
 	return nil
+}
+
+// writeStoreManifest writes the format's header and manifest: magic,
+// version, stamp, then per generation its id and each member's name,
+// length and flags. A directory's MANIFEST file is exactly this.
+func writeStoreManifest(w io.Writer, gens []*generation, stamp uint64) error {
+	bw := newByteWriter(w)
+	bw.bytes(storeMagic[:])
+	bw.u32(storeVersion)
+	bw.u64(stamp)
+	bw.u64(uint64(len(gens)))
+	for _, g := range gens {
+		bw.u64(g.id)
+		bw.u64(uint64(g.tab.Len()))
+		for m := 0; m < g.tab.Len(); m++ {
+			name := g.tab.Name(m)
+			bw.u64(uint64(len(name)))
+			bw.str(name)
+			bw.u64(uint64(g.tab.SeqLen(m)))
+			var flags uint8
+			if g.isDead(m) {
+				flags |= 1
+			}
+			bw.u8(flags)
+		}
+	}
+	return bw.flush()
 }
 
 // encodeIndex writes one generation's index payload: the text length,
@@ -331,9 +298,7 @@ func (st *Store) SaveFile(path string) error {
 }
 
 // LoadStoreFile reads a store written by SaveFile (or any file holding
-// Save's format). A directory path loads the generation-directory
-// layout written by SaveDir, sweeping any debris an interrupted
-// mutation left behind.
+// Save's format), or on a directory path the layout SaveDir writes.
 func LoadStoreFile(path string, opts StoreOptions) (*Store, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -372,39 +337,65 @@ type genManifest struct {
 	ndead   int
 }
 
-// loadGenerations parses Save's format: magic, version, the manifest
-// of every generation, then one index payload per generation in order.
+// loadGenerations parses Save's format: the manifest, then one index
+// payload per generation in order.
 func loadGenerations(r io.Reader) ([]*generation, uint64, error) {
 	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, 0, fmt.Errorf("alae: reading store: %w", err)
-	}
-	if magic != storeMagic {
-		return nil, 0, fmt.Errorf("alae: not a store file (bad magic %q)", magic[:])
-	}
-	var version uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, 0, fmt.Errorf("alae: reading store version: %w", err)
-	}
-	if version != storeVersion {
-		return nil, 0, fmt.Errorf("alae: unsupported store version %d (this build reads version %d only)", version, storeVersion)
-	}
-	u64 := func(what string, limit uint64) (uint64, error) {
-		var v uint64
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-			return 0, fmt.Errorf("alae: reading store %s: %w", what, err)
-		}
-		if v > limit {
-			return 0, fmt.Errorf("alae: implausible store %s %d", what, v)
-		}
-		return v, nil
-	}
-	stamp, err := u64("stamp", 1<<62)
+	manifests, stamp, err := readStoreManifest(br)
 	if err != nil {
 		return nil, 0, err
 	}
-	genCount, err := u64("generation count", maxStoreMembers)
+	gens := make([]*generation, len(manifests))
+	for gi, gm := range manifests {
+		g, err := loadGenPayload(br, gm)
+		if err != nil {
+			return nil, 0, err
+		}
+		gens[gi] = g
+	}
+	return gens, stamp, nil
+}
+
+// readStoreHeader reads and checks the format's magic and version and
+// returns the mutation stamp that follows them.
+func readStoreHeader(br *bufio.Reader) (uint64, error) {
+	var magic [8]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return 0, fmt.Errorf("alae: reading store: %w", err)
+	}
+	if magic != storeMagic {
+		return 0, fmt.Errorf("alae: not a store file (bad magic %q)", magic[:])
+	}
+	var version uint32
+	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
+		return 0, fmt.Errorf("alae: reading store version: %w", err)
+	}
+	if version != storeVersion {
+		return 0, fmt.Errorf("alae: unsupported store version %d (this build reads version %d only)", version, storeVersion)
+	}
+	return readStoreU64(br, "stamp", 1<<62)
+}
+
+// readStoreU64 reads one manifest field, which must not exceed limit.
+func readStoreU64(br *bufio.Reader, what string, limit uint64) (uint64, error) {
+	var v uint64
+	if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
+		return 0, fmt.Errorf("alae: reading store %s: %w", what, err)
+	}
+	if v > limit {
+		return 0, fmt.Errorf("alae: implausible store %s %d", what, v)
+	}
+	return v, nil
+}
+
+// readStoreManifest parses and validates writeStoreManifest's output:
+// the header, then every generation's member directory.
+func readStoreManifest(br *bufio.Reader) ([]*genManifest, uint64, error) {
+	stamp, err := readStoreHeader(br)
+	if err != nil {
+		return nil, 0, err
+	}
+	genCount, err := readStoreU64(br, "generation count", maxStoreMembers)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -415,7 +406,7 @@ func loadGenerations(r io.Reader) ([]*generation, uint64, error) {
 	manifests := make([]*genManifest, 0, min(int(genCount), 1024))
 	seen := make(map[uint64]bool)
 	for gi := uint64(0); gi < genCount; gi++ {
-		id, err := u64("generation id", 1<<62)
+		id, err := readStoreU64(br, "generation id", 1<<62)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -424,7 +415,7 @@ func loadGenerations(r io.Reader) ([]*generation, uint64, error) {
 		}
 		seen[id] = true
 		gm := &genManifest{id: id}
-		members, err := u64("member count", maxStoreMembers)
+		members, err := readStoreU64(br, "member count", maxStoreMembers)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -438,7 +429,7 @@ func loadGenerations(r io.Reader) ([]*generation, uint64, error) {
 		gm.names = make([]string, 0, min(int(members), 4096))
 		gm.lengths = make([]int, 0, min(int(members), 4096))
 		for i := 0; i < int(members); i++ {
-			nameLen, err := u64("name length", maxStoreNameLen)
+			nameLen, err := readStoreU64(br, "name length", maxStoreNameLen)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -447,7 +438,7 @@ func loadGenerations(r io.Reader) ([]*generation, uint64, error) {
 				return nil, 0, fmt.Errorf("alae: reading store member name: %w", err)
 			}
 			gm.names = append(gm.names, string(name))
-			seqLen, err := u64("member length", maxStoreSeqLen)
+			seqLen, err := readStoreU64(br, "member length", maxStoreSeqLen)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -476,15 +467,7 @@ func loadGenerations(r io.Reader) ([]*generation, uint64, error) {
 		}
 		manifests = append(manifests, gm)
 	}
-	gens := make([]*generation, len(manifests))
-	for gi, gm := range manifests {
-		g, err := loadGenPayload(br, gm)
-		if err != nil {
-			return nil, 0, err
-		}
-		gens[gi] = g
-	}
-	return gens, stamp, nil
+	return manifests, stamp, nil
 }
 
 // readIndexPayload reads one length-prefixed index payload whose text

@@ -195,7 +195,7 @@ func (ss *storeSession) search(cx context.Context, query []byte) (*StoreResult, 
 	}
 	for k, err := range ss.errs {
 		if err != nil {
-			return nil, fmt.Errorf("alae: shard %d: %w", k, err)
+			return nil, fmt.Errorf("alae: generation %d: %w", v.gens[k].id, err)
 		}
 	}
 	// Gather, streaming and sort-free. Each lane drains its table in the
