@@ -100,31 +100,42 @@ func NewWithOptions(text []byte, opt Options) *FMIndex {
 	sa := sais.Build(text)
 	rows := fm.n + 1
 
-	// BWT over dense codes; remember where the sentinel lands.
+	// One pass over the suffix array fills the BWT over dense codes (the
+	// sentinel's row gets a placeholder code 0, never counted), the
+	// letter counts behind the C array, and the position samples: every
+	// SampleRate-th text position, plus 0. Row 0 is the $ suffix, at
+	// position n, whose BWT character is the last text byte.
 	codes := make([]byte, rows)
-	fm.sentinelRow = 0
-	saAt := func(row int) int32 {
-		if row == 0 {
-			return int32(fm.n)
-		}
-		return sa[row-1]
+	var counts [256]int32
+	rate := int32(fm.sampleRate)
+	fm.sampleMark = newRankBitVector(rows)
+	fm.samples = make([]int32, 0, fm.n/fm.sampleRate+1)
+	if fm.n > 0 {
+		codes[0] = byte(fm.code[text[fm.n-1]])
+		counts[codes[0]]++
 	}
-	for row := 0; row < rows; row++ {
-		p := saAt(row)
+	if int32(fm.n)%rate == 0 {
+		fm.sampleMark.Set(0)
+		fm.samples = append(fm.samples, int32(fm.n))
+	}
+	for i, p := range sa {
+		row := i + 1
 		if p == 0 {
 			fm.sentinelRow = row
-			codes[row] = 0 // placeholder, never counted
-			continue
+		} else {
+			c := byte(fm.code[text[p-1]])
+			codes[row] = c
+			counts[c]++
 		}
-		codes[row] = byte(fm.code[text[p-1]])
+		if p%rate == 0 {
+			fm.sampleMark.Set(row)
+			fm.samples = append(fm.samples, p)
+		}
 	}
+	fm.sampleMark.Finish()
 
 	// C array.
 	fm.c = make([]int32, fm.sigma+1)
-	var counts [256]int32
-	for _, b := range text {
-		counts[fm.code[b]]++
-	}
 	sum := int32(1) // the $ row precedes everything
 	for k := 0; k < fm.sigma; k++ {
 		fm.c[k] = sum
@@ -133,20 +144,6 @@ func NewWithOptions(text []byte, opt Options) *FMIndex {
 	fm.c[fm.sigma] = sum
 
 	fm.attachRank(codes, opt.ForceByteRank)
-
-	// Position samples: every SampleRate-th text position, plus 0.
-	fm.sampleMark = newRankBitVector(rows)
-	for row := 0; row < rows; row++ {
-		if p := saAt(row); p%int32(fm.sampleRate) == 0 {
-			fm.sampleMark.Set(row)
-		}
-	}
-	fm.sampleMark.Finish()
-	for row := 0; row < rows; row++ {
-		if fm.sampleMark.Get(row) {
-			fm.samples = append(fm.samples, saAt(row))
-		}
-	}
 	return fm
 }
 

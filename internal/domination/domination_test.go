@@ -2,6 +2,7 @@ package domination
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -24,14 +25,7 @@ func bruteDominated(text []byte, gram []byte, prev byte) bool {
 	return occurrences > 0
 }
 
-func randDNA(n int, seed int64) []byte {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = dnaLetters[rng.Intn(4)]
-	}
-	return out
-}
+func randDNA(n int, seed int64) []byte { return randText(dnaLetters, n, seed) }
 
 func TestDominatedMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
@@ -82,13 +76,13 @@ func TestDominationChainExample(t *testing.T) {
 	}
 }
 
-func TestOccursAndCount(t *testing.T) {
+func TestAbsentGramNeverDominated(t *testing.T) {
 	text := []byte("ACGTACGT")
 	idx, _ := Build(text, 4, dnaLetters)
-	if !idx.Occurs([]byte("ACGT")) || idx.Count([]byte("ACGT")) != 2 {
-		t.Errorf("ACGT: occurs=%v count=%d", idx.Occurs([]byte("ACGT")), idx.Count([]byte("ACGT")))
+	if idx.state([]byte("ACGT")) == absent {
+		t.Error("ACGT occurs in the text")
 	}
-	if idx.Occurs([]byte("AAAA")) || idx.Count([]byte("AAAA")) != 0 {
+	if idx.state([]byte("AAAA")) != absent {
 		t.Error("AAAA should be absent")
 	}
 	if idx.Dominated([]byte("AAAA"), 'A') {
@@ -107,35 +101,36 @@ func TestSeparatorGramsNotIndexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Occurs([]byte("CG#")) {
+	if idx.state([]byte("CG#")) != absent {
 		t.Error("gram containing separator was indexed")
 	}
 	// The second ACG is preceded by '#', which is outside the
 	// alphabet: ACG must not be dominated by anything.
+	if idx.state([]byte("ACG")) != mixed {
+		t.Errorf("ACG state = %d, want mixed", idx.state([]byte("ACG")))
+	}
 	for _, prev := range dnaLetters {
 		if idx.Dominated([]byte("ACG"), prev) {
 			t.Errorf("ACG dominated by %q despite separator predecessor", prev)
 		}
 	}
-	if idx.Count([]byte("ACG")) != 2 {
-		t.Errorf("Count(ACG) = %d, want 2", idx.Count([]byte("ACG")))
-	}
 }
 
-func TestDistinctAndSize(t *testing.T) {
-	text := randDNA(5000, 99)
-	idx, _ := Build(text, 4, dnaLetters)
-	if idx.Distinct() <= 0 || idx.Distinct() > 256 {
-		t.Errorf("Distinct = %d, want within (0, 4^4]", idx.Distinct())
+func TestSizeBytes(t *testing.T) {
+	// DNA at q = 4 is a flat table of the whole gram space, whatever
+	// the text: the saturation behind Figure 11(a) from the start.
+	for _, n := range []int{100, 50000} {
+		idx, _ := Build(randDNA(n, 99), 4, dnaLetters)
+		if got := idx.SizeBytes(); got != 2*256 {
+			t.Errorf("n=%d: SizeBytes = %d, want %d", n, got, 2*256)
+		}
 	}
-	if idx.SizeBytes() <= 0 {
-		t.Error("SizeBytes must be positive")
-	}
-	// A longer DNA text saturates the 4^q gram space, so the dominate
-	// index stops growing — the behaviour behind Figure 11(a).
-	big, _ := Build(randDNA(50000, 100), 4, dnaLetters)
-	if big.Distinct() != 256 {
-		t.Errorf("50k DNA text should contain all 256 4-grams, got %d", big.Distinct())
+	// Protein at q = 4 keeps only the grams that occur, so a longer
+	// text needs more.
+	small, _ := Build(randText(proteinLetters, 2000, 1), 4, proteinLetters)
+	big, _ := Build(randText(proteinLetters, 20000, 2), 4, proteinLetters)
+	if small.byGram == nil || small.SizeBytes() <= 0 || big.SizeBytes() <= small.SizeBytes() {
+		t.Errorf("protein SizeBytes %d then %d, want a growing map", small.SizeBytes(), big.SizeBytes())
 	}
 }
 
@@ -164,9 +159,111 @@ func TestFallbackAlphabet(t *testing.T) {
 	}
 }
 
+var proteinLetters = []byte("ACDEFGHIKLMNPQRSTVWY")
+
+// randText draws n letters uniformly from letters.
+func randText(letters []byte, n int, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = letters[rng.Intn(len(letters))]
+	}
+	return out
+}
+
+// gramSpace returns σ^q, capped once it passes 1<<40.
+func gramSpace(sigma, q int) int {
+	space := 1
+	for range q {
+		if space *= sigma; space > 1<<40 {
+			break
+		}
+	}
+	return space
+}
+
+// TestDominatedDifferential holds both layouts to the definitional
+// oracle for q = 1…8: DNA (σ = 4) stays in the flat table throughout;
+// DNA with a separator letter (σ = 5) moves to the map at q = 7,
+// protein (σ = 20) at q = 4 and the full byte alphabet (σ = 256) at
+// q = 3. A text with bytes outside the alphabet checks that grams
+// across them are never indexed.
+func TestDominatedDifferential(t *testing.T) {
+	bytesAll := make([]byte, 256)
+	for i := range bytesAll {
+		bytesAll[i] = byte(i)
+	}
+	cases := []struct {
+		name          string
+		letters, text []byte
+		prevs         []byte // the predecessors probed; nil means letters
+	}{
+		{"dna", dnaLetters, randText(dnaLetters, 600, 1), nil},
+		{"dna#", []byte("#ACGT"), randText([]byte("ACGTACGTACGT#"), 600, 2), nil},
+		{"dna-outside", dnaLetters, randText([]byte("ACGTACGTACGT#"), 600, 3), nil},
+		{"protein", proteinLetters, randText(proteinLetters, 600, 4), nil},
+		// A few letters only, so that byte-alphabet grams repeat.
+		{"bytes", bytesAll, randText([]byte{0, 1, 255, 'A'}, 600, 5), []byte{0, 1, 255, 'A', 'C'}},
+	}
+	rng := rand.New(rand.NewSource(61))
+	for _, tc := range cases {
+		// Periodic stretches make long grams recur, with one or many
+		// predecessors.
+		text := append(append([]byte(nil), tc.text...), tc.text[:40]...)
+		text = append(text, tc.text[:40]...)
+		prevs := tc.prevs
+		if prevs == nil {
+			prevs = tc.letters
+		}
+		for q := 1; q <= 8; q++ {
+			idx, err := Build(text, q, tc.letters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantMap := gramSpace(len(tc.letters), q) > max(flatLimit, 4*len(text)); wantMap != (idx.byGram != nil) {
+				t.Fatalf("%s q=%d: map layout = %v, want %v", tc.name, q, idx.byGram != nil, wantMap)
+			}
+			probe := func(gram []byte) {
+				indexed := !slices.ContainsFunc(gram, func(b byte) bool { return !slices.Contains(tc.letters, b) })
+				for _, prev := range prevs {
+					if got, want := idx.Dominated(gram, prev), indexed && bruteDominated(text, gram, prev); got != want {
+						t.Fatalf("%s q=%d: Dominated(%q, %q) = %v, want %v", tc.name, q, gram, prev, got, want)
+					}
+				}
+			}
+			for i := 0; i+q <= len(text); i++ {
+				probe(text[i : i+q])
+			}
+			for range 50 {
+				probe(randText(prevs, q, rng.Int63()))
+			}
+		}
+	}
+}
+
 func TestQAccessor(t *testing.T) {
 	idx, _ := Build([]byte("ACGTACGT"), 4, dnaLetters)
 	if idx.Q() != 4 {
 		t.Errorf("Q = %d", idx.Q())
+	}
+}
+
+// BenchmarkDominationBuild times the one-pass build over 1 Mb texts,
+// DNA and protein at q = 4; at this length both take the flat table.
+func BenchmarkDominationBuild(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		letters []byte
+	}{{"dna-q4", dnaLetters}, {"protein-q4", proteinLetters}} {
+		text := randText(tc.letters, 1<<20, 12)
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := Build(text, 4, tc.letters); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

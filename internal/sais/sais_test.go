@@ -117,6 +117,24 @@ func TestBuildRuns(t *testing.T) {
 	}
 }
 
+func TestBuildFullArrayRecursion(t *testing.T) {
+	// 255 between random low bytes makes every other position an LMS
+	// start and almost every LMS substring distinct: the reduced string
+	// fills sa, leaving no room for the recursion's buckets, so they
+	// must be allocated.
+	rng := rand.New(rand.NewSource(12))
+	text := make([]byte, 20000)
+	for i := range text {
+		text[i] = 255
+		if i%2 == 1 {
+			text[i] = byte(rng.Intn(255))
+		}
+	}
+	if got, want := Build(text), naive(text); !equal(got, want) {
+		t.Fatal("suffix array differs from the naive sort")
+	}
+}
+
 func TestBuildQuick(t *testing.T) {
 	f := func(text []byte) bool {
 		if len(text) > 500 {
@@ -150,6 +168,21 @@ func TestBuildIsPermutation(t *testing.T) {
 			t.Fatalf("sa not sorted at %d", i)
 		}
 	}
+}
+
+// FuzzBuild holds Build to the naive suffix sort under the native
+// fuzzer. The seed corpus in testdata/fuzz/FuzzBuild pins the classic
+// SA-IS edges: an all-equal run, periodic ACAC… texts, the extreme
+// bytes 0 and 255, and n = 1–3.
+func FuzzBuild(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text []byte) {
+		if len(text) > 4096 {
+			text = text[:4096]
+		}
+		if got, want := Build(text), naive(text); !equal(got, want) {
+			t.Fatalf("Build(%q):\n got %v\nwant %v", text, got, want)
+		}
+	})
 }
 
 func BenchmarkBuild1M(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/seq"
 )
@@ -381,6 +382,68 @@ func TestStoreStaleHandleMutationFails(t *testing.T) {
 	if _, err := reloaded.Delete(wl.records[0].Name); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestStoreOverlappingWritersSerialize: handle B appends while handle
+// A's Append is between its generation rename and its manifest commit.
+// Both handles loaded the same stamp, so both would pass the stamp
+// check and write the same next generation file. The directory's
+// writer lock makes B wait for A's commit and then fail the check with
+// nothing written: A's member commits, B reports the stale handle, and
+// the directory loads with no orphan generation file.
+func TestStoreOverlappingWritersSerialize(t *testing.T) {
+	wl := buildStoreWorkload(seq.DNA, 5, 1200, 200, 925)
+	dir := filepath.Join(t.TempDir(), "db")
+	st, err := NewStore(wl.records[:3], StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	a, err := LoadStoreFile(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadStoreFile(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bDone := make(chan error, 1)
+	started := false
+	storeFSHook = func(step, path string) error {
+		if started || step != "renamed" || !strings.HasPrefix(filepath.Base(path), "gen-") {
+			return nil
+		}
+		started = true
+		go func() { bDone <- b.Append(wl.records[4:5]) }()
+		// Without the lock B runs to completion here; with it B blocks
+		// until A has committed. Give an unlocked B the time to finish.
+		select {
+		case err := <-bDone:
+			bDone <- err
+		case <-time.After(300 * time.Millisecond):
+		}
+		return nil
+	}
+	errA := a.Append(wl.records[3:4])
+	storeFSHook = nil
+	errB := <-bDone
+	if errA != nil {
+		t.Fatalf("A's Append: %v", errA)
+	}
+	reloaded, err := LoadStoreFile(dir, StoreOptions{})
+	if err != nil {
+		t.Fatalf("the directory no longer loads: %v", err)
+	}
+	if errB == nil || !strings.Contains(errB.Error(), "another handle committed") {
+		t.Fatalf("B's overlapping Append returned %v, want the stale-handle error", errB)
+	}
+	seqs := reloaded.Sequences()
+	if seqs.Len() != 4 || seqs.Name(3) != wl.records[3].Name {
+		t.Fatalf("reloaded store holds %d members, want the 3 saved plus A's %q", seqs.Len(), wl.records[3].Name)
+	}
+	assertNoDebris(t, reloaded, "after overlapping writers")
 }
 
 // TestStoreDirManifestMismatch: a generation file whose members differ

@@ -450,6 +450,10 @@ func compactionVictims(gens []*generation) []int {
 // always replaced by atomic rename, so it is the mutation commit point.
 const manifestName = "MANIFEST"
 
+// lockName is the writers' lock file of a store directory
+// (lockStoreDir). It holds no data and is never swept.
+const lockName = "LOCK"
+
 // genFileName names generation id's file within a store directory.
 func genFileName(id uint64) string { return fmt.Sprintf("gen-%08d.alae", id) }
 
@@ -478,11 +482,18 @@ func fsStep(step, path string) error {
 // rename leaves the previous store plus debris, after it the new store
 // plus debris; never a torn state. It fails before writing anything
 // when another handle has committed since this one loaded, whose
-// commit it would otherwise drop.
+// commit it would otherwise drop. The directory's writer lock spans all
+// of it, so a second writer waits for this commit and then fails that
+// check.
 func (st *Store) persistMutation(next *storeView, write []*generation) error {
 	if st.dir == "" {
 		return nil
 	}
+	unlock, err := lockStoreDir(st.dir)
+	if err != nil {
+		return err
+	}
+	defer unlock()
 	if onDisk, err := StoreDirStamp(st.dir); err != nil {
 		return err
 	} else if cur := st.currentView().stamp; onDisk != cur {
@@ -539,7 +550,7 @@ func readManifest(dir string, headerOnly bool) ([]*genManifest, uint64, error) {
 		stamp, err := readStoreHeader(br)
 		return nil, stamp, err
 	}
-	return readStoreManifest(br)
+	return readStoreManifest(br, nil)
 }
 
 // StoreDirStamp reads the mutation stamp of a directory-backed store
@@ -564,7 +575,7 @@ func loadStoreDir(dir string, opts StoreOptions) (*Store, error) {
 	gens := make([]*generation, len(entries))
 	for i, e := range entries {
 		name := genFileName(e.id)
-		g, err := loadGenerationFile(filepath.Join(dir, name))
+		g, err := loadGenerationFile(filepath.Join(dir, name), e)
 		if err != nil {
 			return nil, fmt.Errorf("alae: store generation %d: %w", e.id, err)
 		}
@@ -589,14 +600,15 @@ func loadStoreDir(dir string, opts StoreOptions) (*Store, error) {
 }
 
 // loadGenerationFile reads one generation file (a single-generation
-// store file).
-func loadGenerationFile(path string) (*generation, error) {
+// store file); want is the MANIFEST's entry for it, whose decoded names
+// the file's equal names reuse.
+func loadGenerationFile(path string, want *genManifest) (*generation, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	gens, _, err := loadGenerations(f)
+	gens, _, err := loadGenerations(f, want)
 	if err != nil {
 		return nil, err
 	}
@@ -646,6 +658,11 @@ func (st *Store) SaveDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("alae: creating store directory: %w", err)
 	}
+	unlock, err := lockStoreDir(dir)
+	if err != nil {
+		return err
+	}
+	defer unlock()
 	v := st.currentView()
 	for _, g := range v.gens {
 		if err := writeGenerationFile(dir, g); err != nil {

@@ -1,7 +1,9 @@
 package alae
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -541,4 +543,54 @@ func FuzzLoadStoreDir(f *testing.F) {
 			t.Fatalf("search on loaded store: %v", err)
 		}
 	})
+}
+
+// manyMemberRecords returns n short records named m00000, m00001, …
+func manyMemberRecords(n int) []SeqRecord {
+	recs := make([]SeqRecord, n)
+	for i := range recs {
+		recs[i] = SeqRecord{Name: fmt.Sprintf("m%05d", i), Seq: []byte("ACGTTGCAACGGT")}
+	}
+	return recs
+}
+
+// TestStoreManifestParseAllocs gates the manifest codec: parsing a
+// 20 000-member manifest allocates once per member name, never per
+// field, and a generation file read against its MANIFEST entry reuses
+// the entry's names instead of decoding them again.
+func TestStoreManifestParseAllocs(t *testing.T) {
+	const members = 20000
+	st, err := NewStore(manyMemberRecords(members), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := st.currentView()
+	var buf bytes.Buffer
+	if err := writeStoreManifest(&buf, v.gens, v.stamp); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	var parsed []*genManifest
+	parse := func(want *genManifest) {
+		if parsed, _, err = readStoreManifest(bufio.NewReader(bytes.NewReader(data)), want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parse(nil)
+	if len(parsed) != 1 || len(parsed[0].names) != members {
+		t.Fatalf("parsed %d generations, want 1 of %d members", len(parsed), members)
+	}
+	// The constant covers the reader, the directory slices' doublings
+	// and the manifest structs.
+	const slack = 64
+	if allocs := testing.AllocsPerRun(3, func() { parse(nil) }); allocs > members+slack {
+		t.Errorf("parsing a %d-member manifest made %.0f allocations, want at most one per name (+%d)", members, allocs, slack)
+	}
+	want := parsed[0]
+	if allocs := testing.AllocsPerRun(3, func() { parse(want) }); allocs > slack {
+		t.Errorf("parsing against the decoded entry made %.0f allocations, want at most %d: names were decoded again", allocs, slack)
+	}
+	if parsed[0].names[members-1] != want.names[members-1] {
+		t.Fatal("parsing against the decoded entry changed a name")
+	}
 }

@@ -46,53 +46,6 @@ const (
 	maxStoreSeqLen  = 1 << 40
 )
 
-// byteWriter is a sticky-error little-endian writer for manifest
-// framing: callers emit fields unconditionally and check once at
-// flush.
-type byteWriter struct {
-	w   *bufio.Writer
-	err error
-}
-
-func newByteWriter(w io.Writer) *byteWriter { return &byteWriter{w: bufio.NewWriter(w)} }
-
-func (b *byteWriter) bytes(p []byte) {
-	if b.err == nil {
-		_, b.err = b.w.Write(p)
-	}
-}
-
-func (b *byteWriter) str(s string) {
-	if b.err == nil {
-		_, b.err = b.w.WriteString(s)
-	}
-}
-
-func (b *byteWriter) u8(v uint8) {
-	if b.err == nil {
-		b.err = b.w.WriteByte(v)
-	}
-}
-
-func (b *byteWriter) u32(v uint32) {
-	var p [4]byte
-	binary.LittleEndian.PutUint32(p[:], v)
-	b.bytes(p[:])
-}
-
-func (b *byteWriter) u64(v uint64) {
-	var p [8]byte
-	binary.LittleEndian.PutUint64(p[:], v)
-	b.bytes(p[:])
-}
-
-func (b *byteWriter) flush() error {
-	if b.err != nil {
-		return b.err
-	}
-	return b.w.Flush()
-}
-
 // countingSink measures a serialization without holding it: the
 // pre-pass of the streaming save.
 type countingSink struct{ n int64 }
@@ -161,29 +114,39 @@ func saveGenerations(w io.Writer, gens []*generation, stamp uint64) error {
 
 // writeStoreManifest writes the format's header and manifest: magic,
 // version, stamp, then per generation its id and each member's name,
-// length and flags. A directory's MANIFEST file is exactly this.
+// length and flags. A directory's MANIFEST file is exactly this. It is
+// encoded into one buffer, sized up front, and written at once.
 func writeStoreManifest(w io.Writer, gens []*generation, stamp uint64) error {
-	bw := newByteWriter(w)
-	bw.bytes(storeMagic[:])
-	bw.u32(storeVersion)
-	bw.u64(stamp)
-	bw.u64(uint64(len(gens)))
+	size := len(storeMagic) + 4 + 8 + 8
 	for _, g := range gens {
-		bw.u64(g.id)
-		bw.u64(uint64(g.tab.Len()))
+		size += 8 + 8
+		for m := 0; m < g.tab.Len(); m++ {
+			size += 8 + len(g.tab.Name(m)) + 8 + 1
+		}
+	}
+	le := binary.LittleEndian
+	buf := make([]byte, 0, size)
+	buf = append(buf, storeMagic[:]...)
+	buf = le.AppendUint32(buf, storeVersion)
+	buf = le.AppendUint64(buf, stamp)
+	buf = le.AppendUint64(buf, uint64(len(gens)))
+	for _, g := range gens {
+		buf = le.AppendUint64(buf, g.id)
+		buf = le.AppendUint64(buf, uint64(g.tab.Len()))
 		for m := 0; m < g.tab.Len(); m++ {
 			name := g.tab.Name(m)
-			bw.u64(uint64(len(name)))
-			bw.str(name)
-			bw.u64(uint64(g.tab.SeqLen(m)))
+			buf = le.AppendUint64(buf, uint64(len(name)))
+			buf = append(buf, name...)
+			buf = le.AppendUint64(buf, uint64(g.tab.SeqLen(m)))
 			var flags uint8
 			if g.isDead(m) {
 				flags |= 1
 			}
-			bw.u8(flags)
+			buf = append(buf, flags)
 		}
 	}
-	return bw.flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // encodeIndex writes one generation's index payload: the text length,
@@ -207,8 +170,8 @@ func encodeIndex(w io.Writer, ix *Index) error {
 // FM-index must cover exactly the text.
 func decodeIndex(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
-	var n uint64
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+	n, err := readLE(br, 8)
+	if err != nil {
 		return nil, fmt.Errorf("alae: reading index: %w", err)
 	}
 	if n > 1<<40 {
@@ -321,7 +284,7 @@ func LoadStoreFile(path string, opts StoreOptions) (*Store, error) {
 // see StoreOptions — and is never persisted), while opts.QueryCacheSize
 // configures the (runtime-only, never persisted) query cache.
 func LoadStore(r io.Reader, opts StoreOptions) (*Store, error) {
-	gens, stamp, err := loadGenerations(r)
+	gens, stamp, err := loadGenerations(r, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -338,10 +301,10 @@ type genManifest struct {
 }
 
 // loadGenerations parses Save's format: the manifest, then one index
-// payload per generation in order.
-func loadGenerations(r io.Reader) ([]*generation, uint64, error) {
+// payload per generation in order. want is readStoreManifest's.
+func loadGenerations(r io.Reader, want *genManifest) ([]*generation, uint64, error) {
 	br := bufio.NewReader(r)
-	manifests, stamp, err := readStoreManifest(br)
+	manifests, stamp, err := readStoreManifest(br, want)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -366,20 +329,69 @@ func readStoreHeader(br *bufio.Reader) (uint64, error) {
 	if magic != storeMagic {
 		return 0, fmt.Errorf("alae: not a store file (bad magic %q)", magic[:])
 	}
-	var version uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
+	version, err := readLE(br, 4)
+	if err != nil {
 		return 0, fmt.Errorf("alae: reading store version: %w", err)
 	}
-	if version != storeVersion {
+	if version != uint64(storeVersion) {
 		return 0, fmt.Errorf("alae: unsupported store version %d (this build reads version %d only)", version, storeVersion)
 	}
 	return readStoreU64(br, "stamp", 1<<62)
 }
 
+// peek returns the next n ≤ br.Size() bytes of br in place, without
+// consuming them. A short read is io.EOF when nothing was left and
+// io.ErrUnexpectedEOF otherwise, as with io.ReadFull.
+func peek(br *bufio.Reader, n int) ([]byte, error) {
+	p, err := br.Peek(n)
+	if err == io.EOF && len(p) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return p, err
+}
+
+// readLE reads the next n ≤ 8 bytes of br as a little-endian unsigned
+// integer. The bytes are decoded in place from br's buffer, so a field
+// costs no allocation.
+func readLE(br *bufio.Reader, n int) (uint64, error) {
+	p, err := peek(br, n)
+	if err != nil {
+		return 0, err
+	}
+	var b [8]byte
+	copy(b[:], p)
+	br.Discard(n)
+	return binary.LittleEndian.Uint64(b[:]), nil
+}
+
+// readName reads an n-byte member name. When it equals want (the name
+// another manifest already decoded for this member) want itself is
+// returned, so the name is not decoded twice; otherwise it is copied
+// out of br's buffer, or read whole when it is longer than the buffer.
+func readName(br *bufio.Reader, n int, want string) (string, error) {
+	if n > br.Size() {
+		name := make([]byte, n)
+		if _, err := io.ReadFull(br, name); err != nil {
+			return "", err
+		}
+		return string(name), nil
+	}
+	p, err := peek(br, n)
+	if err != nil {
+		return "", err
+	}
+	name := want
+	if string(p) != want {
+		name = string(p)
+	}
+	br.Discard(n)
+	return name, nil
+}
+
 // readStoreU64 reads one manifest field, which must not exceed limit.
 func readStoreU64(br *bufio.Reader, what string, limit uint64) (uint64, error) {
-	var v uint64
-	if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
+	v, err := readLE(br, 8)
+	if err != nil {
 		return 0, fmt.Errorf("alae: reading store %s: %w", what, err)
 	}
 	if v > limit {
@@ -389,8 +401,10 @@ func readStoreU64(br *bufio.Reader, what string, limit uint64) (uint64, error) {
 }
 
 // readStoreManifest parses and validates writeStoreManifest's output:
-// the header, then every generation's member directory.
-func readStoreManifest(br *bufio.Reader) ([]*genManifest, uint64, error) {
+// the header, then every generation's member directory. want, when
+// set, is the directory MANIFEST's entry for the generation file being
+// read: its names are reused wherever the file's names equal them.
+func readStoreManifest(br *bufio.Reader, want *genManifest) ([]*genManifest, uint64, error) {
 	stamp, err := readStoreHeader(br)
 	if err != nil {
 		return nil, 0, err
@@ -433,11 +447,15 @@ func readStoreManifest(br *bufio.Reader) ([]*genManifest, uint64, error) {
 			if err != nil {
 				return nil, 0, err
 			}
-			name := make([]byte, nameLen)
-			if _, err := io.ReadFull(br, name); err != nil {
+			var wantName string
+			if want != nil && i < len(want.names) {
+				wantName = want.names[i]
+			}
+			name, err := readName(br, int(nameLen), wantName)
+			if err != nil {
 				return nil, 0, fmt.Errorf("alae: reading store member name: %w", err)
 			}
-			gm.names = append(gm.names, string(name))
+			gm.names = append(gm.names, name)
 			seqLen, err := readStoreU64(br, "member length", maxStoreSeqLen)
 			if err != nil {
 				return nil, 0, err
@@ -477,8 +495,8 @@ func readStoreManifest(br *bufio.Reader) ([]*genManifest, uint64, error) {
 // a blanket huge one.
 func readIndexPayload(br *bufio.Reader, textLen int, what string) (*Index, error) {
 	maxPayload := 64*uint64(textLen) + (1 << 20)
-	var payloadLen uint64
-	if err := binary.Read(br, binary.LittleEndian, &payloadLen); err != nil {
+	payloadLen, err := readLE(br, 8)
+	if err != nil {
 		return nil, fmt.Errorf("alae: reading store %s payload length: %w", what, err)
 	}
 	if payloadLen > maxPayload {
