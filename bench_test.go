@@ -3,8 +3,8 @@
 // anchor. Workload sizes are laptop-scaled (see DESIGN.md); the
 // paper's absolute numbers are not reproducible on its 2012 testbed,
 // but the shapes — who wins, by what factor, where the crossovers
-// fall — are asserted in EXPERIMENTS.md from these benchmarks'
-// custom metrics (hits/op, entries/op, ratios).
+// fall — show in these benchmarks' custom metrics (hits/op,
+// entries/op, ratios).
 //
 // Run with: go test -bench=. -benchmem
 package alae_test

@@ -1,7 +1,6 @@
 // Command alae-exp regenerates the paper's evaluation artifacts: every
 // table and figure of §7 plus the §6 analytic bounds, on synthetic
-// workloads (see DESIGN.md for the substitutions and EXPERIMENTS.md
-// for paper-vs-measured commentary).
+// workloads (see DESIGN.md for the substitutions).
 //
 // Usage:
 //

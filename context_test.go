@@ -19,7 +19,7 @@ import (
 // that searches do real scatter work, small enough for test time.
 func storeCancelWorkload(t *testing.T) (st *Store, queries [][]byte) {
 	t.Helper()
-	wl := buildStoreWorkload(seq.DNA, 6, 6000, 500, 7001)
+	wl := buildStoreWorkload(seq.DNA, 6, 2000, 250, 7001)
 	st, err := NewStore(wl.records, StoreOptions{Shards: 2, QueryCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestStoreSessionSearchContextCancellation(t *testing.T) {
 // on, a dead context is rejected even when the answer is already
 // cached, and a cancelled search is never published to the cache.
 func TestStoreCachedResultNeverMasksCancellation(t *testing.T) {
-	wl := buildStoreWorkload(seq.DNA, 4, 4000, 400, 7002)
+	wl := buildStoreWorkload(seq.DNA, 4, 2000, 250, 7002)
 	st, err := NewStore(wl.records, StoreOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)

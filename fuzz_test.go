@@ -5,13 +5,13 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/align"
 	"repro/internal/seq"
 )
 
-// Fuzz targets: robustness of the parsing/deserialisation surfaces and
-// a differential fuzzer pinning the exactness invariant. `go test`
-// runs them over the seed corpus; `go test -fuzz=FuzzX` explores.
+// Fuzz targets: robustness of the parsing/deserialisation surfaces
+// (the exactness fuzzer, FuzzSearchExactness, is the store harness in
+// oracle_test.go). `go test` runs them over the seed corpus;
+// `go test -fuzz=FuzzX` explores.
 
 // FuzzReadFASTA must never panic, whatever bytes arrive.
 func FuzzReadFASTA(f *testing.F) {
@@ -127,46 +127,6 @@ func FuzzLoadStore(f *testing.F) {
 		}
 		if _, err := loaded.Search([]byte("ACGTACGT"), SearchOptions{Threshold: 8}); err != nil {
 			t.Fatalf("search on loaded store: %v", err)
-		}
-	})
-}
-
-// FuzzSearchExactness is the differential fuzzer: for any DNA-mapped
-// input, ALAE must agree with the Smith-Waterman oracle.
-func FuzzSearchExactness(f *testing.F) {
-	f.Add([]byte("GCTAGCTAGCATCG"), []byte("GCTAG"), uint8(0))
-	f.Add([]byte("AAAAAAAAAA"), []byte("AAAA"), uint8(2))
-	f.Fuzz(func(t *testing.T, text, query []byte, hOff uint8) {
-		if len(text) == 0 || len(text) > 300 || len(query) > 150 {
-			return
-		}
-		letters := "ACGT"
-		for i := range text {
-			text[i] = letters[int(text[i])%4]
-		}
-		for i := range query {
-			query[i] = letters[int(query[i])%4]
-		}
-		s := align.DefaultDNA
-		h := s.MinThreshold() + int(hOff%12)
-		ix := NewIndex(text)
-		res, err := ix.Search(query, SearchOptions{Threshold: h})
-		if len(query) < s.Q() {
-			// Too-short queries are diagnosed, not silently empty. The
-			// empty set would be exact here (m·sa < MinThreshold ≤ H),
-			// so nothing is lost by rejecting.
-			if err == nil {
-				t.Fatalf("short query %q accepted", query)
-			}
-			return
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := align.LocalAll(text, query, s, h)
-		if !align.EqualHits(res.Hits, want) {
-			t.Fatalf("exactness violated for T=%q P=%q H=%d:\n got %v\nwant %v",
-				text, query, h, res.Hits, want)
 		}
 	})
 }

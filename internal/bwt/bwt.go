@@ -5,95 +5,3 @@
 // Ferragina-Manzini: a BWT string with checkpointed occurrence counts,
 // a C array, and a sampled suffix array for locating occurrences.
 package bwt
-
-import (
-	"fmt"
-
-	"repro/internal/sais"
-)
-
-// Sentinel is the conceptual end-of-text symbol '$', smaller than any
-// byte of the text. It never appears in the text itself; Transform
-// emits it explicitly.
-const Sentinel byte = '$'
-
-// Transform returns the Burrows-Wheeler transform of text+Sentinel,
-// a string of length len(text)+1. For the paper's example text GCTAGC
-// the result is CTGGA$C.
-func Transform(text []byte) []byte {
-	sa := sais.Build(text)
-	n := len(text)
-	out := make([]byte, n+1)
-	// Row 0 of the conceptual suffix array of text$ is the $ suffix.
-	if n > 0 {
-		out[0] = text[n-1]
-	} else {
-		out[0] = Sentinel
-	}
-	for i, p := range sa {
-		if p == 0 {
-			out[i+1] = Sentinel
-		} else {
-			out[i+1] = text[p-1]
-		}
-	}
-	return out
-}
-
-// Inverse reconstructs the original text from a transform produced by
-// Transform. It returns an error when b is not a valid transform
-// (e.g. no sentinel or a malformed permutation).
-func Inverse(b []byte) ([]byte, error) {
-	n := len(b) - 1
-	if n < 0 {
-		return nil, fmt.Errorf("bwt: empty transform")
-	}
-	sentinelAt := -1
-	for i, c := range b {
-		if c == Sentinel {
-			if sentinelAt >= 0 {
-				return nil, fmt.Errorf("bwt: multiple sentinels at %d and %d", sentinelAt, i)
-			}
-			sentinelAt = i
-		}
-	}
-	if sentinelAt < 0 {
-		return nil, fmt.Errorf("bwt: no sentinel in transform")
-	}
-	// LF mapping via counting sort of the transform.
-	var counts [256]int
-	for _, c := range b {
-		counts[c]++
-	}
-	// The sentinel sorts before everything else.
-	var c0 [256]int
-	sum := counts[Sentinel]
-	for c := 0; c < 256; c++ {
-		if byte(c) == Sentinel {
-			continue
-		}
-		c0[c] = sum
-		sum += counts[c]
-	}
-	lf := make([]int, len(b))
-	var seen [256]int
-	for i, c := range b {
-		if c == Sentinel {
-			lf[i] = 0
-			continue
-		}
-		lf[i] = c0[c] + seen[c]
-		seen[c]++
-	}
-	// Walk backwards from row 0 (the $ row) emitting characters.
-	out := make([]byte, n)
-	row := 0
-	for i := n - 1; i >= 0; i-- {
-		out[i] = b[row]
-		row = lf[row]
-	}
-	if b[row] != Sentinel {
-		return nil, fmt.Errorf("bwt: transform is not a valid permutation")
-	}
-	return out, nil
-}

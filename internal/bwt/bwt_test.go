@@ -6,45 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestTransformPaperExample(t *testing.T) {
-	// §2.3: "given a text T = GCTAGC ... the BWT transformation of T'
-	// is CTGGA$C."
-	got := Transform([]byte("GCTAGC"))
-	if string(got) != "CTGGA$C" {
-		t.Errorf("Transform(GCTAGC) = %q, want CTGGA$C", got)
-	}
-}
-
-func TestTransformInverseRoundTrip(t *testing.T) {
-	f := func(text []byte) bool {
-		// The sentinel byte must not occur in the text.
-		for i := range text {
-			if text[i] == Sentinel {
-				text[i] = 'x'
-			}
-		}
-		back, err := Inverse(Transform(text))
-		return err == nil && bytes.Equal(back, text)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestInverseRejectsGarbage(t *testing.T) {
-	if _, err := Inverse(nil); err == nil {
-		t.Error("Inverse(nil) should fail")
-	}
-	if _, err := Inverse([]byte("ABCD")); err == nil {
-		t.Error("Inverse without sentinel should fail")
-	}
-	if _, err := Inverse([]byte("A$B$")); err == nil {
-		t.Error("Inverse with two sentinels should fail")
-	}
-}
 
 // bruteCount is the oracle for Count.
 func bruteCount(text, pat []byte) int {

@@ -11,9 +11,8 @@
 //     fork into an exact-match region (assigned scores), a no-gap
 //     region (Equation 3, one-source recurrence), and a gap region
 //     entered at the first gap-open entry (FGOE).
-//   - Global filtering (§3.2) skips whole forks: q-prefix domination
-//     (Lemma 1, via the offline domination index) and optionally the
-//     online boolean matrix G (Theorem 4).
+//   - Global filtering (§3.2) skips whole forks by q-prefix domination
+//     (Lemma 1, via the offline domination index).
 //   - Score reuse (§4) is provided by the Hybrid engine mode, which
 //     computes gap regions column-wise (calMatrixByColumn) and copies
 //     columns between forks whose FGOEs share a row, using the

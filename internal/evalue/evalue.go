@@ -116,12 +116,6 @@ func (p Params) EValue(m, n int, score int) float64 {
 	return p.K * float64(m) * float64(n) * math.Exp(-p.Lambda*float64(score))
 }
 
-// BitScore converts a raw score to a normalized bit score
-// S' = (λS − ln K)/ln 2.
-func (p Params) BitScore(score int) float64 {
-	return (p.Lambda*float64(score) - math.Log(p.K)) / math.Ln2
-}
-
 // Threshold converts an E-value to the smallest raw score H whose
 // E-value is at most e: H = ⌈(ln(K·m·n) − ln E)/λ⌉, the formula of §7.
 func (p Params) Threshold(m, n int, e float64) int {

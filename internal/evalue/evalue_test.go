@@ -102,13 +102,6 @@ func TestThresholdMonotonicity(t *testing.T) {
 	}
 }
 
-func TestBitScoreIncreasing(t *testing.T) {
-	p, _ := New(align.DefaultDNA, 4, nil)
-	if p.BitScore(20) <= p.BitScore(10) {
-		t.Error("bit score must increase with the raw score")
-	}
-}
-
 func TestThresholdForClampsToMinThreshold(t *testing.T) {
 	// A huge E-value on a tiny search space would give H below the
 	// exactness floor; ThresholdFor must clamp it.

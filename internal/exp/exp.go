@@ -2,8 +2,7 @@
 // and figure of the paper's §7 on synthetic workloads (see DESIGN.md
 // for the dataset substitutions) plus the §6 analytic bounds. Each
 // experiment prints rows shaped like the paper's artifact so the two
-// can be compared side by side; EXPERIMENTS.md records that
-// comparison.
+// can be compared side by side.
 package exp
 
 import (

@@ -114,7 +114,7 @@ func RandomGenome(a *Alphabet, cfg GenomeConfig, rng *rand.Rand) []byte {
 	return out
 }
 
-// MutationConfig controls Mutate and MutatedQueries.
+// MutationConfig controls Mutate.
 type MutationConfig struct {
 	SubstitutionRate float64 // per-character substitution probability
 	IndelRate        float64 // per-character gap-opening probability
@@ -202,26 +202,6 @@ func HomologousQueries(a *Alphabet, text []byte, count, qlen, segLen, segEvery i
 			copy(q[off:], seg)
 		}
 		out[i] = q
-	}
-	return out
-}
-
-// MutatedQueries samples count substrings of length qlen from text and
-// mutates each in full — every query is one long homologous region.
-// Sampled windows always fit inside text; qlen larger than the text is
-// clamped.
-func MutatedQueries(a *Alphabet, text []byte, count, qlen int, cfg MutationConfig, rng *rand.Rand) [][]byte {
-	if qlen > len(text) {
-		qlen = len(text)
-	}
-	out := make([][]byte, count)
-	for i := range out {
-		start := 0
-		if len(text) > qlen {
-			start = rng.Intn(len(text) - qlen)
-		}
-		window := text[start : start+qlen]
-		out[i] = Mutate(a, window, cfg, rng)
 	}
 	return out
 }

@@ -265,28 +265,6 @@ func TestMutateRates(t *testing.T) {
 	}
 }
 
-func TestMutatedQueries(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	text := RandomSeq(DNA, 5000, nil, rng)
-	qs := MutatedQueries(DNA, text, 7, 200, MutationConfig{SubstitutionRate: 0.02}, rng)
-	if len(qs) != 7 {
-		t.Fatalf("got %d queries, want 7", len(qs))
-	}
-	for i, q := range qs {
-		if len(q) < 150 || len(q) > 250 {
-			t.Errorf("query %d length %d far from 200", i, len(q))
-		}
-		if err := DNA.Validate(q); err != nil {
-			t.Errorf("query %d: %v", i, err)
-		}
-	}
-	// Clamping: query length longer than the text must not panic.
-	long := MutatedQueries(DNA, text[:100], 1, 1000, MutationConfig{}, rng)
-	if len(long[0]) == 0 {
-		t.Error("clamped query is empty")
-	}
-}
-
 func TestRandomGenomeDeterministic(t *testing.T) {
 	a := RandomGenome(DNA, GenomeConfig{Length: 10000, RepeatFraction: 0.3}, rand.New(rand.NewSource(42)))
 	b := RandomGenome(DNA, GenomeConfig{Length: 10000, RepeatFraction: 0.3}, rand.New(rand.NewSource(42)))

@@ -154,7 +154,6 @@ type Server struct {
 	nCancelled      atomic.Int64 // client gone mid-search
 	nBadReq         atomic.Int64 // 400s
 	nPanics         atomic.Int64 // recovered handler panics
-	nErrors         atomic.Int64 // other 500s
 
 	// Emission-path totals across answered searches: cells forwarded to
 	// the collectors, and duplicates the dominance filter suppressed.
@@ -579,8 +578,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			s.nCancelled.Add(1)
 			s.errorBody(w, 499, "client closed the request")
 		default:
-			// Validation errors (separator bytes, short queries, bad
-			// options) are the client's fault; anything else is ours.
+			// Every other error the store returns is a rejected input:
+			// separator bytes, a query shorter than q, or options the
+			// options gate refuses.
 			s.nBadReq.Add(1)
 			s.errorBody(w, http.StatusBadRequest, err.Error())
 		}
@@ -636,7 +636,6 @@ type StatsResponse struct {
 	Cancelled      int64 `json:"cancelled"`
 	BadReq         int64 `json:"bad_requests"`
 	Panics         int64 `json:"panics"`
-	Errors         int64 `json:"errors"`
 
 	EmittedHits         int64 `json:"emitted_hits"`
 	SuppressedEmissions int64 `json:"suppressed_emissions"`
@@ -675,7 +674,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Cancelled:      s.nCancelled.Load(),
 		BadReq:         s.nBadReq.Load(),
 		Panics:         s.nPanics.Load(),
-		Errors:         s.nErrors.Load(),
 
 		EmittedHits:         s.nEmitted.Load(),
 		SuppressedEmissions: s.nSuppressed.Load(),

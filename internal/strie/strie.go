@@ -65,17 +65,6 @@ func (t *Trie) Child(u Node, c byte) (Node, bool) {
 	return Node{Lo: lo, Hi: hi, Depth: u.Depth + 1}, true
 }
 
-// ChildCode is Child for a pre-encoded dense character code of the
-// underlying index (see Index().CodeOf), avoiding the byte lookup in
-// hot loops.
-func (t *Trie) ChildCode(u Node, code int) (Node, bool) {
-	lo, hi := t.fm.ExtendCode(u.Lo, u.Hi, code)
-	if lo >= hi {
-		return Node{}, false
-	}
-	return Node{Lo: lo, Hi: hi, Depth: u.Depth + 1}, true
-}
-
 // Children fills nodes with every existing child of u: nodes[k] is
 // the child along the letter with dense code k, with Lo == Hi marking
 // an absent edge. nodes must have length Index().Sigma(). One call

@@ -85,19 +85,6 @@ func TestChildEnumerationMatchesRef(t *testing.T) {
 	}
 }
 
-func TestChildCodeAgreesWithChild(t *testing.T) {
-	text := randDNA(100, 34)
-	tr := New(text)
-	node, _ := tr.Walk(text[10:14])
-	for _, c := range tr.Letters() {
-		byByte, ok1 := tr.Child(node, c)
-		byCode, ok2 := tr.ChildCode(node, tr.Index().CodeOf(c))
-		if ok1 != ok2 || byByte != byCode {
-			t.Errorf("Child(%q) = %v/%v, ChildCode = %v/%v", c, byByte, ok1, byCode, ok2)
-		}
-	}
-}
-
 func TestRootCoversWholeText(t *testing.T) {
 	text := randDNA(50, 35)
 	tr := New(text)

@@ -93,6 +93,14 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := decodeIndex(bytes.NewReader(short)); err == nil {
 		t.Error("index over 12 bytes accepted for an 11-byte text")
 	}
+	// A payload must end where the index does: a store frame is decoded
+	// in place, so a byte past the index is a framing error.
+	if _, err := decodeIndex(bytes.NewReader(append(good.Bytes(), 0))); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Errorf("a trailing byte after the index was accepted (err=%v)", err)
+	}
+	if _, err := decodeIndex(bytes.NewReader(good.Bytes())); err != nil {
+		t.Errorf("the encoder's own payload was rejected: %v", err)
+	}
 }
 
 func TestReverseComplement(t *testing.T) {

@@ -550,7 +550,7 @@ func readManifest(dir string, headerOnly bool) ([]*genManifest, uint64, error) {
 		stamp, err := readStoreHeader(br)
 		return nil, stamp, err
 	}
-	return readStoreManifest(br, nil)
+	return readStoreManifest(br, nil, fileSize(f))
 }
 
 // StoreDirStamp reads the mutation stamp of a directory-backed store
@@ -608,7 +608,7 @@ func loadGenerationFile(path string, want *genManifest) (*generation, error) {
 		return nil, err
 	}
 	defer f.Close()
-	gens, _, err := loadGenerations(f, want)
+	gens, _, err := loadGenerations(f, want, fileSize(f))
 	if err != nil {
 		return nil, err
 	}
@@ -616,6 +616,14 @@ func loadGenerationFile(path string, want *genManifest) (*generation, error) {
 		return nil, fmt.Errorf("holds %d generations, want exactly 1", len(gens))
 	}
 	return gens[0], nil
+}
+
+// fileSize is f's length in bytes, or -1 when it cannot be read.
+func fileSize(f *os.File) int64 {
+	if fi, err := f.Stat(); err == nil {
+		return fi.Size()
+	}
+	return -1
 }
 
 // sweepStoreDir removes the debris interrupted mutations leave: the

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -85,7 +86,7 @@ func TestStoreGenerationalParity(t *testing.T) {
 		{"evalue", SearchOptions{EValue: 1e-5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			wl := buildStoreWorkload(seq.DNA, 7, 2000, 250, 914)
+			wl := buildStoreWorkload(seq.DNA, 7, 1200, 150, 914)
 			st, live := mutatedStore(t, wl, StoreOptions{Shards: 2})
 			if g := st.Generations(); g != 3 {
 				t.Fatalf("Generations() = %d, want 3", g)
@@ -107,6 +108,9 @@ func TestStoreGenerationalParity(t *testing.T) {
 				}
 			}
 			want := storeHits(t, fresh, wl.queries, tc.opts)
+			if len(want[0].Hits) == 0 || len(want[1].Hits) == 0 {
+				t.Fatal("vacuous workload: a query hits no live member")
+			}
 			got := storeHits(t, st, wl.queries, tc.opts)
 			if !storeResultsEqual(got, want) {
 				t.Fatal("mutated store disagrees with fresh store over its live members")
@@ -556,8 +560,10 @@ func manyMemberRecords(n int) []SeqRecord {
 
 // TestStoreManifestParseAllocs gates the manifest codec: parsing a
 // 20 000-member manifest allocates once per member name, never per
-// field, and a generation file read against its MANIFEST entry reuses
-// the entry's names instead of decoding them again.
+// field; a reader whose size is known sizes the directory once instead
+// of growing it by doubling; and a generation file read against its
+// MANIFEST entry reuses the entry's names instead of decoding them
+// again.
 func TestStoreManifestParseAllocs(t *testing.T) {
 	const members = 20000
 	st, err := NewStore(manyMemberRecords(members), StoreOptions{})
@@ -572,7 +578,7 @@ func TestStoreManifestParseAllocs(t *testing.T) {
 	data := buf.Bytes()
 	var parsed []*genManifest
 	parse := func(want *genManifest) {
-		if parsed, _, err = readStoreManifest(bufio.NewReader(bytes.NewReader(data)), want); err != nil {
+		if parsed, _, err = readStoreManifest(bufio.NewReader(bytes.NewReader(data)), want, int64(len(data))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -585,6 +591,18 @@ func TestStoreManifestParseAllocs(t *testing.T) {
 	const slack = 64
 	if allocs := testing.AllocsPerRun(3, func() { parse(nil) }); allocs > members+slack {
 		t.Errorf("parsing a %d-member manifest made %.0f allocations, want at most one per name (+%d)", members, allocs, slack)
+	}
+	// The bytes: the two directory slices at their final length (16 B
+	// a name header, 8 B a length) and each 6-byte name in an 8-byte
+	// block, 640 kB, plus half again for the reader, the structs and
+	// the race detector (656 kB measured, 816 kB under -race). Growing
+	// the slices by doubling from 4 096 spent 2.1 MB here.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	parse(nil)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(members*(16+8+8)*3/2); got > limit {
+		t.Errorf("parsing a %d-member manifest of known size allocated %d bytes, want at most %d", members, got, limit)
 	}
 	want := parsed[0]
 	if allocs := testing.AllocsPerRun(3, func() { parse(want) }); allocs > slack {

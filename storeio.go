@@ -2,7 +2,6 @@ package alae
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -165,9 +164,9 @@ func encodeIndex(w io.Writer, ix *Index) error {
 	return bw.Flush()
 }
 
-// decodeIndex reads an index payload written by encodeIndex. An
-// implausible text length fails before any allocation, and the
-// FM-index must cover exactly the text.
+// decodeIndex reads an index payload written by encodeIndex, which
+// must be all of r. An implausible text length fails before any
+// allocation, and the FM-index must cover exactly the text.
 func decodeIndex(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
 	n, err := readLE(br, 8)
@@ -187,6 +186,11 @@ func decodeIndex(r io.Reader) (*Index, error) {
 	}
 	if fm.Len() != len(text) {
 		return nil, fmt.Errorf("alae: index length %d does not match text length %d", fm.Len(), len(text))
+	}
+	if _, err := br.ReadByte(); err == nil {
+		return nil, fmt.Errorf("alae: trailing bytes after the index")
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("alae: reading index: %w", err)
 	}
 	return &Index{
 		text: text,
@@ -275,7 +279,7 @@ func LoadStoreFile(path string, opts StoreOptions) (*Store, error) {
 		return nil, fmt.Errorf("alae: loading store: %w", err)
 	}
 	defer f.Close()
-	return LoadStore(f, opts)
+	return loadStore(f, fi.Size(), opts)
 }
 
 // LoadStore reads a store written by Save (format version 3). The
@@ -284,7 +288,12 @@ func LoadStoreFile(path string, opts StoreOptions) (*Store, error) {
 // see StoreOptions — and is never persisted), while opts.QueryCacheSize
 // configures the (runtime-only, never persisted) query cache.
 func LoadStore(r io.Reader, opts StoreOptions) (*Store, error) {
-	gens, stamp, err := loadGenerations(r, nil)
+	return loadStore(r, -1, opts)
+}
+
+// loadStore is LoadStore over an input of size bytes (-1: unknown).
+func loadStore(r io.Reader, size int64, opts StoreOptions) (*Store, error) {
+	gens, stamp, err := loadGenerations(r, nil, size)
 	if err != nil {
 		return nil, err
 	}
@@ -301,10 +310,11 @@ type genManifest struct {
 }
 
 // loadGenerations parses Save's format: the manifest, then one index
-// payload per generation in order. want is readStoreManifest's.
-func loadGenerations(r io.Reader, want *genManifest) ([]*generation, uint64, error) {
+// payload per generation in order. want and size are
+// readStoreManifest's.
+func loadGenerations(r io.Reader, want *genManifest, size int64) ([]*generation, uint64, error) {
 	br := bufio.NewReader(r)
-	manifests, stamp, err := readStoreManifest(br, want)
+	manifests, stamp, err := readStoreManifest(br, want, size)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -400,11 +410,16 @@ func readStoreU64(br *bufio.Reader, what string, limit uint64) (uint64, error) {
 	return v, nil
 }
 
+// minMemberRecord is the manifest bytes of a member with an empty name:
+// name length, sequence length and flags.
+const minMemberRecord = 8 + 8 + 1
+
 // readStoreManifest parses and validates writeStoreManifest's output:
 // the header, then every generation's member directory. want, when
 // set, is the directory MANIFEST's entry for the generation file being
 // read: its names are reused wherever the file's names equal them.
-func readStoreManifest(br *bufio.Reader, want *genManifest) ([]*genManifest, uint64, error) {
+// size is the input's length in bytes when known, and -1 otherwise.
+func readStoreManifest(br *bufio.Reader, want *genManifest, size int64) ([]*genManifest, uint64, error) {
 	stamp, err := readStoreHeader(br)
 	if err != nil {
 		return nil, 0, err
@@ -417,6 +432,7 @@ func readStoreManifest(br *bufio.Reader, want *genManifest) ([]*genManifest, uin
 		return nil, 0, fmt.Errorf("alae: store holds no generations")
 	}
 	total := uint64(0) // declared concatenation length, overflow-guarded
+	left := size - 28  // when size is known: bytes unread after header and count
 	manifests := make([]*genManifest, 0, min(int(genCount), 1024))
 	seen := make(map[uint64]bool)
 	for gi := uint64(0); gi < genCount; gi++ {
@@ -436,17 +452,25 @@ func readStoreManifest(br *bufio.Reader, want *genManifest) ([]*genManifest, uin
 		if members == 0 {
 			return nil, 0, fmt.Errorf("alae: store generation %d has no members", gm.id)
 		}
-		// Grow the directory incrementally rather than pre-allocating
-		// from the untrusted count: every member read consumes manifest
-		// bytes, so a truncated or hostile header fails on a short read
-		// instead of committing gigabytes up front.
-		gm.names = make([]string, 0, min(int(members), 4096))
-		gm.lengths = make([]int, 0, min(int(members), 4096))
+		left -= 16
+		// Never pre-allocate from the untrusted count alone. When the
+		// input's size is known, no more members than minimal records
+		// fit in what is left of it, so the directory is sized once;
+		// otherwise it grows as member records actually arrive, so a
+		// truncated or hostile header fails on a short read instead of
+		// committing gigabytes up front.
+		capacity := min(int(members), 4096)
+		if size >= 0 {
+			capacity = int(min(members, uint64(max(left, 0))/minMemberRecord))
+		}
+		gm.names = make([]string, 0, capacity)
+		gm.lengths = make([]int, 0, capacity)
 		for i := 0; i < int(members); i++ {
 			nameLen, err := readStoreU64(br, "name length", maxStoreNameLen)
 			if err != nil {
 				return nil, 0, err
 			}
+			left -= minMemberRecord + int64(nameLen)
 			var wantName string
 			if want != nil && i < len(want.names) {
 				wantName = want.names[i]
@@ -502,15 +526,11 @@ func readIndexPayload(br *bufio.Reader, textLen int, what string) (*Index, error
 	if payloadLen > maxPayload {
 		return nil, fmt.Errorf("alae: implausible store %s payload length %d", what, payloadLen)
 	}
-	// Grow the payload buffer as bytes actually arrive (CopyN reads
-	// in chunks) rather than trusting the declared length with one
-	// up-front allocation: a crafted header pointing at a short file
-	// fails with an EOF after consuming what exists.
-	var payload bytes.Buffer
-	if _, err := io.CopyN(&payload, br, int64(payloadLen)); err != nil {
-		return nil, fmt.Errorf("alae: reading store %s: %w", what, err)
-	}
-	ix, err := decodeIndex(bytes.NewReader(payload.Bytes()))
+	// Decode straight from the frame: the decoder's reads grow as bytes
+	// arrive (bwt.ReadExact), so a crafted length pointing past the end
+	// of a short file fails on EOF, and it must end exactly at the
+	// frame's end.
+	ix, err := decodeIndex(io.LimitReader(br, int64(payloadLen)))
 	if err != nil {
 		return nil, fmt.Errorf("alae: store %s: %w", what, err)
 	}
