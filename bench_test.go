@@ -11,6 +11,7 @@ package alae_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/bwt"
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/seq"
 	"repro/internal/strie"
 )
 
@@ -391,14 +393,16 @@ func BenchmarkAblation(b *testing.B) {
 // pseudo-random rows, the access pattern of backward search.
 func benchRank(b *testing.B, fm *bwt.FMIndex) {
 	rows := make([]int, 4096)
+	codes := make([]int, 4096)
 	rng := rand.New(rand.NewSource(7))
 	for i := range rows {
 		rows[i] = rng.Intn(fm.Rows() + 1)
+		codes[i] = rng.Intn(fm.Sigma())
 	}
 	b.Run("rank", func(b *testing.B) {
 		var sink int32
 		for i := 0; i < b.N; i++ {
-			sink += fm.Rank(i&(fm.Sigma()-1), rows[i&4095])
+			sink += fm.Rank(codes[i&4095], rows[i&4095])
 		}
 		_ = sink
 	})
@@ -412,7 +416,9 @@ func benchRank(b *testing.B, fm *bwt.FMIndex) {
 
 // BenchmarkRankDNA compares the two rank layouts on a DNA-sized
 // alphabet; the packed sub-benchmarks should run several times faster
-// than the byte ones.
+// than the byte ones. The store case is the same text cut into 64
+// members, whose separator rows the packed core lists beside its
+// blocks.
 func BenchmarkRankDNA(b *testing.B) {
 	letters := []byte("ACGT")
 	text := make([]byte, 1<<20)
@@ -424,6 +430,11 @@ func BenchmarkRankDNA(b *testing.B) {
 	b.Run("byte", func(b *testing.B) {
 		benchRank(b, bwt.NewWithOptions(text, bwt.Options{ForceByteRank: true}))
 	})
+	store := append([]byte(nil), text...)
+	for i := len(store) / 64; i < len(store); i += len(store) / 64 {
+		store[i] = seq.Separator
+	}
+	b.Run("packed-store", func(b *testing.B) { benchRank(b, bwt.New(store)) })
 }
 
 // BenchmarkRankProtein exercises the σ=20 byte fallback (its
@@ -591,42 +602,57 @@ func BenchmarkCollectorReplay(b *testing.B) {
 
 // --- Index persistence: save/load throughput ---
 
-// BenchmarkIndexSaveLoad times persisting one text the one way there
-// is — a one-record store through Save and LoadStore — against
-// rebuilding its index.
+// BenchmarkIndexSaveLoad times persisting 500 kb of DNA the one way
+// there is — a store through Save and LoadStore — against rebuilding
+// its index, as one member and cut into 64 (a generation whose packed
+// core lists separator rows). ns/char is per stored character.
 func BenchmarkIndexSaveLoad(b *testing.B) {
 	k := wlKey{kind: "dna", n: 500_000, m: 64, queries: 1, seed: 52}
 	cw := getWorkload(b, k)
-	st, err := alae.NewStore([]alae.SeqRecord{{Name: "text", Seq: cw.wl.Text}}, alae.StoreOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.Run("save", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			var w bytes.Buffer
-			if err := st.Save(&w); err != nil {
-				b.Fatal(err)
-			}
+	text := cw.wl.Text
+	for _, members := range []int{1, 64} {
+		recs := make([]alae.SeqRecord, members)
+		for m := range recs {
+			recs[m] = alae.SeqRecord{Name: fmt.Sprintf("m%02d", m), Seq: text[m*len(text)/members : (m+1)*len(text)/members]}
 		}
-	})
-	b.Run("load", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if _, err := alae.LoadStore(bytes.NewReader(data), alae.StoreOptions{}); err != nil {
-				b.Fatal(err)
-			}
+		st, err := alae.NewStore(recs, alae.StoreOptions{})
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		var buf bytes.Buffer
+		if err := st.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+		data := buf.Bytes()
+		perChar := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(text)), "ns/char")
+		}
+		b.Run(fmt.Sprintf("members=%d", members), func(b *testing.B) {
+			b.Run("save", func(b *testing.B) {
+				b.SetBytes(int64(len(data)))
+				for i := 0; i < b.N; i++ {
+					var w bytes.Buffer
+					if err := st.Save(&w); err != nil {
+						b.Fatal(err)
+					}
+				}
+				perChar(b)
+			})
+			b.Run("load", func(b *testing.B) {
+				b.SetBytes(int64(len(data)))
+				for i := 0; i < b.N; i++ {
+					if _, err := alae.LoadStore(bytes.NewReader(data), alae.StoreOptions{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				perChar(b)
+			})
+		})
+	}
 	b.Run("rebuild", func(b *testing.B) {
-		b.SetBytes(int64(len(cw.wl.Text)))
+		b.SetBytes(int64(len(text)))
 		for i := 0; i < b.N; i++ {
-			alae.NewIndex(cw.wl.Text)
+			alae.NewIndex(text)
 		}
 	})
 }
@@ -655,6 +681,41 @@ func getStore(b *testing.B, text []byte, shards, cacheSize int) *alae.Store {
 	}
 	storeCache.Store(k, st)
 	return st
+}
+
+// BenchmarkStoreSeparatorCost is the Table 2 point (200 kb genome, two
+// 5 kb queries) at a fixed H = 14 on a one-member store and on the same
+// genome plus one 4-byte member. The second store's text holds one
+// separator, which its packed core lists beside the blocks (on the
+// 3-plane core it took 1.12–1.18× the one-member store's time).
+// Entries and hits are reported and must be equal.
+func BenchmarkStoreSeparatorCost(b *testing.B) {
+	cw := getWorkload(b, wlKey{kind: "dna", n: 200_000, m: 5_000, queries: 2, seed: 42})
+	opts := alae.SearchOptions{Algorithm: alae.ALAE, Threshold: 14, Parallelism: 1}
+	genome := alae.SeqRecord{Name: "genome", Seq: cw.wl.Text}
+	for _, recs := range [][]alae.SeqRecord{{genome}, {genome, {Name: "tiny", Seq: []byte("ACGT")}}} {
+		st, err := alae.NewStore(recs, alae.StoreOptions{QueryCacheSize: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("members="+itoa(len(recs)), func(b *testing.B) {
+			var entries int64
+			var hits int
+			for i := 0; i < b.N; i++ {
+				entries, hits = 0, 0
+				for _, q := range cw.wl.Queries {
+					res, err := st.Search(q, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					entries += res.Stats.CalculatedEntries
+					hits += len(res.Hits)
+				}
+			}
+			b.ReportMetric(float64(entries), "entries")
+			b.ReportMetric(float64(hits), "hits")
+		})
+	}
 }
 
 // BenchmarkStoreSearch serves the Table 2 workload (8 named chunks)

@@ -2,6 +2,8 @@ package alae
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -32,21 +34,80 @@ func FuzzReadFASTA(f *testing.F) {
 	})
 }
 
+// fuzzStores returns the stores the load fuzzers seed from, one
+// generation each: a multi-member DNA store, whose packed core lists
+// separator rows, and a protein store on the plane core.
+func fuzzStores(f *testing.F) []*Store {
+	var stores []*Store
+	for _, recs := range [][]SeqRecord{
+		{
+			{Name: "alpha", Seq: []byte("ACGTACGTACGTACGTACGT")},
+			{Name: "beta", Seq: []byte("TTTTACGTACGTGGGG")},
+			{Name: "gamma", Seq: []byte("ACACACACACACAC")},
+		},
+		{
+			{Name: "p1", Seq: []byte("MKVLAAGIVGLLLAHSACDEFGHIKLMNPQRSTVWY")},
+			{Name: "p2", Seq: []byte("WYVTSRQPNMLKIHGFEDCAACGT")},
+		},
+	} {
+		st, err := NewStore(recs, StoreOptions{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		stores = append(stores, st)
+	}
+	return stores
+}
+
+// addFlips seeds data with one bit flipped in each of its bytes from
+// from on, so that the sweep covers the rank core's blocks.
+func addFlips(f *testing.F, data []byte, from int) {
+	for pos := from; pos < len(data); pos++ {
+		flipped := append([]byte(nil), data...)
+		flipped[pos] ^= 1 << (pos % 8)
+		f.Add(flipped)
+	}
+}
+
 // FuzzLoad drives the index-payload decoder a store's load runs per
 // generation: it must reject arbitrary bytes cleanly (no panic, no
-// runaway allocation) and accept the encoder's output.
+// runaway allocation) and accept the encoder's output. Its seeds are a
+// one-text DNA payload, a multi-member DNA payload with separator rows
+// and a protein payload on planes, each also with every byte flipped,
+// and a payload in the previous index version, which must be rejected
+// by name.
 func FuzzLoad(f *testing.F) {
-	ix := NewIndex([]byte("ACGTACGTACGTACGT"))
-	var good bytes.Buffer
-	if err := encodeIndex(&good, ix); err != nil {
-		f.Fatal(err)
+	ixs := []*Index{NewIndex([]byte("ACGTACGTACGTACGT"))}
+	for _, st := range fuzzStores(f) {
+		ixs = append(ixs, st.currentView().gens[0].ix)
 	}
-	f.Add(good.Bytes())
+	for _, ix := range ixs {
+		var good bytes.Buffer
+		if err := encodeIndex(&good, ix); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(good.Bytes())
+		addFlips(f, good.Bytes(), 0)
+		old := append([]byte(nil), good.Bytes()...)
+		old[8+ix.Len()+4] = 2 // the index version, after the text
+		f.Add(old)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := decodeIndex(bytes.NewReader(data))
 		if err != nil {
+			// An index of another version ("ALAE", then the version,
+			// after the text) must be rejected by name.
+			if n := uint64(len(data)); n >= 16 {
+				if at := binary.LittleEndian.Uint64(data) + 8; at <= n-8 &&
+					binary.LittleEndian.Uint32(data[at:]) == 0x414c4145 {
+					v := binary.LittleEndian.Uint32(data[at+4:])
+					if v != 3 && !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+						t.Fatalf("a version-%d index rejected without naming it: %v", v, err)
+					}
+				}
+			}
 			return
 		}
 		// A successfully loaded index must be usable.
@@ -91,24 +152,25 @@ func FuzzLoadStore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(mutated.Bytes())
+	var protein bytes.Buffer
+	if err := fuzzStores(f)[1].Save(&protein); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(protein.Bytes())
 	// Truncations at awkward places: inside the magic, the manifest,
 	// the generation table, a payload.
-	for _, src := range []*bytes.Buffer{&good, &mutated} {
+	for _, src := range []*bytes.Buffer{&good, &mutated, &protein} {
 		for _, frac := range []int{1, 4, 7, 10, 13, 20, 40, 60, 80, 99} {
 			n := src.Len() * frac / 100
 			f.Add(append([]byte(nil), src.Bytes()[:n]...))
 		}
 		// Bit-flips sweeping the file: header, stamp, counts, flags,
-		// lengths, payloads.
-		for pos := 0; pos < src.Len(); pos += 1 + src.Len()/16 {
-			flipped := append([]byte(nil), src.Bytes()...)
-			flipped[pos] ^= 1 << (pos % 8)
-			f.Add(flipped)
-		}
+		// lengths, and every byte of the payloads' rank cores.
+		addFlips(f, src.Bytes(), 0)
 	}
-	// The retired format versions 1 and 2 in an otherwise valid file:
-	// both must be rejected.
-	for _, v := range []byte{1, 2} {
+	// The retired format versions 1, 2 and 3 in an otherwise valid
+	// file: each must be rejected by name.
+	for _, v := range []byte{1, 2, 3} {
 		legacy := append([]byte(nil), good.Bytes()...)
 		legacy[8] = v
 		f.Add(legacy)
@@ -116,6 +178,7 @@ func FuzzLoadStore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := LoadStore(bytes.NewReader(data), StoreOptions{})
 		if err != nil {
+			checkVersionNamed(t, data, err)
 			return
 		}
 		// Whatever loaded must serve: the directory is coherent and a
@@ -129,6 +192,18 @@ func FuzzLoadStore(f *testing.F) {
 			t.Fatalf("search on loaded store: %v", err)
 		}
 	})
+}
+
+// checkVersionNamed fails t when data is a store file or manifest of
+// another format version and err does not name that version.
+func checkVersionNamed(t *testing.T, data []byte, err error) {
+	t.Helper()
+	if len(data) < 12 || !bytes.Equal(data[:8], storeMagic[:]) {
+		return
+	}
+	if v := binary.LittleEndian.Uint32(data[8:]); v != storeVersion && !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+		t.Fatalf("a version-%d store rejected without naming it: %v", v, err)
+	}
 }
 
 // FuzzSchemeParsing exercises the CLI's scheme grammar indirectly via

@@ -2,6 +2,7 @@ package align
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -367,5 +368,61 @@ func BenchmarkLocalAll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := NewCollector()
 		LocalAllInto(text, query, DefaultDNA, 25, c)
+	}
+}
+
+// TestTracebackFailureBounded gates the traceback's failure path on a
+// 5 000-bp hit: a score that no alignment ending at the hit reaches
+// (the query carries three mismatches, the hit claims a perfect 5 000)
+// fails once the window covers the span that score allows, in O(m²)
+// cells, instead of growing the window over the whole text. The
+// unbounded loop allocated 1.36 GB here; a correct 5 000-bp hit takes
+// the same bounded windows.
+func TestTracebackFailureBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	text := randDNA(20000, rng)
+	query := append([]byte(nil), text[5000:10000]...)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const bound = 64 << 20
+	hit := Hit{TEnd: 9999, QEnd: 4999, Score: 5000}
+	if got := allocated(func() {
+		a, err := Traceback(text, query, DefaultDNA, hit)
+		if err != nil || a.Score != 5000 || a.TStart != 5000 || a.QStart != 0 {
+			t.Fatalf("exact 5 000-bp hit: %+v, %v", a, err)
+		}
+	}); got > bound {
+		t.Fatalf("exact 5 000-bp hit allocated %d MB, want ≤ %d", got>>20, bound>>20)
+	} else {
+		t.Logf("exact 5 000-bp hit: %.1f MB allocated", float64(got)/(1<<20))
+	}
+	for _, i := range []int{700, 2500, 4200} {
+		for query[i] == text[5000+i] {
+			query[i] = "ACGT"[rng.Intn(4)]
+		}
+	}
+	if got := allocated(func() {
+		if _, err := Traceback(text, query, DefaultDNA, hit); err == nil ||
+			!strings.Contains(err.Error(), "no alignment of score 5000") {
+			t.Fatalf("a score no alignment reaches: %v", err)
+		}
+	}); got > bound {
+		t.Fatalf("failed 5 000-bp traceback allocated %d MB, want ≤ %d (1 360 MB unbounded)", got>>20, bound>>20)
+	} else {
+		t.Logf("failed 5 000-bp traceback: %.1f MB allocated", float64(got)/(1<<20))
+	}
+	// A score above what the hit's query prefix could ever reach fails
+	// before any window is computed.
+	if got := allocated(func() {
+		if _, err := Traceback(text, query, DefaultDNA, Hit{TEnd: 9999, QEnd: 4999, Score: 5001}); err == nil {
+			t.Fatal("score 5001 over 5000 query bases accepted")
+		}
+	}); got > 1<<20 {
+		t.Fatalf("an unreachable score allocated %d bytes", got)
 	}
 }

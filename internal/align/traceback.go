@@ -27,21 +27,44 @@ type Alignment struct {
 // Traceback reconstructs the best local alignment that ends at the
 // given hit. It recomputes the DP over a window ending at the hit,
 // growing the window until the alignment's start fits, so memory stays
-// proportional to the alignment's own footprint rather than n·m.
+// proportional to the alignment's own footprint rather than n·m: one
+// direction byte per window cell, plus two rows of scores.
+//
+// The window stops growing once it covers every alignment the hit's
+// score allows: with a = QEnd+1 query characters at most, a local
+// alignment of score S spans at most a + (Match·a − S)/|GapExtend| text
+// characters, since each text character beyond the query's costs at
+// least one gap extension. A hit that no alignment of its score ends at
+// therefore fails after O(m²) cells, not O(n·m).
 func Traceback(text, query []byte, s Scheme, hit Hit) (Alignment, error) {
 	if hit.TEnd < 0 || hit.TEnd >= len(text) || hit.QEnd < 0 || hit.QEnd >= len(query) {
 		return Alignment{}, fmt.Errorf("align: hit end (%d,%d) out of range", hit.TEnd, hit.QEnd)
 	}
-	for window := 256; ; window *= 4 {
-		a, ok := tracebackWindow(text, query, s, hit, window)
+	maxSpan := len(text) + len(query)
+	if s.GapExtend < 0 {
+		// One more than the longest span, so that an alignment reaching
+		// the window's edge is known to be clipped; none when a matches
+		// fall short of the score.
+		a := hit.QEnd + 1
+		maxSpan = 0
+		if slack := s.Match*a - hit.Score; slack >= 0 {
+			maxSpan = a + slack/-s.GapExtend + 1
+		}
+	}
+	for window := 256; maxSpan > 0; window *= 4 {
+		w := min(window, maxSpan)
+		a, best, ok := tracebackWindow(text, query, s, hit, w)
 		if ok {
 			return a, nil
 		}
-		if window > len(text)+len(query) {
-			return Alignment{}, fmt.Errorf("align: no alignment of score %d ends at (%d,%d)",
-				hit.Score, hit.TEnd, hit.QEnd)
+		// A wider window only adds start cells, so once the best score
+		// ending at the hit passes its score it never comes back to it.
+		if best > hit.Score || w == maxSpan {
+			break
 		}
 	}
+	return Alignment{}, fmt.Errorf("align: no alignment of score %d ends at (%d,%d)",
+		hit.Score, hit.TEnd, hit.QEnd)
 }
 
 // direction codes packed per cell and per matrix.
@@ -52,71 +75,73 @@ const (
 	fromGb // horizontal gap (consumes query)
 )
 
-func tracebackWindow(text, query []byte, s Scheme, hit Hit, window int) (Alignment, bool) {
+// tracebackWindow aligns the window of the given size ending at the
+// hit. It returns the best score ending at the hit within the window,
+// and the alignment when that score is the hit's and its start lies
+// inside the window.
+func tracebackWindow(text, query []byte, s Scheme, hit Hit, window int) (Alignment, int, bool) {
 	ti0 := max(0, hit.TEnd+1-window)
 	qj0 := max(0, hit.QEnd+1-window)
 	sub := text[ti0 : hit.TEnd+1]
 	qub := query[qj0 : hit.QEnd+1]
 	n, m := len(sub), len(qub)
-	const negInf = int(-1) << 40
+	const negInf = -1 << 24
 
-	h := make([][]int32, n+1)
-	dir := make([][]uint8, n+1) // two bits H-source, two bits Ga-ext, two bits Gb-ext
-	ga := make([][]int32, n+1)
-	gb := make([][]int32, n+1)
-	for i := 0; i <= n; i++ {
-		h[i] = make([]int32, m+1)
-		dir[i] = make([]uint8, m+1)
-		ga[i] = make([]int32, m+1)
-		gb[i] = make([]int32, m+1)
-		for j := 0; j <= m; j++ {
-			ga[i][j], gb[i][j] = int32(negInf>>16), int32(negInf>>16)
-		}
+	// dir[i*(m+1)+j]: two bits H-source, one bit Ga-extends, one bit
+	// Gb-extends. A cell whose H is 0 has source fromZero, so the walk
+	// needs no score matrix: the scores live in two rolling rows.
+	dir := make([]uint8, (n+1)*(m+1))
+	rows := make([]int32, 6*(m+1))
+	hPrev, hCur := rows[0:m+1], rows[m+1:2*(m+1)]
+	gaPrev, gaCur := rows[2*(m+1):3*(m+1)], rows[3*(m+1):4*(m+1)]
+	gbCur := rows[4*(m+1) : 5*(m+1)]
+	for j := range gaPrev {
+		gaPrev[j] = negInf
 	}
-	open := s.GapOpen + s.GapExtend
+	gbCur[0] = negInf
+	open := int32(s.GapOpen + s.GapExtend)
+	ext := int32(s.GapExtend)
 	for i := 1; i <= n; i++ {
+		hCur[0], gaCur[0] = 0, negInf
+		d := dir[i*(m+1) : (i+1)*(m+1)]
 		for j := 1; j <= m; j++ {
-			gaExt := ga[i-1][j] + int32(s.GapExtend)
-			gaOpen := h[i-1][j] + int32(open)
-			var gaFlag uint8
-			if gaExt > gaOpen {
-				ga[i][j] = gaExt
-				gaFlag = 1 << 2
-			} else {
-				ga[i][j] = gaOpen
+			var gaFlag, gbFlag uint8
+			ga := hPrev[j] + open
+			if e := gaPrev[j] + ext; e > ga {
+				ga, gaFlag = e, 1<<2
 			}
-			gbExt := gb[i][j-1] + int32(s.GapExtend)
-			gbOpen := h[i][j-1] + int32(open)
-			var gbFlag uint8
-			if gbExt > gbOpen {
-				gb[i][j] = gbExt
-				gbFlag = 1 << 4
-			} else {
-				gb[i][j] = gbOpen
+			gb := hCur[j-1] + open
+			if e := gbCur[j-1] + ext; e > gb {
+				gb, gbFlag = e, 1<<4
 			}
-			d := h[i-1][j-1] + int32(s.Delta(sub[i-1], qub[j-1]))
+			diag := hPrev[j-1] + int32(s.Delta(sub[i-1], qub[j-1]))
 			best, src := int32(0), uint8(fromZero)
-			if d > best {
-				best, src = d, fromDiag
+			if diag > best {
+				best, src = diag, fromDiag
 			}
-			if ga[i][j] > best {
-				best, src = ga[i][j], fromGa
+			if ga > best {
+				best, src = ga, fromGa
 			}
-			if gb[i][j] > best {
-				best, src = gb[i][j], fromGb
+			if gb > best {
+				best, src = gb, fromGb
 			}
-			h[i][j] = best
-			dir[i][j] = src | gaFlag | gbFlag
+			hCur[j], gaCur[j], gbCur[j] = best, ga, gb
+			d[j] = src | gaFlag | gbFlag
 		}
+		hPrev, hCur = hCur, hPrev
+		gaPrev, gaCur = gaCur, gaPrev
 	}
-	if int(h[n][m]) != hit.Score {
-		// The window clipped the alignment; caller will grow it.
-		return Alignment{}, false
+	score := int(hPrev[m])
+	if score != hit.Score {
+		// The window clipped the alignment (the caller grows it), or no
+		// alignment of the hit's score ends there.
+		return Alignment{}, score, false
 	}
 
 	var ops []Op
 	i, j := n, m
-	state := dir[i][j] & 3
+	at := func(i, j int) uint8 { return dir[i*(m+1)+j] }
+	state := at(i, j) & 3
 	for state != fromZero {
 		switch state {
 		case fromDiag:
@@ -126,33 +151,20 @@ func tracebackWindow(text, query []byte, s Scheme, hit Hit, window int) (Alignme
 				ops = append(ops, OpMismatch)
 			}
 			i, j = i-1, j-1
-			state = dir[i][j] & 3
-			if h[i][j] == 0 {
-				state = fromZero
-			}
+			state = at(i, j) & 3
 		case fromGa:
-			ext := dir[i][j]&(1<<2) != 0
+			ext := at(i, j)&(1<<2) != 0
 			ops = append(ops, OpDelete)
 			i--
-			if ext {
-				state = fromGa
-			} else {
-				state = dir[i][j] & 3
-				if h[i][j] == 0 {
-					state = fromZero
-				}
+			if !ext {
+				state = at(i, j) & 3
 			}
 		case fromGb:
-			ext := dir[i][j]&(1<<4) != 0
+			ext := at(i, j)&(1<<4) != 0
 			ops = append(ops, OpInsert)
 			j--
-			if ext {
-				state = fromGb
-			} else {
-				state = dir[i][j] & 3
-				if h[i][j] == 0 {
-					state = fromZero
-				}
+			if !ext {
+				state = at(i, j) & 3
 			}
 		}
 		if i == 0 || j == 0 {
@@ -161,9 +173,7 @@ func tracebackWindow(text, query []byte, s Scheme, hit Hit, window int) (Alignme
 	}
 	if i == 0 && ti0 > 0 || j == 0 && qj0 > 0 {
 		// Ran into the window edge: alignment extends further left.
-		if int(h[n][m]) != hit.Score || (i == 0 && ti0 > 0) || (j == 0 && qj0 > 0) {
-			return Alignment{}, false
-		}
+		return Alignment{}, score, false
 	}
 	// Reverse ops.
 	for a, b := 0, len(ops)-1; a < b; a, b = a+1, b-1 {
@@ -173,7 +183,7 @@ func tracebackWindow(text, query []byte, s Scheme, hit Hit, window int) (Alignme
 		TStart: ti0 + i, TEnd: hit.TEnd,
 		QStart: qj0 + j, QEnd: hit.QEnd,
 		Score: hit.Score, Ops: ops,
-	}, true
+	}, score, true
 }
 
 // CIGAR renders the operations in a compact run-length form, with 'M'

@@ -14,10 +14,15 @@ type rankBitVector struct {
 const wordsPerSuper = 8
 
 func newRankBitVector(n int) *rankBitVector {
-	nw := (n + 63) / 64
+	return rankBitVectorOver(make([]uint64, (n+63)/64), n)
+}
+
+// rankBitVectorOver returns a vector of n bits held in words, which
+// must number (n+63)/64.
+func rankBitVectorOver(words []uint64, n int) *rankBitVector {
 	return &rankBitVector{
-		words: make([]uint64, nw),
-		super: make([]int32, (nw+wordsPerSuper-1)/wordsPerSuper+1),
+		words: words,
+		super: make([]int32, (len(words)+wordsPerSuper-1)/wordsPerSuper+1),
 		n:     n,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sais"
+	"repro/internal/seq"
 )
 
 // FMIndex is a compressed suffix array over a byte text: the BWT of
@@ -12,10 +13,12 @@ import (
 // the n+1 suffixes of text+$; row 0 is always the $ suffix. The index
 // is read-only after construction and safe for concurrent use.
 //
-// Rank support comes in three layouts. For σ ≤ 4 (DNA, the dominant
-// workload) the BWT is 2-bit-packed into 64-bit words with interleaved
+// Rank support comes in three layouts. For four letters or fewer (DNA,
+// the dominant workload) — plus, in a store's text, the separator
+// letter, whose rows the core stores as a placeholder and lists
+// aside — the BWT is 2-bit-packed into 64-bit words with interleaved
 // occurrence checkpoints and ranks are answered bit-parallel via
-// popcount (packedRank). For 4 < σ ≤ 32 (protein) the BWT is
+// popcount (packedRank). Otherwise, for σ ≤ 32 (protein) the BWT is
 // decomposed into ⌈log2 σ⌉ checkpointed bit planes and ranks are
 // answered by masked popcounts over the planes (planeRank). Larger
 // alphabets — and ForceByteRank — keep the BWT as a byte slice with
@@ -37,8 +40,13 @@ type FMIndex struct {
 	occ       []int32 // checkpoints: occ[(row/ckpt)*sigma + k]
 	ckptEvery int
 
-	// Packed layout (1 ≤ σ ≤ 4): bit-parallel rank core.
-	pk *packedRank
+	// Packed layout (1 ≤ σ ≤ 4, not counting a separator letter):
+	// bit-parallel rank core. sepOff is 1 when the text's separator
+	// letter (seq.Separator, dense code 0) is kept off the core — its
+	// rows stored as the placeholder and listed in pk.seps, every other
+	// code k stored as k-1 — and 0 otherwise.
+	pk     *packedRank
+	sepOff int
 
 	// Plane layout (4 < σ ≤ 32): bit-plane rank core.
 	pl *planeRank
@@ -58,7 +66,7 @@ type Options struct {
 	// The packed layout checkpoints every 128 rows regardless.
 	CheckpointEvery int
 	// ForceByteRank disables the bit-parallel rank cores (the 2-bit
-	// packed layout for σ ≤ 4 and the bit-plane layout for σ ≤ 32),
+	// packed layout for four letters and the bit-plane layout for σ ≤ 32),
 	// keeping the byte-scan layout. Used by benchmarks and property
 	// tests that compare the implementations; the byte layout is the
 	// reference the others are checked against.
@@ -143,27 +151,51 @@ func NewWithOptions(text []byte, opt Options) *FMIndex {
 	}
 	fm.c[fm.sigma] = sum
 
-	fm.attachRank(codes, opt.ForceByteRank)
+	if !opt.ForceByteRank {
+		fm.pk, fm.pl, fm.sepOff = fm.buildCore(codes)
+	}
+	if fm.pk == nil && fm.pl == nil {
+		fm.bwt = codes
+		fm.occ = buildOcc(codes, fm.sentinelRow, fm.ckptEvery, fm.sigma)
+	}
 	return fm
 }
 
-// attachRank installs the rank structure over the dense-code BWT,
-// choosing a bit-parallel core when the alphabet allows it: the 2-bit
-// packed layout for σ ≤ 4, the bit-plane layout for 4 < σ ≤ 32.
-func (fm *FMIndex) attachRank(codes []byte, forceByte bool) {
-	fm.pk, fm.pl = nil, nil
-	if !forceByte && fm.sigma >= 1 && fm.sigma <= 4 {
-		fm.pk = buildPackedRank(codes)
-		fm.bwt, fm.occ = nil, nil
-		return
+// Rank-layout tags, as stored in a serialized index's header.
+const (
+	layoutByte    = 0
+	layoutPacked2 = 1 // 2-bit packed: four letters, plus separator rows
+	layoutPlane   = 2 // bit planes, σ ≤ 32
+)
+
+// coreLayout returns the rank core an alphabet gets — 2-bit packed for
+// at most four letters besides a leading separator letter, bit planes
+// up to σ = 32, bytes beyond — and, for the packed core, whether the
+// separator letter is kept off it.
+func coreLayout(letters []byte) (layout uint32, sepOff int) {
+	sigma := len(letters)
+	if sigma > 1 && letters[0] == seq.Separator {
+		sepOff = 1
 	}
-	if !forceByte && fm.sigma > 4 && fm.sigma <= 32 {
-		fm.pl = buildPlaneRank(codes, fm.sigma)
-		fm.bwt, fm.occ = nil, nil
-		return
+	switch {
+	case sigma >= 1 && sigma-sepOff <= 4:
+		return layoutPacked2, sepOff
+	case sigma <= 32 && sigma > 0:
+		return layoutPlane, 0
 	}
-	fm.bwt = codes
-	fm.occ = buildOcc(codes, fm.sentinelRow, fm.ckptEvery, fm.sigma)
+	return layoutByte, 0
+}
+
+// buildCore builds the bit-parallel rank core for the dense-code BWT
+// codes, or returns nils when the alphabet takes the byte layout.
+func (fm *FMIndex) buildCore(codes []byte) (*packedRank, *planeRank, int) {
+	switch layout, sepOff := coreLayout(fm.letters); layout {
+	case layoutPacked2:
+		return buildPackedRank(codes, fm.sentinelRow, sepOff), nil, sepOff
+	case layoutPlane:
+		return nil, buildPlaneRank(codes, fm.sigma), 0
+	}
+	return nil, nil, 0
 }
 
 // buildOcc computes the byte layout's periodic occurrence checkpoints,
@@ -204,7 +236,14 @@ func (fm *FMIndex) CodeOf(b byte) int { return int(fm.code[b]) }
 // sentinel row reads its placeholder).
 func (fm *FMIndex) bwtCode(row int) byte {
 	if fm.pk != nil {
-		return fm.pk.at(row)
+		c := fm.pk.at(row)
+		if fm.sepOff != 0 {
+			if c == 0 && fm.pk.isSep(row) {
+				return 0
+			}
+			c++
+		}
+		return c
 	}
 	if fm.pl != nil {
 		return fm.pl.at(row)
@@ -216,6 +255,9 @@ func (fm *FMIndex) bwtCode(row int) byte {
 // excluding the sentinel placeholder.
 func (fm *FMIndex) rank(k int, row int) int32 {
 	if fm.pk != nil {
+		if fm.sepOff != 0 {
+			return fm.rankSep(k, row)
+		}
 		r := fm.pk.rank(k, row)
 		if k == 0 && row > fm.sentinelRow {
 			r-- // the placeholder is stored as code 0
@@ -257,6 +299,9 @@ func (fm *FMIndex) Rank(k, row int) int32 { return fm.rank(k, row) }
 func (fm *FMIndex) rank2(k, lo, hi int) (rlo, rhi int32) {
 	switch {
 	case fm.pk != nil:
+		if fm.sepOff != 0 {
+			return fm.rank2Sep(k, lo, hi)
+		}
 		rlo, rhi = fm.pk.rank2(k, lo, hi)
 	case fm.pl != nil:
 		rlo, rhi = fm.pl.rank2(k, lo, hi)
@@ -336,6 +381,15 @@ func (fm *FMIndex) Extend(lo, hi int, b byte) (int, int) {
 // children of a node.
 func (fm *FMIndex) ranksAll(row int, counts []int32) {
 	if fm.pk != nil {
+		if fm.sepOff != 0 {
+			fm.pk.ranksAll(row, counts[1:])
+			seps, fix := fm.pk.sepRank(row)
+			counts[0], counts[1] = seps, counts[1]+fix
+			if row > fm.sentinelRow {
+				counts[1]--
+			}
+			return
+		}
 		fm.pk.ranksAll(row, counts)
 		if row > fm.sentinelRow {
 			counts[0]-- // the placeholder is stored as code 0
@@ -374,6 +428,19 @@ func (fm *FMIndex) RanksAll(row int, counts []int32) { fm.ranksAll(row, counts) 
 // single pass. Requires lo ≤ hi.
 func (fm *FMIndex) ranksAll2(lo, hi int, los, his []int32) {
 	switch {
+	case fm.pk != nil && fm.sepOff != 0:
+		fm.pk.ranksAll2(lo, hi, los[1:], his[1:])
+		sepLo, fixLo := fm.pk.sepRank(lo)
+		sepHi, fixHi := fm.pk.sepRank(hi)
+		los[0], los[1] = sepLo, los[1]+fixLo
+		his[0], his[1] = sepHi, his[1]+fixHi
+		if lo > fm.sentinelRow {
+			los[1]--
+		}
+		if hi > fm.sentinelRow {
+			his[1]--
+		}
+		return
 	case fm.pk != nil:
 		fm.pk.ranksAll2(lo, hi, los, his)
 	case fm.pl != nil:
@@ -411,6 +478,48 @@ func (fm *FMIndex) ranksAll2(lo, hi int, los, his []int32) {
 	if hi > fm.sentinelRow {
 		his[0]--
 	}
+}
+
+// A packed core that lists separator rows (sepOff = 1) stores every
+// code k ≥ 1 as k-1 and separator rows as its code 0, like the
+// sentinel's placeholder. Its ranks for codes 0 and 1 need the
+// separator count and correction sepRank returns.
+
+// rankSep is rank on a packed core with separator rows.
+func (fm *FMIndex) rankSep(k, row int) int32 {
+	if k > 1 {
+		return fm.pk.rank(k-1, row)
+	}
+	seps, fix := fm.pk.sepRank(row)
+	if k == 0 {
+		return seps
+	}
+	r := fm.pk.rank(0, row) + fix
+	if row > fm.sentinelRow {
+		r--
+	}
+	return r
+}
+
+// rank2Sep is rank2 on a packed core with separator rows.
+func (fm *FMIndex) rank2Sep(k, lo, hi int) (int32, int32) {
+	if k > 1 {
+		return fm.pk.rank2(k-1, lo, hi)
+	}
+	sepLo, fixLo := fm.pk.sepRank(lo)
+	sepHi, fixHi := fm.pk.sepRank(hi)
+	if k == 0 {
+		return sepLo, sepHi
+	}
+	rlo, rhi := fm.pk.rank2(0, lo, hi)
+	rlo, rhi = rlo+fixLo, rhi+fixHi
+	if lo > fm.sentinelRow {
+		rlo--
+	}
+	if hi > fm.sentinelRow {
+		rhi--
+	}
+	return rlo, rhi
 }
 
 // RanksAll2 is the exported form of ranksAll2, for benchmarks and
@@ -606,7 +715,7 @@ func (fm *FMIndex) PackedSizeBytes() int {
 	packed := (rows*bitsPer + 7) / 8
 	occ := 4 * len(fm.occ)
 	if fm.pk != nil {
-		occ = 8 * prCountWords * (len(fm.pk.blocks) / prStride)
+		occ = 8*prCountWords*(len(fm.pk.blocks)/prStride) + 4*len(fm.pk.seps)
 	}
 	if fm.pl != nil {
 		occ = 8 * fm.pl.ckptWords * (len(fm.pl.blocks) / fm.pl.stride)

@@ -1,9 +1,12 @@
 package bwt
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // packedRank is the bit-parallel rank structure for small alphabets
-// (σ ≤ 4, the DNA case): the BWT is stored 2-bit-packed in 64-bit
+// (four letters, the DNA case): the BWT is stored 2-bit-packed in 64-bit
 // words — the representation the paper itself assumes ("every
 // character in BWT sequence can be stored using 2 bits") — with the
 // occurrence checkpoints interleaved into the same block, so one rank
@@ -13,10 +16,16 @@ import "math/bits"
 // byte scan, which is what makes backward search bit-parallel.
 //
 // The sentinel row's placeholder is stored as code 0, exactly like the
-// byte layout; FMIndex applies the same query-time correction.
+// byte layout; FMIndex applies the same query-time correction. A store
+// text's separator rows are stored as code 0 too, so that a DNA store
+// with its separator letter (σ = 5) still fits two bits per row: seps
+// lists those rows, and each block holding one sets prSepFlag in its
+// code-0 count, which excludes them. A text with no separator has no
+// list and no flag, so it pays no byte and no extra memory access.
 type packedRank struct {
 	rows   int
 	blocks []uint64
+	seps   []int32 // separator rows, increasing; nil when there are none
 }
 
 const (
@@ -26,10 +35,17 @@ const (
 	prCountWords   = 2                           // 4 × uint32 running counts
 	prStride       = prCountWords + prDataWords  // uint64s per block
 	prLowBits      = 0x5555555555555555          // low bit of every 2-bit group
+	// prSepFlag marks, in a block's code-0 count, a block that holds a
+	// separator row. Rows number fewer than 2³¹, so the bit is free.
+	prSepFlag = 1 << 31
 )
 
 // buildPackedRank packs the dense-code BWT (values 0..3) into blocks.
-func buildPackedRank(codes []byte) *packedRank {
+// With sepOff set the codes are one higher (1..4) and code 0 marks a
+// separator row, which is stored as code 0, listed in seps and left
+// out of the counts; the sentinel row's placeholder stays code 0 and
+// counted, as without separators.
+func buildPackedRank(codes []byte, sentinelRow, sepOff int) *packedRank {
 	rows := len(codes)
 	nBlocks := rows/prRowsPerBlock + 1
 	p := &packedRank{rows: rows, blocks: make([]uint64, nBlocks*prStride)}
@@ -42,6 +58,14 @@ func buildPackedRank(codes []byte) *packedRank {
 		hi := min(lo+prRowsPerBlock, rows)
 		for i := lo; i < hi; i++ {
 			c := codes[i]
+			if sepOff != 0 && i != sentinelRow {
+				if c == 0 {
+					p.seps = append(p.seps, int32(i))
+					p.blocks[base] |= prSepFlag
+					continue
+				}
+				c--
+			}
 			running[c]++
 			off := i - lo
 			p.blocks[base+prCountWords+off/prSymsPerWord] |=
@@ -229,14 +253,42 @@ func (p *packedRank) ranksAll2(lo, hi int, los, his []int32) {
 	copy(his, hiC[:n])
 }
 
-// appendCodes unpacks the stored symbols into out, for serialization
-// and consistency verification.
-func (p *packedRank) appendCodes(out []byte) []byte {
-	for row := 0; row < p.rows; row++ {
-		out = append(out, p.at(row))
+// sepsUpTo advances j, the index in seps of a separator row at or
+// after the current block's start, past every separator before row.
+func (p *packedRank) sepsUpTo(j int32, row int) int32 {
+	for int(j) < len(p.seps) && int(p.seps[j]) < row {
+		j++
 	}
-	return out
+	return j
+}
+
+// sepRank returns the number of separator rows before row, and fix:
+// what code 0's count at row, as rank, rank2, ranksAll and ranksAll2
+// return it, needs added. Those read a flagged block's code-0
+// checkpoint with its flag bit, −2³¹ in their int32 arithmetic (which
+// wraps), and count the block's separator rows as code 0. The
+// separators before the block are what its checkpoint does not count.
+func (p *packedRank) sepRank(row int) (seps, fix int32) {
+	blk := row / prRowsPerBlock
+	w0, w1 := p.blocks[blk*prStride], p.blocks[blk*prStride+1]
+	seps = int32(blk*prRowsPerBlock) - int32(uint32(w0)&^prSepFlag) -
+		int32(w0>>32) - int32(uint32(w1)) - int32(w1>>32)
+	if uint32(w0)&prSepFlag != 0 {
+		j := p.sepsUpTo(seps, row)
+		fix = -prSepFlag - (j - seps)
+		seps = j
+	}
+	return seps, fix
+}
+
+// isSep reports whether row holds a separator.
+func (p *packedRank) isSep(row int) bool {
+	if uint32(p.blocks[row/prRowsPerBlock*prStride])&prSepFlag == 0 {
+		return false
+	}
+	_, found := slices.BinarySearch(p.seps, int32(row))
+	return found
 }
 
 // sizeBytes is the in-memory footprint of the structure.
-func (p *packedRank) sizeBytes() int { return 8 * len(p.blocks) }
+func (p *packedRank) sizeBytes() int { return 8*len(p.blocks) + 4*len(p.seps) }

@@ -167,12 +167,19 @@ func TestPlaneRankSerializeRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// A byte-forced writer round-trips onto the plane layout too: the
-	// payload is layout-independent and the loader picks the best core.
+	// A byte-forced writer writes the core a load builds: the same
+	// bytes as the default index, loading onto the plane layout.
 	ref := NewWithOptions(text, Options{ForceByteRank: true})
+	var def bytes.Buffer
+	if _, err := fm.WriteTo(&def); err != nil {
+		t.Fatal(err)
+	}
 	buf.Reset()
 	if _, err := ref.WriteTo(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), def.Bytes()) {
+		t.Error("byte-forced and default indexes write different payloads")
 	}
 	back2, err := ReadFMIndex(&buf)
 	if err != nil {

@@ -36,21 +36,10 @@ const (
 // so a scan touches adjacent words.
 func buildPlaneRank(codes []byte, sigma int) *planeRank {
 	rows := len(codes)
-	nPlanes := 1
-	for 1<<nPlanes < sigma {
-		nPlanes++
-	}
-	p := &planeRank{
-		rows:      rows,
-		sigma:     sigma,
-		nPlanes:   nPlanes,
-		ckptWords: (sigma + 1) / 2,
-	}
-	p.stride = p.ckptWords + nPlanes*plDataWords
-	nBlocks := rows/plRowsPerBlock + 1
-	p.blocks = make([]uint64, nBlocks*p.stride)
+	p := newPlaneRank(rows, sigma)
+	nPlanes := p.nPlanes
 	running := make([]uint32, sigma)
-	for b := 0; b < nBlocks; b++ {
+	for b := 0; b < len(p.blocks)/p.stride; b++ {
 		base := b * p.stride
 		for k := 0; k < sigma; k++ {
 			p.blocks[base+k>>1] |= uint64(running[k]) << (uint(k&1) * 32)
@@ -70,6 +59,24 @@ func buildPlaneRank(codes []byte, sigma int) *planeRank {
 			}
 		}
 	}
+	return p
+}
+
+// newPlaneRank returns an all-zero plane core of rows rows over an
+// alphabet of sigma codes.
+func newPlaneRank(rows, sigma int) *planeRank {
+	nPlanes := 1
+	for 1<<nPlanes < sigma {
+		nPlanes++
+	}
+	p := &planeRank{
+		rows:      rows,
+		sigma:     sigma,
+		nPlanes:   nPlanes,
+		ckptWords: (sigma + 1) / 2,
+	}
+	p.stride = p.ckptWords + nPlanes*plDataWords
+	p.blocks = make([]uint64, (rows/plRowsPerBlock+1)*p.stride)
 	return p
 }
 
@@ -312,15 +319,6 @@ func (p *planeRank) ranksAll2(lo, hi int, los, his []int32) {
 	for k := 0; k < p.sigma; k++ {
 		his[k] += los[k]
 	}
-}
-
-// appendCodes unpacks the stored symbols into out, for serialization
-// and consistency verification.
-func (p *planeRank) appendCodes(out []byte) []byte {
-	for row := 0; row < p.rows; row++ {
-		out = append(out, p.at(row))
-	}
-	return out
 }
 
 // sizeBytes is the in-memory footprint of the structure.

@@ -11,92 +11,106 @@ import (
 // index built once can be saved and reloaded instead of rebuilt — the
 // first step toward the external-memory deployment the paper lists as
 // future work ("exploit algorithms using external memory"). The
-// format stores every component of the FM-index verbatim; loading
-// performs structural validation and fails cleanly on truncated or
-// corrupted input.
+// payload holds the rank core's blocks exactly as they sit in memory,
+// so a load reads them back instead of rebuilding the core, and
+// validates them instead of trusting them: it fails cleanly on
+// truncated or corrupted input. The core written is the one a build
+// picks for the alphabet (even from a ForceByteRank index), so a
+// file's bytes depend only on the index's content.
+//
+// Layout after the header (magic, version, rank-layout tag, n, σ,
+// sentinel row, byte-layout checkpoint interval, sample rate):
+// the letters; the separator rows the packed core lists (a count and
+// int32 rows, none on the other layouts); the core (a count and that
+// many uint64 block words — packed or planes — or n+1 code bytes for
+// the byte layout); the position samples; the sample bitmap's words.
+// The C array and the byte layout's checkpoints are derived on load.
 
 const (
 	serialMagic = 0x414c4145 // "ALAE"
-	// serialVersion 2 adds an explicit rank-layout tag to the header
-	// (the version-1 format predated the bit-plane protein core and
-	// carried no layout information). Version-1 files are rejected;
-	// rebuild the index.
-	serialVersion = 2
+	// serialVersion 3 persists the rank core's blocks verbatim, with
+	// the packed core's separator rows. Version 2 persisted BWT code
+	// bytes plus occurrence checkpoints and version 1 predated the
+	// rank-layout tag; both are rejected: rebuild the index.
+	serialVersion = 3
 )
 
-// Rank-layout tags stored in the version-2 header. The tag records
-// which rank core the writing index used; the BWT payload itself is
-// layout-independent (dense-code bytes plus periodic checkpoints), so
-// the tag is informational — the loader validates it and rebuilds the
-// best core for the alphabet.
-const (
-	layoutByte    = 0
-	layoutPacked2 = 1 // 2-bit packed, σ ≤ 4
-	layoutPlane   = 2 // bit planes, 4 < σ ≤ 32
-)
+// maxSerialRows bounds a loaded index's rows: counts are int32, and the
+// packed core's checkpoints keep their top bit for prSepFlag.
+const maxSerialRows = 1<<31 - 1
 
-// layoutTag reports the rank-layout tag of the index's current core.
-func (fm *FMIndex) layoutTag() uint32 {
-	switch {
-	case fm.pk != nil:
-		return layoutPacked2
-	case fm.pl != nil:
-		return layoutPlane
+// WriteTo serialises the index. It implements io.WriterTo. The rank
+// core is written block by block from memory; a ForceByteRank index
+// writes the core a load of it builds.
+func (fm *FMIndex) WriteTo(w io.Writer) (int64, error) {
+	pk, pl, codes := fm.pk, fm.pl, fm.bwt
+	if codes != nil {
+		if pk, pl, _ = fm.buildCore(codes); pk != nil || pl != nil {
+			codes = nil
+		}
 	}
-	return layoutByte
+	var seps []int32
+	var blocks []uint64
+	switch {
+	case pk != nil:
+		seps, blocks = pk.seps, pk.blocks
+	case pl != nil:
+		blocks = pl.blocks
+	}
+	layout, _ := coreLayout(fm.letters)
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriter(cw)
+	putLE(bw, serialMagic, serialVersion, layout)
+	putLE(bw, uint64(fm.n))
+	putLE(bw, uint32(fm.sigma), uint32(fm.sentinelRow), uint32(fm.ckptEvery), uint32(fm.sampleRate))
+	putLE(bw, uint32(len(fm.letters)))
+	bw.Write(fm.letters)
+	putLE(bw, uint64(len(seps)))
+	putLE(bw, seps...)
+	if codes != nil {
+		putLE(bw, uint64(len(codes)))
+		bw.Write(codes)
+	} else {
+		putLE(bw, uint64(len(blocks)))
+		putLE(bw, blocks...)
+	}
+	putLE(bw, uint64(len(fm.samples)))
+	putLE(bw, fm.samples...)
+	putLE(bw, uint64(len(fm.sampleMark.words)))
+	putLE(bw, fm.sampleMark.words...)
+	err := bw.Flush() // a bufio.Writer keeps its first error
+	return cw.n, err
 }
 
-// WriteTo serialises the index. It implements io.WriterTo. The format
-// is layout-independent: a packed- or plane-rank index materialises
-// its BWT bytes and periodic checkpoints on the way out, so indexes
-// written by any layout load identically.
-func (fm *FMIndex) WriteTo(w io.Writer) (int64, error) {
-	bwtBytes, occ := fm.bwt, fm.occ
-	if fm.pk != nil || fm.pl != nil {
-		bwtBytes = make([]byte, 0, fm.Rows())
-		if fm.pk != nil {
-			bwtBytes = fm.pk.appendCodes(bwtBytes)
-		} else {
-			bwtBytes = fm.pl.appendCodes(bwtBytes)
-		}
-		occ = buildOcc(bwtBytes, fm.sentinelRow, fm.ckptEvery, fm.sigma)
-	}
-	cw := &countingWriter{w: bufio.NewWriter(w)}
-	write := func(vs ...any) error {
-		for _, v := range vs {
-			if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-				return err
+// putLE appends vs little-endian to w's buffer, in chunks that fit it,
+// so that no slice is ever copied whole.
+func putLE[T int32 | uint32 | uint64](w *bufio.Writer, vs ...T) {
+	var zero T
+	size := binary.Size(zero)
+	for len(vs) > 0 {
+		b := w.AvailableBuffer()
+		if cap(b) < size {
+			if w.Flush() != nil {
+				return
 			}
+			continue
 		}
-		return nil
+		k := min(len(vs), cap(b)/size)
+		b, _ = binary.Append(b, binary.LittleEndian, vs[:k])
+		w.Write(b)
+		vs = vs[k:]
 	}
-	header := []any{
-		uint32(serialMagic), uint32(serialVersion), fm.layoutTag(),
-		uint64(fm.n), uint32(fm.sigma), uint32(fm.sentinelRow),
-		uint32(fm.ckptEvery), uint32(fm.sampleRate),
-	}
-	if err := write(header...); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(len(fm.letters)), fm.letters); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint64(len(bwtBytes)), bwtBytes); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(len(fm.c)), fm.c); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint64(len(occ)), occ); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint64(len(fm.samples)), fm.samples); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint64(len(fm.sampleMark.words)), fm.sampleMark.words); err != nil {
-		return cw.n, err
-	}
-	return cw.n, cw.w.(*bufio.Writer).Flush()
+}
+
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (cw *countingWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
+	cw.n += int64(n)
+	return n, err
 }
 
 // ReadFMIndex deserialises an index written by WriteTo.
@@ -130,8 +144,7 @@ func ReadFMIndex(r io.Reader) (*FMIndex, error) {
 	if layout > layoutPlane {
 		return nil, fmt.Errorf("bwt: unknown rank-layout tag %d", layout)
 	}
-	const maxReasonable = 1 << 40
-	if n > maxReasonable || sigma > 256 || ckptEvery == 0 || sampleRate == 0 {
+	if n >= maxSerialRows || sigma > 256 || ckptEvery == 0 || sampleRate == 0 {
 		return nil, fmt.Errorf("bwt: implausible index dimensions (n=%d, σ=%d)", n, sigma)
 	}
 	fm.n = int(n)
@@ -139,12 +152,9 @@ func ReadFMIndex(r io.Reader) (*FMIndex, error) {
 	fm.sentinelRow = int(sentinelRow)
 	fm.ckptEvery = int(ckptEvery)
 	fm.sampleRate = int(sampleRate)
+	rows := fm.n + 1
 	if fm.sentinelRow > fm.n {
 		return nil, fmt.Errorf("bwt: sentinel row %d out of range", fm.sentinelRow)
-	}
-	if (layout == layoutPacked2 && fm.sigma > 4) ||
-		(layout == layoutPlane && (fm.sigma <= 4 || fm.sigma > 32)) {
-		return nil, fmt.Errorf("bwt: rank-layout tag %d inconsistent with σ=%d", layout, fm.sigma)
 	}
 
 	var nLetters uint32
@@ -162,130 +172,309 @@ func ReadFMIndex(r io.Reader) (*FMIndex, error) {
 		fm.code[i] = -1
 	}
 	for i, b := range fm.letters {
+		if i > 0 && b <= fm.letters[i-1] {
+			return nil, fmt.Errorf("bwt: letters not strictly increasing")
+		}
 		fm.code[b] = int16(i)
 	}
+	want, sepOff := coreLayout(fm.letters)
+	if layout != want {
+		return nil, fmt.Errorf("bwt: rank-layout tag %d inconsistent with the alphabet (want %d)", layout, want)
+	}
 
-	var nBWT uint64
-	if err := read(&nBWT); err != nil {
+	var nSeps uint64
+	if err := read(&nSeps); err != nil {
 		return nil, err
 	}
-	if nBWT != n+1 {
-		return nil, fmt.Errorf("bwt: BWT length %d != n+1 = %d", nBWT, n+1)
+	if nSeps > 0 && sepOff == 0 || nSeps > uint64(rows) {
+		return nil, fmt.Errorf("bwt: %d separator rows implausible for this core", nSeps)
 	}
-	bwtBytes, err := ReadExact(br, nBWT)
+	seps, err := readSlice[int32](br, nSeps)
 	if err != nil {
-		return nil, fmt.Errorf("bwt: reading BWT: %w", err)
+		return nil, fmt.Errorf("bwt: reading separator rows: %w", err)
 	}
-	fm.bwt = bwtBytes
+	for i, s := range seps {
+		if s < 0 || int(s) >= rows || int(s) == fm.sentinelRow || i > 0 && s <= seps[i-1] {
+			return nil, fmt.Errorf("bwt: separator row %d out of order or out of range", s)
+		}
+	}
+	if len(seps) == 0 {
+		seps = nil
+	}
+
+	var nCore uint64
+	if err := read(&nCore); err != nil {
+		return nil, err
+	}
+	var totals []int32 // per dense code, $ and separators excluded
+	switch layout {
+	case layoutPacked2:
+		if want := uint64((rows/prRowsPerBlock + 1) * prStride); nCore != want {
+			return nil, fmt.Errorf("bwt: packed core of %d words, want %d", nCore, want)
+		}
+		fm.pk = &packedRank{rows: rows, seps: seps}
+		if fm.pk.blocks, err = readSlice[uint64](br, nCore); err != nil {
+			return nil, fmt.Errorf("bwt: reading rank core: %w", err)
+		}
+		fm.sepOff = sepOff
+		totals, err = fm.pk.verify(fm.sentinelRow, fm.sigma-sepOff)
+		if sepOff != 0 {
+			totals = append([]int32{int32(len(seps))}, totals...)
+		}
+	case layoutPlane:
+		pl := newPlaneRank(rows, fm.sigma)
+		if want := uint64(len(pl.blocks)); nCore != want {
+			return nil, fmt.Errorf("bwt: plane core of %d words, want %d", nCore, want)
+		}
+		if pl.blocks, err = readSlice[uint64](br, nCore); err != nil {
+			return nil, fmt.Errorf("bwt: reading rank core: %w", err)
+		}
+		fm.pl = pl
+		totals, err = pl.verify(fm.sentinelRow)
+	default:
+		if nCore != uint64(rows) {
+			return nil, fmt.Errorf("bwt: BWT length %d != n+1 = %d", nCore, rows)
+		}
+		if fm.bwt, err = ReadExact(br, nCore); err != nil {
+			return nil, fmt.Errorf("bwt: reading BWT: %w", err)
+		}
+		totals, err = fm.verifyBytes()
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The C array, derived from the core: every LF step and rank lands
+	// inside [0, rows] because it is built from the very counts the
+	// core answers with.
+	fm.c = make([]int32, fm.sigma+1)
+	sum := int32(1) // the $ row precedes everything
+	for k, t := range totals {
+		if t == 0 {
+			return nil, fmt.Errorf("bwt: letter %q never occurs in the BWT", fm.letters[k])
+		}
+		fm.c[k] = sum
+		sum += t
+	}
+	fm.c[fm.sigma] = sum
+
+	var nSamples, nWords uint64
+	if err := read(&nSamples); err != nil {
+		return nil, err
+	}
+	if nSamples > uint64(rows) {
+		return nil, fmt.Errorf("bwt: %d samples for %d rows", nSamples, rows)
+	}
+	if fm.samples, err = readSlice[int32](br, nSamples); err != nil {
+		return nil, fmt.Errorf("bwt: reading samples: %w", err)
+	}
+	for _, p := range fm.samples {
+		if p < 0 || int(p) > fm.n {
+			return nil, fmt.Errorf("bwt: sample position %d out of range", p)
+		}
+	}
+	if err := read(&nWords); err != nil {
+		return nil, err
+	}
+	if want := uint64((rows + 63) / 64); nWords != want {
+		return nil, fmt.Errorf("bwt: sample bitmap words %d != expected %d", nWords, want)
+	}
+	words, err := readSlice[uint64](br, nWords)
+	if err != nil {
+		return nil, err
+	}
+	if tail := rows % 64; tail != 0 && words[len(words)-1]>>tail != 0 {
+		return nil, fmt.Errorf("bwt: sample bitmap marks rows past the last")
+	}
+	mark := rankBitVectorOver(words, rows)
+	mark.Finish()
+	if got := mark.Rank(rows); got != int(nSamples) {
+		return nil, fmt.Errorf("bwt: sample bitmap popcount %d != sample count %d", got, nSamples)
+	}
+	fm.sampleMark = mark
+	return fm, nil
+}
+
+// verify checks a loaded packed core and returns its per-code totals
+// over physical codes 0..sigma-1, $ and separators excluded: every
+// block checkpoint must equal the counts recomputed from the data words
+// before it (with prSepFlag set exactly on the blocks holding a listed
+// separator row), every row past the last must be zero padding, the
+// sentinel and every separator row must hold the placeholder code 0,
+// and no row may hold a code ≥ sigma.
+func (p *packedRank) verify(sentinelRow, sigma int) ([]int32, error) {
+	var running [4]int32
+	j := 0 // next separator row
+	for b := 0; b < len(p.blocks)/prStride; b++ {
+		base := b * prStride
+		lo := b * prRowsPerBlock
+		hi := min(lo+prRowsPerBlock, p.rows)
+		flag := uint64(0)
+		if j < len(p.seps) && int(p.seps[j]) < hi {
+			flag = prSepFlag
+		}
+		if p.blocks[base] != uint64(uint32(running[0]))|flag|uint64(uint32(running[1]))<<32 ||
+			p.blocks[base+1] != uint64(uint32(running[2]))|uint64(uint32(running[3]))<<32 {
+			return nil, fmt.Errorf("bwt: rank checkpoint of block %d inconsistent with the BWT", b)
+		}
+		for w := 0; w < prDataWords; w++ {
+			word := p.blocks[base+prCountWords+w]
+			valid := min(max(hi-lo-w*prSymsPerWord, 0), prSymsPerWord)
+			clip := uint64(prLowBits)
+			if valid < prSymsPerWord {
+				clip &= 1<<uint(2*valid) - 1
+			}
+			if word&^(clip|clip<<1) != 0 {
+				return nil, fmt.Errorf("bwt: rank block %d has data past the last row", b)
+			}
+			var n1, n2, n3 int32
+			countWord(word, clip, &n1, &n2, &n3)
+			running[0] += int32(valid) - n1 - n2 - n3
+			running[1] += n1
+			running[2] += n2
+			running[3] += n3
+		}
+		for ; j < len(p.seps) && int(p.seps[j]) < hi; j++ {
+			if p.at(int(p.seps[j])) != 0 {
+				return nil, fmt.Errorf("bwt: separator row %d holds a letter", p.seps[j])
+			}
+			running[0]--
+		}
+	}
+	if p.at(sentinelRow) != 0 {
+		return nil, fmt.Errorf("bwt: sentinel row %d holds a letter", sentinelRow)
+	}
+	running[0]-- // the sentinel's placeholder
+	for k := sigma; k < 4; k++ {
+		if running[k] != 0 {
+			return nil, fmt.Errorf("bwt: rank core holds code %d outside the alphabet", k)
+		}
+	}
+	return running[:sigma], nil
+}
+
+// verify checks a loaded plane core and returns its per-code totals, $
+// excluded: every block checkpoint must equal the counts recomputed
+// from the plane words before it, every row past the last must be zero
+// padding, every code must be below σ, and the sentinel row must hold
+// the placeholder code 0.
+func (p *planeRank) verify(sentinelRow int) ([]int32, error) {
+	running := make([]int32, p.sigma)
+	for b := 0; b < len(p.blocks)/p.stride; b++ {
+		base := b * p.stride
+		for w := 0; w < p.ckptWords; w++ {
+			want := uint64(uint32(running[2*w]))
+			if 2*w+1 < p.sigma {
+				want |= uint64(uint32(running[2*w+1])) << 32
+			}
+			if p.blocks[base+w] != want {
+				return nil, fmt.Errorf("bwt: rank checkpoint of block %d inconsistent with the BWT", b)
+			}
+		}
+		lo := b * plRowsPerBlock
+		for w := 0; w < plDataWords; w++ {
+			valid := min(max(p.rows-lo-w*plRowsPerWord, 0), plRowsPerWord)
+			clip := ^uint64(0)
+			if valid < plRowsPerWord {
+				clip = 1<<uint(valid) - 1
+			}
+			group := p.blocks[base+p.ckptWords+w*p.nPlanes : base+p.ckptWords+(w+1)*p.nPlanes]
+			for _, g := range group {
+				if g&^clip != 0 {
+					return nil, fmt.Errorf("bwt: rank block %d has data past the last row", b)
+				}
+			}
+			var sum int32
+			for _, c := range running {
+				sum -= c
+			}
+			p.countGroup(group, clip, running)
+			for _, c := range running {
+				sum += c
+			}
+			if int(sum) != valid {
+				return nil, fmt.Errorf("bwt: rank block %d holds a code outside the alphabet", b)
+			}
+		}
+	}
+	if p.at(sentinelRow) != 0 {
+		return nil, fmt.Errorf("bwt: sentinel row %d holds a letter", sentinelRow)
+	}
+	running[0]-- // the sentinel's placeholder
+	return running, nil
+}
+
+// verifyBytes checks a loaded byte-layout BWT — every code below σ,
+// the sentinel row holding the placeholder code 0 — builds its
+// checkpoints and returns its per-code totals, $ excluded.
+func (fm *FMIndex) verifyBytes() ([]int32, error) {
 	for _, b := range fm.bwt {
 		if int(b) >= fm.sigma && fm.sigma > 0 {
 			return nil, fmt.Errorf("bwt: BWT code %d out of alphabet", b)
 		}
 	}
-
-	var nC uint32
-	if err := read(&nC); err != nil {
-		return nil, err
+	if fm.bwt[fm.sentinelRow] != 0 {
+		return nil, fmt.Errorf("bwt: sentinel row %d holds a letter", fm.sentinelRow)
 	}
-	if int(nC) != fm.sigma+1 {
-		return nil, fmt.Errorf("bwt: C length %d != σ+1", nC)
+	fm.occ = buildOcc(fm.bwt, fm.sentinelRow, fm.ckptEvery, fm.sigma)
+	totals := make([]int32, fm.sigma)
+	for k := range totals {
+		totals[k] = fm.rank(k, fm.Rows())
 	}
-	fm.c = make([]int32, nC)
-	if err := read(fm.c); err != nil {
-		return nil, err
-	}
-
-	var nOcc, nSamples, nWords uint64
-	if err := read(&nOcc); err != nil {
-		return nil, err
-	}
-	wantOcc := uint64(((fm.n+1)/fm.ckptEvery + 1) * fm.sigma)
-	if nOcc != wantOcc {
-		return nil, fmt.Errorf("bwt: occ length %d != expected %d", nOcc, wantOcc)
-	}
-	if fm.occ, err = readInt32s(br, nOcc); err != nil {
-		return nil, fmt.Errorf("bwt: reading occ checkpoints: %w", err)
-	}
-	if err := read(&nSamples); err != nil {
-		return nil, err
-	}
-	if nSamples > n+1 {
-		return nil, fmt.Errorf("bwt: %d samples for %d rows", nSamples, n+1)
-	}
-	if fm.samples, err = readInt32s(br, nSamples); err != nil {
-		return nil, fmt.Errorf("bwt: reading samples: %w", err)
-	}
-	if err := read(&nWords); err != nil {
-		return nil, err
-	}
-	wantWords := uint64((fm.n + 1 + 63) / 64)
-	if nWords != wantWords {
-		return nil, fmt.Errorf("bwt: sample bitmap words %d != expected %d", nWords, wantWords)
-	}
-	wordBytes, err := ReadExact(br, nWords*8)
-	if err != nil {
-		return nil, err
-	}
-	mark := newRankBitVector(fm.n + 1)
-	for i := range mark.words {
-		mark.words[i] = binary.LittleEndian.Uint64(wordBytes[8*i:])
-	}
-	mark.Finish()
-	if got := mark.Rank(fm.n + 1); got != int(nSamples) {
-		return nil, fmt.Errorf("bwt: sample bitmap popcount %d != sample count %d", got, nSamples)
-	}
-	fm.sampleMark = mark
-	if err := fm.verifyConsistency(); err != nil {
-		return nil, err
-	}
-	// Swap the validated byte layout for a bit-parallel core when the
-	// alphabet allows it (2-bit packed for σ ≤ 4, bit planes for
-	// 4 < σ ≤ 32), matching what NewWithOptions builds — regardless of
-	// which layout the writer happened to use.
-	if fm.sigma >= 1 && fm.sigma <= 32 {
-		fm.attachRank(fm.bwt, false)
-	}
-	return fm, nil
+	return totals, nil
 }
 
-// verifyConsistency recomputes the C array and the occurrence
-// checkpoints from the loaded BWT and compares them against the
-// stored values. This is what makes a maliciously crafted index safe:
-// with C and occ provably derived from the BWT itself, every rank and
-// LF result stays in range, so no search can index out of bounds.
-// Cost is one O(n) scan, far below the cost of building the index.
-func (fm *FMIndex) verifyConsistency() error {
-	rows := fm.n + 1
-	counts := make([]int32, fm.sigma)
-	for row := 0; row < rows; row++ {
-		if row%fm.ckptEvery == 0 {
-			base := (row / fm.ckptEvery) * fm.sigma
-			for k := 0; k < fm.sigma; k++ {
-				if fm.occ[base+k] != counts[k] {
-					return fmt.Errorf("bwt: occ checkpoint %d/%d inconsistent with BWT content", row/fm.ckptEvery, k)
-				}
-			}
-		}
-		if row != fm.sentinelRow {
-			counts[fm.bwt[row]]++
-		}
+// VerifyText checks the index against the text it was built from:
+// the same length, and every byte of the text occurring exactly as
+// often as the index counts it. A loader runs it on an index payload
+// stored beside its text.
+func (fm *FMIndex) VerifyText(text []byte) error {
+	if len(text) != fm.n {
+		return fmt.Errorf("bwt: index length %d does not match text length %d", fm.n, len(text))
 	}
-	sum := int32(1)
-	for k := 0; k < fm.sigma; k++ {
-		if fm.c[k] != sum {
-			return fmt.Errorf("bwt: C[%d] = %d inconsistent with BWT content (want %d)", k, fm.c[k], sum)
-		}
-		sum += counts[k]
+	var counts [256]int32
+	for _, b := range text {
+		counts[b]++
 	}
-	if fm.c[fm.sigma] != sum || int(sum) != rows {
-		return fmt.Errorf("bwt: C array total %d inconsistent with %d rows", fm.c[fm.sigma], rows)
-	}
-	for _, p := range fm.samples {
-		if p < 0 || int(p) > fm.n {
-			return fmt.Errorf("bwt: sample position %d out of range", p)
+	for b, cnt := range counts {
+		k := int(fm.code[b])
+		if k < 0 && cnt != 0 || k >= 0 && fm.c[k+1]-fm.c[k] != cnt {
+			return fmt.Errorf("bwt: index counts of %q do not match the text", byte(b))
 		}
 	}
 	return nil
+}
+
+// readSlice reads count little-endian values, growing the result as
+// the bytes arrive — so that a lying count in a corrupted payload fails
+// at the end of the input instead of committing memory up front — to
+// exactly count values.
+func readSlice[T int32 | uint64](br *bufio.Reader, count uint64) ([]T, error) {
+	const chunk = 1 << 16 // values committed before their bytes arrive
+	var zero T
+	size := binary.Size(zero)
+	out := make([]T, 0, min(count, chunk))
+	for uint64(len(out)) < count {
+		if len(out) == cap(out) {
+			grown := make([]T, len(out), min(count, 2*uint64(cap(out))))
+			copy(grown, out)
+			out = grown
+		}
+		k := min(cap(out)-len(out), br.Size()/size)
+		p, err := br.Peek(k * size)
+		if len(p) < size {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		k = len(p) / size
+		if _, err := binary.Decode(p[:k*size], binary.LittleEndian, out[len(out):len(out)+k]); err != nil {
+			return nil, err
+		}
+		out = out[:len(out)+k]
+		br.Discard(k * size)
+	}
+	return out, nil
 }
 
 // ReadExact reads exactly n bytes, growing the buffer in bounded
@@ -305,28 +494,4 @@ func ReadExact(r io.Reader, n uint64) ([]byte, error) {
 		remaining -= step
 	}
 	return out, nil
-}
-
-// readInt32s reads count little-endian int32 values via ReadExact.
-func readInt32s(r io.Reader, count uint64) ([]int32, error) {
-	raw, err := ReadExact(r, count*4)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, count)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return out, nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
 }

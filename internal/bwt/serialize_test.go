@@ -154,3 +154,124 @@ func TestSerializeProteinAlphabet(t *testing.T) {
 		t.Error("counts differ after round trip")
 	}
 }
+
+// payloadOffsets returns where a serialized index's separator-row list
+// and its core words begin: after the 36-byte header, the letters and,
+// for the core, the list.
+func payloadOffsets(fm *FMIndex) (sepsAt, coreAt int) {
+	sepsAt = 36 + 4 + fm.Sigma() + 8
+	nSeps := 0
+	if fm.pk != nil {
+		nSeps = len(fm.pk.seps)
+	}
+	return sepsAt, sepsAt + 4*nSeps + 8
+}
+
+// TestSerializeRejectsCorruptCore corrupts a v4 payload's core in each
+// way a load must catch: a checkpoint, padding past the last row, the
+// separator list's order, a listed row holding a letter, a block's
+// separator flag, a plane code outside the alphabet, and an older
+// format version.
+func TestSerializeRejectsCorruptCore(t *testing.T) {
+	text := storeText(12, 10, 40, 5)
+	fm := New(text)
+	var buf bytes.Buffer
+	if _, err := fm.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	sepsAt, coreAt := payloadOffsets(fm)
+	word := func(data []byte, i int) []byte { return data[coreAt+8*i : coreAt+8*i+8] }
+	mutate := func(name, wantErr string, f func(b []byte)) {
+		t.Helper()
+		bad := append([]byte(nil), good...)
+		f(bad)
+		_, err := ReadFMIndex(bytes.NewReader(bad))
+		if err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("%s: %v, want an error naming %q", name, err, wantErr)
+		}
+	}
+	if _, err := ReadFMIndex(bytes.NewReader(good)); err != nil {
+		t.Fatal(err)
+	}
+	mutate("checkpoint", "checkpoint of block 1", func(b []byte) { word(b, prStride)[5] ^= 1 })
+	lastBlock := fm.Rows() / prRowsPerBlock
+	mutate("padding", "past the last row", func(b []byte) { word(b, lastBlock*prStride+prStride-1)[7] |= 0x80 })
+	mutate("separator order", "out of order", func(b []byte) {
+		copy(b[sepsAt:sepsAt+4], b[sepsAt+4:sepsAt+8])
+	})
+	sep0 := int(fm.pk.seps[0])
+	letterRow := sep0 + 1
+	for fm.pk.at(letterRow) == 0 {
+		letterRow++
+	}
+	mutate("separator on a letter", "holds a letter", func(b []byte) {
+		b[sepsAt] = byte(letterRow) // seps[0] < 256 here, and letterRow < seps[1]
+	})
+	mutate("separator flag", "checkpoint", func(b []byte) { word(b, sep0/prRowsPerBlock*prStride)[3] ^= 0x80 })
+	mutate("version 2", "version 2", func(b []byte) { b[4] = 2 })
+
+	prot := New(randomText([]byte("ACDEFGHIKLMNPQRSTVWY"), 300, 6))
+	buf.Reset()
+	if _, err := prot.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good = buf.Bytes()
+	_, coreAt = payloadOffsets(prot)
+	// Rows 300..319 are padding in the third block; row 299 is its last
+	// real row. Code 31 there is outside σ = 20.
+	mutate("plane code", "outside the alphabet", func(b []byte) {
+		base := 2 * prot.pl.stride
+		row := 299 - 2*plRowsPerBlock
+		group := base + prot.pl.ckptWords + row/plRowsPerWord*prot.pl.nPlanes
+		for pl := 0; pl < prot.pl.nPlanes; pl++ {
+			word(b, group+pl)[(row%plRowsPerWord)/8] |= 1 << (row % 8)
+		}
+	})
+}
+
+// TestSerializeCoreBitFlips flips every bit of a multi-member DNA
+// payload's separator list and core, and of a protein payload's
+// planes: each flip is rejected by the load or by VerifyText against
+// the text, or — a separator moved onto another placeholder row of its
+// block, which no count can tell apart — loads an index whose every LF
+// step and located position stays in range.
+func TestSerializeCoreBitFlips(t *testing.T) {
+	for _, text := range [][]byte{
+		storeText(6, 20, 60, 7),
+		randomText([]byte("ACDEFGHIKLMNPQRSTVWY"), 400, 8),
+	} {
+		fm := New(text)
+		var buf bytes.Buffer
+		if _, err := fm.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		good := buf.Bytes()
+		sepsAt, _ := payloadOffsets(fm)
+		coreEnd := len(good) - 8 - 4*len(fm.samples) - 8 - 8*len(fm.sampleMark.words)
+		accepted := 0
+		for bit := 8 * sepsAt; bit < 8*coreEnd; bit++ {
+			bad := append([]byte(nil), good...)
+			bad[bit/8] ^= 1 << (bit % 8)
+			back, err := ReadFMIndex(bytes.NewReader(bad))
+			if err != nil || back.VerifyText(text) != nil {
+				continue
+			}
+			accepted++
+			for row := 0; row < back.Rows(); row++ {
+				if _, next, ok := back.LFStep(row); ok && (next < 0 || next >= back.Rows()) {
+					t.Fatalf("bit %d: LFStep(%d) = %d, out of range", bit, row, next)
+				}
+			}
+			for _, p := range back.Locate(0, back.Rows()) {
+				if p < 0 || p > back.Len() {
+					t.Fatalf("bit %d: located position %d out of range", bit, p)
+				}
+			}
+		}
+		t.Logf("σ=%d: %d of %d flips loaded", fm.Sigma(), accepted, 8*(coreEnd-sepsAt))
+	}
+}

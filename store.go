@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/align"
 	"repro/internal/seq"
 )
 
@@ -322,10 +323,13 @@ func (st *Store) ShedQueryCache(maxHits int64) (evicted int) {
 }
 
 // Align reconstructs the best alignment ending at a store hit, for
-// display. The traceback runs inside the hit's member generation. The
-// hit must come from a search against the CURRENT store state: after a
-// mutation, re-search rather than aligning stale hits (a renumbered
-// member is detected by the bounds check, a re-used index is not).
+// display. The traceback runs inside the hit's member, as the search
+// did, so no path can cross a separator into its neighbour; the
+// alignment comes back in its generation's coordinates, which
+// FormatAlignment expects. The hit must come from a search against the
+// CURRENT store state: after a mutation, re-search rather than aligning
+// stale hits (a renumbered member is detected by the bounds check, a
+// re-used index is not).
 func (st *Store) Align(query []byte, s Scheme, hit SeqHit) (Alignment, error) {
 	v := st.currentView()
 	if hit.Member < 0 || hit.Member >= len(v.loc) {
@@ -333,12 +337,19 @@ func (st *Store) Align(query []byte, s Scheme, hit SeqHit) (Alignment, error) {
 	}
 	gl := v.loc[hit.Member]
 	g := v.gens[gl.gen]
-	local := Hit{
-		TEnd:  g.tab.Start(gl.member) + hit.LocalTEnd,
-		QEnd:  hit.QEnd,
-		Score: hit.Score,
+	s, err := resolveScheme(SearchOptions{Scheme: s})
+	if err != nil {
+		return Alignment{}, err
 	}
-	return g.ix.Align(query, s, local)
+	start := g.tab.Start(gl.member)
+	member := g.ix.text[start : start+g.tab.SeqLen(gl.member)]
+	a, err := align.Traceback(member, query, s, Hit{TEnd: hit.LocalTEnd, QEnd: hit.QEnd, Score: hit.Score})
+	if err != nil {
+		return Alignment{}, err
+	}
+	a.TStart += start
+	a.TEnd += start
+	return a, nil
 }
 
 // FormatAlignment renders an alignment produced by Store.Align for the

@@ -397,7 +397,7 @@ func TestStoreManifestRoundTrip(t *testing.T) {
 	if _, err := LoadStore(bytes.NewReader(bad), StoreOptions{}); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("bad version accepted (err=%v)", err)
 	}
-	for _, v := range []byte{1, 2} {
+	for _, v := range []byte{1, 2, 3} {
 		bad = append([]byte(nil), saved...)
 		bad[8] = v
 		_, err := LoadStore(bytes.NewReader(bad), StoreOptions{})
@@ -410,7 +410,7 @@ func TestStoreManifestRoundTrip(t *testing.T) {
 	}
 	// A hostile member length (the first member's seqLen field sits
 	// after magic+version+stamp+genCount+genID+memberCount+nameLen+name
-	// in the v3 layout) must be rejected by the plausibility bounds,
+	// in the manifest layout) must be rejected by the plausibility bounds,
 	// not answered with a giant allocation.
 	bad = append([]byte(nil), saved...)
 	off := 8 + 4 + 8 + 8 + 8 + 8 + 8 + len(st.Sequences().Name(0))
@@ -981,6 +981,82 @@ func TestTopKSeqMatchesFullSort(t *testing.T) {
 		}
 		if !seqHitsEqual(hits, orig) {
 			t.Fatalf("trial %d: TopKSeq modified its input", trial)
+		}
+	}
+}
+
+// TestStoreAlignInsideMember aligns hits inside their own member. In
+// the probe, member a ends with P1 and member b starts with P2, and
+// the query is P1·P2: across the separator the text reads P1#P2, so a
+// traceback over the whole generation finds a path into member a that
+// outscores member b's own hit and fails to align it ("no alignment of
+// score 30 ends at (360,59)").
+func TestStoreAlignInsideMember(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	p1, p2 := randDNA(30, rng), randDNA(30, rng)
+	st, err := NewStore([]SeqRecord{
+		{Name: "a", Seq: append(randDNA(300, rng), p1...)},
+		{Name: "b", Seq: append(append([]byte(nil), p2...), randDNA(300, rng)...)},
+	}, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := append(append([]byte(nil), p1...), p2...)
+	res, err := st.Search(query, SearchOptions{Threshold: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aligned := map[string]bool{}
+	tab := st.Sequences()
+	for _, hit := range res.Hits {
+		if hit.Score != 30 {
+			continue
+		}
+		a, err := st.Align(query, Scheme{}, hit)
+		if err != nil {
+			t.Fatalf("member %s hit %+v: %v", hit.Name, hit, err)
+		}
+		start := tab.Start(hit.Member)
+		if a.Score != 30 || a.TEnd != start+hit.LocalTEnd || a.QEnd != hit.QEnd ||
+			a.TStart < start || a.TEnd >= start+tab.SeqLen(hit.Member) {
+			t.Fatalf("member %s hit %+v aligned as %+v (member starts at %d)", hit.Name, hit, a, start)
+		}
+		if out := st.FormatAlignment(a, hit, query, 60); !strings.Contains(out, "score=30") {
+			t.Fatalf("member %s: FormatAlignment:\n%s", hit.Name, out)
+		}
+		aligned[hit.Name] = true
+	}
+	if !aligned["a"] || !aligned["b"] {
+		t.Fatalf("score-30 hits aligned: %v, want both members", aligned)
+	}
+}
+
+// TestStoreGenerationsOnPackedCore pins where a generation's index
+// lives: a multi-member DNA generation keeps the separator in its
+// alphabet (σ = 5, letters "#ACGT", as every threshold and search
+// sees it) but runs on the 2-bit packed core, and survives a save and
+// load there.
+func TestStoreGenerationsOnPackedCore(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	st, err := NewStore([]SeqRecord{
+		{Name: "genome", Seq: randDNA(5000, rng)},
+		{Name: "tiny", Seq: []byte("ACGT")},
+	}, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := st.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadStore(&buf, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Store{st, loaded} {
+		fm := s.currentView().gens[0].ix.trie.Index()
+		if fm.Sigma() != 5 || string(fm.Letters()) != "#ACGT" || !strings.Contains(fm.String(), "rank=packed2") {
+			t.Fatalf("two-member DNA generation: σ %d, letters %q, %s", fm.Sigma(), fm.Letters(), fm)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -486,21 +487,28 @@ func TestStoreCompactionFoldsTail(t *testing.T) {
 	}
 }
 
-// FuzzLoadStoreDir hammers the directory manifest loader — the store
-// file's manifest parser: arbitrary MANIFEST bytes over a directory of
-// REAL generation files must be rejected cleanly or produce a
-// searchable store, and the load must delete nothing. The generation
-// files are built once; each fuzz case gets a fresh directory of hard
-// links to them.
+// FuzzLoadStoreDir hammers the directory loader: arbitrary MANIFEST
+// bytes, and arbitrary bytes in place of one generation file, over a
+// directory of REAL generation files must be rejected cleanly or
+// produce a searchable store, and the load must delete nothing. The
+// generations are a multi-member DNA one, whose packed core lists
+// separator rows, and an appended protein one on the plane core; the
+// seeds flip every byte of the manifest and of each generation file.
+// The files are built once; each fuzz case gets a fresh directory of
+// hard links to them.
 func FuzzLoadStoreDir(f *testing.F) {
 	st, err := NewStore([]SeqRecord{
 		{Name: "alpha", Seq: []byte("ACGTACGTACGTACGTACGT")},
 		{Name: "beta", Seq: []byte("TTTTACGTACGTGGGG")},
+		{Name: "gamma", Seq: []byte("ACACACACACACAC")},
 	}, StoreOptions{})
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := st.Append([]SeqRecord{{Name: "gamma", Seq: []byte("ACACACACACACAC")}}); err != nil {
+	if err := st.Append([]SeqRecord{
+		{Name: "p1", Seq: []byte("MKVLAAGIVGLLLAHSACDEFGHIKLMNPQRSTVWY")},
+		{Name: "p2", Seq: []byte("WYVTSRQPNMLKIHGFEDCAACGT")},
+	}); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := st.Delete("beta"); err != nil {
@@ -510,26 +518,54 @@ func FuzzLoadStoreDir(f *testing.F) {
 	if err := st.SaveDir(src); err != nil {
 		f.Fatal(err)
 	}
+	genNames := []string{genFileName(1), genFileName(2)}
 	goodManifest, err := readFileBytes(filepath.Join(src, manifestName))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(goodManifest)
-	f.Add([]byte{})
-	f.Add([]byte("garbage"))
+	f.Add(goodManifest, uint8(0), []byte(nil))
+	f.Add([]byte{}, uint8(0), []byte(nil))
+	f.Add([]byte("garbage"), uint8(0), []byte(nil))
 	for pos := 0; pos < len(goodManifest); pos++ {
 		flipped := append([]byte(nil), goodManifest...)
 		flipped[pos] ^= 1 << (pos % 8)
-		f.Add(flipped)
+		f.Add(flipped, uint8(0), []byte(nil))
 	}
 	for n := 0; n < len(goodManifest); n += 1 + len(goodManifest)/8 {
-		f.Add(append([]byte(nil), goodManifest[:n]...))
+		f.Add(append([]byte(nil), goodManifest[:n]...), uint8(0), []byte(nil))
 	}
-	f.Fuzz(func(t *testing.T, manifest []byte) {
+	legacy := append([]byte(nil), goodManifest...)
+	legacy[8] = 3
+	f.Add(legacy, uint8(0), []byte(nil))
+	for i, name := range genNames {
+		gen, err := readFileBytes(filepath.Join(src, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for pos := 0; pos < len(gen); pos++ {
+			flipped := append([]byte(nil), gen...)
+			flipped[pos] ^= 1 << (pos % 8)
+			f.Add(goodManifest, uint8(i), flipped)
+		}
+		legacy := append([]byte(nil), gen...)
+		legacy[8] = 3
+		f.Add(goodManifest, uint8(i), legacy)
+	}
+	f.Fuzz(func(t *testing.T, manifest []byte, which uint8, gen []byte) {
 		dir := t.TempDir()
 		linkStoreDir(t, src, dir)
 		if err := writeFileBytes(filepath.Join(dir, manifestName), manifest); err != nil {
 			t.Fatal(err)
+		}
+		if len(gen) > 0 {
+			// Replace the link, never the file it shares with src.
+			path := filepath.Join(dir, genNames[int(which)%len(genNames)])
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeFileBytes(path, gen); err != nil {
+				t.Fatal(err)
+			}
 		}
 		files := dirFiles(t, dir)
 		loaded, err := LoadStoreFile(dir, StoreOptions{})
@@ -537,6 +573,10 @@ func FuzzLoadStoreDir(f *testing.F) {
 			t.Fatalf("the load changed the directory from %v to %v", files, after)
 		}
 		if err != nil {
+			checkVersionNamed(t, manifest, err)
+			if bytes.Equal(manifest, goodManifest) {
+				checkVersionNamed(t, gen, err)
+			}
 			return
 		}
 		tab := loaded.Sequences()

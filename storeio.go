@@ -18,14 +18,20 @@ import (
 // generations, member names and lengths, tombstone flags — framing one
 // index payload per generation (encodeIndex: the text plus the
 // compressed suffix array, with the FM-index's own versioning and
-// rank-layout tags). Each index payload is length-prefixed, which keeps
-// the indexes' internal buffered readers from consuming past their own
-// frame. A bare text is persisted as a one-record store.
+// rank-layout tags: its rank core's blocks as they sit in memory, the
+// packed core's separator rows, the position samples). Each index
+// payload is length-prefixed, which keeps the indexes' internal
+// buffered readers from consuming past their own frame. A bare text is
+// persisted as a one-record store.
 //
 // Version history: 1 and 2 persisted one index payload per shard; 3
-// persists ONE index payload per generation, with a mutation stamp,
-// per-generation ids and member flags (bit 0 = tombstoned). Only
-// version 3 is read: no v1/v2 file was ever deployed.
+// persisted ONE index payload per generation, with a mutation stamp,
+// per-generation ids and member flags (bit 0 = tombstoned), its index
+// as BWT code bytes plus occurrence checkpoints; 4 keeps that manifest
+// and stores the index's rank core verbatim, a DNA generation's
+// separator rows beside its 2-bit core (about 2.0 bytes per character
+// in all, against 2.9). Only version 4 is read: an older file fails
+// with an error naming its version; rebuild it from its FASTA.
 //
 // A directory-backed store (storegen.go) writes each generation as a
 // one-generation store file, and its MANIFEST is the whole store's
@@ -35,7 +41,7 @@ import (
 var storeMagic = [8]byte{'A', 'L', 'A', 'E', 'S', 'T', 'O', 'R'}
 
 // storeVersion is the manifest format version this build writes.
-const storeVersion uint32 = 3
+const storeVersion uint32 = 4
 
 // sane upper bounds for manifest fields: a reload of hostile or
 // corrupt bytes must fail with a message, not an allocation storm.
@@ -80,7 +86,7 @@ func (st *Store) Save(w io.Writer) error {
 	return saveGenerations(w, v.gens, v.stamp)
 }
 
-// saveGenerations writes gens in the version-3 format: one index
+// saveGenerations writes gens in the version-4 format: one index
 // payload per generation, no shard list. Index serialization is
 // deterministic, so the counting pre-pass's size is exact; the tee's
 // post-check turns any violation of that assumption into a save error
@@ -184,8 +190,8 @@ func decodeIndex(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fm.Len() != len(text) {
-		return nil, fmt.Errorf("alae: index length %d does not match text length %d", fm.Len(), len(text))
+	if err := fm.VerifyText(text); err != nil {
+		return nil, err
 	}
 	if _, err := br.ReadByte(); err == nil {
 		return nil, fmt.Errorf("alae: trailing bytes after the index")
@@ -282,7 +288,7 @@ func LoadStoreFile(path string, opts StoreOptions) (*Store, error) {
 	return loadStore(f, fi.Size(), opts)
 }
 
-// LoadStore reads a store written by Save (format version 3). The
+// LoadStore reads a store written by Save (format version 4). The
 // generation list comes from the manifest; opts.Shards sets only the
 // loaded store's search-time lane count (it is a parallelism knob —
 // see StoreOptions — and is never persisted), while opts.QueryCacheSize
@@ -344,7 +350,7 @@ func readStoreHeader(br *bufio.Reader) (uint64, error) {
 		return 0, fmt.Errorf("alae: reading store version: %w", err)
 	}
 	if version != uint64(storeVersion) {
-		return 0, fmt.Errorf("alae: unsupported store version %d (this build reads version %d only)", version, storeVersion)
+		return 0, fmt.Errorf("alae: unsupported store version %d (this build reads version %d only); rebuild the store", version, storeVersion)
 	}
 	return readStoreU64(br, "stamp", 1<<62)
 }
