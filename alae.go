@@ -213,27 +213,23 @@ func (ix *Index) Text() []byte { return ix.text }
 func (ix *Index) Len() int { return len(ix.text) }
 
 // SizeBytes reports the index's in-memory footprint (the BWT index of
-// Figure 11).
+// Figure 11): the rank core, the C array, the bit-packed position
+// samples and their bitmap. No domination table is kept beside it.
 func (ix *Index) SizeBytes() int { return ix.trie.Index().SizeBytes() }
 
 // PackedSizeBytes reports the footprint with the BWT packed at
 // ⌈log2 σ⌉ bits per character, the paper's accounting.
 func (ix *Index) PackedSizeBytes() int { return ix.trie.Index().PackedSizeBytes() }
 
-// DominationIndexSize reports the size of the q-prefix domination
-// index for the given scheme (the "dominate index" of Figure 11),
-// building it if needed. A zero scheme means DefaultDNAScheme, as in
-// SearchOptions.
+// DominationIndexSize reports the resident size of the q-prefix
+// domination index of §3.2.2 for the given scheme: 0, because a search
+// answers Lemma 1 from the FM-index and keeps no table. The scheme is
+// still checked; a zero scheme means DefaultDNAScheme, as in
+// SearchOptions. The paper's offline table is sized by
+// `alae-exp -exp fig11`.
 func (ix *Index) DominationIndexSize(s Scheme) (int, error) {
-	s, err := resolveScheme(SearchOptions{Scheme: s})
-	if err != nil {
-		return 0, err
-	}
-	dom, err := ix.alaeEngine(SearchOptions{}).DominationIndex(s.Q())
-	if err != nil {
-		return 0, err
-	}
-	return dom.SizeBytes(), nil
+	_, err := resolveScheme(SearchOptions{Scheme: s})
+	return 0, err
 }
 
 func (ix *Index) alaeEngine(opts SearchOptions) *core.Engine {

@@ -145,8 +145,13 @@ func TestIndexAccessors(t *testing.T) {
 	if ix.SizeBytes() <= 0 || ix.PackedSizeBytes() <= 0 {
 		t.Error("index sizes must be positive")
 	}
-	if ds, err := ix.DominationIndexSize(DefaultDNAScheme); err != nil || ds <= 0 {
-		t.Errorf("domination index size %d, err %v", ds, err)
+	// Lemma 1 is answered by the FM-index, so no domination table is
+	// resident; the scheme is still checked.
+	if ds, err := ix.DominationIndexSize(DefaultDNAScheme); err != nil || ds != 0 {
+		t.Errorf("domination index size %d, err %v; want 0 and no error", ds, err)
+	}
+	if _, err := ix.DominationIndexSize(Scheme{Match: -1, Mismatch: 1, GapOpen: 1, GapExtend: 1}); err == nil {
+		t.Error("invalid scheme accepted by DominationIndexSize")
 	}
 }
 

@@ -299,11 +299,9 @@ func BenchmarkFig11(b *testing.B) {
 			var bwtSize, domSize int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ix := alae.NewIndex(cw.wl.Text)
-				bwtSize = ix.PackedSizeBytes()
+				bwtSize = alae.NewIndex(cw.wl.Text).PackedSizeBytes()
 				var err error
-				domSize, err = ix.DominationIndexSize(scheme)
-				if err != nil {
+				if domSize, err = exp.DominationTableBytes(cw.wl, scheme); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -73,9 +73,9 @@ func addFlips(f *testing.F, data []byte, from int) {
 // generation: it must reject arbitrary bytes cleanly (no panic, no
 // runaway allocation) and accept the encoder's output. Its seeds are a
 // one-text DNA payload, a multi-member DNA payload with separator rows
-// and a protein payload on planes, each also with every byte flipped,
-// and a payload in the previous index version, which must be rejected
-// by name.
+// and a protein payload on planes, each also with every byte flipped
+// (the bit-packed samples included), and payloads in the older index
+// versions 2 and 3, which must be rejected by name.
 func FuzzLoad(f *testing.F) {
 	ixs := []*Index{NewIndex([]byte("ACGTACGTACGTACGT"))}
 	for _, st := range fuzzStores(f) {
@@ -88,26 +88,28 @@ func FuzzLoad(f *testing.F) {
 		}
 		f.Add(good.Bytes())
 		addFlips(f, good.Bytes(), 0)
-		old := append([]byte(nil), good.Bytes()...)
-		old[8+ix.Len()+4] = 2 // the index version, after the text
-		f.Add(old)
+		for _, v := range []byte{2, 3} {
+			old := append([]byte(nil), good.Bytes()...)
+			old[8+ix.Len()+4] = v // the index version, after the text
+			f.Add(old)
+		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := decodeIndex(bytes.NewReader(data))
-		if err != nil {
-			// An index of another version ("ALAE", then the version,
-			// after the text) must be rejected by name.
-			if n := uint64(len(data)); n >= 16 {
-				if at := binary.LittleEndian.Uint64(data) + 8; at <= n-8 &&
-					binary.LittleEndian.Uint32(data[at:]) == 0x414c4145 {
-					v := binary.LittleEndian.Uint32(data[at+4:])
-					if v != 3 && !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
-						t.Fatalf("a version-%d index rejected without naming it: %v", v, err)
-					}
+		// An index of another version ("ALAE", then the version, after
+		// the text) must be rejected by name.
+		if n := uint64(len(data)); n >= 16 {
+			if at := binary.LittleEndian.Uint64(data) + 8; at <= n-8 &&
+				binary.LittleEndian.Uint32(data[at:]) == 0x414c4145 {
+				if v := binary.LittleEndian.Uint32(data[at+4:]); v != 4 &&
+					(err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v))) {
+					t.Fatalf("a version-%d index was not rejected by name: %v", v, err)
 				}
 			}
+		}
+		if err != nil {
 			return
 		}
 		// A successfully loaded index must be usable.
@@ -168,17 +170,17 @@ func FuzzLoadStore(f *testing.F) {
 		// lengths, and every byte of the payloads' rank cores.
 		addFlips(f, src.Bytes(), 0)
 	}
-	// The retired format versions 1, 2 and 3 in an otherwise valid
-	// file: each must be rejected by name.
-	for _, v := range []byte{1, 2, 3} {
+	// The retired format versions 1 to 4 in an otherwise valid file:
+	// each must be rejected by name.
+	for _, v := range []byte{1, 2, 3, 4} {
 		legacy := append([]byte(nil), good.Bytes()...)
 		legacy[8] = v
 		f.Add(legacy)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := LoadStore(bytes.NewReader(data), StoreOptions{})
+		checkVersionNamed(t, data, err)
 		if err != nil {
-			checkVersionNamed(t, data, err)
 			return
 		}
 		// Whatever loaded must serve: the directory is coherent and a
@@ -195,14 +197,16 @@ func FuzzLoadStore(f *testing.F) {
 }
 
 // checkVersionNamed fails t when data is a store file or manifest of
-// another format version and err does not name that version.
+// another format version and its load, which returned err, did not fail
+// with an error naming that version.
 func checkVersionNamed(t *testing.T, data []byte, err error) {
 	t.Helper()
 	if len(data) < 12 || !bytes.Equal(data[:8], storeMagic[:]) {
 		return
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != storeVersion && !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
-		t.Fatalf("a version-%d store rejected without naming it: %v", v, err)
+	if v := binary.LittleEndian.Uint32(data[8:]); v != storeVersion &&
+		(err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v))) {
+		t.Fatalf("a version-%d store was not rejected by name: %v", v, err)
 	}
 }
 

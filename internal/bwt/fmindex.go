@@ -2,6 +2,7 @@ package bwt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sais"
 	"repro/internal/seq"
@@ -51,9 +52,13 @@ type FMIndex struct {
 	// Plane layout (4 < σ ≤ 32): bit-plane rank core.
 	pl *planeRank
 
+	// Position samples. Every sampled text position p is a multiple of
+	// sampleRate, so the samples hold p/sampleRate in row order,
+	// bit-packed at sampleBits = bits.Len(n/sampleRate) bits each.
 	sampleRate int
 	sampleMark *rankBitVector // rows carrying a position sample
-	samples    []int32        // sampled SA values, in row order
+	sampleBits uint
+	samples    []uint64
 }
 
 // Options tunes the space/time trade-off of the index.
@@ -117,14 +122,17 @@ func NewWithOptions(text []byte, opt Options) *FMIndex {
 	var counts [256]int32
 	rate := int32(fm.sampleRate)
 	fm.sampleMark = newRankBitVector(rows)
-	fm.samples = make([]int32, 0, fm.n/fm.sampleRate+1)
+	width, words := sampleLayout(fm.n, fm.sampleRate)
+	fm.sampleBits, fm.samples = width, make([]uint64, words)
+	next := 0 // samples placed so far
 	if fm.n > 0 {
 		codes[0] = byte(fm.code[text[fm.n-1]])
 		counts[codes[0]]++
 	}
 	if int32(fm.n)%rate == 0 {
 		fm.sampleMark.Set(0)
-		fm.samples = append(fm.samples, int32(fm.n))
+		fm.putSample(next, fm.n)
+		next++
 	}
 	for i, p := range sa {
 		row := i + 1
@@ -137,7 +145,8 @@ func NewWithOptions(text []byte, opt Options) *FMIndex {
 		}
 		if p%rate == 0 {
 			fm.sampleMark.Set(row)
-			fm.samples = append(fm.samples, p)
+			fm.putSample(next, int(p))
+			next++
 		}
 	}
 	fm.sampleMark.Finish()
@@ -159,6 +168,42 @@ func NewWithOptions(text []byte, opt Options) *FMIndex {
 		fm.occ = buildOcc(codes, fm.sentinelRow, fm.ckptEvery, fm.sigma)
 	}
 	return fm
+}
+
+// sampleLayout returns the width of a packed position sample and the
+// number of words that hold them all: the positions 0, rate, 2·rate, …
+// up to n are sampled, n/rate + 1 values of at most n/rate.
+func sampleLayout(n, rate int) (width uint, words int) {
+	width = uint(bits.Len(uint(n / rate)))
+	return width, int((uint(n/rate+1)*width + 63) / 64)
+}
+
+// putSample stores text position p, a multiple of the sample rate, as
+// the i-th sample.
+func (fm *FMIndex) putSample(i, p int) {
+	w := fm.sampleBits
+	if w == 0 {
+		return
+	}
+	v, bit := uint64(p/fm.sampleRate), uint(i)*w
+	fm.samples[bit/64] |= v << (bit % 64)
+	if bit%64+w > 64 {
+		fm.samples[bit/64+1] |= v >> (64 - bit%64)
+	}
+}
+
+// sample returns the text position held as the i-th sample.
+func (fm *FMIndex) sample(i int) int {
+	w := fm.sampleBits
+	if w == 0 {
+		return 0
+	}
+	bit := uint(i) * w
+	v := fm.samples[bit/64] >> (bit % 64)
+	if bit%64+w > 64 {
+		v |= fm.samples[bit/64+1] << (64 - bit%64)
+	}
+	return int(v&(1<<w-1)) * fm.sampleRate
 }
 
 // Rank-layout tags, as stored in a serialized index's header.
@@ -616,7 +661,7 @@ func (fm *FMIndex) Position(row int) int {
 			return 0
 		}
 	}
-	p := int(fm.samples[fm.sampleMark.Rank(row)]) + steps
+	p := fm.sample(fm.sampleMark.Rank(row)) + steps
 	if p > fm.n {
 		p = 0 // only reachable through a corrupted loaded index
 	}
@@ -672,7 +717,7 @@ func (fm *FMIndex) LocateAppend(lo, hi int, buf []int) []int {
 			for k := 0; k < pending; k++ {
 				row := rows[k]
 				if fm.sampleMark.Get(row) {
-					p := int(fm.samples[fm.sampleMark.Rank(row)]) + s
+					p := fm.sample(fm.sampleMark.Rank(row)) + s
 					if p > fm.n {
 						p = 0 // only reachable through a corrupted loaded index
 					}
@@ -690,8 +735,8 @@ func (fm *FMIndex) LocateAppend(lo, hi int, buf []int) []int {
 }
 
 // SizeBytes reports the actual in-memory footprint of the index
-// structures (rank core, C array, samples). Used by the Figure 11
-// index-size experiment.
+// structures (rank core, C array, bit-packed position samples and their
+// bitmap). Used by the Figure 11 index-size experiment.
 func (fm *FMIndex) SizeBytes() int {
 	rank := len(fm.bwt) + 4*len(fm.occ)
 	if fm.pk != nil {
@@ -700,12 +745,14 @@ func (fm *FMIndex) SizeBytes() int {
 	if fm.pl != nil {
 		rank = fm.pl.sizeBytes()
 	}
-	return rank + 4*len(fm.c) + 4*len(fm.samples) + fm.sampleMark.SizeBytes()
+	return rank + 4*len(fm.c) + 8*len(fm.samples) + fm.sampleMark.SizeBytes()
 }
 
 // PackedSizeBytes estimates the footprint with the BWT packed at
 // ceil(log2 sigma) bits per character, the accounting the paper uses
-// ("every character in BWT sequence can be stored using 2 bits").
+// ("every character in BWT sequence can be stored using 2 bits"), and
+// the rank checkpoints, C array, bit-packed samples and sample bitmap
+// as held.
 func (fm *FMIndex) PackedSizeBytes() int {
 	bitsPer := 1
 	for 1<<bitsPer < fm.sigma {
@@ -721,7 +768,7 @@ func (fm *FMIndex) PackedSizeBytes() int {
 		occ = 8 * fm.pl.ckptWords * (len(fm.pl.blocks) / fm.pl.stride)
 	}
 	return packed + 4*len(fm.c) + occ +
-		4*len(fm.samples) + fm.sampleMark.SizeBytes()
+		8*len(fm.samples) + fm.sampleMark.SizeBytes()
 }
 
 // String describes the index briefly.

@@ -23,16 +23,19 @@ import (
 // the letters; the separator rows the packed core lists (a count and
 // int32 rows, none on the other layouts); the core (a count and that
 // many uint64 block words — packed or planes — or n+1 code bytes for
-// the byte layout); the position samples; the sample bitmap's words.
-// The C array and the byte layout's checkpoints are derived on load.
+// the byte layout); the position samples (their bit width, a count and
+// that many uint64 words, as packed in memory); the sample bitmap's
+// words. The C array and the byte layout's checkpoints are derived on
+// load.
 
 const (
 	serialMagic = 0x414c4145 // "ALAE"
-	// serialVersion 3 persists the rank core's blocks verbatim, with
-	// the packed core's separator rows. Version 2 persisted BWT code
-	// bytes plus occurrence checkpoints and version 1 predated the
-	// rank-layout tag; both are rejected: rebuild the index.
-	serialVersion = 3
+	// serialVersion 4 persists the rank core's blocks verbatim, with
+	// the packed core's separator rows, and the position samples
+	// bit-packed. Version 3 held the samples as int32s, version 2 BWT
+	// code bytes plus occurrence checkpoints, and version 1 predated the
+	// rank-layout tag; all are rejected: rebuild the index.
+	serialVersion = 4
 )
 
 // maxSerialRows bounds a loaded index's rows: counts are int32, and the
@@ -74,6 +77,7 @@ func (fm *FMIndex) WriteTo(w io.Writer) (int64, error) {
 		putLE(bw, uint64(len(blocks)))
 		putLE(bw, blocks...)
 	}
+	putLE(bw, uint32(fm.sampleBits))
 	putLE(bw, uint64(len(fm.samples)))
 	putLE(bw, fm.samples...)
 	putLE(bw, uint64(len(fm.sampleMark.words)))
@@ -257,21 +261,10 @@ func ReadFMIndex(r io.Reader) (*FMIndex, error) {
 	}
 	fm.c[fm.sigma] = sum
 
-	var nSamples, nWords uint64
-	if err := read(&nSamples); err != nil {
+	if err := fm.readSamples(br); err != nil {
 		return nil, err
 	}
-	if nSamples > uint64(rows) {
-		return nil, fmt.Errorf("bwt: %d samples for %d rows", nSamples, rows)
-	}
-	if fm.samples, err = readSlice[int32](br, nSamples); err != nil {
-		return nil, fmt.Errorf("bwt: reading samples: %w", err)
-	}
-	for _, p := range fm.samples {
-		if p < 0 || int(p) > fm.n {
-			return nil, fmt.Errorf("bwt: sample position %d out of range", p)
-		}
-	}
+	var nWords uint64
 	if err := read(&nWords); err != nil {
 		return nil, err
 	}
@@ -287,11 +280,47 @@ func ReadFMIndex(r io.Reader) (*FMIndex, error) {
 	}
 	mark := rankBitVectorOver(words, rows)
 	mark.Finish()
-	if got := mark.Rank(rows); got != int(nSamples) {
-		return nil, fmt.Errorf("bwt: sample bitmap popcount %d != sample count %d", got, nSamples)
+	if got, want := mark.Rank(rows), fm.n/fm.sampleRate+1; got != want {
+		return nil, fmt.Errorf("bwt: sample bitmap popcount %d != sample count %d", got, want)
 	}
 	fm.sampleMark = mark
 	return fm, nil
+}
+
+// readSamples reads the bit-packed position samples and checks them
+// against n and the sample rate: the width, the word count, zero
+// padding past the last sample, and every value at most n/sampleRate.
+func (fm *FMIndex) readSamples(br *bufio.Reader) error {
+	var width uint32
+	var nWords uint64
+	if err := binary.Read(br, binary.LittleEndian, &width); err != nil {
+		return err
+	}
+	wantWidth, wantWords := sampleLayout(fm.n, fm.sampleRate)
+	if uint(width) != wantWidth {
+		return fmt.Errorf("bwt: sample width %d bits, want %d", width, wantWidth)
+	}
+	if err := binary.Read(br, binary.LittleEndian, &nWords); err != nil {
+		return err
+	}
+	if nWords != uint64(wantWords) {
+		return fmt.Errorf("bwt: %d sample words, want %d", nWords, wantWords)
+	}
+	words, err := readSlice[uint64](br, nWords)
+	if err != nil {
+		return fmt.Errorf("bwt: reading samples: %w", err)
+	}
+	fm.sampleBits, fm.samples = wantWidth, words
+	count := fm.n/fm.sampleRate + 1
+	if used := uint(count) * wantWidth % 64; used != 0 && words[len(words)-1]>>used != 0 {
+		return fmt.Errorf("bwt: sample words hold bits past the last sample")
+	}
+	for i := range count {
+		if p := fm.sample(i); p > fm.n {
+			return fmt.Errorf("bwt: sample position %d out of range", p)
+		}
+	}
+	return nil
 }
 
 // verify checks a loaded packed core and returns its per-code totals

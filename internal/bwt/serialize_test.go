@@ -2,9 +2,12 @@ package bwt
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/sais"
 )
 
 func buildTestIndex(t *testing.T, n int, seed int64) (*FMIndex, []byte) {
@@ -167,11 +170,20 @@ func payloadOffsets(fm *FMIndex) (sepsAt, coreAt int) {
 	return sepsAt, sepsAt + 4*nSeps + 8
 }
 
-// TestSerializeRejectsCorruptCore corrupts a v4 payload's core in each
+// samplesOffset returns where a serialized index's sample section (its
+// width field, then the word count and words) begins: before the
+// samples' 12 header bytes and words and the bitmap's count and words,
+// which end the payload.
+func samplesOffset(fm *FMIndex, payload int) int {
+	return payload - 8 - 8*len(fm.sampleMark.words) - 8*len(fm.samples) - 12
+}
+
+// TestSerializeRejectsCorruptCore corrupts a version-4 payload in each
 // way a load must catch: a checkpoint, padding past the last row, the
 // separator list's order, a listed row holding a letter, a block's
-// separator flag, a plane code outside the alphabet, and an older
-// format version.
+// separator flag, a plane code outside the alphabet, a sample width
+// other than n/SampleRate's, a set padding bit past the last sample, a
+// sample above n/SampleRate, and the older format versions.
 func TestSerializeRejectsCorruptCore(t *testing.T) {
 	text := storeText(12, 10, 40, 5)
 	fm := New(text)
@@ -213,6 +225,17 @@ func TestSerializeRejectsCorruptCore(t *testing.T) {
 	})
 	mutate("separator flag", "checkpoint", func(b []byte) { word(b, sep0/prRowsPerBlock*prStride)[3] ^= 0x80 })
 	mutate("version 2", "version 2", func(b []byte) { b[4] = 2 })
+	mutate("version 3", "version 3", func(b []byte) { b[4] = 3 })
+
+	samplesAt := samplesOffset(fm, len(good))
+	mutate("sample width", "sample width", func(b []byte) { b[samplesAt]++ })
+	mutate("sample padding", "past the last sample", func(b []byte) { b[len(b)-8-8*len(fm.sampleMark.words)-1] |= 0x80 })
+	// The first sample is the bits [0, width) of the first word.
+	limit := fm.n / fm.sampleRate
+	if 1<<fm.sampleBits-1 <= limit {
+		t.Fatalf("n/SampleRate = %d fills its %d bits: no out-of-range sample fits", limit, fm.sampleBits)
+	}
+	mutate("sample value", "out of range", func(b []byte) { b[samplesAt+12] |= byte(1<<fm.sampleBits - 1) })
 
 	prot := New(randomText([]byte("ACDEFGHIKLMNPQRSTVWY"), 300, 6))
 	buf.Reset()
@@ -234,11 +257,12 @@ func TestSerializeRejectsCorruptCore(t *testing.T) {
 }
 
 // TestSerializeCoreBitFlips flips every bit of a multi-member DNA
-// payload's separator list and core, and of a protein payload's
-// planes: each flip is rejected by the load or by VerifyText against
-// the text, or — a separator moved onto another placeholder row of its
-// block, which no count can tell apart — loads an index whose every LF
-// step and located position stays in range.
+// payload's separator list, core and position samples, and of a
+// protein payload's planes and samples: each flip is rejected by the
+// load or by VerifyText against the text, or — a separator moved onto
+// another placeholder row of its block, which no count can tell apart,
+// or a sample changed within n/SampleRate — loads an index whose every
+// LF step and located position stays in range.
 func TestSerializeCoreBitFlips(t *testing.T) {
 	for _, text := range [][]byte{
 		storeText(6, 20, 60, 7),
@@ -251,9 +275,9 @@ func TestSerializeCoreBitFlips(t *testing.T) {
 		}
 		good := buf.Bytes()
 		sepsAt, _ := payloadOffsets(fm)
-		coreEnd := len(good) - 8 - 4*len(fm.samples) - 8 - 8*len(fm.sampleMark.words)
+		end := len(good) - 8 - 8*len(fm.sampleMark.words) // through the sample words
 		accepted := 0
-		for bit := 8 * sepsAt; bit < 8*coreEnd; bit++ {
+		for bit := 8 * sepsAt; bit < 8*end; bit++ {
 			bad := append([]byte(nil), good...)
 			bad[bit/8] ^= 1 << (bit % 8)
 			back, err := ReadFMIndex(bytes.NewReader(bad))
@@ -272,6 +296,49 @@ func TestSerializeCoreBitFlips(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("σ=%d: %d of %d flips loaded", fm.Sigma(), accepted, 8*(coreEnd-sepsAt))
+		t.Logf("σ=%d: %d of %d flips loaded", fm.Sigma(), accepted, 8*(end-sepsAt))
+	}
+}
+
+// TestPositionSamplesPacked checks the bit-packed samples against the
+// suffix array they sample, built and reloaded: each is held at
+// bits.Len(n/SampleRate) bits in exactly the words that need, and every
+// row's Position and LocateAppend answer is its suffix's start. The
+// lengths put n/SampleRate at 0 (no bits at all), just below and at a
+// power of two, and where a value straddles two words.
+func TestPositionSamplesPacked(t *testing.T) {
+	for _, tc := range []struct{ n, rate int }{
+		{0, 8}, {5, 8}, {8, 8}, {63, 8}, {64, 8}, {255, 1}, {256, 1}, {1000, 3}, {1337, 8}, {4100, 32},
+	} {
+		text := randomText([]byte("ACGT"), tc.n, int64(tc.n+tc.rate))
+		sa := sais.Build(text)
+		built := NewWithOptions(text, Options{SampleRate: tc.rate})
+		var buf bytes.Buffer
+		if _, err := built.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadFMIndex(&buf)
+		if err != nil {
+			t.Fatalf("n=%d rate=%d: %v", tc.n, tc.rate, err)
+		}
+		width := uint(bits.Len(uint(tc.n / tc.rate)))
+		words := (uint(tc.n/tc.rate+1)*width + 63) / 64
+		for _, fm := range []*FMIndex{built, loaded} {
+			if fm.sampleBits != width || uint(len(fm.samples)) != words {
+				t.Fatalf("n=%d rate=%d: %d-bit samples in %d words, want %d bits in %d",
+					tc.n, tc.rate, fm.sampleBits, len(fm.samples), width, words)
+			}
+			located := fm.LocateAppend(0, fm.Rows(), nil)
+			for row := range fm.Rows() {
+				want := tc.n
+				if row > 0 {
+					want = int(sa[row-1])
+				}
+				if got := fm.Position(row); got != want || located[row] != want {
+					t.Fatalf("n=%d rate=%d row %d: Position %d, located %d, want %d",
+						tc.n, tc.rate, row, got, located[row], want)
+				}
+			}
+		}
 	}
 }

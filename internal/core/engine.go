@@ -12,7 +12,7 @@
 //     region (Equation 3, one-source recurrence), and a gap region
 //     entered at the first gap-open entry (FGOE).
 //   - Global filtering (§3.2) skips whole forks by q-prefix domination
-//     (Lemma 1, via the offline domination index).
+//     (Lemma 1), answered per query column by the FM-index itself.
 //   - Score reuse (§4) is provided by the Hybrid engine mode, which
 //     computes gap regions column-wise (calMatrixByColumn) and copies
 //     columns between forks whose FGOEs share a row, using the
@@ -27,7 +27,6 @@ import (
 	"sync"
 
 	"repro/internal/align"
-	"repro/internal/domination"
 	"repro/internal/strie"
 )
 
@@ -88,9 +87,6 @@ type Engine struct {
 	trie *strie.Trie
 	opts Options
 
-	mu  sync.Mutex
-	dom map[int]*domination.Index // per q, built lazily
-
 	sessPool sync.Pool // *Session, reused across queries and callers
 }
 
@@ -102,26 +98,7 @@ func New(text []byte, opts Options) *Engine {
 // NewFromTrie wraps an existing emulated suffix trie (shareable with
 // the BWT-SW engine).
 func NewFromTrie(t *strie.Trie, opts Options) *Engine {
-	return &Engine{trie: t, opts: opts, dom: make(map[int]*domination.Index)}
-}
-
-// Trie exposes the underlying emulated suffix trie.
-func (e *Engine) Trie() *strie.Trie { return e.trie }
-
-// DominationIndex returns the (lazily built) domination index for
-// gram length q, exposing its size for the Figure 11 experiment.
-func (e *Engine) DominationIndex(q int) (*domination.Index, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if idx, ok := e.dom[q]; ok {
-		return idx, nil
-	}
-	idx, err := domination.Build(e.trie.Text(), q, e.trie.Letters())
-	if err != nil {
-		return nil, err
-	}
-	e.dom[q] = idx
-	return idx, nil
+	return &Engine{trie: t, opts: opts}
 }
 
 // Search reports every end pair (i, j) whose best local-alignment
@@ -159,7 +136,7 @@ func (e *Engine) SearchParallel(query []byte, s align.Scheme, h int, c *align.Co
 // row, rowBound). With the filter disabled both collapse to negInf and
 // never fire. dst is reused when it has the capacity.
 func buildColBoundsInto(dst []int32, m, h int, s align.Scheme, disabled bool) []int32 {
-	colBound := sizeInt32(dst, m)
+	colBound := resize(dst, m)
 	if disabled {
 		for j := range colBound {
 			colBound[j] = negInf
@@ -181,7 +158,7 @@ func buildColBoundsInto(dst []int32, m, h int, s align.Scheme, disabled bool) []
 func buildDeltaTableInto(dst []int32, letters, query []byte, s align.Scheme) []int32 {
 	m := len(query)
 	match, mismatch := int32(s.Match), int32(s.Mismatch)
-	delta := sizeInt32(dst, len(letters)*m)
+	delta := resize(dst, len(letters)*m)
 	for k, ch := range letters {
 		row := delta[k*m : (k+1)*m]
 		for j, qc := range query {
@@ -210,11 +187,11 @@ func barrierCode(letters []byte, b byte) int {
 	return -1
 }
 
-// sizeInt32 returns dst resized to n elements, reallocating only when
-// the capacity is short.
-func sizeInt32(dst []int32, n int) []int32 {
+// resize returns dst resized to n elements, reallocating only when the
+// capacity is short.
+func resize[T any](dst []T, n int) []T {
 	if cap(dst) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return dst[:n]
 }
@@ -223,19 +200,19 @@ func sizeInt32(dst []int32, n int) []int32 {
 // each worker owns one searchCtx with a private collector, stats and
 // workspace; the engine merges them afterwards.
 type searchCtx struct {
-	e        *Engine
-	query    []byte
-	s        align.Scheme
-	h        int
-	c        *align.Collector
-	st       *Stats
-	lmax     int
-	gOpen    int     // |sg+ss|, the FGOE crossing level
-	delta    []int32 // δ table: delta[k*m+j] = δ(letter k, query[j]); read-only, shared
-	colBound []int32 // Theorem 2 column bounds: h − (m−j)·sa, or negInf when disabled
-	dom      *domination.Index
-	mute     bool // suppress gap-region entry counting (hybrid oracles)
-	barrier  int  // dense code of Options.BarrierByte, or -1 (no barrier)
+	e         *Engine
+	query     []byte
+	s         align.Scheme
+	h         int
+	c         *align.Collector
+	st        *Stats
+	lmax      int
+	gOpen     int     // |sg+ss|, the FGOE crossing level
+	delta     []int32 // δ table: delta[k*m+j] = δ(letter k, query[j]); read-only, shared
+	colBound  []int32 // Theorem 2 column bounds: h − (m−j)·sa, or negInf when disabled
+	dominated []bool  // Lemma 1 per 0-based column (markDominated); nil when disabled
+	mute      bool    // suppress gap-region entry counting (hybrid oracles)
+	barrier   int     // dense code of Options.BarrierByte, or -1 (no barrier)
 
 	// Cancellation state (cancel.go). done is shared by every worker of
 	// one search; stopped and nextPoll are per-worker (each worker owns
@@ -385,7 +362,7 @@ func (ctx *searchCtx) processGram(fam *gramFamily) {
 
 	survivors := ctx.ws.survivors[:0]
 	for _, col0 := range cols {
-		if ctx.dom != nil && col0 > 0 && ctx.dom.Dominated(gram, ctx.query[col0-1]) {
+		if ctx.dominated != nil && ctx.dominated[col0] {
 			ctx.st.ForksDominated++
 			continue
 		}

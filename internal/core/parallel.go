@@ -10,7 +10,7 @@ import (
 // q-gram of the query with its pre-resolved trie node and column set
 // (see resolve.go) — is the engine's natural unit of independent work:
 // families never share traversal state, only the read-only index
-// structures (trie, domination index, query, δ table), and their
+// structures (trie, domination flags, query, δ table), and their
 // outputs combine through the collector's commutative max-merge and
 // additive statistics. Families vary wildly in cost (a family over a
 // frequent gram walks a much larger subtree), so the scheduler uses an

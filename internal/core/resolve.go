@@ -28,8 +28,8 @@ type gramFamily struct {
 // resolveFamilies resolves every distinct gram of qidx against the trie
 // by one incremental prefix-shared pass and returns the present
 // families in lexicographic gram order. ForksConsidered/ForksAbsent
-// accounting for the pruned grams lands in st; the per-family filters
-// (domination) still run at processing time.
+// accounting for the pruned grams lands in st; domination is marked per
+// column afterwards (markDominated).
 func (ses *Session) resolveFamilies(qidx *qgram.Index, st *Stats) []gramFamily {
 	e := ses.e
 	q := qidx.Q()
@@ -78,4 +78,47 @@ func (ses *Session) resolveFamilies(qidx *qgram.Index, st *Stats) []gramFamily {
 		clear(fams[n:prevFams])
 	}
 	return fams
+}
+
+// markDominated answers Lemma 1 from the FM-index, with no domination
+// table: the fork at column j, gram X = P[j..j+q−1], is dominated when
+// every occurrence of X is preceded by P[j−1], i.e. when
+// |SA(P[j−1..j+q−1])| = |SA(X)| (an occurrence at text position 0 has
+// no predecessor). That range is one Child step from column j−1's gram
+// node, and the answer depends only on column j−1's family and the
+// letter P[j+q−1], so it is memoised per such pair. The flags are
+// indexed by 0-based column.
+func (ses *Session) markDominated(query []byte, fams []gramFamily, q int) []bool {
+	t, fm := ses.e.trie, ses.e.trie.Index()
+	cols := len(query) - q + 1
+	colFam := resize(ses.colFam, cols) // each column's family, or -1 (absent gram)
+	for j := range colFam {
+		colFam[j] = -1
+	}
+	for f := range fams {
+		for _, j := range fams[f].cols {
+			colFam[j] = int32(f)
+		}
+	}
+	memo := resize(ses.domMemo, len(fams)*fm.Sigma()) // 0 unknown, 1 free, 2 dominated
+	clear(memo)
+	flags := resize(ses.dominated, cols)
+	clear(flags)
+	for j := 1; j < cols; j++ {
+		prev, cur := colFam[j-1], colFam[j]
+		if prev < 0 || cur < 0 {
+			continue
+		}
+		c := query[j+q-1] // a text letter: column j's gram is present
+		key := int(prev)*fm.Sigma() + fm.CodeOf(c)
+		if memo[key] == 0 {
+			memo[key] = 1
+			if v, ok := t.Child(fams[prev].node, c); ok && t.Count(v) == t.Count(fams[cur].node) {
+				memo[key] = 2
+			}
+		}
+		flags[j] = memo[key] == 2
+	}
+	ses.colFam, ses.domMemo, ses.dominated = colFam, memo, flags
+	return flags
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/align"
-	"repro/internal/domination"
 	"repro/internal/qgram"
 	"repro/internal/strie"
 )
@@ -16,7 +15,8 @@ import (
 // inverted index of the query (an open-addressing gram table re-armed
 // in place — qgram.Index.Rearm), the δ score table, the Theorem 2
 // bound tables, the resolved fork families with their backing gram
-// buffer, the traversal workspace, the search context and statistics,
+// buffer, the per-column domination flags with their memo, the
+// traversal workspace, the search context and statistics,
 // the result table the public search surfaces collect into, and (for
 // parallel searches) the per-worker collector shards. A session is
 // re-armed in place for each query, so in a serving loop — one index
@@ -25,10 +25,9 @@ import (
 //
 // A Session is NOT safe for concurrent use: it is one serving lane.
 // Concurrency comes from running many sessions against the shared
-// engine, whose structures (trie, domination index) are
-// read-mostly and safe to share. Engine.AcquireSession and
-// Session.Release pool sessions so bursty callers reuse lanes instead
-// of building new ones.
+// engine, whose one structure, the trie, is read-only and safe to
+// share. Engine.AcquireSession and Session.Release pool sessions so
+// bursty callers reuse lanes instead of building new ones.
 type Session struct {
 	e *Engine
 
@@ -38,6 +37,10 @@ type Session struct {
 	fams     []gramFamily
 	gramBuf  []byte
 	resNodes []strie.Node // resolution prefix stack (resolve.go)
+
+	colFam    []int32 // markDominated's scratch: each column's family,
+	domMemo   []uint8 // its (family, next letter) memo,
+	dominated []bool  // and the per-column flags the workers read
 
 	ws []*workspace // per-worker traversal workspaces; ws[0] is the sequential lane's
 
@@ -115,9 +118,6 @@ func (ses *Session) SearchLanes(cx context.Context, query []byte, s align.Scheme
 	return ses.SearchContext(cx, query, s, h, c, lanes)
 }
 
-// Engine returns the engine this session serves.
-func (ses *Session) Engine() *Engine { return ses.e }
-
 // Search runs one query through the session; see Engine.SearchParallel
 // for the contract. The session's buffers are re-armed in place, the
 // engine's shared structures are only read, and hits land in c. In
@@ -171,20 +171,16 @@ func (ses *Session) SearchContext(cx context.Context, query []byte, s align.Sche
 	if err := ses.qidx.Rearm(query, q, e.trie.Letters()); err != nil {
 		return *st, err
 	}
-	var dom *domination.Index
-	var err error
-	if !e.opts.DisableDomination {
-		if dom, err = e.DominationIndex(q); err != nil {
-			return *st, err
-		}
-	}
-
 	// Resolve every distinct gram by one prefix-shared trie pass (see
 	// resolve.go); absent grams die here, so the scheduler and the
 	// per-family filters only ever see live trie nodes.
 	families := ses.resolveFamilies(&ses.qidx, st)
 	if len(families) == 0 {
 		return *st, nil
+	}
+	var dominated []bool
+	if !e.opts.DisableDomination {
+		dominated = ses.markDominated(query, families, q)
 	}
 	// The δ(edge letter, query column) score table: the inner sweeps
 	// index it instead of calling Scheme.Delta per cell. Shared
@@ -198,13 +194,13 @@ func (ses *Session) SearchContext(cx context.Context, query []byte, s align.Sche
 	// allocation-free.
 	base := searchCtx{
 		e: e, query: query, s: s, h: h,
-		lmax:     st.Lmax,
-		gOpen:    -(s.GapOpen + s.GapExtend), // |sg+ss|
-		delta:    ses.delta,
-		colBound: ses.colBound,
-		dom:      dom,
-		barrier:  barrierCode(e.trie.Letters(), e.opts.BarrierByte),
-		done:     cx.Done(), // nil for background contexts: checkpoints are free
+		lmax:      st.Lmax,
+		gOpen:     -(s.GapOpen + s.GapExtend), // |sg+ss|
+		delta:     ses.delta,
+		colBound:  ses.colBound,
+		dominated: dominated,
+		barrier:   barrierCode(e.trie.Letters(), e.opts.BarrierByte),
+		done:      cx.Done(), // nil for background contexts: checkpoints are free
 	}
 	if workers <= 0 {
 		workers = runtime.NumCPU()

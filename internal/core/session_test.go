@@ -121,9 +121,6 @@ func TestSessionSearchAllocFree(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New(tc.text, tc.opts)
-			if _, err := e.DominationIndex(s.Q()); err != nil {
-				t.Fatal(err)
-			}
 			ses := e.AcquireSession()
 			defer ses.Release()
 			c := align.NewCollector()

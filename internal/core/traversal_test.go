@@ -226,20 +226,16 @@ func benchTraversalCtx(b testing.TB, n, runLen int, opts Options) (*searchCtx, [
 	st := &Stats{Threshold: h, Q: s.Q(), Lmax: s.Lmax(len(query), h)}
 	ses := e.AcquireSession()
 	fams := ses.resolveFamilies(qidx, st)
-	dom, err := e.DominationIndex(s.Q())
-	if err != nil {
-		b.Fatal(err)
-	}
 	ctx := &searchCtx{
 		e: e, query: query, s: s, h: h,
 		c: align.NewCollector(), st: st,
-		lmax:     st.Lmax,
-		gOpen:    -(s.GapOpen + s.GapExtend),
-		delta:    buildDeltaTableInto(nil, e.trie.Letters(), query, s),
-		colBound: buildColBoundsInto(nil, len(query), h, s, false),
-		dom:      dom,
-		barrier:  -1,
-		ws:       ses.ws[0],
+		lmax:      st.Lmax,
+		gOpen:     -(s.GapOpen + s.GapExtend),
+		delta:     buildDeltaTableInto(nil, e.trie.Letters(), query, s),
+		colBound:  buildColBoundsInto(nil, len(query), h, s, false),
+		dominated: ses.markDominated(query, fams, s.Q()),
+		barrier:   -1,
+		ws:        ses.ws[0],
 	}
 	return ctx, fams
 }

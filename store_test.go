@@ -385,7 +385,7 @@ func TestStoreManifestRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Corruptions: bad magic, bad version, the retired versions 1 and 2,
+	// Corruptions: bad magic, bad version, the retired versions 1 to 4,
 	// truncated payload, hostile member length.
 	bad := append([]byte(nil), saved...)
 	bad[0] = 'X'
@@ -397,7 +397,7 @@ func TestStoreManifestRoundTrip(t *testing.T) {
 	if _, err := LoadStore(bytes.NewReader(bad), StoreOptions{}); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("bad version accepted (err=%v)", err)
 	}
-	for _, v := range []byte{1, 2, 3} {
+	for _, v := range []byte{1, 2, 3, 4} {
 		bad = append([]byte(nil), saved...)
 		bad[8] = v
 		_, err := LoadStore(bytes.NewReader(bad), StoreOptions{})

@@ -534,9 +534,11 @@ func FuzzLoadStoreDir(f *testing.F) {
 	for n := 0; n < len(goodManifest); n += 1 + len(goodManifest)/8 {
 		f.Add(append([]byte(nil), goodManifest[:n]...), uint8(0), []byte(nil))
 	}
-	legacy := append([]byte(nil), goodManifest...)
-	legacy[8] = 3
-	f.Add(legacy, uint8(0), []byte(nil))
+	for _, v := range []byte{3, 4} {
+		legacy := append([]byte(nil), goodManifest...)
+		legacy[8] = v
+		f.Add(legacy, uint8(0), []byte(nil))
+	}
 	for i, name := range genNames {
 		gen, err := readFileBytes(filepath.Join(src, name))
 		if err != nil {
@@ -547,9 +549,11 @@ func FuzzLoadStoreDir(f *testing.F) {
 			flipped[pos] ^= 1 << (pos % 8)
 			f.Add(goodManifest, uint8(i), flipped)
 		}
-		legacy := append([]byte(nil), gen...)
-		legacy[8] = 3
-		f.Add(goodManifest, uint8(i), legacy)
+		for _, v := range []byte{3, 4} {
+			legacy := append([]byte(nil), gen...)
+			legacy[8] = v
+			f.Add(goodManifest, uint8(i), legacy)
+		}
 	}
 	f.Fuzz(func(t *testing.T, manifest []byte, which uint8, gen []byte) {
 		dir := t.TempDir()
@@ -572,11 +576,11 @@ func FuzzLoadStoreDir(f *testing.F) {
 		if after := dirFiles(t, dir); !slices.Equal(after, files) {
 			t.Fatalf("the load changed the directory from %v to %v", files, after)
 		}
+		checkVersionNamed(t, manifest, err)
+		if bytes.Equal(manifest, goodManifest) {
+			checkVersionNamed(t, gen, err)
+		}
 		if err != nil {
-			checkVersionNamed(t, manifest, err)
-			if bytes.Equal(manifest, goodManifest) {
-				checkVersionNamed(t, gen, err)
-			}
 			return
 		}
 		tab := loaded.Sequences()

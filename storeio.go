@@ -19,7 +19,7 @@ import (
 // index payload per generation (encodeIndex: the text plus the
 // compressed suffix array, with the FM-index's own versioning and
 // rank-layout tags: its rank core's blocks as they sit in memory, the
-// packed core's separator rows, the position samples). Each index
+// packed core's separator rows, the bit-packed position samples). Each index
 // payload is length-prefixed, which keeps the indexes' internal
 // buffered readers from consuming past their own frame. A bare text is
 // persisted as a one-record store.
@@ -30,8 +30,10 @@ import (
 // as BWT code bytes plus occurrence checkpoints; 4 keeps that manifest
 // and stores the index's rank core verbatim, a DNA generation's
 // separator rows beside its 2-bit core (about 2.0 bytes per character
-// in all, against 2.9). Only version 4 is read: an older file fails
-// with an error naming its version; rebuild it from its FASTA.
+// in all, against 2.9); 5 keeps that and packs the position samples at
+// bits.Len(n/SampleRate) bits each instead of 32. Only version 5 is
+// read: an older file fails with an error naming its version; rebuild
+// it from its FASTA.
 //
 // A directory-backed store (storegen.go) writes each generation as a
 // one-generation store file, and its MANIFEST is the whole store's
@@ -41,7 +43,7 @@ import (
 var storeMagic = [8]byte{'A', 'L', 'A', 'E', 'S', 'T', 'O', 'R'}
 
 // storeVersion is the manifest format version this build writes.
-const storeVersion uint32 = 4
+const storeVersion uint32 = 5
 
 // sane upper bounds for manifest fields: a reload of hostile or
 // corrupt bytes must fail with a message, not an allocation storm.
@@ -86,7 +88,7 @@ func (st *Store) Save(w io.Writer) error {
 	return saveGenerations(w, v.gens, v.stamp)
 }
 
-// saveGenerations writes gens in the version-4 format: one index
+// saveGenerations writes gens in the version-5 format: one index
 // payload per generation, no shard list. Index serialization is
 // deterministic, so the counting pre-pass's size is exact; the tee's
 // post-check turns any violation of that assumption into a save error
@@ -288,7 +290,7 @@ func LoadStoreFile(path string, opts StoreOptions) (*Store, error) {
 	return loadStore(f, fi.Size(), opts)
 }
 
-// LoadStore reads a store written by Save (format version 4). The
+// LoadStore reads a store written by Save (format version 5). The
 // generation list comes from the manifest; opts.Shards sets only the
 // loaded store's search-time lane count (it is a parallelism knob —
 // see StoreOptions — and is never persisted), while opts.QueryCacheSize
