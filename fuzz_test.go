@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -59,6 +60,13 @@ func fuzzStores(f *testing.F) []*Store {
 	return stores
 }
 
+// wideSampleDNA returns a 200-base DNA text: its 26 position samples of
+// 5 bits each fill three words, so the bit-packed samples straddle word
+// boundaries, which the short seed texts' one sample word never does.
+func wideSampleDNA() []byte {
+	return randDNA(200, rand.New(rand.NewSource(7)))
+}
+
 // addFlips seeds data with one bit flipped in each of its bytes from
 // from on, so that the sweep covers the rank core's blocks.
 func addFlips(f *testing.F, data []byte, from int) {
@@ -72,15 +80,17 @@ func addFlips(f *testing.F, data []byte, from int) {
 // FuzzLoad drives the index-payload decoder a store's load runs per
 // generation: it must reject arbitrary bytes cleanly (no panic, no
 // runaway allocation) and accept the encoder's output. Its seeds are a
-// one-text DNA payload, a multi-member DNA payload with separator rows
-// and a protein payload on planes, each also with every byte flipped
-// (the bit-packed samples included), and payloads in the older index
-// versions 2 and 3, which must be rejected by name.
+// one-text DNA payload, a multi-member DNA payload with separator rows,
+// a protein payload on planes and a one-text DNA payload whose samples
+// straddle words, each also with every byte flipped (the bit-packed
+// samples included), and payloads in the older index versions 2 and 3,
+// which must be rejected by name.
 func FuzzLoad(f *testing.F) {
 	ixs := []*Index{NewIndex([]byte("ACGTACGTACGTACGT"))}
 	for _, st := range fuzzStores(f) {
 		ixs = append(ixs, st.currentView().gens[0].ix)
 	}
+	ixs = append(ixs, NewIndex(wideSampleDNA()))
 	for _, ix := range ixs {
 		var good bytes.Buffer
 		if err := encodeIndex(&good, ix); err != nil {
@@ -159,9 +169,18 @@ func FuzzLoadStore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(protein.Bytes())
+	wide, err := NewStore([]SeqRecord{{Name: "wide", Seq: wideSampleDNA()}}, StoreOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var wideSamples bytes.Buffer
+	if err := wide.Save(&wideSamples); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wideSamples.Bytes())
 	// Truncations at awkward places: inside the magic, the manifest,
 	// the generation table, a payload.
-	for _, src := range []*bytes.Buffer{&good, &mutated, &protein} {
+	for _, src := range []*bytes.Buffer{&good, &mutated, &protein, &wideSamples} {
 		for _, frac := range []int{1, 4, 7, 10, 13, 20, 40, 60, 80, 99} {
 			n := src.Len() * frac / 100
 			f.Add(append([]byte(nil), src.Bytes()[:n]...))

@@ -492,8 +492,9 @@ func TestStoreCompactionFoldsTail(t *testing.T) {
 // directory of REAL generation files must be rejected cleanly or
 // produce a searchable store, and the load must delete nothing. The
 // generations are a multi-member DNA one, whose packed core lists
-// separator rows, and an appended protein one on the plane core; the
-// seeds flip every byte of the manifest and of each generation file.
+// separator rows, an appended protein one on the plane core and an
+// appended DNA one whose bit-packed samples straddle words; the seeds
+// flip every byte of the manifest and of each generation file.
 // The files are built once; each fuzz case gets a fresh directory of
 // hard links to them.
 func FuzzLoadStoreDir(f *testing.F) {
@@ -511,6 +512,9 @@ func FuzzLoadStoreDir(f *testing.F) {
 	}); err != nil {
 		f.Fatal(err)
 	}
+	if err := st.Append([]SeqRecord{{Name: "wide", Seq: wideSampleDNA()}}); err != nil {
+		f.Fatal(err)
+	}
 	if _, err := st.Delete("beta"); err != nil {
 		f.Fatal(err)
 	}
@@ -518,7 +522,7 @@ func FuzzLoadStoreDir(f *testing.F) {
 	if err := st.SaveDir(src); err != nil {
 		f.Fatal(err)
 	}
-	genNames := []string{genFileName(1), genFileName(2)}
+	genNames := []string{genFileName(1), genFileName(2), genFileName(3)}
 	goodManifest, err := readFileBytes(filepath.Join(src, manifestName))
 	if err != nil {
 		f.Fatal(err)
