@@ -297,7 +297,7 @@ func resolveScheme(opts SearchOptions) (Scheme, error) {
 // length m against a database of length n and alphabet size dbSigma —
 // the one shared derivation behind Index.ResolveThreshold and the
 // store's global-threshold resolution, so the two can never diverge
-// (the store's shard-parity gates depend on them agreeing). s and opts
+// (the store's parity gates depend on them agreeing). s and opts
 // must have passed resolveScheme.
 func resolveThresholdOver(s Scheme, opts SearchOptions, m, n, dbSigma int) (int, error) {
 	if opts.Threshold > 0 {

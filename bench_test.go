@@ -11,6 +11,7 @@ package alae_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -92,7 +93,9 @@ func hybridEngine(cw cachedWorkload) *core.Engine {
 // under scheme s.
 func hybridStats(b *testing.B, e *core.Engine, cw cachedWorkload, s alae.Scheme) core.Stats {
 	b.Helper()
-	c := align.NewCollector()
+	ses := e.AcquireSession()
+	defer ses.Release()
+	c := ses.Collector()
 	var st core.Stats
 	for _, q := range cw.wl.Queries {
 		h, err := cw.ix.ResolveThreshold(len(q), alae.SearchOptions{Scheme: s})
@@ -100,7 +103,7 @@ func hybridStats(b *testing.B, e *core.Engine, cw cachedWorkload, s alae.Scheme)
 			b.Fatal(err)
 		}
 		c.Reset()
-		one, err := e.SearchParallel(q, s, h, c, 0)
+		one, err := ses.SearchContext(context.Background(), q, s, h, c, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -655,16 +658,14 @@ func BenchmarkIndexSaveLoad(b *testing.B) {
 	})
 }
 
-// --- Serving store: sharded scatter-gather and the result cache ---
+// --- Serving store: scatter-gather and the result cache ---
 
 // storeCache shares built stores across sub-benchmark invocations.
 var storeCache sync.Map
 
-func getStore(b *testing.B, text []byte, shards, cacheSize int) *alae.Store {
+func getStore(b *testing.B, text []byte, cacheSize int) *alae.Store {
 	b.Helper()
-	type key struct{ shards, cacheSize int }
-	k := key{shards, cacheSize}
-	if v, ok := storeCache.Load(k); ok {
+	if v, ok := storeCache.Load(cacheSize); ok {
 		return v.(*alae.Store)
 	}
 	const chunks = 8
@@ -673,11 +674,11 @@ func getStore(b *testing.B, text []byte, shards, cacheSize int) *alae.Store {
 		lo, hi := i*len(text)/chunks, (i+1)*len(text)/chunks
 		recs = append(recs, alae.SeqRecord{Name: itoa(i), Seq: text[lo:hi]})
 	}
-	st, err := alae.NewStore(recs, alae.StoreOptions{Shards: shards, QueryCacheSize: cacheSize})
+	st, err := alae.NewStore(recs, alae.StoreOptions{QueryCacheSize: cacheSize})
 	if err != nil {
 		b.Fatal(err)
 	}
-	storeCache.Store(k, st)
+	storeCache.Store(cacheSize, st)
 	return st
 }
 
@@ -717,19 +718,21 @@ func BenchmarkStoreSeparatorCost(b *testing.B) {
 }
 
 // BenchmarkStoreSearch serves the Table 2 workload (8 named chunks)
-// through stores scattering over 1, 2 and 4 lanes of the shared index
-// with the result cache disabled — the scatter-gather cost — plus the
-// cache-hot exact-repeat point. Both metrics must be identical across
-// lane counts (the shared-index scatter is exact — see DESIGN.md);
-// TestStoreShardParity and the k-scaling smoke gate them, here they are
-// reported.
+// through a store whose searches pull their fork families with 1, 2
+// and 4 workers, with the result cache disabled — the scatter-gather
+// cost — plus the cache-hot exact-repeat point. Both metrics must be
+// identical across worker counts (the shared-index scatter is exact —
+// see DESIGN.md); the store oracle and the scaling smoke gate them,
+// here they are reported.
 func BenchmarkStoreSearch(b *testing.B) {
 	k := wlKey{kind: "dna", n: 200_000, m: 5_000, queries: 2, seed: 42}
 	cw := getWorkload(b, k)
 	opts := alae.SearchOptions{Algorithm: alae.ALAE, Parallelism: 1}
-	for _, shards := range []int{1, 2, 4} {
-		b.Run("k="+itoa(shards), func(b *testing.B) {
-			st := getStore(b, cw.wl.Text, shards, -1)
+	for _, par := range []int{1, 2, 4} {
+		b.Run("p="+itoa(par), func(b *testing.B) {
+			st := getStore(b, cw.wl.Text, -1)
+			opts := opts
+			opts.Parallelism = par
 			run := func() (entries int64, hits int) {
 				results, err := st.SearchAll(cw.wl.Queries, opts, 1)
 				if err != nil {
@@ -753,7 +756,7 @@ func BenchmarkStoreSearch(b *testing.B) {
 		})
 	}
 	b.Run("cache-hot", func(b *testing.B) {
-		st := getStore(b, cw.wl.Text, 4, 0)
+		st := getStore(b, cw.wl.Text, 0)
 		query := cw.wl.Queries[0]
 		if _, err := st.Search(query, opts); err != nil { // populate the cache
 			b.Fatal(err)

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	alae -text genome.fa -save-store db.alae
-//	alae-serve -store db.alae -shards 4 -addr :7734
+//	alae-serve -store db.alae -p 4 -addr :7734
 //
 //	curl -s localhost:7734/healthz
 //	curl -s -d '{"query":"ACGT...","timeout_ms":2000}' localhost:7734/search
@@ -21,11 +21,11 @@
 // so one greedy client cannot starve the lanes, and -per-client-rate
 // bounds each client's request rate with a token bucket over
 // -per-client-window (429 + Retry-After sized to the next token).
-// -shards sets the store's scatter width: the number of lanes each
-// search's fork families fan out over inside the one shared index (a
-// pure parallelism knob — answers and work are identical at every
-// value, and nothing is persisted). -query-cache is the result cache's
-// byte budget, enforced at every insert. Background jobs — periodic
+// -p sets each search's fan-out: the number of workers its fork
+// families are pulled by inside the one shared index (a pure
+// parallelism knob — answers and work are identical at every value).
+// -query-cache is the result cache's byte budget, enforced at every
+// insert. Background jobs — periodic
 // store reload from -store (-reload), generational store compaction
 // (-compact), and a self-probe that searches the store's own data
 // (-probe) — run with panic isolation and never take the daemon down;
@@ -86,7 +86,6 @@ func run() error {
 		perClient       = flag.Int("per-client", 0, "max in-flight searches per client (X-API-Key or remote addr); overflow answers 429 (0 = off)")
 		perClientRate   = flag.Int("per-client-rate", 0, "max requests per client per -per-client-window; overflow answers 429 + Retry-After (0 = off)")
 		perClientWindow = flag.Duration("per-client-window", time.Second, "refill window for -per-client-rate")
-		shards          = flag.Int("shards", 0, "scatter lanes per search over the store's shared index (parallelism only; 0 = 1)")
 
 		reloadEvery  = flag.Duration("reload", 0, "re-read -store on this period and swap it in (0 = off)")
 		compactEvery = flag.Duration("compact", 0, "run store compaction on this period: merge generations, purge tombstones (0 = off)")
@@ -110,13 +109,12 @@ func run() error {
 		return err
 	}
 
-	storeOpts := alae.StoreOptions{Shards: *shards, QueryCacheSize: *cacheSize}
+	storeOpts := alae.StoreOptions{QueryCacheSize: *cacheSize}
 	store, err := alae.LoadStoreFile(*storePath, storeOpts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("loaded store: %d member(s), %d scatter lane(s), %d characters\n",
-		store.Sequences().Len(), store.Shards(), store.Sequences().TotalLen())
+	fmt.Printf("loaded store: %d member(s), %d characters\n", store.Sequences().Len(), store.Sequences().TotalLen())
 
 	srv, err := serve.New(serve.Config{
 		Store:     store,

@@ -6,16 +6,15 @@
 // Usage:
 //
 //	alae -text genome.fa -query reads.fa [flags]
-//	alae -text chr1.fa,chr2.fa -shards 4 -query reads.fa
+//	alae -text chr1.fa,chr2.fa -p 4 -query reads.fa
 //
 // -text accepts a comma-separated list of FASTA files; every record of
 // every file becomes one named member of the store, indexed together
-// in one shared index per generation. -shards is a pure parallelism
-// knob: each search's fork families are pulled by that many
-// work-stealing lanes over the shared index, and the answers — hits
-// AND work counters — are byte-identical at every value. It applies
-// to -load-store too (the lane count is never persisted). Repeated
-// identical queries are answered from the store's result cache.
+// in one shared index per generation. -p is a pure parallelism knob:
+// each search's fork families are pulled by that many work-stealing
+// workers over the shared index, and the answers — hits AND work
+// counters — are byte-identical at every value. Repeated identical
+// queries are answered from the store's result cache.
 // Flags select the engine (alae, bwtsw, blast, sw), the scoring scheme
 // ⟨sa,sb,sg,ss⟩ and either a raw score threshold or an E-value. Exit
 // status is non-zero on any error.
@@ -61,7 +60,6 @@ func run() error {
 		threshold = flag.Int("threshold", 0, "raw score threshold H (0 = derive from -evalue)")
 		eValue    = flag.Float64("evalue", 10, "expectation value used when -threshold is 0")
 		parallel  = flag.Int("p", 0, "ALAE worker goroutines per search (0 = all cores, 1 = sequential)")
-		shards    = flag.Int("shards", 1, "scatter lanes per search over the store's shared index (parallelism only; answers are identical at every value)")
 		cacheSize = flag.Int("query-cache", 0, "result-cache budget in bytes (0 = 64 MiB, -1 = disabled)")
 		showAlign = flag.Bool("align", false, "print the best alignment per query")
 		maxHits   = flag.Int("max-hits", 10, "hits printed per query (0 = all)")
@@ -97,11 +95,10 @@ func run() error {
 
 	var store *alae.Store
 	if *loadStore != "" {
-		if store, err = alae.LoadStoreFile(*loadStore, alae.StoreOptions{Shards: *shards, QueryCacheSize: *cacheSize}); err != nil {
+		if store, err = alae.LoadStoreFile(*loadStore, alae.StoreOptions{QueryCacheSize: *cacheSize}); err != nil {
 			return fmt.Errorf("loading %s: %w", *loadStore, err)
 		}
-		fmt.Printf("loaded store: %d member(s), %d scatter lane(s), %d characters\n",
-			store.Sequences().Len(), store.Shards(), store.Sequences().TotalLen())
+		fmt.Printf("loaded store: %d member(s), %d characters\n", store.Sequences().Len(), store.Sequences().TotalLen())
 	} else {
 		records, err := readFASTARecords(*textPath)
 		if err != nil {
@@ -114,8 +111,8 @@ func run() error {
 		for _, r := range records {
 			total += len(r.Seq)
 		}
-		fmt.Printf("indexing %d sequence(s), %d characters, %d scatter lane(s)\n", len(records), total, *shards)
-		if store, err = alae.NewStore(records, alae.StoreOptions{Shards: *shards, QueryCacheSize: *cacheSize}); err != nil {
+		fmt.Printf("indexing %d sequence(s), %d characters\n", len(records), total)
+		if store, err = alae.NewStore(records, alae.StoreOptions{QueryCacheSize: *cacheSize}); err != nil {
 			return err
 		}
 	}

@@ -20,7 +20,7 @@ import (
 func storeCancelWorkload(t *testing.T) (st *Store, queries [][]byte) {
 	t.Helper()
 	wl := buildStoreWorkload(seq.DNA, 6, 2000, 250, 7001)
-	st, err := NewStore(wl.records, StoreOptions{Shards: 2, QueryCacheSize: -1})
+	st, err := NewStore(wl.records, StoreOptions{QueryCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +29,8 @@ func storeCancelWorkload(t *testing.T) (st *Store, queries [][]byte) {
 
 // TestStoreSearchContextCancellation: a cancelled context aborts the
 // scatter with the context's own error on the sequential and parallel
-// per-shard paths, and the store — its pooled sessions included —
-// remains fully usable with byte-identical answers afterwards.
+// paths, and the store — its pooled sessions included — remains fully
+// usable with byte-identical answers afterwards.
 func TestStoreSearchContextCancellation(t *testing.T) {
 	st, queries := storeCancelWorkload(t)
 	for _, parallelism := range []int{1, 4} {
@@ -71,7 +71,7 @@ func TestStoreSearchContextCancellation(t *testing.T) {
 // one held store session — its lanes cancelled and then reused.
 func TestStoreSessionSearchContextCancellation(t *testing.T) {
 	st, queries := storeCancelWorkload(t)
-	ss := openStoreSession(t, st, SearchOptions{Threshold: 60})
+	ss := openStoreSession(t, st, SearchOptions{Threshold: 60, Parallelism: 2})
 
 	ref, err := searchSession(context.Background(), ss, queries[0])
 	if err != nil {
@@ -96,7 +96,7 @@ func TestStoreSessionSearchContextCancellation(t *testing.T) {
 // cached, and a cancelled search is never published to the cache.
 func TestStoreCachedResultNeverMasksCancellation(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 4, 2000, 250, 7002)
-	st, err := NewStore(wl.records, StoreOptions{Shards: 2})
+	st, err := NewStore(wl.records, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestStoreSearchAllContextCancellation(t *testing.T) {
 // diagnostic, not answered with cross-member matches.
 func TestStoreRejectsSeparatorQueries(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 4, 2000, 300, 7004)
-	st, err := NewStore(wl.records, StoreOptions{Shards: 2})
+	st, err := NewStore(wl.records, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestStoreRejectsSeparatorQueries(t *testing.T) {
 // atomically.
 func TestStoreSaveFileRoundTrip(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 5, 2000, 300, 7005)
-	st, err := NewStore(wl.records, StoreOptions{Shards: 3})
+	st, err := NewStore(wl.records, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +232,8 @@ func TestStoreSaveFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// K is a runtime parallelism knob, never persisted: a load without
-	// StoreOptions.Shards serves at K=1 whatever the saver used.
-	if loaded.Shards() != 1 || loaded.Sequences().Len() != st.Sequences().Len() {
-		t.Fatalf("round trip: %d lanes (want default 1), %d/%d members",
-			loaded.Shards(), loaded.Sequences().Len(), st.Sequences().Len())
+	if loaded.Sequences().Len() != st.Sequences().Len() {
+		t.Fatalf("round trip: %d/%d members", loaded.Sequences().Len(), st.Sequences().Len())
 	}
 	res, err := loaded.Search(wl.queries[0], opts)
 	if err != nil {
@@ -269,7 +266,7 @@ func TestStoreSaveFileFailureLeavesNoTrace(t *testing.T) {
 // separator-free copy of real store bytes that actually hits.
 func TestStoreSampleQuery(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 4, 1000, 200, 7007)
-	st, err := NewStore(wl.records, StoreOptions{Shards: 2})
+	st, err := NewStore(wl.records, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 // Multi-sequence database search through the serving store: §2.2's
 // "given all the sequences T1..Tn in the database, we concatenate them
-// into a single sequence T", productionised — the store partitions the
-// twenty chromosomes into byte-balanced index shards, scatter-gathers
-// each search across them, and hands back hits already mapped to their
-// member sequences, so the manual Locate loop this example used to
-// carry is gone. A repeated query demonstrates the result-level query
-// cache: the second run is a hash probe.
+// into a single sequence T", productionised — the store indexes the
+// twenty chromosomes' concatenation once, searches it with four workers
+// pulling the query's fork families, and hands back hits already mapped
+// to their member sequences, so the manual Locate loop this example
+// used to carry is gone. A repeated query demonstrates the result-level
+// query cache: the second run is a hash probe.
 package main
 
 import (
@@ -41,17 +41,16 @@ func main() {
 	for _, r := range records {
 		total += len(r.Seq)
 	}
-	const shards = 4
-	fmt.Printf("indexing %d sequences (%d bp total) into %d shards...\n",
-		len(records), total, shards)
-	db, err := alae.NewStore(records, alae.StoreOptions{Shards: shards})
+	fmt.Printf("indexing %d sequences (%d bp total)...\n", len(records), total)
+	db, err := alae.NewStore(records, alae.StoreOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	const workers = 4 // fork-family workers per search
 
 	for _, alg := range []alae.Algorithm{alae.ALAE, alae.BWTSW, alae.BLAST} {
 		start := time.Now()
-		res, err := db.Search(query, alae.SearchOptions{Algorithm: alg, EValue: 1e-10})
+		res, err := db.Search(query, alae.SearchOptions{Algorithm: alg, EValue: 1e-10, Parallelism: workers})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,7 +77,7 @@ func main() {
 	// The result-level query cache: an exact repeat is one hash probe.
 	// (A configuration not searched above, so the first run really
 	// computes.)
-	opts := alae.SearchOptions{Algorithm: alae.ALAE, EValue: 1e-8}
+	opts := alae.SearchOptions{Algorithm: alae.ALAE, EValue: 1e-8, Parallelism: workers}
 	start := time.Now()
 	if _, err := db.Search(query, opts); err != nil {
 		log.Fatal(err)

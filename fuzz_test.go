@@ -140,7 +140,7 @@ func FuzzLoadStore(f *testing.F) {
 		{Name: "alpha", Seq: []byte("ACGTACGTACGTACGTACGT")},
 		{Name: "beta", Seq: []byte("TTTTACGTACGTGGGG")},
 		{Name: "gamma", Seq: []byte("ACACACACACACAC")},
-	}, StoreOptions{Shards: 2})
+	}, StoreOptions{})
 	if err != nil {
 		f.Fatal(err)
 	}

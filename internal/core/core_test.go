@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,12 +18,20 @@ func randDNA(n int, rng *rand.Rand) []byte {
 	return out
 }
 
+// search runs one query the one way the core offers: on a session
+// acquired from e, released afterwards.
+func search(e *Engine, query []byte, s align.Scheme, h int, c *align.Collector, workers int) (Stats, error) {
+	ses := e.AcquireSession()
+	defer ses.Release()
+	return ses.SearchContext(context.Background(), query, s, h, c, workers)
+}
+
 // runEngine searches with the given options and returns sorted hits.
 func runEngine(t *testing.T, text, query []byte, s align.Scheme, h int, opts Options) ([]align.Hit, Stats) {
 	t.Helper()
 	e := New(text, opts)
 	c := align.NewCollector()
-	st, err := e.Search(query, s, h, c)
+	st, err := search(e, query, s, h, c, 1)
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -201,10 +210,10 @@ func TestRepeatRichText(t *testing.T) {
 func TestSearchRejectsLowThreshold(t *testing.T) {
 	e := New([]byte("ACGTACGT"), Options{})
 	c := align.NewCollector()
-	if _, err := e.Search([]byte("ACGT"), align.DefaultDNA, 2, c); err == nil {
+	if _, err := search(e, []byte("ACGT"), align.DefaultDNA, 2, c, 1); err == nil {
 		t.Error("threshold below MinThreshold accepted")
 	}
-	if _, err := e.Search([]byte("ACGT"), align.Scheme{}, 10, c); err == nil {
+	if _, err := search(e, []byte("ACGT"), align.Scheme{}, 10, c, 1); err == nil {
 		t.Error("invalid scheme accepted")
 	}
 }
@@ -215,18 +224,18 @@ func TestSearchEdgeInputs(t *testing.T) {
 	c := align.NewCollector()
 	// Query shorter than q: diagnosed, not silently empty (qgram.New
 	// would emit zero grams and the engines would have nothing to do).
-	st, err := e.Search([]byte("AC"), s, s.MinThreshold(), c)
+	st, err := search(e, []byte("AC"), s, s.MinThreshold(), c, 1)
 	if err == nil || st.ForksConsidered != 0 {
 		t.Errorf("short query accepted: st=%+v err=%v", st, err)
 	}
 	// Empty text.
 	e2 := New(nil, Options{})
-	if _, err := e2.Search([]byte("ACGTACGT"), s, s.MinThreshold(), c); err != nil {
+	if _, err := search(e2, []byte("ACGTACGT"), s, s.MinThreshold(), c, 1); err != nil {
 		t.Errorf("empty text: %v", err)
 	}
 	// Query with letters absent from the text.
 	e3 := New([]byte("AAAACCCCAAAA"), Options{})
-	st, err = e3.Search([]byte("GGGGTTTT"), s, s.MinThreshold(), c)
+	st, err = search(e3, []byte("GGGGTTTT"), s, s.MinThreshold(), c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,18 +259,18 @@ func TestShortQueryDiagnosedBothEngines(t *testing.T) {
 	for _, mode := range []Mode{ModeDFS, ModeHybrid} {
 		e := New(text, Options{Mode: mode})
 		c := align.NewCollector()
-		if _, err := e.Search(short, s, s.MinThreshold(), c); err == nil {
+		if _, err := search(e, short, s, s.MinThreshold(), c, 1); err == nil {
 			t.Fatalf("mode %v: short query (m=%d < q=%d) accepted", mode, len(short), q)
 		}
-		if _, err := e.Search(nil, s, s.MinThreshold(), c); err == nil {
+		if _, err := search(e, nil, s, s.MinThreshold(), c, 1); err == nil {
 			t.Fatalf("mode %v: empty query accepted", mode)
 		}
 		ses := e.AcquireSession()
-		if _, err := ses.Search(short, s, s.MinThreshold(), c, 1); err == nil {
+		if _, err := ses.SearchContext(context.Background(), short, s, s.MinThreshold(), c, 1); err == nil {
 			t.Fatalf("mode %v: session accepted short query", mode)
 		}
 		// The rejection must not poison the session.
-		if _, err := ses.Search(good, s, s.MinThreshold(), c, 1); err != nil {
+		if _, err := ses.SearchContext(context.Background(), good, s, s.MinThreshold(), c, 1); err != nil {
 			t.Fatalf("mode %v: session broken after short-query rejection: %v", mode, err)
 		}
 		ses.Release()

@@ -155,7 +155,7 @@ func TestDominationFlagsMatchTable(t *testing.T) {
 			var sts [2]Stats
 			for w := range 2 {
 				c := align.NewCollector()
-				if sts[w], err = e.SearchParallel(query, tc.scheme, tc.h, c, w+1); err != nil {
+				if sts[w], err = search(e, query, tc.scheme, tc.h, c, w+1); err != nil {
 					t.Fatal(err)
 				}
 				hits[w] = c.Hits()

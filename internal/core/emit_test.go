@@ -58,7 +58,7 @@ func TestEmitParitySuite(t *testing.T) {
 			for _, mode := range []Mode{ModeDFS, ModeHybrid} {
 				e := New(text, Options{Mode: mode})
 				seqC := align.NewCollector()
-				seqSt, err := e.Search(query, wl.scheme, h, seqC)
+				seqSt, err := search(e, query, wl.scheme, h, seqC, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,7 +71,7 @@ func TestEmitParitySuite(t *testing.T) {
 				suppressedTotal += seqSt.SuppressedEmissions
 				for _, workers := range []int{2, 5} {
 					parC := align.NewCollector()
-					parSt, err := e.SearchParallel(query, wl.scheme, h, parC, workers)
+					parSt, err := search(e, query, wl.scheme, h, parC, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -118,13 +118,13 @@ func TestHybridEmitParity(t *testing.T) {
 
 			dfs := New(text, Options{Mode: ModeDFS})
 			dfsC := align.NewCollector()
-			dfsSt, err := dfs.Search(query, wl.scheme, h, dfsC)
+			dfsSt, err := search(dfs, query, wl.scheme, h, dfsC, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			hyb := New(text, Options{Mode: ModeHybrid})
 			hybC := align.NewCollector()
-			hybSt, err := hyb.Search(query, wl.scheme, h, hybC)
+			hybSt, err := search(hyb, query, wl.scheme, h, hybC, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,13 +159,13 @@ func TestPropertyCopyReuseLossless(t *testing.T) {
 		h := s.MinThreshold() + int(in.HOff)
 		on := New(in.Text, Options{Mode: ModeHybrid})
 		cOn := align.NewCollector()
-		stOn, err := on.Search(in.Query, s, h, cOn)
+		stOn, err := search(on, in.Query, s, h, cOn, 1)
 		if err != nil {
 			return false
 		}
 		off := New(in.Text, Options{Mode: ModeHybrid, DisableCopyReuse: true})
 		cOff := align.NewCollector()
-		stOff, err := off.Search(in.Query, s, h, cOff)
+		stOff, err := search(off, in.Query, s, h, cOff, 1)
 		if err != nil {
 			return false
 		}
@@ -232,7 +232,7 @@ func TestEmitStageOverflow(t *testing.T) {
 			for _, mode := range []Mode{ModeDFS, ModeHybrid} {
 				e := New(wl.text, Options{Mode: mode})
 				c := align.NewCollector()
-				st, err := e.Search(wl.query, wl.s, h, c)
+				st, err := search(e, wl.query, wl.s, h, c, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -292,7 +292,7 @@ func TestPropertyEmitSuppressionLossless(t *testing.T) {
 		}
 		on := New(in.Text, opts)
 		cOn := align.NewCollector()
-		stOn, err := on.Search(in.Query, s, h, cOn)
+		stOn, err := search(on, in.Query, s, h, cOn, 1)
 		if err != nil {
 			return false
 		}
@@ -300,7 +300,7 @@ func TestPropertyEmitSuppressionLossless(t *testing.T) {
 		offOpts.DisableEmitSuppression = true
 		off := New(in.Text, offOpts)
 		cOff := align.NewCollector()
-		stOff, err := off.Search(in.Query, s, h, cOff)
+		stOff, err := search(off, in.Query, s, h, cOff, 1)
 		if err != nil {
 			return false
 		}

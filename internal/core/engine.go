@@ -101,34 +101,6 @@ func NewFromTrie(t *strie.Trie, opts Options) *Engine {
 	return &Engine{trie: t, opts: opts}
 }
 
-// Search reports every end pair (i, j) whose best local-alignment
-// score reaches h into c and returns work statistics. It returns an
-// error when the scheme is invalid or h is below the scheme's
-// MinThreshold (the q-prefix filter would lose pure-match alignments
-// shorter than q; E-value-derived thresholds are always far above).
-func (e *Engine) Search(query []byte, s align.Scheme, h int, c *align.Collector) (Stats, error) {
-	return e.SearchParallel(query, s, h, c, 1)
-}
-
-// SearchParallel is Search with the q-gram fork families dispatched
-// across up to workers goroutines (0 or negative means
-// runtime.NumCPU(); 1 is the sequential engine). Fork families are
-// independent by construction — each owns one gram's subtree and one
-// column set — so workers pull families from a shared queue, collect
-// hits into private collector shards, and the results merge by
-// max-score, producing exactly the sequential engine's hit set and
-// entry counts regardless of scheduling.
-//
-// SearchParallel is the one-shot shell over the session machinery: it
-// borrows a pooled Session (which owns every per-query structure and
-// re-arms it in place), runs the query, and returns the session. Query
-// loops should hold a Session directly via AcquireSession.
-func (e *Engine) SearchParallel(query []byte, s align.Scheme, h int, c *align.Collector, workers int) (Stats, error) {
-	ses := e.AcquireSession()
-	defer ses.Release()
-	return ses.Search(query, s, h, c, workers)
-}
-
 // buildColBoundsInto precomputes Theorem 2 as table lookups: a cell
 // (i, j) with score v survives iff v ≥ h − min(m−j, Lmax−i)·sa, i.e.
 // iff v clears BOTH the column bound h−(m−j)·sa (this table,

@@ -16,9 +16,9 @@ import (
 // frequent gram walks a much larger subtree), so the scheduler uses an
 // atomic work-stealing cursor over the sorted family list instead of
 // static striping: idle workers immediately pull the next family.
-// It is the only fan-out: Engine.SearchParallel and
-// Session.SearchContext — and with it the store's K lanes per
-// generation — all run through it.
+// It is the only fan-out: Session.SearchContext — and with it every
+// store generation's SearchOptions.Parallelism workers — runs through
+// it.
 // Counters stay scheduling-invariant under stealing — they are
 // per-family sums, the collector merges by a commutative max and the
 // dominance table is re-armed per family — so CalculatedEntries and

@@ -9,12 +9,12 @@ import (
 	"repro/internal/seq"
 )
 
-// TestSearchParallelMatchesSequential is the scheduler's identity
+// TestParallelSearchMatchesSequential is the scheduler's identity
 // property: for both engine modes, any worker count produces exactly
 // the sequential engine's hit set and the same work counters — the
 // partition into fork families is identical, only the interleaving
 // changes.
-func TestSearchParallelMatchesSequential(t *testing.T) {
+func TestParallelSearchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	s := align.DefaultDNA
 	for _, mode := range []Mode{ModeDFS, ModeHybrid} {
@@ -24,7 +24,7 @@ func TestSearchParallelMatchesSequential(t *testing.T) {
 			h := s.MinThreshold() + rng.Intn(8)
 
 			seqC := align.NewCollector()
-			seqSt, err := e.Search(query, s, h, seqC)
+			seqSt, err := search(e, query, s, h, seqC, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,7 +32,7 @@ func TestSearchParallelMatchesSequential(t *testing.T) {
 
 			for _, workers := range []int{0, 2, 3, 7} {
 				parC := align.NewCollector()
-				parSt, err := e.SearchParallel(query, s, h, parC, workers)
+				parSt, err := search(e, query, s, h, parC, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,7 +83,7 @@ func TestSearchLanesMatchesSequential(t *testing.T) {
 		for _, mode := range []Mode{ModeDFS, ModeHybrid} {
 			e := New(wl.text, Options{Mode: mode})
 			seqC := align.NewCollector()
-			seqSt, err := e.Search(wl.query, wl.s, h, seqC)
+			seqSt, err := search(e, wl.query, wl.s, h, seqC, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -60,7 +60,7 @@ func TestPropertyExactness(t *testing.T) {
 		}
 		e := New(in.Text, opts)
 		c := align.NewCollector()
-		if _, err := e.Search(in.Query, s, h, c); err != nil {
+		if _, err := search(e, in.Query, s, h, c, 1); err != nil {
 			return false
 		}
 		return align.EqualHits(c.Hits(), align.LocalAll(in.Text, in.Query, s, h))
@@ -78,12 +78,12 @@ func TestPropertyEnginesAgree(t *testing.T) {
 		h := s.MinThreshold() + int(in.HOff)
 		cDFS := align.NewCollector()
 		eDFS := New(in.Text, Options{})
-		if _, err := eDFS.Search(in.Query, s, h, cDFS); err != nil {
+		if _, err := search(eDFS, in.Query, s, h, cDFS, 1); err != nil {
 			return false
 		}
 		cHyb := align.NewCollector()
 		eHyb := New(in.Text, Options{Mode: ModeHybrid})
-		stHyb, err := eHyb.Search(in.Query, s, h, cHyb)
+		stHyb, err := search(eHyb, in.Query, s, h, cHyb, 1)
 		if err != nil {
 			return false
 		}

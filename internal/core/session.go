@@ -20,7 +20,7 @@ import (
 // the result table the public search surfaces collect into, and (for
 // parallel searches) the per-worker collector shards. A session is
 // re-armed in place for each query, so in a serving loop — one index
-// answering query after query — a warm sequential Search performs zero
+// answering query after query — a warm sequential search performs zero
 // allocations end to end (TestSessionSearchAllocFree).
 //
 // A Session is NOT safe for concurrent use: it is one serving lane.
@@ -51,7 +51,7 @@ type Session struct {
 
 	// stats and ctx back the sequential search path: keeping them on
 	// the session (instead of stack variables whose addresses escape
-	// into the context) is what lets a warm Session.Search run without
+	// into the context) is what lets a warm SearchContext run without
 	// a single allocation — see TestSessionSearchAllocFree.
 	stats Stats
 	ctx   searchCtx
@@ -94,8 +94,8 @@ func (ses *Session) ResolveGrams(query []byte, s align.Scheme) (families int, st
 }
 
 // AcquireSession returns a pooled session (or a fresh one) for this
-// engine. Callers re-arm it per query via Session.Search and hand it
-// back with Release.
+// engine. Callers re-arm it per query via Session.SearchContext and
+// hand it back with Release.
 func (e *Engine) AcquireSession() *Session {
 	if s, ok := e.sessPool.Get().(*Session); ok {
 		return s
@@ -118,28 +118,40 @@ func (ses *Session) SearchLanes(cx context.Context, query []byte, s align.Scheme
 	return ses.SearchContext(cx, query, s, h, c, lanes)
 }
 
-// Search runs one query through the session; see Engine.SearchParallel
-// for the contract. The session's buffers are re-armed in place, the
-// engine's shared structures are only read, and hits land in c. In
-// steady state — a warm session answering a repeated query shape
-// sequentially — the whole path performs zero allocations
-// (TestSessionSearchAllocFree); only the parallel fan-out allocates
-// its worker contexts and goroutines.
-func (ses *Session) Search(query []byte, s align.Scheme, h int, c *align.Collector, workers int) (Stats, error) {
-	return ses.SearchContext(context.Background(), query, s, h, c, workers)
-}
-
-// SearchContext is Search under a context: the traversal loops poll
-// cx's done channel at entry-budget checkpoints (cancel.go), so a
-// deadline or cancellation aborts a running search within a bounded
-// number of calculated entries per worker. On cancellation the
-// context's error is returned, the partial statistics describe the
-// work actually done, and the collector holds a partial (meaningless)
-// hit set the caller must discard; the session itself remains fully
-// reusable — the next Search re-arms it exactly as after a completed
-// query. A background (non-cancellable) context adds no per-entry
-// overhead: the done channel is nil and every checkpoint is one field
-// read.
+// SearchContext reports every end pair (i, j) whose best
+// local-alignment score reaches h into c and returns work statistics;
+// it is the one way to run a core search: AcquireSession, then
+// SearchContext per query, then Release. It returns an error when the
+// scheme is invalid or h is below the scheme's MinThreshold (the
+// q-prefix filter would lose pure-match alignments shorter than q;
+// E-value-derived thresholds are always far above).
+//
+// The q-gram fork families are dispatched across up to workers
+// goroutines (0 or negative means runtime.NumCPU(); 1 is the
+// sequential engine). Fork families are independent by construction —
+// each owns one gram's subtree and one column set — so workers pull
+// families from a shared queue, collect hits into private collector
+// shards, and the results merge by max-score, producing exactly the
+// sequential engine's hit set and entry counts regardless of
+// scheduling.
+//
+// The session's buffers are re-armed in place, the engine's shared
+// structures are only read, and hits land in c. In steady state — a
+// warm session answering a repeated query shape sequentially — the
+// whole path performs zero allocations (TestSessionSearchAllocFree);
+// only the parallel fan-out allocates its worker contexts and
+// goroutines.
+//
+// The traversal loops poll cx's done channel at entry-budget
+// checkpoints (cancel.go), so a deadline or cancellation aborts a
+// running search within a bounded number of calculated entries per
+// worker. On cancellation the context's error is returned, the partial
+// statistics describe the work actually done, and the collector holds
+// a partial (meaningless) hit set the caller must discard; the session
+// itself remains fully reusable — the next search re-arms it exactly
+// as after a completed query. A background (non-cancellable) context
+// adds no per-entry overhead: the done channel is nil and every
+// checkpoint is one field read.
 func (ses *Session) SearchContext(cx context.Context, query []byte, s align.Scheme, h int, c *align.Collector, workers int) (Stats, error) {
 	e := ses.e
 	if err := s.Validate(); err != nil {

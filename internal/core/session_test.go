@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -31,13 +32,13 @@ func TestSessionReuseIdenticalAcrossQueries(t *testing.T) {
 			for qi, query := range queries {
 				h := 15
 				cSes := align.NewCollector()
-				stSes, err := ses.Search(query, s, h, cSes, 1)
+				stSes, err := ses.SearchContext(context.Background(), query, s, h, cSes, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				// Fresh engine = fresh session.
 				cFresh := align.NewCollector()
-				stFresh, err := New(text, Options{Mode: mode}).Search(query, s, h, cFresh)
+				stFresh, err := search(New(text, Options{Mode: mode}), query, s, h, cFresh, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,7 +94,7 @@ func BenchmarkGramResolution(b *testing.B) {
 // TestSessionSearchAllocFree is the end-to-end steady-state contract
 // the ROADMAP's "qgram index reuse" item completes: with the gram
 // table, the search context and the stats all session-owned and
-// re-armed in place, a warm sequential Session.Search must not
+// re-armed in place, a warm sequential Session.SearchContext must not
 // allocate at all — not just the per-gram traversal path
 // (TestPerGramPathAllocFree) but the whole query: gram-table rearm,
 // resolution, δ/bound table rebuild, traversal and emission.
@@ -126,18 +127,18 @@ func TestSessionSearchAllocFree(t *testing.T) {
 			c := align.NewCollector()
 			for warm := 0; warm < 2; warm++ {
 				c.Reset()
-				if _, err := ses.Search(tc.query, s, h, c, 1); err != nil {
+				if _, err := ses.SearchContext(context.Background(), tc.query, s, h, c, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(5, func() {
 				c.Reset()
-				if _, err := ses.Search(tc.query, s, h, c, 1); err != nil {
+				if _, err := ses.SearchContext(context.Background(), tc.query, s, h, c, 1); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs > 0 {
-				t.Fatalf("warm sequential Session.Search allocated %.1f objects per query; must be 0", allocs)
+				t.Fatalf("warm sequential Session.SearchContext allocated %.1f objects per query; must be 0", allocs)
 			}
 		})
 	}

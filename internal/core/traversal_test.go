@@ -203,7 +203,7 @@ func TestFlatTraversalPropertyMixed(t *testing.T) {
 
 // benchTraversalCtx builds a ready-to-run searchCtx plus resolved
 // families over a planted-homology workload, mirroring what
-// Session.Search sets up per search.
+// Session.SearchContext sets up per search.
 func benchTraversalCtx(b testing.TB, n, runLen int, opts Options) (*searchCtx, []gramFamily) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(77))

@@ -6,6 +6,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -165,7 +166,9 @@ func hybridEngine(text []byte) *core.Engine {
 // resolves for it under opts, with opts.Scheme, which must be set. It
 // returns the summed work counters and each query's hits.
 func measureHybrid(e *core.Engine, ix *alae.Index, w Workload, opts alae.SearchOptions) (core.Stats, [][]align.Hit, error) {
-	c := align.NewCollector()
+	ses := e.AcquireSession()
+	defer ses.Release()
+	c := ses.Collector()
 	var st core.Stats
 	hits := make([][]align.Hit, len(w.Queries))
 	for i, q := range w.Queries {
@@ -174,7 +177,7 @@ func measureHybrid(e *core.Engine, ix *alae.Index, w Workload, opts alae.SearchO
 			return core.Stats{}, nil, err
 		}
 		c.Reset()
-		one, err := e.SearchParallel(q, opts.Scheme, h, c, opts.Parallelism)
+		one, err := ses.SearchContext(context.Background(), q, opts.Scheme, h, c, opts.Parallelism)
 		if err != nil {
 			return core.Stats{}, nil, err
 		}

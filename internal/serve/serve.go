@@ -641,7 +641,6 @@ type StatsResponse struct {
 	SuppressedEmissions int64 `json:"suppressed_emissions"`
 
 	StoreMembers     int    `json:"store_members"`
-	StoreShards      int    `json:"store_shards"` // scatter lanes per search (a parallelism knob, not a data partition)
 	StoreBytes       int    `json:"store_bytes"`
 	StoreGenerations int    `json:"store_generations"`
 	StoreTombstones  int    `json:"store_tombstones"`
@@ -679,7 +678,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SuppressedEmissions: s.nSuppressed.Load(),
 
 		StoreMembers:     st.Sequences().Len(),
-		StoreShards:      st.Shards(),
 		StoreBytes:       st.Sequences().TotalLen(),
 		StoreGenerations: st.Generations(),
 		StoreTombstones:  st.Tombstones(),

@@ -29,7 +29,7 @@ import (
 // without ever crashing or deadlocking.
 
 // testStore builds a small random-DNA store. Deterministic per seed.
-func testStore(t *testing.T, members, memberLen, shards int, cacheSize int) *alae.Store {
+func testStore(t *testing.T, members, memberLen, cacheSize int) *alae.Store {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	letters := []byte("ACGT")
@@ -41,7 +41,7 @@ func testStore(t *testing.T, members, memberLen, shards int, cacheSize int) *ala
 		}
 		records[i] = alae.SeqRecord{Name: fmt.Sprintf("m%d", i), Seq: s}
 	}
-	st, err := alae.NewStore(records, alae.StoreOptions{Shards: shards, QueryCacheSize: cacheSize})
+	st, err := alae.NewStore(records, alae.StoreOptions{QueryCacheSize: cacheSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func testStore(t *testing.T, members, memberLen, shards int, cacheSize int) *ala
 func testServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.Store == nil {
-		cfg.Store = testStore(t, 4, 3000, 2, 0)
+		cfg.Store = testStore(t, 4, 3000, 0)
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
@@ -121,9 +121,6 @@ func TestServeSearchAndStats(t *testing.T) {
 	if stats.OK != 1 || stats.Admitted != 1 {
 		t.Fatalf("stats counted ok=%d admitted=%d, want 1/1", stats.OK, stats.Admitted)
 	}
-	if stats.StoreShards != 2 {
-		t.Fatalf("stats store shards %d, want 2", stats.StoreShards)
-	}
 }
 
 // TestServeBadRequests: malformed and invalid inputs answer 4xx with a
@@ -162,7 +159,7 @@ func TestServeBadRequests(t *testing.T) {
 // 504 — and the abort is real, bounded by the core's entry budget, so
 // the lane frees without finishing the traversal.
 func TestServeDeadlineExpiry(t *testing.T) {
-	store := testStore(t, 4, 15_000, 2, -1) // big enough that a search outlives 1ms
+	store := testStore(t, 4, 15_000, -1) // big enough that a search outlives 1ms
 	srv := testServer(t, Config{Store: store})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -371,7 +368,7 @@ func TestServeDrain(t *testing.T) {
 // TestServeCorruptReload: the reload job swaps in a good store and
 // keeps the old one on every flavour of corrupt file.
 func TestServeCorruptReload(t *testing.T) {
-	store := testStore(t, 4, 2000, 2, 0)
+	store := testStore(t, 4, 2000, 0)
 	srv := testServer(t, Config{Store: store})
 	path := filepath.Join(t.TempDir(), "db.alae")
 	if err := store.SaveFile(path); err != nil {
@@ -434,7 +431,7 @@ func TestServeCorruptReload(t *testing.T) {
 // mutation published by another process (stamp advance) triggers a
 // real swap that serves the new member.
 func TestServeReloadStampSkip(t *testing.T) {
-	store := testStore(t, 4, 2000, 2, 0)
+	store := testStore(t, 4, 2000, 0)
 	dir := filepath.Join(t.TempDir(), "db")
 	if err := store.SaveDir(dir); err != nil {
 		t.Fatal(err)
@@ -718,7 +715,7 @@ func TestServePerClientRateLimit(t *testing.T) {
 // deleted store back to one clean generation on the serving path, and
 // /stats reports the generational state before and after.
 func TestServeCompactJob(t *testing.T) {
-	store := testStore(t, 4, 2000, 2, 0)
+	store := testStore(t, 4, 2000, 0)
 	srv := testServer(t, Config{Store: store})
 	srv.AddJob(&CompactJob{Server: srv, Every: time.Hour})
 	ts := httptest.NewServer(srv.Handler())

@@ -53,11 +53,11 @@ var hostileNames = []string{
 // interleave, an empty hit list and a cached answer.
 func TestSearchBodyMatchesSchema(t *testing.T) {
 	records := make([]alae.SeqRecord, len(hostileNames))
-	plain := testStore(t, len(hostileNames), 600, 1, -1)
+	plain := testStore(t, len(hostileNames), 600, -1)
 	for i, name := range hostileNames {
 		records[i] = alae.SeqRecord{Name: name, Seq: plain.SampleQuery(600)}
 	}
-	st, err := alae.NewStore(records, alae.StoreOptions{Shards: 1, QueryCacheSize: -1})
+	st, err := alae.NewStore(records, alae.StoreOptions{QueryCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,19 +25,22 @@ import (
 // of align.LocalAll over each live member, at the threshold the store
 // reports, mapped to the store's global coordinates in (TEnd, QEnd)
 // order. Exactness is the paper's claim, and no surface is trusted to
-// be the reference for another.
+// be the reference for another. A few hits of every answer are also
+// aligned (Store.Align, and Index.Align on the bare index): each
+// traceback must replay, op by op over the member's bytes, to the
+// hit's score and end at the hit, inside the member.
 //
 // The oracle cannot see work, so the harness also checks that the
-// threshold and CalculatedEntries are the same at every lane count K
-// and every Parallelism: a second Parallelism on every store state, and
-// a different K on every reload.
+// threshold and CalculatedEntries are the same at every Parallelism: a
+// second Parallelism on every store state, and another Parallelism on
+// every reload.
 //
 // What a case varies: 1–8 DNA or protein members, random or short
 // tandem repeats, with queries planted in one member and across two;
 // the scheme (default DNA, default protein, every align.Fig9Schemes
-// entry); a pinned H ≥ MinThreshold or an E-value; StoreOptions.Shards
-// 1–4; Parallelism 1, 2 or 0; the three Disable* filter switches; the
-// query cache on or off; and whether the daemon is asked too. What it
+// entry); a pinned H ≥ MinThreshold or an E-value; Parallelism 1, 2
+// or 0; the three Disable* filter switches; the query cache on or off;
+// and whether the daemon is asked too. What it
 // does not assert is that H is independent of membership: today a
 // store with two or more DNA members counts the separator as a letter
 // of the E-value statistics, and derives a lower H than an index over
@@ -59,7 +62,6 @@ type oracleCase struct {
 	alpha   *seq.Alphabet
 	h       int     // pinned threshold; 0 means E-value mode
 	evalue  float64 // used when h == 0
-	shards  int     // StoreOptions.Shards
 	par     int     // SearchOptions.Parallelism
 	filters int     // bit 0/1/2: disable length/score/domination filter
 	cache   bool
@@ -86,8 +88,8 @@ func (c *oracleCase) String() string {
 	for _, op := range c.history {
 		ops = append(ops, op.kind)
 	}
-	return fmt.Sprintf("scheme %v %s K=%d P=%d filters=%03b cache=%v http=%v members=%d history=%q",
-		c.scheme, mode, c.shards, c.par, c.filters, c.cache, c.http, len(c.members), ops)
+	return fmt.Sprintf("scheme %v %s P=%d filters=%03b cache=%v http=%v members=%d history=%q",
+		c.scheme, mode, c.par, c.filters, c.cache, c.http, len(c.members), ops)
 }
 
 func (c *oracleCase) options(par int) alae.SearchOptions {
@@ -102,8 +104,8 @@ func (c *oracleCase) options(par int) alae.SearchOptions {
 	}
 }
 
-func (c *oracleCase) storeOptions(shards int) alae.StoreOptions {
-	opts := alae.StoreOptions{Shards: shards, QueryCacheSize: -1}
+func (c *oracleCase) storeOptions() alae.StoreOptions {
+	opts := alae.StoreOptions{QueryCacheSize: -1}
 	if c.cache {
 		opts.QueryCacheSize = 0 // the default budget
 	}
@@ -114,7 +116,8 @@ func (c *oracleCase) storeOptions(shards int) alae.StoreOptions {
 // history) and knobs (the configuration). The knobs' bit fields:
 //
 //	0–2    scheme, an index into oracleSchemes (mod 6)
-//	3–4    K − 1
+//	3–4    unused (they once set a store-level fan-out, which is gone;
+//	       left in place so the other fields keep their bits)
 //	5–6    Parallelism 1, 2 or 0 (mod 3)
 //	7–9    the Disable* filter switches
 //	10     the query cache off
@@ -125,7 +128,6 @@ func genOracleCase(seed int64, knobs uint32) *oracleCase {
 	rng := rand.New(rand.NewSource(seed))
 	c := &oracleCase{
 		scheme:  oracleSchemes[int(knobs%8)%len(oracleSchemes)],
-		shards:  1 + int(knobs>>3&3),
 		par:     [3]int{1, 2, 0}[int(knobs>>5&3)%3],
 		filters: int(knobs >> 7 & 7),
 		cache:   knobs>>10&1 == 0,
@@ -295,18 +297,18 @@ type work struct {
 	entries int64
 }
 
-// check searches every query on st, the way a client would, and
-// compares each answer with the oracle. prev, when non-nil, holds the
-// work an earlier surface over the same generations did, which this one
-// must repeat.
-func (r *oracleRun) check(st *alae.Store, where string, prev []work) []work {
+// check searches every query on st at Parallelism par, the way a client
+// would, and compares each answer with the oracle. prev, when non-nil,
+// holds the work an earlier surface over the same generations did,
+// which this one must repeat.
+func (r *oracleRun) check(st *alae.Store, where string, par int, prev []work) []work {
 	r.t.Helper()
 	c := r.c
 	r.checkDirectory(st, where)
 	got := make([]work, len(c.queries))
 	for qi, query := range c.queries {
 		at := fmt.Sprintf("%s, query %d", where, qi)
-		res := r.search(st, query, c.par, at)
+		res := r.search(st, query, par, at)
 		if c.h != 0 && res.Threshold != c.h {
 			r.t.Fatalf("%s: the store used H=%d, the pinned threshold is %d", at, res.Threshold, c.h)
 		}
@@ -315,6 +317,7 @@ func (r *oracleRun) check(st *alae.Store, where string, prev []work) []work {
 		}
 		want := r.oracle(qi, res.Threshold)
 		r.compare(res.Hits, want, at)
+		r.checkStoreAlignments(st, query, res.Hits, at)
 		r.hits = max(r.hits, len(want))
 		got[qi] = work{res.Threshold, res.Stats.CalculatedEntries}
 		if prev != nil && got[qi] != prev[qi] {
@@ -323,7 +326,7 @@ func (r *oracleRun) check(st *alae.Store, where string, prev []work) []work {
 
 		// The repeat: a query-cache hit when the cache is on, a pooled
 		// session re-armed when it is off.
-		again := r.search(st, query, c.par, at+" (repeat)")
+		again := r.search(st, query, par, at+" (repeat)")
 		if c.cache != (again.Stats.QueryCacheHits == 1) {
 			r.t.Fatalf("%s: repeat reports %d cache hits with the cache on=%v", at, again.Stats.QueryCacheHits, c.cache)
 		}
@@ -333,21 +336,114 @@ func (r *oracleRun) check(st *alae.Store, where string, prev []work) []work {
 		r.compare(again.Hits, want, at+" (repeat)")
 
 		// Another Parallelism: the same hits from the same work.
-		par := [3]int{1, 2, 0}[(qi+c.par+1)%3]
-		if par == c.par {
-			par = [3]int{1, 2, 0}[(qi+c.par+2)%3]
-		}
-		other := r.search(st, query, par, fmt.Sprintf("%s, P=%d", at, par))
+		op := otherPar(par, qi)
+		other := r.search(st, query, op, fmt.Sprintf("%s, P=%d", at, op))
 		if w := (work{other.Threshold, other.Stats.CalculatedEntries}); w != got[qi] {
-			r.t.Fatalf("%s: P=%d did %+v, P=%d %+v", at, par, w, c.par, got[qi])
+			r.t.Fatalf("%s: P=%d did %+v, P=%d %+v", at, op, w, par, got[qi])
 		}
-		r.compare(other.Hits, want, fmt.Sprintf("%s, P=%d", at, par))
+		r.compare(other.Hits, want, fmt.Sprintf("%s, P=%d", at, op))
 
 		if c.http {
-			r.checkHTTP(st, query, want, res.Threshold, at+" (POST /search)")
+			r.checkHTTP(st, query, par, want, res.Threshold, at+" (POST /search)")
 		}
 	}
 	return got
+}
+
+// otherPar is a Parallelism of {1, 2, 0} other than par, rotated by k.
+func otherPar(par, k int) int {
+	pars := [3]int{1, 2, 0}
+	return pars[(slices.Index(pars[:], par)+1+k%2)%3]
+}
+
+// alignSamples is how many hits of each answer the harness aligns.
+const alignSamples = 3
+
+// sampleHits returns the indices of up to alignSamples hits spread
+// over an answer of n hits.
+func sampleHits(n int) []int {
+	k := min(n, alignSamples)
+	idx := make([]int, k)
+	for i := range idx {
+		idx[i] = i * n / k
+	}
+	return idx
+}
+
+// checkStoreAlignments aligns a sample of a store answer's hits. A
+// store alignment comes back in its generation's coordinates, so the
+// member's start there is the alignment's end minus the hit's local
+// end; that start must be one and the same for every hit of a member.
+func (r *oracleRun) checkStoreAlignments(st *alae.Store, query []byte, hits []alae.SeqHit, at string) {
+	r.t.Helper()
+	starts := map[string]int{}
+	for _, i := range sampleHits(len(hits)) {
+		hit := hits[i]
+		a, err := st.Align(query, r.c.scheme, hit)
+		if err != nil {
+			r.t.Fatalf("%s: Store.Align(%+v): %v", at, hit, err)
+		}
+		off := a.TEnd - hit.LocalTEnd
+		if prev, ok := starts[hit.Name]; ok && prev != off {
+			r.t.Fatalf("%s: member %s starts at %d in one alignment, at %d in another", at, hit.Name, prev, off)
+		}
+		starts[hit.Name] = off
+		if err := checkAlignment(a, r.c.scheme, r.seqs[hit.Name], query, off, hit.Hit, hit.LocalTEnd); err != nil {
+			r.t.Fatalf("%s: Store.Align(%+v): %v", at, hit, err)
+		}
+	}
+}
+
+// checkAlignment replays alignment a of query against member, which
+// starts at off in a's text coordinates: a must score the hit's score,
+// end at (localEnd, hit.QEnd), lie inside the member, and its ops must
+// consume exactly its span, call a pair a match exactly when the bytes
+// are equal, and add up to that score under scheme s.
+func checkAlignment(a alae.Alignment, s alae.Scheme, member, query []byte, off int, hit alae.Hit, localEnd int) error {
+	lo, hi := a.TStart-off, a.TEnd-off
+	switch {
+	case a.Score != hit.Score:
+		return fmt.Errorf("alignment scores %d", a.Score)
+	case hi != localEnd || a.QEnd != hit.QEnd:
+		return fmt.Errorf("alignment ends at (%d, %d) of the member", hi, a.QEnd)
+	case lo < 0 || hi >= len(member) || a.QStart < 0 || a.QEnd >= len(query):
+		return fmt.Errorf("span [%d, %d] × [%d, %d] leaves the %d-byte member or the %d-byte query",
+			lo, hi, a.QStart, a.QEnd, len(member), len(query))
+	}
+	t, q, score, prev := lo, a.QStart, 0, align.Op(0)
+	for k, op := range a.Ops {
+		switch op {
+		case align.OpMatch, align.OpMismatch:
+			if t > hi || q > a.QEnd {
+				return fmt.Errorf("op %d (%c) runs past the span", k, op)
+			}
+			if (member[t] == query[q]) != (op == align.OpMatch) {
+				return fmt.Errorf("op %d (%c) pairs %q with %q", k, op, member[t], query[q])
+			}
+			score += s.Delta(member[t], query[q])
+			t, q = t+1, q+1
+		case align.OpDelete, align.OpInsert:
+			if op != prev {
+				score += s.GapOpen
+			}
+			score += s.GapExtend
+			if op == align.OpDelete {
+				t++
+			} else {
+				q++
+			}
+		default:
+			return fmt.Errorf("op %d is %q", k, op)
+		}
+		prev = op
+	}
+	if t != hi+1 || q != a.QEnd+1 {
+		return fmt.Errorf("ops end at (%d, %d), the span at (%d, %d)", t-1, q-1, hi, a.QEnd)
+	}
+	if score != hit.Score {
+		return fmt.Errorf("ops replay to %d", score)
+	}
+	return nil
 }
 
 func (r *oracleRun) search(st *alae.Store, query []byte, par int, at string) *alae.StoreResult {
@@ -374,9 +470,9 @@ func (r *oracleRun) compare(got, want []alae.SeqHit, at string) {
 }
 
 // checkHTTP asks the serving daemon, with no cap on the hits returned.
-func (r *oracleRun) checkHTTP(st *alae.Store, query []byte, want []alae.SeqHit, h int, at string) {
+func (r *oracleRun) checkHTTP(st *alae.Store, query []byte, par int, want []alae.SeqHit, h int, at string) {
 	r.t.Helper()
-	srv, err := serve.New(serve.Config{Store: st, Options: r.c.options(r.c.par), MaxHits: -1, Logf: r.t.Logf})
+	srv, err := serve.New(serve.Config{Store: st, Options: r.c.options(par), MaxHits: -1, Logf: r.t.Logf})
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -430,8 +526,9 @@ func runOracleCase(t *testing.T, c *oracleCase) (hits int) {
 
 	// A bare index over one member: the surface under every generation.
 	first := c.members[0]
+	ix := alae.NewIndex(first.Seq)
 	for qi, query := range c.queries {
-		res, err := alae.NewIndex(first.Seq).Search(query, c.options(c.par))
+		res, err := ix.Search(query, c.options(c.par))
 		if err != nil {
 			t.Fatalf("index, query %d: %v", qi, err)
 		}
@@ -439,16 +536,26 @@ func runOracleCase(t *testing.T, c *oracleCase) (hits int) {
 		if !align.EqualHits(res.Hits, want) {
 			t.Fatalf("index over %s, query %d, H=%d: %d hits, the oracle %d", first.Name, qi, res.Threshold, len(res.Hits), len(want))
 		}
+		for _, i := range sampleHits(len(res.Hits)) {
+			hit := res.Hits[i]
+			a, err := ix.Align(query, c.scheme, hit)
+			if err == nil {
+				err = checkAlignment(a, c.scheme, first.Seq, query, 0, hit, hit.TEnd)
+			}
+			if err != nil {
+				t.Fatalf("index over %s, query %d: Index.Align(%+v): %v", first.Name, qi, hit, err)
+			}
+		}
 	}
 
-	st, err := alae.NewStore(c.members, c.storeOptions(c.shards))
+	st, err := alae.NewStore(c.members, c.storeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Search(c.queries[0][:c.scheme.Q()-1], c.options(c.par)); err == nil {
 		t.Fatal("a query shorter than q was accepted")
 	}
-	last := r.check(st, "fresh", nil)
+	last := r.check(st, "fresh", c.par, nil)
 	for i, op := range c.history {
 		where := fmt.Sprintf("after op %d (%c)", i, op.kind)
 		switch op.kind {
@@ -469,28 +576,16 @@ func runOracleCase(t *testing.T, c *oracleCase) (hits int) {
 			if _, err := st.Compact(); err != nil {
 				t.Fatalf("%s: %v", where, err)
 			}
-			// Compaction must keep the live set. It does not always keep
-			// the live order, although its doc says so: when a clean big
-			// generation sits between two victims, the merged generation
-			// takes the first victim's place, so the second victim's
-			// members move ahead of the big one's. The model follows the
-			// store's order.
-			tab := st.Sequences()
-			order := make([]string, tab.Len())
-			for m := range order {
-				order[m] = tab.Name(m)
-			}
-			if !slices.Equal(slices.Sorted(slices.Values(order)), slices.Sorted(slices.Values(r.live))) {
-				t.Fatalf("%s: live members %v, the model has %v", where, order, r.live)
-			}
-			r.live = order
+			// Compaction keeps the live members in their order: the
+			// model stands as it is, member for member.
+			r.checkDirectory(st, where)
 		}
-		last = r.check(st, where, nil)
+		last = r.check(st, where, c.par, nil)
 	}
 
 	// Persistence: a reload keeps the generations, so it must repeat the
-	// threshold and the work as well as the hits, here at another lane
-	// count.
+	// threshold and the work as well as the hits, here at another
+	// Parallelism.
 	dir := t.TempDir()
 	file := filepath.Join(dir, "store.alae")
 	if err := st.SaveFile(file); err != nil {
@@ -500,8 +595,7 @@ func runOracleCase(t *testing.T, c *oracleCase) (hits int) {
 		t.Fatal(err)
 	}
 	for i, path := range []string{file, filepath.Join(dir, "db")} {
-		k := 1 + (c.shards+i)%4
-		loaded, err := alae.LoadStoreFile(path, c.storeOptions(k))
+		loaded, err := alae.LoadStoreFile(path, c.storeOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -509,7 +603,8 @@ func runOracleCase(t *testing.T, c *oracleCase) (hits int) {
 			t.Fatalf("%s: stamp/generations/tombstones %d/%d/%d, saved %d/%d/%d", filepath.Base(path),
 				loaded.Stamp(), loaded.Generations(), loaded.Tombstones(), st.Stamp(), st.Generations(), st.Tombstones())
 		}
-		r.check(loaded, fmt.Sprintf("%s reloaded at K=%d", filepath.Base(path), k), last)
+		par := otherPar(c.par, i)
+		r.check(loaded, fmt.Sprintf("%s reloaded at P=%d", filepath.Base(path), par), par, last)
 	}
 	return r.hits
 }
@@ -518,10 +613,12 @@ func runOracleCase(t *testing.T, c *oracleCase) (hits int) {
 // runs the seeds below, and go test -fuzz=FuzzSearchExactness explores
 // seeds and configurations beyond them.
 func FuzzSearchExactness(f *testing.F) {
-	f.Add(int64(1), uint32(0))                       // default DNA at its MinThreshold, K=1, P=1, cache on
+	// Bits 3–4 are unused; the seeds keep the values they were recorded
+	// with.
+	f.Add(int64(1), uint32(0))                       // default DNA at its MinThreshold, P=1, cache on
 	f.Add(int64(2), uint32(1|1<<12))                 // default protein at E=10
-	f.Add(int64(3), uint32(4|3<<3|2<<5|7<<7|3<<10))  // ⟨1,−1,−5,−2⟩ at its MinThreshold, K=4, P=0, no filters, no cache, HTTP
-	f.Add(int64(4), uint32(5|1<<3|1<<5|1<<12|2<<13)) // ⟨1,−3,−2,−2⟩ at E=1e-3, K=2, P=2
+	f.Add(int64(3), uint32(4|3<<3|2<<5|7<<7|3<<10))  // ⟨1,−1,−5,−2⟩ at its MinThreshold, P=0, no filters, no cache, HTTP
+	f.Add(int64(4), uint32(5|1<<3|1<<5|1<<12|2<<13)) // ⟨1,−3,−2,−2⟩ at E=1e-3, P=2
 	f.Fuzz(func(t *testing.T, seed int64, knobs uint32) {
 		c := genOracleCase(seed, knobs)
 		t.Log(c)
@@ -555,14 +652,14 @@ func TestStoreOracle(t *testing.T) {
 			mode = "E"
 		}
 		for _, d := range []string{
-			fmt.Sprint("scheme", c.scheme), "mode" + mode, fmt.Sprint("K", c.shards), fmt.Sprint("P", c.par),
+			fmt.Sprint("scheme", c.scheme), "mode" + mode, fmt.Sprint("P", c.par),
 			fmt.Sprint("filters", c.filters), fmt.Sprint("cache", c.cache), fmt.Sprint("http", c.http),
 			fmt.Sprint("ops", len(c.history) > 0), fmt.Sprint("many", len(c.members) > 1),
 		} {
 			seen[d] = true
 		}
 	}
-	want := 5 + 2 + 4 + 3 + 8 + 2*4 // oracleSchemes holds 5 distinct schemes
+	want := 5 + 2 + 3 + 8 + 2*4 // oracleSchemes holds 5 distinct schemes
 	if len(seen) < want {
 		t.Errorf("the sweep covered %d of %d dimension values: %v", len(seen), want, seen)
 	}

@@ -23,7 +23,7 @@ go build -o "$workdir/alae-serve" ./cmd/alae-serve
 
 echo "== generate data and build the store"
 "$workdir/alae-gen" -kind dna -n 100000 -m 600 -queries 2 -out "$workdir" >/dev/null
-"$workdir/alae" -text "$workdir/dna_text_100000.fa" -shards 2 \
+"$workdir/alae" -text "$workdir/dna_text_100000.fa" \
   -save-store "$workdir/db.alae" >/dev/null
 
 echo "== start the daemon"

@@ -43,7 +43,7 @@ hits() { # hits QUERY_FILE -> hit count for the one query in it
 }
 
 echo "== build the directory store"
-"$workdir/alae" -text "$workdir/base.fa" -shards 2 -save-store-dir "$workdir/db" >/dev/null
+"$workdir/alae" -text "$workdir/base.fa" -save-store-dir "$workdir/db" >/dev/null
 [ -f "$workdir/db/MANIFEST" ] || { echo "no MANIFEST in the store directory"; exit 1; }
 
 echo "== append a generation, tombstone a member"

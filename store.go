@@ -20,17 +20,17 @@ import (
 // separator-framed concatenation and serves searches by a shared-index
 // scatter-gather: the query's grams are resolved ONCE against each
 // generation's trie, the resolved fork families are dispatched across
-// K work lanes (workers pulling families from one work-stealing
-// cursor — see core.Session.SearchContext), every lane runs at the
-// threshold of the whole database, and the gather drains each
-// generation's collector table, in order, straight into the result —
-// rejecting hits ending on separator rows and hits inside tombstoned
-// members — with no intermediate per-lane hit slice and no sort. K is
-// therefore a parallelism knob, not a layout knob: CalculatedEntries
-// and the hit set are byte-identical for every K. On top sits a
-// result-level query cache: search results are immutable per store
-// state, so a repeated (query, options) pair against an unmutated
-// store is answered by one hash probe.
+// SearchOptions.Parallelism workers (pulling families from one
+// work-stealing cursor — see core.Session.SearchContext), every
+// generation runs at the threshold of the whole database, and the
+// gather drains each generation's collector table, in order, straight
+// into the result — rejecting hits ending on separator rows and hits
+// inside tombstoned members — with no intermediate per-generation hit
+// slice and no sort. The worker count only schedules the families:
+// CalculatedEntries and the hit set are byte-identical at every
+// Parallelism. On top sits a result-level query cache: search results
+// are immutable per store state, so a repeated (query, options) pair
+// against an unmutated store is answered by one hash probe.
 //
 // The store is MUTABLE: Append, Delete and Compact (storegen.go) give
 // it generational LSM-style incremental maintenance, with every search
@@ -51,11 +51,11 @@ type SeqTable = seq.Table
 
 // SeqHit is a hit mapped to a member sequence of a Store. The embedded
 // Hit carries global coordinates — TEnd is a position in the virtual
-// concatenation T1 # T2 # … # Tn of the LIVE members, comparable
-// across lane counts — while Member, Name and LocalTEnd give the
-// member-level view. Member indexes the live directory of the store
-// state the search ran against (see Store.Stamp): a mutation can
-// renumber members, so hits must not be held across mutations.
+// concatenation T1 # T2 # … # Tn of the LIVE members — while Member,
+// Name and LocalTEnd give the member-level view. Member indexes the
+// live directory of the store state the search ran against (see
+// Store.Stamp): a mutation can renumber members, so hits must not be
+// held across mutations.
 type SeqHit struct {
 	Hit
 	Member    int    // index of the member sequence, in live order
@@ -74,14 +74,10 @@ type StoreResult struct {
 
 // StoreOptions configures NewStore.
 type StoreOptions struct {
-	// Shards is K, the number of work lanes each search's resolved
-	// fork families are dispatched across per generation. It is a
-	// PARALLELISM knob, not a layout knob: the store always builds one
-	// monolithic index per generation, K workers share that index's
-	// resolved work at search time, and the hit set and CalculatedEntries are
-	// byte-identical for every K. 0 means 1; when K ≤ 1 the
-	// engine-level SearchOptions.Parallelism governs the fan-out
-	// instead (the pre-refactor default).
+	// Shards must be 0 or 1; the store constructors reject more.
+	//
+	// Deprecated: a search's fork-family fan-out is
+	// SearchOptions.Parallelism, its only knob.
 	Shards int
 	// QueryCacheSize is the byte budget of the result-level query
 	// cache, enforced at every insert. 0 means the default (64 MiB);
@@ -97,8 +93,8 @@ type StoreOptions struct {
 const defaultQueryCacheBytes = 64 << 20
 
 // Store is a multi-sequence serving layer above Index: one index per
-// generation, searched by K work lanes. Any number of concurrent
-// searches can run against it, interleaved with
+// generation, each searched by SearchOptions.Parallelism workers. Any
+// number of concurrent searches can run against it, interleaved with
 // mutations: searches read an immutable view swapped atomically by
 // Append/Delete/Compact, which serialise among themselves. See the
 // file comment for the search pipeline and storegen.go for the
@@ -113,14 +109,12 @@ type Store struct {
 	mutMu     sync.Mutex // serialises mutations and their persistence
 	dir       string     // backing directory; "" = memory-only
 	nextGenID uint64
-	k         int // K: work-stealing lanes per generation search
 }
 
 // NewStore builds one monolithic index over the records'
 // separator-framed concatenation as the store's first generation. The
 // records' sequences are copied into the generation text; the inputs
-// are not retained. opts.Shards only sets the search-time lane count —
-// see StoreOptions.
+// are not retained.
 func NewStore(records []SeqRecord, opts StoreOptions) (*Store, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("alae: NewStore needs at least one record")
@@ -135,6 +129,9 @@ func NewStore(records []SeqRecord, opts StoreOptions) (*Store, error) {
 // newStoreFromGens assembles a Store around a generation list — the
 // shared constructor behind NewStore, LoadStore and loadStoreDir.
 func newStoreFromGens(gens []*generation, stamp uint64, opts StoreOptions) (*Store, error) {
+	if opts.Shards > 1 {
+		return nil, fmt.Errorf("alae: StoreOptions.Shards is %d, but a store takes no fan-out of its own; set SearchOptions.Parallelism instead", opts.Shards)
+	}
 	v, err := buildView(gens, stamp)
 	if err != nil {
 		return nil, err
@@ -142,7 +139,6 @@ func newStoreFromGens(gens []*generation, stamp uint64, opts StoreOptions) (*Sto
 	st := &Store{
 		pools: make(map[string]*sync.Pool),
 		cache: newQueryCache(opts.QueryCacheSize),
-		k:     max(opts.Shards, 1),
 	}
 	for _, g := range gens {
 		if g.id >= st.nextGenID {
@@ -159,18 +155,12 @@ func newStoreFromGens(gens []*generation, stamp uint64, opts StoreOptions) (*Sto
 // store state; a mutation publishes a new one.
 func (st *Store) Sequences() *SeqTable { return st.currentView().seqs }
 
-// Shards returns K, the number of work lanes each search's resolved
-// fork families are dispatched across per generation (StoreOptions.
-// Shards, floor 1). A parallelism knob only: results are byte-
-// identical for every K, and the value is constant across mutations.
-func (st *Store) Shards() int { return st.k }
-
 // resolveThreshold derives the score threshold for a query of length m
 // exactly as a monolithic Index over the whole live concatenation
 // would (resolveThresholdOver with the view's TOTAL length and
-// alphabet). Neither the lane count nor generations may change
-// thresholds — that is what keeps the hit sets of every K and every
-// generation list byte-identical to the monolithic ones.
+// alphabet). Neither the worker count nor generations may change
+// thresholds — that is what keeps the hit sets of every Parallelism
+// and every generation list byte-identical to the monolithic ones.
 func (v *storeView) resolveThreshold(m int, opts SearchOptions, s Scheme) (int, error) {
 	return resolveThresholdOver(s, opts, m, v.seqs.TotalLen(), v.sigma)
 }

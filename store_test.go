@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -16,7 +17,7 @@ import (
 
 // Store acceptance tests: the member boundary, persistence, the query
 // cache and the gather's allocations. That every store surface returns
-// the exact hit set at any lane count is the differential harness's
+// the exact hit set at any Parallelism is the differential harness's
 // job (oracle_test.go).
 
 // storeWorkload builds a multi-member database whose queries are
@@ -101,7 +102,7 @@ func seqHitsEqual(a, b []SeqHit) bool {
 	return true
 }
 
-// TestStoreSingleRecordMatchesIndex pins the K=1 degenerate case: a
+// TestStoreSingleRecordMatchesIndex pins the one-member case: a
 // store over one record is the raw index — no separators, global
 // coordinates equal to text coordinates, identical hit set and work —
 // for every algorithm, the baselines' lanes included, through a fresh
@@ -222,7 +223,7 @@ func TestStoreRejectsSeparatorEndingHits(t *testing.T) {
 			len(want.Hits), len(free.Hits), onSeparator, bridging)
 	}
 
-	st, err := NewStore([]SeqRecord{{Name: "a", Seq: a}, {Name: "b", Seq: b}}, StoreOptions{Shards: 1})
+	st, err := NewStore([]SeqRecord{{Name: "a", Seq: a}, {Name: "b", Seq: b}}, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestStoreRejectsSeparatorEndingHits(t *testing.T) {
 // happened to FOLLOW it in its generation — so per-member hit sets
 // depended on Append grouping. With the separator a hard reset in the
 // band kernels, every layout of the same logical store must return the
-// same hits, whatever the generation grouping or lane count K.
+// same hits, whatever the generation grouping or Parallelism.
 func TestStoreNoCrossMemberBridging(t *testing.T) {
 	rng := rand.New(rand.NewSource(715))
 	letters := seq.DNA.Letters()
@@ -287,12 +288,12 @@ func TestStoreNoCrossMemberBridging(t *testing.T) {
 		t.Fatal("workload failed to bridge on a barrier-free index; the regression test is vacuous")
 	}
 
-	// The same logical store in four layouts: one generation at K=1 and
-	// K=2, and two multi-generation groupings that historically changed
-	// which member the self-match bled into.
+	// The same logical store in four layouts: one generation searched at
+	// Parallelism 1 and 2, and two multi-generation groupings that
+	// historically changed which member the self-match bled into.
 	var results []*StoreResult
 	var layouts []string
-	build := func(name string, groups [][]int, k int) {
+	build := func(name string, groups [][]int, par int) {
 		recsOf := func(grp []int) []SeqRecord {
 			recs := make([]SeqRecord, len(grp))
 			for i, m := range grp {
@@ -300,7 +301,7 @@ func TestStoreNoCrossMemberBridging(t *testing.T) {
 			}
 			return recs
 		}
-		st, err := NewStore(recsOf(groups[0]), StoreOptions{Shards: k})
+		st, err := NewStore(recsOf(groups[0]), StoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,15 +310,15 @@ func TestStoreNoCrossMemberBridging(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := st.Search(query, opts)
+		res, err := st.Search(query, SearchOptions{Threshold: opts.Threshold, Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
 		results = append(results, res)
 		layouts = append(layouts, name)
 	}
-	build("one-gen-k1", [][]int{{0, 1, 2, 3}}, 1)
-	build("one-gen-k2", [][]int{{0, 1, 2, 3}}, 2)
+	build("one-gen-p1", [][]int{{0, 1, 2, 3}}, 1)
+	build("one-gen-p2", [][]int{{0, 1, 2, 3}}, 2)
 	build("m1-with-m2", [][]int{{0}, {1, 2}, {3}}, 1)
 	build("m1-ends-gen", [][]int{{0, 1}, {2, 3}}, 1)
 
@@ -337,12 +338,12 @@ func TestStoreNoCrossMemberBridging(t *testing.T) {
 	}
 }
 
-// TestStoreManifestRoundTrip saves and reloads a sharded store and
-// checks the partition, directory and answers survive; corrupt files
+// TestStoreManifestRoundTrip saves and reloads a multi-member store
+// and checks the directory and answers survive; corrupt files
 // are rejected with a message, not a panic.
 func TestStoreManifestRoundTrip(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 5, 2000, 250, 712)
-	st, err := NewStore(wl.records, StoreOptions{Shards: 3})
+	st, err := NewStore(wl.records, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,11 +356,6 @@ func TestStoreManifestRoundTrip(t *testing.T) {
 	loaded, err := LoadStore(bytes.NewReader(saved), StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	// K is a runtime parallelism knob, never persisted: a load without
-	// StoreOptions.Shards serves at K=1 whatever the saver used.
-	if loaded.Shards() != 1 {
-		t.Fatalf("loaded %d lanes, want default 1", loaded.Shards())
 	}
 	if loaded.Sequences().Len() != st.Sequences().Len() {
 		t.Fatalf("loaded %d members, saved %d", loaded.Sequences().Len(), st.Sequences().Len())
@@ -433,7 +429,7 @@ func TestStoreQueryCache(t *testing.T) {
 	query := wl.queries[0]
 
 	t.Run("repeat-hits", func(t *testing.T) {
-		st, err := NewStore(wl.records, StoreOptions{Shards: 2})
+		st, err := NewStore(wl.records, StoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -472,7 +468,7 @@ func TestStoreQueryCache(t *testing.T) {
 	})
 
 	t.Run("disabled", func(t *testing.T) {
-		st, err := NewStore(wl.records, StoreOptions{Shards: 2, QueryCacheSize: -1})
+		st, err := NewStore(wl.records, StoreOptions{QueryCacheSize: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,7 +487,7 @@ func TestStoreQueryCache(t *testing.T) {
 	})
 
 	t.Run("eviction", func(t *testing.T) {
-		ref, err := NewStore(wl.records, StoreOptions{Shards: 2, QueryCacheSize: -1})
+		ref, err := NewStore(wl.records, StoreOptions{QueryCacheSize: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -511,7 +507,7 @@ func TestStoreQueryCache(t *testing.T) {
 			total, largest = total+size, max(largest, size)
 		}
 		budget := max(total/2, largest)
-		st, err := NewStore(wl.records, StoreOptions{Shards: 2, QueryCacheSize: int(budget)})
+		st, err := NewStore(wl.records, StoreOptions{QueryCacheSize: int(budget)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -595,7 +591,7 @@ func TestQueryCacheByteBudget(t *testing.T) {
 // result must equal the uncached reference.
 func TestStoreQueryCacheConcurrent(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 4, 1500, 200, 714)
-	ref, err := NewStore(wl.records, StoreOptions{Shards: 2, QueryCacheSize: -1})
+	ref, err := NewStore(wl.records, StoreOptions{QueryCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +605,7 @@ func TestStoreQueryCacheConcurrent(t *testing.T) {
 		wants[qi] = res.Hits
 		budget = max(budget, 2*entrySize(cacheKey(ref.Stamp(), optionsFingerprint(SearchOptions{}), q), res))
 	}
-	st, err := NewStore(wl.records, StoreOptions{Shards: 2, QueryCacheSize: int(budget)})
+	st, err := NewStore(wl.records, StoreOptions{QueryCacheSize: int(budget)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +641,7 @@ func TestStoreQueryCacheConcurrent(t *testing.T) {
 // failing query index is reported deterministically.
 func TestStoreSearchAll(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 4, 1500, 200, 715)
-	st, err := NewStore(wl.records, StoreOptions{Shards: 2})
+	st, err := NewStore(wl.records, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,50 +678,65 @@ func TestStoreSearchAll(t *testing.T) {
 	}
 }
 
-// TestStoreLaneKnob pins the post-refactor K semantics: Shards is a
-// parallelism knob over one monolithic index per generation, so it is
-// NOT clamped to the record count (K lanes of family slices exist for
-// any record count), it is constant across mutations, and a K far
-// above the workload's family count still answers correctly.
-func TestStoreLaneKnob(t *testing.T) {
+// TestStoreShardsOption pins what is left of StoreOptions.Shards: 0
+// and 1 are accepted and 2 is rejected, naming the one fan-out knob, by
+// every constructor — NewStore, LoadStore and LoadStoreFile on a file
+// and on a directory. And that knob, SearchOptions.Parallelism, far
+// above a tiny store's family count answers exactly like 1.
+func TestStoreShardsOption(t *testing.T) {
 	if _, err := NewStore(nil, StoreOptions{}); err == nil {
 		t.Fatal("NewStore accepted zero records")
 	}
 	seqBytes := []byte("ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT")
-	st, err := NewStore([]SeqRecord{{Name: "a", Seq: seqBytes}}, StoreOptions{Shards: 7})
+	st, err := NewStore([]SeqRecord{{Name: "a", Seq: seqBytes}}, StoreOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st.Shards() != 7 {
-		t.Fatalf("Shards() = %d, want the lane knob 7 (no record-count clamp)", st.Shards())
 	}
 	if err := st.Append([]SeqRecord{{Name: "b", Seq: seqBytes}}); err != nil {
 		t.Fatal(err)
 	}
-	if st.Shards() != 7 {
-		t.Fatalf("Shards() changed across a mutation: %d", st.Shards())
-	}
-	ref, err := NewStore([]SeqRecord{{Name: "a", Seq: seqBytes}}, StoreOptions{Shards: 1})
-	if err != nil {
+	var buf bytes.Buffer
+	if err := st.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Append([]SeqRecord{{Name: "b", Seq: seqBytes}}); err != nil {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "store.alae")
+	if err := st.SaveFile(file); err != nil {
 		t.Fatal(err)
 	}
+	if err := st.SaveDir(filepath.Join(dir, "db")); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func(StoreOptions) (*Store, error){
+		"NewStore":          func(o StoreOptions) (*Store, error) { return NewStore([]SeqRecord{{Name: "a", Seq: seqBytes}}, o) },
+		"LoadStore":         func(o StoreOptions) (*Store, error) { return LoadStore(bytes.NewReader(buf.Bytes()), o) },
+		"LoadStoreFile":     func(o StoreOptions) (*Store, error) { return LoadStoreFile(file, o) },
+		"LoadStoreFile/dir": func(o StoreOptions) (*Store, error) { return LoadStoreFile(filepath.Join(dir, "db"), o) },
+	} {
+		for _, shards := range []int{0, 1} {
+			if _, err := open(StoreOptions{Shards: shards}); err != nil {
+				t.Fatalf("%s rejected Shards %d: %v", name, shards, err)
+			}
+		}
+		if _, err := open(StoreOptions{Shards: 2}); err == nil || !strings.Contains(err.Error(), "SearchOptions.Parallelism") {
+			t.Fatalf("%s with Shards 2: err = %v, want a rejection naming SearchOptions.Parallelism", name, err)
+		}
+	}
+
 	query := seqBytes[:24]
-	got, err := st.Search(query, SearchOptions{})
+	got, err := st.Search(query, SearchOptions{Parallelism: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Search(query, SearchOptions{})
+	want, err := st.Search(query, SearchOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !seqHitsEqual(got.Hits, want.Hits) {
-		t.Fatalf("K=7 hits diverge from K=1 (%d vs %d)", len(got.Hits), len(want.Hits))
+		t.Fatalf("Parallelism 7 hits diverge from 1 (%d vs %d)", len(got.Hits), len(want.Hits))
 	}
 	if got.Stats.CalculatedEntries != want.Stats.CalculatedEntries {
-		t.Fatalf("K=7 entries %d, K=1 entries %d", got.Stats.CalculatedEntries, want.Stats.CalculatedEntries)
+		t.Fatalf("Parallelism 7 entries %d, 1 entries %d", got.Stats.CalculatedEntries, want.Stats.CalculatedEntries)
 	}
 }
 
@@ -838,8 +849,8 @@ func TestStoreSearchAllStopsAfterError(t *testing.T) {
 // context list and wait group, and every work-stealing lane its context
 // and goroutine closure; the lane workspaces, collector shards and the
 // stealing cursor are session-owned and allocate nothing once warm.
-// So the lane count is pinned — Shards and Parallelism explicit, never
-// the NumCPU default, which made this gate machine-dependent — and the
+// So the lane count is pinned — Parallelism explicit, never the NumCPU
+// default, which made this gate machine-dependent — and the
 // budget is stated per lane. The one hit slice stays one when the
 // gather rejects a tombstoned member's few hits; it is copied down to
 // size only when the slack would pass an eighth of the hits kept.
@@ -850,11 +861,11 @@ func TestStoreGatherAllocBound(t *testing.T) {
 	// itself. Tombstoned, it makes the gather reject a few hits of many.
 	records := append(wl.records, SeqRecord{Name: "sliver", Seq: query[100:180]})
 	for _, lanes := range []int{1, 2} {
-		st, err := NewStore(records, StoreOptions{Shards: lanes, QueryCacheSize: -1})
+		st, err := NewStore(records, StoreOptions{QueryCacheSize: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss := openStoreSession(t, st, SearchOptions{Threshold: 60, Parallelism: 1})
+		ss := openStoreSession(t, st, SearchOptions{Threshold: 60, Parallelism: lanes})
 		search := func() *StoreResult {
 			res, err := searchSession(context.Background(), ss, query)
 			if err != nil {

@@ -81,7 +81,7 @@ func copyDirBytes(t *testing.T, src, parent, name string) string {
 func TestStoreCrashMatrix(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 6, 800, 120, 920)
 	dir := filepath.Join(t.TempDir(), "db")
-	st, err := NewStore(wl.records[:4], StoreOptions{Shards: 2})
+	st, err := NewStore(wl.records[:4], StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

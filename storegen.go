@@ -20,8 +20,8 @@ import (
 // not — records arrive and retire continuously while a daemon keeps
 // the store resident for days. So a Store is now an ordered list of
 // immutable GENERATIONS, each a cohort of members with ONE monolithic
-// index over its concatenation (shards are work partitions of that
-// index at search time, not separate texts — see storesession.go):
+// index over its concatenation (a search's workers share out that
+// index's resolved work, not separate texts — see storesession.go):
 //
 //   - Append builds a small fresh generation over just the new records
 //     (fast — a few MB of index, not the whole database) and adds it
@@ -29,17 +29,18 @@ import (
 //   - Delete flips tombstone bits. The dead member's bytes stay in its
 //     generation's index, but the gather drops its hits, SampleQuery
 //     skips it, and the live directory (Sequences) no longer lists it.
-//   - Compact merges tombstone-carrying and small generations into one
-//     rebuilt generation LSM-style, purging dead members' bytes.
+//   - Compact merges each run of adjacent tombstone-carrying and small
+//     generations into one rebuilt generation LSM-style, purging dead
+//     members' bytes.
 //
 // Searches see an immutable VIEW (generation list + tombstones + the
 // live directory) swapped atomically by each mutation, so readers are
 // never torn across a mutation, and the threshold of every search is
 // still derived once from the WHOLE logical store's (n, σ) — the live
-// concatenation's — exactly as the sharding layer pins it (PR 5's
-// invariant, extended across generations). Each view carries a
-// mutation stamp; the query cache keys on it, so a mutation strands
-// exactly the stale entries instead of returning pre-mutation answers.
+// concatenation's — exactly as a monolithic index over it would. Each
+// view carries a mutation stamp; the query cache keys on it, so a
+// mutation strands exactly the stale entries instead of returning
+// pre-mutation answers.
 //
 // Durability: a directory-backed store (LoadStoreFile on a directory,
 // or SaveDir) publishes every mutation as temp-write + fsync + atomic
@@ -120,11 +121,11 @@ func (g *generation) memberBytes(m int) []byte {
 }
 
 // buildGeneration builds ONE index over the records' separator-framed
-// concatenation. There is deliberately no shard count here any more:
-// shards are work partitions of this one index at search time
-// (work-stealing lanes, storesession.go), so the on-disk and in-memory
-// layout is always the monolithic one the paper's §2.2 model assumes,
-// whatever parallelism later searches pick.
+// concatenation. There is deliberately no partition count here: a
+// search's workers share out this one index's resolved work
+// (storesession.go), so the on-disk and in-memory layout is always the
+// monolithic one the paper's §2.2 model assumes, whatever parallelism
+// later searches pick.
 func buildGeneration(id uint64, records []SeqRecord) *generation {
 	masks := make([]byteMask, len(records))
 	recs := make([]seq.Record, len(records))
@@ -337,89 +338,73 @@ type CompactStats struct {
 	PurgedBytes   int // their summed sequence length
 }
 
-// Compact merges generations LSM-style and purges tombstones: every
-// generation carrying tombstones is rewritten (that is the only way to
-// drop a dead member's bytes), small generations — under half the
-// largest generation's live bytes — fold into the merge so appends do
-// not accumulate an unbounded tail of tiny indexes, and when more than
-// four generations exist everything but the largest is folded. Clean
-// big generations are left alone. The merged generation keeps the live
-// members in their current order, so the logical concatenation — and
-// with it every global coordinate and the search threshold — is
-// unchanged by compaction. A pass with nothing to do is a no-op that
-// does not bump the mutation stamp. On a directory-backed store the
-// pass is crash-safe: merged generation file, then manifest commit,
-// then a best-effort sweep of the superseded files.
+// Compact merges generations LSM-style and purges tombstones. The
+// victims are every generation carrying tombstones (rewriting it is
+// the only way to drop a dead member's bytes), small generations —
+// under half the largest generation's live bytes — so appends do not
+// accumulate an unbounded tail of tiny indexes, and, when more than
+// four generations exist, everything but the largest. Each maximal run
+// of adjacent victims merges into one generation in the run's own
+// place, so the live members keep their order — and with it every
+// global coordinate and the search threshold. A run of one clean
+// generation has nothing to rewrite and is left alone, as are clean
+// big generations; past four generations, at most three remain. A pass
+// with nothing to do is a no-op that does not bump the mutation stamp.
+// On a directory-backed store the pass is crash-safe: merged
+// generation files, then manifest commit, then a best-effort sweep of
+// the superseded files.
 func (st *Store) Compact() (CompactStats, error) {
 	st.mutMu.Lock()
 	defer st.mutMu.Unlock()
 	cur := st.currentView()
 	cs := CompactStats{Before: len(cur.gens), After: len(cur.gens)}
-	victims := compactionVictims(cur.gens)
-	if len(victims) == 0 {
+	runs := compactionRuns(cur.gens)
+	if len(runs) == 0 {
 		return cs, nil
 	}
-	isVictim := make(map[int]bool, len(victims))
-	for _, gi := range victims {
-		isVictim[gi] = true
-	}
-	var recs []SeqRecord
-	for _, gi := range victims {
-		g := cur.gens[gi]
-		for m := 0; m < g.tab.Len(); m++ {
-			if g.isDead(m) {
-				cs.PurgedMembers++
-				cs.PurgedBytes += g.tab.SeqLen(m)
-				continue
+	var gens, merged []*generation
+	kept := 0 // cur.gens[kept:] are not yet placed
+	for _, run := range runs {
+		gens = append(gens, cur.gens[kept:run[0]]...)
+		var recs []SeqRecord
+		for _, g := range cur.gens[run[0]:run[1]] {
+			for m := 0; m < g.tab.Len(); m++ {
+				if g.isDead(m) {
+					cs.PurgedMembers++
+					cs.PurgedBytes += g.tab.SeqLen(m)
+					continue
+				}
+				recs = append(recs, SeqRecord{Name: g.tab.Name(m), Seq: g.memberBytes(m)})
 			}
-			recs = append(recs, SeqRecord{Name: g.tab.Name(m), Seq: g.memberBytes(m)})
 		}
-	}
-	var merged *generation
-	if len(recs) > 0 {
-		merged = buildGeneration(st.nextGenID, recs)
-	}
-	// The merged generation takes the first victim's position, so the
-	// surviving live order is exactly the pre-compaction live order.
-	gens := make([]*generation, 0, len(cur.gens)-len(victims)+1)
-	for gi, g := range cur.gens {
-		if isVictim[gi] {
-			if gi == victims[0] && merged != nil {
-				gens = append(gens, merged)
-			}
-			continue
+		if len(recs) > 0 {
+			g := buildGeneration(st.nextGenID+uint64(len(merged)), recs)
+			gens, merged = append(gens, g), append(merged, g)
 		}
-		gens = append(gens, g)
+		kept = run[1]
 	}
+	gens = append(gens, cur.gens[kept:]...)
 	next, err := buildView(gens, cur.stamp+1)
 	if err != nil {
 		return cs, err
 	}
-	var write []*generation
-	if merged != nil {
-		write = append(write, merged)
-	}
-	if err := st.persistMutation(next, write); err != nil {
+	if err := st.persistMutation(next, merged); err != nil {
 		return cs, err
 	}
-	if merged != nil {
-		st.nextGenID++
-	}
+	st.nextGenID += uint64(len(merged))
 	st.view.Store(next)
 	cs.After = len(gens)
 	return cs, nil
 }
 
-// compactionVictims picks which generations a compaction pass merges.
+// compactionRuns picks which generations a compaction pass merges, as
+// half-open index ranges [lo, hi) of adjacent victims, in order.
 // Tombstone carriers are always victims; generations under half the
 // largest generation's live bytes fold in alongside; and past four
 // generations everything but the largest folds, bounding the scatter
-// fan-out a long append history can build up. A single clean victim
-// with nothing to purge is no work at all, so it is left alone.
-func compactionVictims(gens []*generation) []int {
-	if len(gens) == 0 {
-		return nil
-	}
+// fan-out a long append history can build up. A run of one clean
+// victim with nothing to purge is no work at all, so it is left out.
+func compactionRuns(gens []*generation) [][2]int {
 	maxLive, biggest := -1, 0
 	for gi, g := range gens {
 		if lb := g.liveBytes(); lb > maxLive {
@@ -427,18 +412,26 @@ func compactionVictims(gens []*generation) []int {
 		}
 	}
 	foldAll := len(gens) > 4
-	var victims []int
-	tomb := false
-	for gi, g := range gens {
-		if g.ndead > 0 || 2*g.liveBytes() < maxLive || (foldAll && gi != biggest) {
-			victims = append(victims, gi)
-			tomb = tomb || g.ndead > 0
+	victim := func(gi int) bool {
+		g := gens[gi]
+		return g.ndead > 0 || 2*g.liveBytes() < maxLive || (foldAll && gi != biggest)
+	}
+	var runs [][2]int
+	for lo := 0; lo < len(gens); {
+		if !victim(lo) {
+			lo++
+			continue
 		}
+		hi := lo + 1
+		for hi < len(gens) && victim(hi) {
+			hi++
+		}
+		if hi-lo > 1 || gens[lo].ndead > 0 {
+			runs = append(runs, [2]int{lo, hi})
+		}
+		lo = hi
 	}
-	if !tomb && len(victims) < 2 {
-		return nil
-	}
-	return victims
+	return runs
 }
 
 // ---------------------------------------------------------------------

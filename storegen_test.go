@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -88,14 +89,14 @@ func TestStoreGenerationalParity(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			wl := buildStoreWorkload(seq.DNA, 7, 1200, 150, 914)
-			st, live := mutatedStore(t, wl, StoreOptions{Shards: 2})
+			st, live := mutatedStore(t, wl, StoreOptions{})
 			if g := st.Generations(); g != 3 {
 				t.Fatalf("Generations() = %d, want 3", g)
 			}
 			if n := st.Tombstones(); n != 2 {
 				t.Fatalf("Tombstones() = %d, want 2", n)
 			}
-			fresh, err := NewStore(live, StoreOptions{Shards: 1})
+			fresh, err := NewStore(live, StoreOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,7 +284,7 @@ func TestStoreMutationInvalidatesCache(t *testing.T) {
 // included.
 func TestStoreMutatedRoundTrip(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 7, 1500, 200, 917)
-	st, _ := mutatedStore(t, wl, StoreOptions{Shards: 2})
+	st, _ := mutatedStore(t, wl, StoreOptions{})
 	want := storeHits(t, st, wl.queries, SearchOptions{})
 
 	var buf bytes.Buffer
@@ -344,7 +345,7 @@ func TestStoreMutatedRoundTrip(t *testing.T) {
 // that were live in SOME published view).
 func TestStoreMutateWhileSearching(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 6, 1200, 200, 918)
-	st, err := NewStore(wl.records[:4], StoreOptions{Shards: 2, QueryCacheSize: 256 << 10})
+	st, err := NewStore(wl.records[:4], StoreOptions{QueryCacheSize: 256 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,16 +392,16 @@ func TestStoreMutateWhileSearching(t *testing.T) {
 }
 
 // TestStoreMutateWhileSearchAll races SearchAll batches — whose every
-// query scatters over the shared index through the family-slice lane
-// dispatch (Shards > 1) — against the full mutation lifecycle. The
+// query's fork families are pulled by several workers over the shared
+// index (Parallelism 3) — against the full mutation lifecycle. The
 // batch contract under mutation: each result is a complete answer from
 // SOME published view (no errors, no torn hybrids, hits in strict
 // (TEnd, QEnd) order whatever generations and tombstones that view
-// held), and the lane dispatch never trips the race detector against
+// held), and the worker dispatch never trips the race detector against
 // Append/Delete/Compact republishing the view underneath it.
 func TestStoreMutateWhileSearchAll(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 6, 1200, 200, 921)
-	st, err := NewStore(wl.records[:4], StoreOptions{Shards: 3, QueryCacheSize: 256 << 10})
+	st, err := NewStore(wl.records[:4], StoreOptions{QueryCacheSize: 256 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +421,7 @@ func TestStoreMutateWhileSearchAll(t *testing.T) {
 					return
 				default:
 				}
-				results, err := st.SearchAll(batch, SearchOptions{}, 2)
+				results, err := st.SearchAll(batch, SearchOptions{Parallelism: 3}, 2)
 				if err != nil {
 					t.Errorf("worker %d batch %d: %v", w, i, err)
 					return
@@ -484,6 +485,62 @@ func TestStoreCompactionFoldsTail(t *testing.T) {
 	}
 	if !storeResultsEqual(storeHits(t, st, wl.queries, SearchOptions{}), want) {
 		t.Fatal("tail-folding compaction changed answers")
+	}
+}
+
+// TestCompactKeepsMemberOrder: compaction merges each run of adjacent
+// victims in the run's own place, so the live order — and with it every
+// global coordinate — survives a pass. The probe is a small member, a
+// big appended one, then a small appended one: both small generations
+// are victims with the clean big one between them, and merging the
+// victims into the first one's place read [s0 s2 big].
+func TestCompactKeepsMemberOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(922))
+	dna := func(n int) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = "ACGT"[rng.Intn(4)]
+		}
+		return out
+	}
+	s0, big, s2 := SeqRecord{"s0", dna(160)}, SeqRecord{"big", dna(3200)}, SeqRecord{"s2", dna(160)}
+	st, err := NewStore([]SeqRecord{s0}, StoreOptions{QueryCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []SeqRecord{big, s2} {
+		if err := st.Append([]SeqRecord{r}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A query with a stretch of every member, so a member that moves
+	// moves hits.
+	query := slices.Concat(s0.Seq[40:120], big.Seq[1000:1080], s2.Seq[40:120])
+	opts := SearchOptions{Threshold: 40, Parallelism: 1}
+	before, err := st.Search(query, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before.Hits) == 0 {
+		t.Fatal("the probe query hits nothing; the test is vacuous")
+	}
+	if _, err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	order := make([]string, st.Sequences().Len())
+	for m := range order {
+		order[m] = st.Sequences().Name(m)
+	}
+	if want := []string{"s0", "big", "s2"}; !slices.Equal(order, want) {
+		t.Fatalf("compaction reordered the live members: %v, want %v", order, want)
+	}
+	after, err := st.Search(query, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Threshold != before.Threshold || !seqHitsEqual(after.Hits, before.Hits) {
+		t.Fatalf("compaction changed the answer: %d hits at H=%d, %d at H=%d before",
+			len(after.Hits), after.Threshold, len(before.Hits), before.Threshold)
 	}
 }
 

@@ -291,9 +291,7 @@ func LoadStoreFile(path string, opts StoreOptions) (*Store, error) {
 }
 
 // LoadStore reads a store written by Save (format version 5). The
-// generation list comes from the manifest; opts.Shards sets only the
-// loaded store's search-time lane count (it is a parallelism knob —
-// see StoreOptions — and is never persisted), while opts.QueryCacheSize
+// generation list comes from the manifest; opts.QueryCacheSize
 // configures the (runtime-only, never persisted) query cache.
 func LoadStore(r io.Reader, opts StoreOptions) (*Store, error) {
 	return loadStore(r, -1, opts)

@@ -29,10 +29,11 @@ func validateStoreQuery(query []byte) error {
 // configuration: the store view it is bound to, one lane per generation
 // of that view (lanes[k] searches gens[k]'s index), and the scatter's
 // per-lane scratch. Store keeps warm sessions in per-options pools. The
-// K-way parallelism WITHIN a lane comes from the work-stealing family
+// parallelism WITHIN a lane comes from the work-stealing family
 // dispatcher (core.Session.SearchContext), not from more lanes: the
-// query's grams are resolved once per generation, and K workers pull the
-// resolved families. A storeSession is NOT safe for concurrent use.
+// query's grams are resolved once per generation, and
+// SearchOptions.Parallelism workers pull the resolved families. A
+// storeSession is NOT safe for concurrent use.
 type storeSession struct {
 	st    *Store
 	opts  SearchOptions
@@ -72,17 +73,6 @@ func (ss *storeSession) syncView() {
 	ss.lanes, ss.view = lanes, v
 	ss.stats = make([]Stats, len(lanes))
 	ss.errs = make([]error, len(lanes))
-}
-
-// laneWorkers is the fork-family fan-out each generation search runs
-// at: the store's K when set above 1, else the engine-level
-// SearchOptions.Parallelism (which keeps the pre-refactor behaviour
-// for unsharded stores, including its 0 = NumCPU default).
-func (ss *storeSession) laneWorkers() int {
-	if k := ss.st.k; k > 1 {
-		return k
-	}
-	return ss.opts.Parallelism
 }
 
 // laneGather maps one generation lane's hits, which arrive in the
@@ -144,18 +134,18 @@ func (ga *laneGather) append(hits []SeqHit, tEnd, qEnd, score int) []SeqHit {
 // bound view. The threshold is resolved once against the WHOLE live
 // store (length and alphabet of the live virtual concatenation); each
 // generation's lane resolves the query's grams ONCE against its
-// monolithic index and dispatches the resolved fork families across K
-// work-stealing workers at that same H; and the gather drains every
-// lane's table, in order, straight into the result — dropping hits that
-// end on separator rows, inside tombstoned members, or whose score
-// proves the alignment crossed in from another member (laneGather) —
-// which comes out in global (TEnd, QEnd) order with nothing sorted.
-// Results are identical to a monolithic index over the live
-// concatenation, hit for hit and entry for entry, for EVERY K — K only
-// partitions the resolved work, never the text — except for alignments
-// that would cross a generation boundary's separator (the separator
-// scores as a mismatch in the monolithic text; it does not exist
-// between generations).
+// monolithic index and dispatches the resolved fork families across
+// SearchOptions.Parallelism work-stealing workers at that same H; and
+// the gather drains every lane's table, in order, straight into the
+// result — dropping hits that end on separator rows, inside tombstoned
+// members, or whose score proves the alignment crossed in from another
+// member (laneGather) — which comes out in global (TEnd, QEnd) order
+// with nothing sorted. Results are identical to a monolithic index over
+// the live concatenation, hit for hit and entry for entry, at EVERY
+// Parallelism — the workers only share out the resolved work, never the
+// text — except for alignments that would cross a generation
+// boundary's separator (the separator scores as a mismatch in the
+// monolithic text; it does not exist between generations).
 //
 // Every lane shares the context, so a cancellation aborts them all and
 // the context's own error is returned, never a per-lane wrapping; the
@@ -174,7 +164,7 @@ func (ss *storeSession) search(cx context.Context, query []byte) (*StoreResult, 
 	// Scatter: every generation lane at the same pinned threshold, in
 	// parallel when there is more than one generation. Each lane leaves
 	// its hits resident in its table.
-	workers := ss.laneWorkers()
+	workers := ss.opts.Parallelism
 	if len(ss.lanes) == 1 {
 		ss.stats[0], ss.errs[0] = ss.lanes[0].search(cx, query, h, workers)
 	} else {
