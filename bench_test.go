@@ -438,6 +438,40 @@ func BenchmarkRankDNA(b *testing.B) {
 	b.Run("packed-store", func(b *testing.B) { benchRank(b, bwt.New(store)) })
 }
 
+// BenchmarkLFStepDNA times the LF step — the code at a row and that
+// code's rank, one rank-core visit on the packed layout — walking one
+// chain of dependent steps through 200 kb of random DNA, as a locate
+// or a width-one trie descent does, on one member and cut into 64
+// (whose separator rows the packed core lists).
+func BenchmarkLFStepDNA(b *testing.B) {
+	text := make([]byte, 200_000)
+	rng := rand.New(rand.NewSource(5))
+	for i := range text {
+		text[i] = "ACGT"[rng.Intn(4)]
+	}
+	store := append([]byte(nil), text...)
+	for i := len(store) / 64; i < len(store); i += len(store) / 64 {
+		store[i] = seq.Separator
+	}
+	for _, tc := range []struct {
+		name string
+		text []byte
+	}{{"packed", text}, {"packed-store", store}} {
+		fm := bwt.New(tc.text)
+		b.Run(tc.name, func(b *testing.B) {
+			row, sink := 1, 0
+			for i := 0; i < b.N; i++ {
+				code, next, ok := fm.LFStep(row)
+				if !ok {
+					next = 1
+				}
+				row, sink = next, sink+code
+			}
+			_ = sink
+		})
+	}
+}
+
 // BenchmarkRankProtein exercises the σ=20 byte fallback (its
 // checkpoint scan is a single pass since the packed-rank change).
 func BenchmarkRankProtein(b *testing.B) {

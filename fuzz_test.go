@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -67,6 +68,30 @@ func wideSampleDNA() []byte {
 	return randDNA(200, rand.New(rand.NewSource(7)))
 }
 
+// twoSuperblockRecords returns four DNA members of 8 400 bases: a
+// store text of 33 603 characters, whose rank directory spans two
+// superblocks of 2¹⁵ rows and whose packed core lists three separator
+// rows.
+func twoSuperblockRecords() []SeqRecord {
+	rng := rand.New(rand.NewSource(11))
+	recs := make([]SeqRecord, 4)
+	for i := range recs {
+		recs[i] = SeqRecord{Name: fmt.Sprintf("s%d", i), Seq: randDNA(8400, rng)}
+	}
+	return recs
+}
+
+// indexTail returns how many bytes end data, a store file or index
+// payload whose last generation's index is ix, that hold ix's FM-index:
+// its rank core, samples and bitmap, behind the text.
+func indexTail(t testing.TB, ix *Index) int {
+	n, err := ix.trie.Index().WriteTo(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(n)
+}
+
 // addFlips seeds data with one bit flipped in each of its bytes from
 // from on, so that the sweep covers the rank core's blocks.
 func addFlips(f *testing.F, data []byte, from int) {
@@ -77,28 +102,57 @@ func addFlips(f *testing.F, data []byte, from int) {
 	}
 }
 
+// sparseFlips returns copies of data with one bit flipped in each,
+// every flipStride-th bit from byte from on: a sweep whose seed count
+// stays bounded on a payload too large to flip byte by byte. The
+// stride is prime, so the flipped bit walks through every position of
+// a word.
+func sparseFlips(data []byte, from int) [][]byte {
+	const flipStride = 499
+	var out [][]byte
+	for bit := 8 * from; bit < 8*len(data); bit += flipStride {
+		flipped := append([]byte(nil), data...)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		out = append(out, flipped)
+	}
+	return out
+}
+
 // FuzzLoad drives the index-payload decoder a store's load runs per
 // generation: it must reject arbitrary bytes cleanly (no panic, no
 // runaway allocation) and accept the encoder's output. Its seeds are a
 // one-text DNA payload, a multi-member DNA payload with separator rows,
 // a protein payload on planes and a one-text DNA payload whose samples
 // straddle words, each also with every byte flipped (the bit-packed
-// samples included), and payloads in the older index versions 2 and 3,
-// which must be rejected by name.
+// samples included), a multi-member DNA payload whose rank directory
+// spans two superblocks, with a sparse sweep of flips through its
+// FM-index, and payloads in the older index versions 2 to 4, which
+// must be rejected by name.
 func FuzzLoad(f *testing.F) {
 	ixs := []*Index{NewIndex([]byte("ACGTACGTACGTACGT"))}
 	for _, st := range fuzzStores(f) {
 		ixs = append(ixs, st.currentView().gens[0].ix)
 	}
 	ixs = append(ixs, NewIndex(wideSampleDNA()))
-	for _, ix := range ixs {
+	wide, err := NewStore(twoSuperblockRecords(), StoreOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ixs = append(ixs, wide.currentView().gens[0].ix)
+	for i, ix := range ixs {
 		var good bytes.Buffer
 		if err := encodeIndex(&good, ix); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(good.Bytes())
-		addFlips(f, good.Bytes(), 0)
-		for _, v := range []byte{2, 3} {
+		if i == len(ixs)-1 {
+			for _, flipped := range sparseFlips(good.Bytes(), good.Len()-indexTail(f, ix)) {
+				f.Add(flipped)
+			}
+		} else {
+			addFlips(f, good.Bytes(), 0)
+		}
+		for _, v := range []byte{2, 3, 4} {
 			old := append([]byte(nil), good.Bytes()...)
 			old[8+ix.Len()+4] = v // the index version, after the text
 			f.Add(old)
@@ -113,7 +167,7 @@ func FuzzLoad(f *testing.F) {
 		if n := uint64(len(data)); n >= 16 {
 			if at := binary.LittleEndian.Uint64(data) + 8; at <= n-8 &&
 				binary.LittleEndian.Uint32(data[at:]) == 0x414c4145 {
-				if v := binary.LittleEndian.Uint32(data[at+4:]); v != 4 &&
+				if v := binary.LittleEndian.Uint32(data[at+4:]); v != 5 &&
 					(err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v))) {
 					t.Fatalf("a version-%d index was not rejected by name: %v", v, err)
 				}
@@ -178,6 +232,20 @@ func FuzzLoadStore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(wideSamples.Bytes())
+	// A store whose rank directory spans two superblocks, with a sparse
+	// sweep of flips through its FM-index.
+	big, err := NewStore(twoSuperblockRecords(), StoreOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var twoSupers bytes.Buffer
+	if err := big.Save(&twoSupers); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(twoSupers.Bytes())
+	for _, flipped := range sparseFlips(twoSupers.Bytes(), twoSupers.Len()-indexTail(f, big.currentView().gens[0].ix)) {
+		f.Add(flipped)
+	}
 	// Truncations at awkward places: inside the magic, the manifest,
 	// the generation table, a payload.
 	for _, src := range []*bytes.Buffer{&good, &mutated, &protein, &wideSamples} {
@@ -189,9 +257,9 @@ func FuzzLoadStore(f *testing.F) {
 		// lengths, and every byte of the payloads' rank cores.
 		addFlips(f, src.Bytes(), 0)
 	}
-	// The retired format versions 1 to 4 in an otherwise valid file:
+	// The retired format versions 1 to 5 in an otherwise valid file:
 	// each must be rejected by name.
-	for _, v := range []byte{1, 2, 3, 4} {
+	for _, v := range []byte{1, 2, 3, 4, 5} {
 		legacy := append([]byte(nil), good.Bytes()...)
 		legacy[8] = v
 		f.Add(legacy)

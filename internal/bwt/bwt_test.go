@@ -186,18 +186,48 @@ func TestFMIndexProteinAlphabet(t *testing.T) {
 	}
 }
 
+// TestFMIndexSizeAccounting holds SizeBytes and PackedSizeBytes to the
+// layout: a packed block is 40 bytes (one word of four 16-bit counts,
+// 32 bytes of 2-bit symbols) and a packed superblock 16 (four uint32
+// counts); a plane block at σ = 20 is 120 bytes (five count words, 80
+// bytes of planes) and a plane superblock 80. Separator rows take 4
+// bytes each, the C array 4 per code plus one; the samples and their
+// bitmap are counted as held. PackedSizeBytes counts the BWT at
+// ⌈log2 σ⌉ bits per row and the rest, the directory included, as held.
 func TestFMIndexSizeAccounting(t *testing.T) {
-	text := bytes.Repeat([]byte("ACGT"), 4096)
-	fm := New(text)
-	if fm.SizeBytes() <= 0 || fm.PackedSizeBytes() <= 0 {
-		t.Fatal("sizes must be positive")
-	}
-	if fm.PackedSizeBytes() >= fm.SizeBytes() {
-		t.Errorf("packed size %d should be below raw size %d for DNA",
-			fm.PackedSizeBytes(), fm.SizeBytes())
-	}
-	if !strings.Contains(fm.String(), "FMIndex") {
-		t.Errorf("String() = %q", fm.String())
+	for _, tc := range []struct {
+		name                              string
+		text                              []byte
+		blockBytes, dataBytes, superBytes int
+		bitsPerRow                        int
+	}{
+		{"dna", bytes.Repeat([]byte("ACGT"), 4096), 40, 32, 16, 2},
+		{"dna-three-superblocks", randomText([]byte("ACGT"), 70000, 3), 40, 32, 16, 2},
+		{"dna-store", storeText(40, 100, 900, 4), 40, 32, 16, 3},
+		{"protein", randomText([]byte("ACDEFGHIKLMNPQRSTVWY"), 40000, 5), 120, 80, 80, 5},
+	} {
+		fm := New(tc.text)
+		rows := fm.Rows()
+		blocks, supers := rows/128+1, rows/(1<<15)+1
+		seps := 0
+		if fm.pk != nil {
+			seps = len(fm.pk.seps)
+		}
+		rest := 4*seps + 4*(fm.Sigma()+1) + 8*len(fm.samples) + fm.sampleMark.SizeBytes()
+		dir := blocks*(tc.blockBytes-tc.dataBytes) + supers*tc.superBytes
+		if got, want := fm.SizeBytes(), blocks*tc.dataBytes+dir+rest; got != want {
+			t.Errorf("%s: SizeBytes %d, the layout says %d", tc.name, got, want)
+		}
+		if got, want := fm.PackedSizeBytes(), (rows*tc.bitsPerRow+7)/8+dir+rest; got != want {
+			t.Errorf("%s: PackedSizeBytes %d, the layout says %d", tc.name, got, want)
+		}
+		if tc.bitsPerRow == 2 && fm.PackedSizeBytes() >= fm.SizeBytes() {
+			t.Errorf("%s: packed size %d should be below raw size %d for DNA",
+				tc.name, fm.PackedSizeBytes(), fm.SizeBytes())
+		}
+		if !strings.Contains(fm.String(), "FMIndex") {
+			t.Errorf("String() = %q", fm.String())
+		}
 	}
 }
 

@@ -18,14 +18,15 @@ import (
 // the dominant workload) — plus, in a store's text, the separator
 // letter, whose rows the core stores as a placeholder and lists
 // aside — the BWT is 2-bit-packed into 64-bit words with interleaved
-// occurrence checkpoints and ranks are answered bit-parallel via
-// popcount (packedRank). Otherwise, for σ ≤ 32 (protein) the BWT is
-// decomposed into ⌈log2 σ⌉ checkpointed bit planes and ranks are
+// 16-bit occurrence counts (relative to a superblock's absolute ones)
+// and ranks are answered bit-parallel via popcount (packedRank).
+// Otherwise, for σ ≤ 32 (protein) the BWT is decomposed into
+// ⌈log2 σ⌉ bit planes under the same two-level directory and ranks are
 // answered by masked popcounts over the planes (planeRank). Larger
 // alphabets — and ForceByteRank — keep the BWT as a byte slice with
 // periodic checkpoints and a single-pass scan. All three layouts also
 // answer the two rows of a backward-search step fused (rank2,
-// ranksAll2): when lo and hi share a block, the checkpoint is read and
+// ranksAll2): when lo and hi share a block, its counts are read and
 // the block scanned once for both.
 type FMIndex struct {
 	n           int    // text length
@@ -68,7 +69,7 @@ type Options struct {
 	SampleRate int
 	// CheckpointEvery is the occurrence-count checkpoint interval of
 	// the byte layout (smaller = faster rank, more space). Default 64.
-	// The packed layout checkpoints every 128 rows regardless.
+	// The bit-parallel cores count every 128 rows regardless.
 	CheckpointEvery int
 	// ForceByteRank disables the bit-parallel rank cores (the 2-bit
 	// packed layout for four letters and the bit-plane layout for σ ≤ 32),
@@ -428,8 +429,7 @@ func (fm *FMIndex) ranksAll(row int, counts []int32) {
 	if fm.pk != nil {
 		if fm.sepOff != 0 {
 			fm.pk.ranksAll(row, counts[1:])
-			seps, fix := fm.pk.sepRank(row)
-			counts[0], counts[1] = seps, counts[1]+fix
+			fm.pk.splitSeps(row, counts)
 			if row > fm.sentinelRow {
 				counts[1]--
 			}
@@ -475,10 +475,8 @@ func (fm *FMIndex) ranksAll2(lo, hi int, los, his []int32) {
 	switch {
 	case fm.pk != nil && fm.sepOff != 0:
 		fm.pk.ranksAll2(lo, hi, los[1:], his[1:])
-		sepLo, fixLo := fm.pk.sepRank(lo)
-		sepHi, fixHi := fm.pk.sepRank(hi)
-		los[0], los[1] = sepLo, los[1]+fixLo
-		his[0], his[1] = sepHi, his[1]+fixHi
+		fm.pk.splitSeps(lo, los)
+		fm.pk.splitSeps(hi, his)
 		if lo > fm.sentinelRow {
 			los[1]--
 		}
@@ -528,7 +526,8 @@ func (fm *FMIndex) ranksAll2(lo, hi int, los, his []int32) {
 // A packed core that lists separator rows (sepOff = 1) stores every
 // code k ≥ 1 as k-1 and separator rows as its code 0, like the
 // sentinel's placeholder. Its ranks for codes 0 and 1 need the
-// separator count and correction sepRank returns.
+// separator count and correction sepRank returns (splitSeps, when all
+// four counts are at hand).
 
 // rankSep is rank on a packed core with separator rows.
 func (fm *FMIndex) rankSep(k, row int) int32 {
@@ -606,10 +605,27 @@ func (fm *FMIndex) LFStep(row int) (code, next int, ok bool) {
 }
 
 // lfRank returns the dense code at row together with rank(code, row),
-// fused into one rank-structure visit where the layout supports it
-// (the plane layout would otherwise walk its planes twice). row must
-// not be the sentinel row.
+// fused into one rank-structure visit on the bit-parallel cores (each
+// would otherwise find row's block twice, and the plane layout walk its
+// planes twice). row must not be the sentinel row.
 func (fm *FMIndex) lfRank(row int) (int, int32) {
+	if fm.pk != nil {
+		code, r := fm.pk.lfRank(row)
+		if fm.sepOff != 0 {
+			if code != 0 {
+				return int(code) + 1, r
+			}
+			seps, fix := fm.pk.sepRank(row)
+			if fm.pk.isSep(row) {
+				return 0, seps
+			}
+			r += fix
+		}
+		if code == 0 && row > fm.sentinelRow {
+			r-- // the placeholder is stored as code 0
+		}
+		return int(code) + fm.sepOff, r
+	}
 	if fm.pl != nil {
 		code, r := fm.pl.lfRank(row)
 		if code == 0 && row > fm.sentinelRow {
@@ -735,8 +751,9 @@ func (fm *FMIndex) LocateAppend(lo, hi int, buf []int) []int {
 }
 
 // SizeBytes reports the actual in-memory footprint of the index
-// structures (rank core, C array, bit-packed position samples and their
-// bitmap). Used by the Figure 11 index-size experiment.
+// structures (rank core with both directory levels, C array, bit-packed
+// position samples and their bitmap). Used by the Figure 11 index-size
+// experiment.
 func (fm *FMIndex) SizeBytes() int {
 	rank := len(fm.bwt) + 4*len(fm.occ)
 	if fm.pk != nil {
@@ -751,8 +768,8 @@ func (fm *FMIndex) SizeBytes() int {
 // PackedSizeBytes estimates the footprint with the BWT packed at
 // ceil(log2 sigma) bits per character, the accounting the paper uses
 // ("every character in BWT sequence can be stored using 2 bits"), and
-// the rank checkpoints, C array, bit-packed samples and sample bitmap
-// as held.
+// the rank directory (or the byte layout's checkpoints), C array,
+// bit-packed samples and sample bitmap as held.
 func (fm *FMIndex) PackedSizeBytes() int {
 	bitsPer := 1
 	for 1<<bitsPer < fm.sigma {
@@ -760,14 +777,14 @@ func (fm *FMIndex) PackedSizeBytes() int {
 	}
 	rows := fm.n + 1
 	packed := (rows*bitsPer + 7) / 8
-	occ := 4 * len(fm.occ)
+	dir := 4 * len(fm.occ)
 	if fm.pk != nil {
-		occ = 8*prCountWords*(len(fm.pk.blocks)/prStride) + 4*len(fm.pk.seps)
+		dir = fm.pk.sizeBytes() - 8*prDataWords*coreBlocks(rows)
 	}
 	if fm.pl != nil {
-		occ = 8 * fm.pl.ckptWords * (len(fm.pl.blocks) / fm.pl.stride)
+		dir = fm.pl.sizeBytes() - 8*fm.pl.nPlanes*plDataWords*coreBlocks(rows)
 	}
-	return packed + 4*len(fm.c) + occ +
+	return packed + 4*len(fm.c) + dir +
 		8*len(fm.samples) + fm.sampleMark.SizeBytes()
 }
 

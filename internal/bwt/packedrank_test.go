@@ -16,21 +16,50 @@ func randomText(letters []byte, n int, seed int64) []byte {
 	return text
 }
 
+// superRows is the number of rows a rank-directory superblock covers.
+const superRows = prRowsPerBlock << superShift
+
+// superEdgeRows lists the rows of a core of rows rows that sit beside a
+// superblock edge: the last and first rows of the blocks on either side
+// of each edge, and the rows next to them.
+func superEdgeRows(rows int) []int {
+	var out []int
+	for e := superRows; e <= rows; e += superRows {
+		for _, r := range []int{
+			e - prRowsPerBlock - 1, e - prRowsPerBlock, e - prRowsPerBlock + 1,
+			e - 1, e, e + 1,
+			e + prRowsPerBlock - 1, e + prRowsPerBlock, e + prRowsPerBlock + 1,
+		} {
+			if r <= rows {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
+}
+
 // TestPackedRankMatchesByteRank is the property test of the
 // bit-parallel cores: on random texts over DNA-sized (2-bit packed
 // layout), protein-sized and maximal 32-letter (bit-plane layout)
 // alphabets, every rank answer of the default index equals the
 // byte-scan layout's, for every code, at exhaustive rows on small
-// texts and random rows on larger ones.
+// texts and random rows on larger ones. The larger texts have 2¹⁵−1,
+// 2¹⁵ and 2¹⁵+1 rows — one superblock of the rank directory, exactly
+// filled, and one row into the next — and three superblocks, and are
+// probed at every row beside a superblock edge.
 func TestPackedRankMatchesByteRank(t *testing.T) {
 	cases := []struct {
 		name    string
 		letters []byte
 		sizes   []int
 	}{
-		{"dna", []byte("ACGT"), []int{0, 1, 2, 63, 64, 127, 128, 129, 1000, 20000}},
+		{"dna", []byte("ACGT"), []int{0, 1, 2, 63, 64, 127, 128, 129, 1000, 20000, superRows - 2, superRows - 1, superRows, 3*superRows - 100}},
 		{"binary", []byte("AB"), []int{5, 300}},
-		{"protein", []byte("ACDEFGHIKLMNPQRSTVWY"), []int{1, 63, 64, 127, 128, 129, 500, 5000}},
+		{"protein", []byte("ACDEFGHIKLMNPQRSTVWY"), []int{1, 63, 64, 127, 128, 129, 500, 5000, superRows - 2, superRows - 1, superRows, 3*superRows - 100}},
+		// One letter in most rows: its count passes 2¹⁵, which no
+		// relative count may reach.
+		{"dna-skewed", []byte("AAAAAAAACGT"), []int{3*superRows - 100}},
+		{"protein-skewed", []byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAACDEFGHIKLMNPQRSTVWY"), []int{3*superRows - 100}},
 		{"sigma5", []byte("ACGTN"), []int{400}},
 		{"sigma32", []byte("ABCDEFGHIJKLMNOPQRSTUVWXYZ012345"), []int{900}},
 		{"sigma33-byte-fallback", []byte("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456"), []int{900}},
@@ -76,6 +105,9 @@ func TestPackedRankMatchesByteRank(t *testing.T) {
 				}
 				probe(0)
 				probe(rows - 1)
+				for _, row := range superEdgeRows(rows) {
+					probe(row)
+				}
 			}
 		}
 	}

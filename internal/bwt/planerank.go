@@ -1,27 +1,33 @@
 package bwt
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // planeRank is the bit-plane rank structure for mid-sized alphabets
 // (4 < σ ≤ 32 — the protein case): the dense-code BWT is decomposed
-// into ⌈log2 σ⌉ bit planes of 64-bit words, with the per-symbol
-// occurrence checkpoints interleaved into the same block so one rank
-// query touches one contiguous region. Within a block the rows whose
-// code equals k are isolated by ANDing each plane word (complemented
-// where bit p of k is 0) and counted with one popcount — the same
+// into ⌈log2 σ⌉ bit planes of 64-bit words, with the packed core's
+// two-level occurrence directory: each block opens with ⌈σ/4⌉ words of
+// 16-bit per-symbol counts relative to its superblock, so one rank
+// query touches one contiguous block plus its superblock's σ absolute
+// counts in a small side slice. Within a block the rows whose code
+// equals k are isolated by ANDing each plane word (complemented where
+// bit p of k is 0) and counted with one popcount — the same
 // bit-parallel principle as the 2-bit packed DNA layout, generalised
-// to five planes. This replaces the byte-scan fallback that made
-// protein rank ~10× slower per probe than packed DNA.
+// to five planes. At σ = 20 a block is 15 words: 5 of counts and 10 of
+// planes.
 //
 // The sentinel row's placeholder is stored as code 0, exactly like the
 // other layouts; FMIndex applies the same query-time correction.
 type planeRank struct {
-	rows      int
-	sigma     int
-	nPlanes   int // ⌈log2 σ⌉, 3..5 for the alphabets routed here
-	ckptWords int // ⌈σ/2⌉ — two uint32 running counts per word
-	stride    int // uint64s per block: ckptWords + nPlanes·plDataWords
-	blocks    []uint64
+	rows     int
+	sigma    int
+	nPlanes  int // ⌈log2 σ⌉, 3..5 for the alphabets routed here
+	dirWords int // ⌈σ/4⌉ — four 16-bit relative counts per word
+	stride   int // uint64s per block: dirWords + nPlanes·plDataWords
+	blocks   []uint64
+	supers   []uint32 // per superblock, each code's count before it: σ apiece
 }
 
 const (
@@ -31,58 +37,108 @@ const (
 )
 
 // buildPlaneRank decomposes the dense-code BWT (values 0..sigma-1)
-// into checkpointed bit planes. Block data is word-group-major: the
+// into bit planes and indexes them. Block data is word-group-major: the
 // nPlanes plane words of rows [0,64) precede those of rows [64,128),
 // so a scan touches adjacent words.
 func buildPlaneRank(codes []byte, sigma int) *planeRank {
-	rows := len(codes)
-	p := newPlaneRank(rows, sigma)
-	nPlanes := p.nPlanes
-	running := make([]uint32, sigma)
-	for b := 0; b < len(p.blocks)/p.stride; b++ {
-		base := b * p.stride
-		for k := 0; k < sigma; k++ {
-			p.blocks[base+k>>1] |= uint64(running[k]) << (uint(k&1) * 32)
+	p := newPlaneRank(len(codes), sigma)
+	p.blocks = make([]uint64, coreBlocks(p.rows)*p.stride)
+	for i, c := range codes {
+		off := i % plRowsPerBlock
+		word := i/plRowsPerBlock*p.stride + p.dirWords + off/plRowsPerWord*p.nPlanes
+		bit := uint(off % plRowsPerWord)
+		for pl := 0; pl < p.nPlanes; pl++ {
+			p.blocks[word+pl] |= uint64(c>>uint(pl)&1) << bit
 		}
-		lo := b * plRowsPerBlock
-		hi := min(lo+plRowsPerBlock, rows)
-		for i := lo; i < hi; i++ {
-			c := codes[i]
-			running[c]++
-			off := i - lo
-			word := base + p.ckptWords + off/plRowsPerWord*nPlanes
-			bit := uint(off % plRowsPerWord)
-			for pl := 0; pl < nPlanes; pl++ {
-				if c>>uint(pl)&1 != 0 {
-					p.blocks[word+pl] |= 1 << bit
-				}
-			}
-		}
+	}
+	if _, err := p.index(); err != nil {
+		panic(err) // unreachable: the codes are below σ
 	}
 	return p
 }
 
-// newPlaneRank returns an all-zero plane core of rows rows over an
-// alphabet of sigma codes.
+// newPlaneRank returns the dimensions of a plane core of rows rows over
+// an alphabet of sigma codes, its blocks and directory not yet
+// allocated.
 func newPlaneRank(rows, sigma int) *planeRank {
 	nPlanes := 1
 	for 1<<nPlanes < sigma {
 		nPlanes++
 	}
 	p := &planeRank{
-		rows:      rows,
-		sigma:     sigma,
-		nPlanes:   nPlanes,
-		ckptWords: (sigma + 1) / 2,
+		rows:     rows,
+		sigma:    sigma,
+		nPlanes:  nPlanes,
+		dirWords: (sigma + 3) / 4,
 	}
-	p.stride = p.ckptWords + nPlanes*plDataWords
-	p.blocks = make([]uint64, (rows/plRowsPerBlock+1)*p.stride)
+	p.stride = p.dirWords + nPlanes*plDataWords
 	return p
 }
 
-// ckpt reads the block checkpoint count of code k at block base.
-func (p *planeRank) ckpt(base, k int) int32 {
-	return int32(uint32(p.blocks[base+k>>1] >> (uint(k&1) * 32)))
+// index fills both directory levels from the plane words, in one pass
+// that also checks what a loaded core can get wrong: data past the
+// last row and a code outside the alphabet. It returns each code's
+// count over all rows, the sentinel's placeholder counted as code 0.
+func (p *planeRank) index() ([]int32, error) {
+	running := make([]int32, p.sigma)
+	nBlocks := len(p.blocks) / p.stride
+	p.supers = make([]uint32, ((nBlocks-1)>>superShift+1)*p.sigma)
+	for b := 0; b < nBlocks; b++ {
+		sup := p.supers[b>>superShift*p.sigma:][:p.sigma]
+		if b&(1<<superShift-1) == 0 {
+			for k, r := range running {
+				sup[k] = uint32(r)
+			}
+		}
+		base := b * p.stride
+		dir := p.blocks[base : base+p.dirWords]
+		clear(dir)
+		for k, r := range running {
+			dir[k>>2] |= uint64(uint32(r)-sup[k]) << (dirFieldBits * uint(k&3))
+		}
+		lo := b * plRowsPerBlock
+		for w := 0; w < plDataWords; w++ {
+			valid := min(max(p.rows-lo-w*plRowsPerWord, 0), plRowsPerWord)
+			clip := ^uint64(0)
+			if valid < plRowsPerWord {
+				clip = 1<<uint(valid) - 1
+			}
+			group := p.blocks[base+p.dirWords+w*p.nPlanes : base+p.dirWords+(w+1)*p.nPlanes]
+			for _, g := range group {
+				if g&^clip != 0 {
+					return nil, fmt.Errorf("bwt: rank block %d has data past the last row", b)
+				}
+			}
+			var sum int32
+			for _, c := range running {
+				sum -= c
+			}
+			p.countGroup(group, clip, running)
+			for _, c := range running {
+				sum += c
+			}
+			if int(sum) != valid {
+				return nil, fmt.Errorf("bwt: rank block %d holds a code outside the alphabet", b)
+			}
+		}
+	}
+	return running, nil
+}
+
+// count returns code k's count before block blk: its superblock's
+// absolute count plus the block's relative one.
+func (p *planeRank) count(blk, k int) int32 {
+	return int32(p.supers[blk>>superShift*p.sigma+k]) + dirField(p.blocks[blk*p.stride+k>>2], k)
+}
+
+// counts sets counts[k] to every code k's count before block blk.
+func (p *planeRank) counts(blk int, counts []int32) {
+	sup := p.supers[blk>>superShift*p.sigma:][:p.sigma]
+	dir := p.blocks[blk*p.stride:][:p.dirWords]
+	counts = counts[:len(sup)]
+	for k, s := range sup {
+		counts[k] = int32(s) + dirField(dir[k>>2], k)
+	}
 }
 
 // symMask returns the bitmap of rows within one 64-row word group
@@ -106,7 +162,7 @@ func (p *planeRank) symMask(group []uint64, k int) uint64 {
 func (p *planeRank) at(row int) byte {
 	blk := row / plRowsPerBlock
 	off := row % plRowsPerBlock
-	word := blk*p.stride + p.ckptWords + off/plRowsPerWord*p.nPlanes
+	word := blk*p.stride + p.dirWords + off/plRowsPerWord*p.nPlanes
 	bit := uint(off % plRowsPerWord)
 	var c byte
 	for pl := 0; pl < p.nPlanes; pl++ {
@@ -120,9 +176,9 @@ func (p *planeRank) at(row int) byte {
 func (p *planeRank) rank(k, row int) int32 {
 	blk := row / plRowsPerBlock
 	base := blk * p.stride
-	cnt := p.ckpt(base, k)
+	cnt := p.count(blk, k)
 	rem := row % plRowsPerBlock
-	data := p.blocks[base+p.ckptWords : base+p.stride]
+	data := p.blocks[base+p.dirWords : base+p.stride]
 	full := rem / plRowsPerWord
 	for w := 0; w < full; w++ {
 		cnt += int32(bits.OnesCount64(p.symMask(data[w*p.nPlanes:], k)))
@@ -144,7 +200,7 @@ func (p *planeRank) lfRank(row int) (code byte, cnt int32) {
 	blk := row / plRowsPerBlock
 	base := blk * p.stride
 	rem := row % plRowsPerBlock
-	data := p.blocks[base+p.ckptWords : base+p.stride]
+	data := p.blocks[base+p.dirWords : base+p.stride]
 	full := rem / plRowsPerWord
 	group := data[full*p.nPlanes : full*p.nPlanes+p.nPlanes]
 	bit := uint(rem % plRowsPerWord)
@@ -157,7 +213,7 @@ func (p *planeRank) lfRank(row int) (code byte, cnt int32) {
 		}
 		m &= w
 	}
-	cnt = p.ckpt(base, int(code)) + int32(bits.OnesCount64(m&(1<<bit-1)))
+	cnt = p.count(blk, int(code)) + int32(bits.OnesCount64(m&(1<<bit-1)))
 	for w := 0; w < full; w++ {
 		cnt += int32(bits.OnesCount64(p.symMask(data[w*p.nPlanes:], int(code))))
 	}
@@ -166,7 +222,7 @@ func (p *planeRank) lfRank(row int) (code byte, cnt int32) {
 
 // rank2 answers rank(k, lo) and rank(k, hi) in one block visit when
 // both rows fall in the same block — the backward-search case, where
-// lo and hi delimit one suffix-array range: the shared checkpoint is
+// lo and hi delimit one suffix-array range: the shared block count is
 // read once and the plane words up to hi are masked once, splitting
 // each straddled word at lo. Requires lo ≤ hi.
 func (p *planeRank) rank2(k, lo, hi int) (int32, int32) {
@@ -175,9 +231,9 @@ func (p *planeRank) rank2(k, lo, hi int) (int32, int32) {
 		return p.rank(k, lo), p.rank(k, hi)
 	}
 	base := bl * p.stride
-	cnt := p.ckpt(base, k)
+	cnt := p.count(bl, k)
 	remLo, remHi := lo%plRowsPerBlock, hi%plRowsPerBlock
-	data := p.blocks[base+p.ckptWords : base+p.stride]
+	data := p.blocks[base+p.dirWords : base+p.stride]
 	var a, b int32 // counts in [0, remLo) and [remLo, remHi)
 	for w := 0; w*plRowsPerWord < remHi; w++ {
 		m := p.symMask(data[w*p.nPlanes:], k)
@@ -264,11 +320,9 @@ func countGroup5(group []uint64, clip uint64, counts []int32, sigma int) {
 func (p *planeRank) ranksAll(row int, counts []int32) {
 	blk := row / plRowsPerBlock
 	base := blk * p.stride
-	for k := 0; k < p.sigma; k++ {
-		counts[k] = p.ckpt(base, k)
-	}
+	p.counts(blk, counts)
 	rem := row % plRowsPerBlock
-	data := p.blocks[base+p.ckptWords : base+p.stride]
+	data := p.blocks[base+p.dirWords : base+p.stride]
 	for w := 0; w*plRowsPerWord < rem; w++ {
 		clip := ^uint64(0)
 		if n := rem - w*plRowsPerWord; n < plRowsPerWord {
@@ -280,9 +334,9 @@ func (p *planeRank) ranksAll(row int, counts []int32) {
 
 // ranksAll2 fills los[k] = rank(k, lo) and his[k] = rank(k, hi) for
 // every code k, visiting the shared block once when lo and hi fall in
-// the same block: the checkpoint is read once and every plane word up
-// to hi is decomposed once, with straddled words split at lo. his is
-// used as the [lo, hi) delta accumulator before the final sum.
+// the same block: the block's counts are read once and every plane
+// word up to hi is decomposed once, with straddled words split at lo.
+// his is used as the [lo, hi) delta accumulator before the final sum.
 // Requires lo ≤ hi.
 func (p *planeRank) ranksAll2(lo, hi int, los, his []int32) {
 	bl := lo / plRowsPerBlock
@@ -292,12 +346,10 @@ func (p *planeRank) ranksAll2(lo, hi int, los, his []int32) {
 		return
 	}
 	base := bl * p.stride
-	for k := 0; k < p.sigma; k++ {
-		los[k] = p.ckpt(base, k)
-		his[k] = 0
-	}
+	p.counts(bl, los)
+	clear(his[:p.sigma])
 	remLo, remHi := lo%plRowsPerBlock, hi%plRowsPerBlock
-	data := p.blocks[base+p.ckptWords : base+p.stride]
+	data := p.blocks[base+p.dirWords : base+p.stride]
 	for w := 0; w*plRowsPerWord < remHi; w++ {
 		group := data[w*p.nPlanes : w*p.nPlanes+p.nPlanes]
 		start := w * plRowsPerWord
@@ -322,4 +374,4 @@ func (p *planeRank) ranksAll2(lo, hi int, los, his []int32) {
 }
 
 // sizeBytes is the in-memory footprint of the structure.
-func (p *planeRank) sizeBytes() int { return 8 * len(p.blocks) }
+func (p *planeRank) sizeBytes() int { return 8*len(p.blocks) + 4*len(p.supers) }

@@ -16,16 +16,17 @@ func layoutsUnderTest(text []byte) (def, ref *FMIndex) {
 // the byte reference itself), ranksAll2(lo, hi) must equal the pair
 // ranksAll(lo), ranksAll(hi), and rank2 likewise — across random
 // (lo, hi) pairs plus directed rows straddling the sentinel and every
-// kind of checkpoint-block boundary.
+// kind of checkpoint-block boundary, superblock edges included on texts
+// of 2¹⁵−1, 2¹⁵ and 2¹⁵+1 rows and of three superblocks.
 func TestRanksAll2MatchesTwoCalls(t *testing.T) {
 	cases := []struct {
 		name    string
 		letters []byte
 		sizes   []int
 	}{
-		{"dna", []byte("ACGT"), []int{0, 1, 2, 63, 64, 127, 128, 129, 255, 1000, 20000}},
+		{"dna", []byte("ACGT"), []int{0, 1, 2, 63, 64, 127, 128, 129, 255, 1000, 20000, superRows - 2, superRows - 1, superRows, 3*superRows - 100}},
 		{"binary", []byte("AB"), []int{5, 300}},
-		{"protein", []byte("ACDEFGHIKLMNPQRSTVWY"), []int{1, 127, 128, 500, 5000}},
+		{"protein", []byte("ACDEFGHIKLMNPQRSTVWY"), []int{1, 127, 128, 500, 5000, superRows - 2, superRows - 1, superRows, 3*superRows - 100}},
 		{"sigma32", []byte("ABCDEFGHIJKLMNOPQRSTUVWXYZ012345"), []int{700}},
 		{"sigma33-byte", []byte("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456"), []int{700}},
 	}
@@ -85,11 +86,15 @@ func TestRanksAll2MatchesTwoCalls(t *testing.T) {
 				{sent, sent}, {max(0, sent-1), min(rows, sent+1)},
 				{sent, min(rows, sent+1)}, {max(0, sent-1), sent},
 			}
-			for _, b := range []int{63, 64, 65, 127, 128, 129, 191, 192} {
+			edges := append([]int{63, 64, 65, 127, 128, 129, 191, 192}, superEdgeRows(rows)...)
+			for _, b := range edges {
 				if b <= rows {
 					directed = append(directed, [2]int{b, b}, [2]int{max(0, b-1), b}, [2]int{b, min(rows, b+1)})
 					if b+40 <= rows {
 						directed = append(directed, [2]int{b - 30, b + 40}) // straddles the boundary
+					}
+					if b+200 <= rows && b >= 200 {
+						directed = append(directed, [2]int{b - 200, b + 200}) // spans a block each side
 					}
 				}
 			}

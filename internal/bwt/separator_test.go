@@ -27,6 +27,42 @@ func storeText(members, minLen, maxLen int, seed int64) []byte {
 	return text
 }
 
+// steerSentinel returns text with its first 12 bytes rewritten so that
+// its sentinel row — one plus the number of its suffixes smaller than
+// the whole text — falls in [lo, hi). It bisects on the head read as a
+// base-4 number over ACGT: a larger head passes more of the rest's
+// suffixes, give or take the head's own 12.
+func steerSentinel(t *testing.T, text []byte, lo, hi int) []byte {
+	t.Helper()
+	text = append([]byte(nil), text...)
+	const headLen = 12
+	row := func(v int) int {
+		for i := headLen - 1; i >= 0; i, v = i-1, v/4 {
+			text[i] = "ACGT"[v%4]
+		}
+		r := 1
+		for i := 1; i < len(text); i++ {
+			if bytes.Compare(text[i:], text) < 0 {
+				r++
+			}
+		}
+		return r
+	}
+	for a, b := 0, 1<<(2*headLen)-1; a <= b; {
+		mid := (a + b) / 2
+		switch r := row(mid); {
+		case r < lo:
+			a = mid + 1
+		case r >= hi:
+			b = mid - 1
+		default:
+			return text
+		}
+	}
+	t.Fatalf("no head puts the sentinel row in [%d, %d)", lo, hi)
+	return nil
+}
+
 // separatorRows lists the rows whose BWT letter is the separator.
 func separatorRows(fm *FMIndex) []int {
 	var rows []int
@@ -43,9 +79,11 @@ func separatorRows(fm *FMIndex) []int {
 // every query surface of the default index — Rank, Rank2, RanksAll,
 // RanksAll2, ExtendAll, LFStep, Locate — equals the byte-scan layout's,
 // where the separator is an ordinary code. The directed texts put
-// separator rows at the 127/128 block edge, beside the sentinel row and
-// next to each other; the one-base-member store makes half of all rows
-// separators.
+// separator rows at the 127/128 block edge, beside the sentinel row,
+// next to each other and in the first and the last block of a
+// superblock of the rank directory, and the sentinel row in the last
+// block before a superblock edge and in the first after it; the
+// one-base-member store makes half of all rows separators.
 func TestPackedSeparatorsMatchByteRank(t *testing.T) {
 	oneBase := bytes.Repeat([]byte("A#"), 100)
 	oneBase = append(oneBase, 'A')
@@ -64,8 +102,12 @@ func TestPackedSeparatorsMatchByteRank(t *testing.T) {
 		{"10000-separators", storeText(10001, 1, 8, 4)},
 		{"three-letters", []byte("AC#CA#AAC#C")},
 		{"separator-only-letter", []byte("A#A#AA")},
+		{"three-superblocks", storeText(700, 60, 140, 10)},
+		{"sentinel-before-superblock-edge", steerSentinel(t, storeText(400, 60, 140, 11), superRows-prRowsPerBlock, superRows)},
+		{"sentinel-after-superblock-edge", steerSentinel(t, storeText(400, 60, 140, 12), superRows, superRows+prRowsPerBlock)},
 	}
 	var sawEdge127, sawEdge128, sawBesideSentinel, sawConsecutive bool
+	var sawSuperFirst, sawSuperLast, sawSentinelBefore, sawSentinelAfter bool
 	for _, tc := range cases {
 		def, ref := layoutsUnderTest(tc.text)
 		if def.pk == nil || def.sepOff != 1 {
@@ -83,6 +125,14 @@ func TestPackedSeparatorsMatchByteRank(t *testing.T) {
 			sawEdge128 = sawEdge128 || row == 128
 			sawBesideSentinel = sawBesideSentinel || row == ref.sentinelRow-1 || row == ref.sentinelRow+1
 			sawConsecutive = sawConsecutive || i > 0 && seps[i-1] == row-1
+			sawSuperFirst = sawSuperFirst || row >= superRows && row%superRows < prRowsPerBlock
+			sawSuperLast = sawSuperLast || row%superRows >= superRows-prRowsPerBlock
+		}
+		switch sent := ref.sentinelRow; {
+		case sent < superRows && sent >= superRows-prRowsPerBlock:
+			sawSentinelBefore = true
+		case sent >= superRows && sent < superRows+prRowsPerBlock:
+			sawSentinelAfter = true
 		}
 		back := roundTrip(t, def)
 		var a, b bytes.Buffer
@@ -98,6 +148,10 @@ func TestPackedSeparatorsMatchByteRank(t *testing.T) {
 	if !sawEdge127 || !sawEdge128 || !sawBesideSentinel || !sawConsecutive {
 		t.Fatalf("directed cases missing: row 127 %v, row 128 %v, beside the sentinel %v, consecutive %v",
 			sawEdge127, sawEdge128, sawBesideSentinel, sawConsecutive)
+	}
+	if !sawSuperFirst || !sawSuperLast || !sawSentinelBefore || !sawSentinelAfter {
+		t.Fatalf("superblock cases missing: separator in a superblock's first block %v, in its last %v, sentinel before an edge %v, after %v",
+			sawSuperFirst, sawSuperLast, sawSentinelBefore, sawSentinelAfter)
 	}
 }
 
@@ -190,6 +244,12 @@ func compareLayouts(t *testing.T, name string, fm, ref *FMIndex) {
 		probePair(lo, hi)
 	}
 	probeRow(rows)
+	sent := ref.sentinelRow
+	for _, row := range append(superEdgeRows(rows), sent-1, sent, sent+1) {
+		probeRow(row)
+		probePair(max(0, row-1), min(rows, row+1))
+		probePair(max(0, row-200), min(rows, row+200))
+	}
 	for _, row := range separatorRows(ref)[:min(2000, len(separatorRows(ref)))] {
 		probeRow(row)
 		probePair(row, min(rows, row+1))

@@ -11,40 +11,45 @@ import (
 // index built once can be saved and reloaded instead of rebuilt — the
 // first step toward the external-memory deployment the paper lists as
 // future work ("exploit algorithms using external memory"). The
-// payload holds the rank core's blocks exactly as they sit in memory,
-// so a load reads them back instead of rebuilding the core, and
-// validates them instead of trusting them: it fails cleanly on
-// truncated or corrupted input. The core written is the one a build
-// picks for the alphabet (even from a ForceByteRank index), so a
-// file's bytes depend only on the index's content.
+// payload holds the rank core's data words — the 2-bit symbols or the
+// bit planes — exactly as they sit in memory, so a load reads them
+// back instead of rebuilding the core, and validates them instead of
+// trusting them: it fails cleanly on truncated or corrupted input. The
+// core written is the one a build picks for the alphabet (even from a
+// ForceByteRank index), so a file's bytes depend only on the index's
+// content.
 //
 // Layout after the header (magic, version, rank-layout tag, n, σ,
 // sentinel row, byte-layout checkpoint interval, sample rate):
 // the letters; the separator rows the packed core lists (a count and
 // int32 rows, none on the other layouts); the core (a count and that
-// many uint64 block words — packed or planes — or n+1 code bytes for
-// the byte layout); the position samples (their bit width, a count and
-// that many uint64 words, as packed in memory); the sample bitmap's
-// words. The C array and the byte layout's checkpoints are derived on
-// load.
+// many uint64 data words, block by block — packed or planes — or n+1
+// code bytes for the byte layout); the position samples (their bit
+// width, a count and that many uint64 words, as packed in memory); the
+// sample bitmap's words. Everything a file could hold inconsistently
+// with these is derived on load instead: the rank directory (both
+// levels, in the pass that checks the data words), the C array, the
+// byte layout's checkpoints and the sample bitmap's superblocks.
 
 const (
 	serialMagic = 0x414c4145 // "ALAE"
-	// serialVersion 4 persists the rank core's blocks verbatim, with
+	// serialVersion 5 persists the rank core's data words only, with
 	// the packed core's separator rows, and the position samples
-	// bit-packed. Version 3 held the samples as int32s, version 2 BWT
-	// code bytes plus occurrence checkpoints, and version 1 predated the
-	// rank-layout tag; all are rejected: rebuild the index.
-	serialVersion = 4
+	// bit-packed; the load rebuilds the two-level rank directory.
+	// Version 4 also held each block's absolute occurrence checkpoints,
+	// version 3 the samples as int32s, version 2 BWT code bytes plus
+	// occurrence checkpoints, and version 1 predated the rank-layout
+	// tag; all are rejected: rebuild the index.
+	serialVersion = 5
 )
 
-// maxSerialRows bounds a loaded index's rows: counts are int32, and the
-// packed core's checkpoints keep their top bit for prSepFlag.
+// maxSerialRows bounds a loaded index's rows: counts are int32.
 const maxSerialRows = 1<<31 - 1
 
 // WriteTo serialises the index. It implements io.WriterTo. The rank
-// core is written block by block from memory; a ForceByteRank index
-// writes the core a load of it builds.
+// core's data words are written block by block from memory, its
+// directory left out; a ForceByteRank index writes the core a load of
+// it builds.
 func (fm *FMIndex) WriteTo(w io.Writer) (int64, error) {
 	pk, pl, codes := fm.pk, fm.pl, fm.bwt
 	if codes != nil {
@@ -54,11 +59,12 @@ func (fm *FMIndex) WriteTo(w io.Writer) (int64, error) {
 	}
 	var seps []int32
 	var blocks []uint64
+	var stride, dirWords int
 	switch {
 	case pk != nil:
-		seps, blocks = pk.seps, pk.blocks
+		seps, blocks, stride, dirWords = pk.seps, pk.blocks, prStride, prDirWords
 	case pl != nil:
-		blocks = pl.blocks
+		blocks, stride, dirWords = pl.blocks, pl.stride, pl.dirWords
 	}
 	layout, _ := coreLayout(fm.letters)
 	cw := &countingWriter{w: w}
@@ -74,8 +80,8 @@ func (fm *FMIndex) WriteTo(w io.Writer) (int64, error) {
 		putLE(bw, uint64(len(codes)))
 		bw.Write(codes)
 	} else {
-		putLE(bw, uint64(len(blocks)))
-		putLE(bw, blocks...)
+		putLE(bw, uint64(len(blocks)/stride*(stride-dirWords)))
+		putData(bw, blocks, stride, dirWords)
 	}
 	putLE(bw, uint32(fm.sampleBits))
 	putLE(bw, uint64(len(fm.samples)))
@@ -103,6 +109,25 @@ func putLE[T int32 | uint32 | uint64](w *bufio.Writer, vs ...T) {
 		b, _ = binary.Append(b, binary.LittleEndian, vs[:k])
 		w.Write(b)
 		vs = vs[k:]
+	}
+}
+
+// putData appends each block's data words little-endian to w's buffer,
+// leaving out its first dirWords words (the directory).
+func putData(w *bufio.Writer, blocks []uint64, stride, dirWords int) {
+	size := 8 * (stride - dirWords)
+	for base := 0; base < len(blocks); base += stride {
+		b := w.AvailableBuffer()
+		if cap(b) < size {
+			if w.Flush() != nil {
+				return
+			}
+			b = w.AvailableBuffer()
+		}
+		for _, v := range blocks[base+dirWords : base+stride] {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		w.Write(b)
 	}
 }
 
@@ -213,11 +238,11 @@ func ReadFMIndex(r io.Reader) (*FMIndex, error) {
 	var totals []int32 // per dense code, $ and separators excluded
 	switch layout {
 	case layoutPacked2:
-		if want := uint64((rows/prRowsPerBlock + 1) * prStride); nCore != want {
+		if want := uint64(coreBlocks(rows) * prDataWords); nCore != want {
 			return nil, fmt.Errorf("bwt: packed core of %d words, want %d", nCore, want)
 		}
 		fm.pk = &packedRank{rows: rows, seps: seps}
-		if fm.pk.blocks, err = readSlice[uint64](br, nCore); err != nil {
+		if fm.pk.blocks, err = readBlocks(br, coreBlocks(rows), prStride, prDirWords); err != nil {
 			return nil, fmt.Errorf("bwt: reading rank core: %w", err)
 		}
 		fm.sepOff = sepOff
@@ -227,10 +252,10 @@ func ReadFMIndex(r io.Reader) (*FMIndex, error) {
 		}
 	case layoutPlane:
 		pl := newPlaneRank(rows, fm.sigma)
-		if want := uint64(len(pl.blocks)); nCore != want {
+		if want := uint64(coreBlocks(rows) * (pl.stride - pl.dirWords)); nCore != want {
 			return nil, fmt.Errorf("bwt: plane core of %d words, want %d", nCore, want)
 		}
-		if pl.blocks, err = readSlice[uint64](br, nCore); err != nil {
+		if pl.blocks, err = readBlocks(br, coreBlocks(rows), pl.stride, pl.dirWords); err != nil {
 			return nil, fmt.Errorf("bwt: reading rank core: %w", err)
 		}
 		fm.pl = pl
@@ -323,51 +348,15 @@ func (fm *FMIndex) readSamples(br *bufio.Reader) error {
 	return nil
 }
 
-// verify checks a loaded packed core and returns its per-code totals
-// over physical codes 0..sigma-1, $ and separators excluded: every
-// block checkpoint must equal the counts recomputed from the data words
-// before it (with prSepFlag set exactly on the blocks holding a listed
-// separator row), every row past the last must be zero padding, the
-// sentinel and every separator row must hold the placeholder code 0,
-// and no row may hold a code ≥ sigma.
+// verify indexes a loaded packed core — a pass that rejects data past
+// the last row and a separator row holding a letter — and returns its
+// per-code totals over physical codes 0..sigma-1, $ and separators
+// excluded: the sentinel row must hold the placeholder code 0, and no
+// row a code ≥ sigma.
 func (p *packedRank) verify(sentinelRow, sigma int) ([]int32, error) {
-	var running [4]int32
-	j := 0 // next separator row
-	for b := 0; b < len(p.blocks)/prStride; b++ {
-		base := b * prStride
-		lo := b * prRowsPerBlock
-		hi := min(lo+prRowsPerBlock, p.rows)
-		flag := uint64(0)
-		if j < len(p.seps) && int(p.seps[j]) < hi {
-			flag = prSepFlag
-		}
-		if p.blocks[base] != uint64(uint32(running[0]))|flag|uint64(uint32(running[1]))<<32 ||
-			p.blocks[base+1] != uint64(uint32(running[2]))|uint64(uint32(running[3]))<<32 {
-			return nil, fmt.Errorf("bwt: rank checkpoint of block %d inconsistent with the BWT", b)
-		}
-		for w := 0; w < prDataWords; w++ {
-			word := p.blocks[base+prCountWords+w]
-			valid := min(max(hi-lo-w*prSymsPerWord, 0), prSymsPerWord)
-			clip := uint64(prLowBits)
-			if valid < prSymsPerWord {
-				clip &= 1<<uint(2*valid) - 1
-			}
-			if word&^(clip|clip<<1) != 0 {
-				return nil, fmt.Errorf("bwt: rank block %d has data past the last row", b)
-			}
-			var n1, n2, n3 int32
-			countWord(word, clip, &n1, &n2, &n3)
-			running[0] += int32(valid) - n1 - n2 - n3
-			running[1] += n1
-			running[2] += n2
-			running[3] += n3
-		}
-		for ; j < len(p.seps) && int(p.seps[j]) < hi; j++ {
-			if p.at(int(p.seps[j])) != 0 {
-				return nil, fmt.Errorf("bwt: separator row %d holds a letter", p.seps[j])
-			}
-			running[0]--
-		}
+	running, err := p.index()
+	if err != nil {
+		return nil, err
 	}
 	if p.at(sentinelRow) != 0 {
 		return nil, fmt.Errorf("bwt: sentinel row %d holds a letter", sentinelRow)
@@ -378,52 +367,17 @@ func (p *packedRank) verify(sentinelRow, sigma int) ([]int32, error) {
 			return nil, fmt.Errorf("bwt: rank core holds code %d outside the alphabet", k)
 		}
 	}
-	return running[:sigma], nil
+	return running[:sigma:sigma], nil
 }
 
-// verify checks a loaded plane core and returns its per-code totals, $
-// excluded: every block checkpoint must equal the counts recomputed
-// from the plane words before it, every row past the last must be zero
-// padding, every code must be below σ, and the sentinel row must hold
-// the placeholder code 0.
+// verify indexes a loaded plane core — a pass that rejects data past
+// the last row and codes outside the alphabet — and returns its
+// per-code totals, $ excluded: the sentinel row must hold the
+// placeholder code 0.
 func (p *planeRank) verify(sentinelRow int) ([]int32, error) {
-	running := make([]int32, p.sigma)
-	for b := 0; b < len(p.blocks)/p.stride; b++ {
-		base := b * p.stride
-		for w := 0; w < p.ckptWords; w++ {
-			want := uint64(uint32(running[2*w]))
-			if 2*w+1 < p.sigma {
-				want |= uint64(uint32(running[2*w+1])) << 32
-			}
-			if p.blocks[base+w] != want {
-				return nil, fmt.Errorf("bwt: rank checkpoint of block %d inconsistent with the BWT", b)
-			}
-		}
-		lo := b * plRowsPerBlock
-		for w := 0; w < plDataWords; w++ {
-			valid := min(max(p.rows-lo-w*plRowsPerWord, 0), plRowsPerWord)
-			clip := ^uint64(0)
-			if valid < plRowsPerWord {
-				clip = 1<<uint(valid) - 1
-			}
-			group := p.blocks[base+p.ckptWords+w*p.nPlanes : base+p.ckptWords+(w+1)*p.nPlanes]
-			for _, g := range group {
-				if g&^clip != 0 {
-					return nil, fmt.Errorf("bwt: rank block %d has data past the last row", b)
-				}
-			}
-			var sum int32
-			for _, c := range running {
-				sum -= c
-			}
-			p.countGroup(group, clip, running)
-			for _, c := range running {
-				sum += c
-			}
-			if int(sum) != valid {
-				return nil, fmt.Errorf("bwt: rank block %d holds a code outside the alphabet", b)
-			}
-		}
+	running, err := p.index()
+	if err != nil {
+		return nil, err
 	}
 	if p.at(sentinelRow) != 0 {
 		return nil, fmt.Errorf("bwt: sentinel row %d holds a letter", sentinelRow)
@@ -502,6 +456,37 @@ func readSlice[T int32 | uint64](br *bufio.Reader, count uint64) ([]T, error) {
 		}
 		out = out[:len(out)+k]
 		br.Discard(k * size)
+	}
+	return out, nil
+}
+
+// readBlocks reads nBlocks blocks' data words into a core of stride
+// words per block, leaving each block's first dirWords words — its
+// directory — zero. Like readSlice, it grows the core as the bytes
+// arrive, to exactly nBlocks blocks.
+func readBlocks(br *bufio.Reader, nBlocks, stride, dirWords int) ([]uint64, error) {
+	const chunk = 1 << 13 // blocks committed before their bytes arrive
+	size := 8 * (stride - dirWords)
+	out := make([]uint64, 0, min(nBlocks, chunk)*stride)
+	for len(out) < nBlocks*stride {
+		if len(out) == cap(out) {
+			grown := make([]uint64, len(out), min(nBlocks*stride, 2*cap(out)))
+			copy(grown, out)
+			out = grown
+		}
+		p, err := br.Peek(size)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		out = out[:len(out)+stride]
+		data := out[len(out)-stride+dirWords:]
+		for i := range data {
+			data[i] = binary.LittleEndian.Uint64(p[8*i:])
+		}
+		br.Discard(size)
 	}
 	return out, nil
 }

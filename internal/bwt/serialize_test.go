@@ -178,12 +178,14 @@ func samplesOffset(fm *FMIndex, payload int) int {
 	return payload - 8 - 8*len(fm.sampleMark.words) - 8*len(fm.samples) - 12
 }
 
-// TestSerializeRejectsCorruptCore corrupts a version-4 payload in each
-// way a load must catch: a checkpoint, padding past the last row, the
-// separator list's order, a listed row holding a letter, a block's
-// separator flag, a plane code outside the alphabet, a sample width
-// other than n/SampleRate's, a set padding bit past the last sample, a
-// sample above n/SampleRate, and the older format versions.
+// TestSerializeRejectsCorruptCore corrupts a version-5 payload in each
+// way a load must catch: the core's word count, data bits past the last
+// row on either core, the separator list's order, a listed row holding
+// a letter, a plane code outside the alphabet, a sample width other
+// than n/SampleRate's, a set padding bit past the last sample, a sample
+// above n/SampleRate, and the older format versions — version 4 held
+// the rank directory's checkpoints, which a load now rebuilds, so no
+// file can carry an inconsistent one.
 func TestSerializeRejectsCorruptCore(t *testing.T) {
 	text := storeText(12, 10, 40, 5)
 	fm := New(text)
@@ -193,6 +195,8 @@ func TestSerializeRejectsCorruptCore(t *testing.T) {
 	}
 	good := buf.Bytes()
 	sepsAt, coreAt := payloadOffsets(fm)
+	// word returns data word i of the core, counted over the data words
+	// the payload holds: prDataWords per packed block.
 	word := func(data []byte, i int) []byte { return data[coreAt+8*i : coreAt+8*i+8] }
 	mutate := func(name, wantErr string, f func(b []byte)) {
 		t.Helper()
@@ -209,9 +213,9 @@ func TestSerializeRejectsCorruptCore(t *testing.T) {
 	if _, err := ReadFMIndex(bytes.NewReader(good)); err != nil {
 		t.Fatal(err)
 	}
-	mutate("checkpoint", "checkpoint of block 1", func(b []byte) { word(b, prStride)[5] ^= 1 })
+	mutate("core words", "packed core of", func(b []byte) { b[coreAt-8]++ })
 	lastBlock := fm.Rows() / prRowsPerBlock
-	mutate("padding", "past the last row", func(b []byte) { word(b, lastBlock*prStride+prStride-1)[7] |= 0x80 })
+	mutate("padding", "past the last row", func(b []byte) { word(b, lastBlock*prDataWords+prDataWords-1)[7] |= 0x80 })
 	mutate("separator order", "out of order", func(b []byte) {
 		copy(b[sepsAt:sepsAt+4], b[sepsAt+4:sepsAt+8])
 	})
@@ -223,9 +227,9 @@ func TestSerializeRejectsCorruptCore(t *testing.T) {
 	mutate("separator on a letter", "holds a letter", func(b []byte) {
 		b[sepsAt] = byte(letterRow) // seps[0] < 256 here, and letterRow < seps[1]
 	})
-	mutate("separator flag", "checkpoint", func(b []byte) { word(b, sep0/prRowsPerBlock*prStride)[3] ^= 0x80 })
 	mutate("version 2", "version 2", func(b []byte) { b[4] = 2 })
 	mutate("version 3", "version 3", func(b []byte) { b[4] = 3 })
+	mutate("version 4", "version 4", func(b []byte) { b[4] = 4 })
 
 	samplesAt := samplesOffset(fm, len(good))
 	mutate("sample width", "sample width", func(b []byte) { b[samplesAt]++ })
@@ -244,31 +248,45 @@ func TestSerializeRejectsCorruptCore(t *testing.T) {
 	}
 	good = buf.Bytes()
 	_, coreAt = payloadOffsets(prot)
-	// Rows 300..319 are padding in the third block; row 299 is its last
-	// real row. Code 31 there is outside σ = 20.
+	// The 301 rows end in the third block, whose rows from 301 on are
+	// padding. Code 31 at row 299 is outside σ = 20.
+	data := prot.pl.nPlanes * plDataWords // data words per block
+	group := func(row int) int { return row/plRowsPerBlock*data + row%plRowsPerBlock/plRowsPerWord*prot.pl.nPlanes }
 	mutate("plane code", "outside the alphabet", func(b []byte) {
-		base := 2 * prot.pl.stride
-		row := 299 - 2*plRowsPerBlock
-		group := base + prot.pl.ckptWords + row/plRowsPerWord*prot.pl.nPlanes
 		for pl := 0; pl < prot.pl.nPlanes; pl++ {
-			word(b, group+pl)[(row%plRowsPerWord)/8] |= 1 << (row % 8)
+			word(b, group(299)+pl)[(299%plRowsPerWord)/8] |= 1 << (299 % 8)
 		}
 	})
+	mutate("plane padding", "past the last row", func(b []byte) {
+		word(b, group(301))[(301%plRowsPerWord)/8] |= 1 << (301 % 8)
+	})
+	mutate("plane core words", "plane core of", func(b []byte) { b[coreAt-8]-- })
 }
 
 // TestSerializeCoreBitFlips flips every bit of a multi-member DNA
 // payload's separator list, core and position samples, and of a
-// protein payload's planes and samples: each flip is rejected by the
-// load or by VerifyText against the text, or — a separator moved onto
-// another placeholder row of its block, which no count can tell apart,
-// or a sample changed within n/SampleRate — loads an index whose every
-// LF step and located position stays in range.
+// protein payload's planes and samples, and every 61st bit of the
+// separator list and core of a store payload whose core spans two
+// superblocks (the small payloads sweep the samples whole): each
+// flip is rejected by the load or by VerifyText against the text, or —
+// a separator moved onto another placeholder row of its block, which
+// no count can tell apart, or a sample changed within n/SampleRate —
+// loads an index whose every LF step and located position stays in
+// range.
 func TestSerializeCoreBitFlips(t *testing.T) {
-	for _, text := range [][]byte{
-		storeText(6, 20, 60, 7),
-		randomText([]byte("ACDEFGHIKLMNPQRSTVWY"), 400, 8),
+	for _, tc := range []struct {
+		text    []byte
+		step    int
+		samples bool
+	}{
+		{storeText(6, 20, 60, 7), 1, true},
+		{randomText([]byte("ACDEFGHIKLMNPQRSTVWY"), 400, 8), 1, true},
+		{storeText(400, 60, 130, 9), 61, false},
 	} {
-		fm := New(text)
+		fm := New(tc.text)
+		if tc.step > 1 && fm.Rows() <= 1<<(superShift+7) {
+			t.Fatalf("%d rows fit one superblock", fm.Rows())
+		}
 		var buf bytes.Buffer
 		if _, err := fm.WriteTo(&buf); err != nil {
 			t.Fatal(err)
@@ -276,12 +294,16 @@ func TestSerializeCoreBitFlips(t *testing.T) {
 		good := buf.Bytes()
 		sepsAt, _ := payloadOffsets(fm)
 		end := len(good) - 8 - 8*len(fm.sampleMark.words) // through the sample words
-		accepted := 0
-		for bit := 8 * sepsAt; bit < 8*end; bit++ {
+		if !tc.samples {
+			end = samplesOffset(fm, len(good))
+		}
+		accepted, flips := 0, 0
+		for bit := 8 * sepsAt; bit < 8*end; bit += tc.step {
+			flips++
 			bad := append([]byte(nil), good...)
 			bad[bit/8] ^= 1 << (bit % 8)
 			back, err := ReadFMIndex(bytes.NewReader(bad))
-			if err != nil || back.VerifyText(text) != nil {
+			if err != nil || back.VerifyText(tc.text) != nil {
 				continue
 			}
 			accepted++
@@ -296,7 +318,7 @@ func TestSerializeCoreBitFlips(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("σ=%d: %d of %d flips loaded", fm.Sigma(), accepted, 8*(end-sepsAt))
+		t.Logf("σ=%d, %d rows: %d of %d flips loaded", fm.Sigma(), fm.Rows(), accepted, flips)
 	}
 }
 

@@ -381,7 +381,7 @@ func TestStoreManifestRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Corruptions: bad magic, bad version, the retired versions 1 to 4,
+	// Corruptions: bad magic, bad version, the retired versions 1 to 5,
 	// truncated payload, hostile member length.
 	bad := append([]byte(nil), saved...)
 	bad[0] = 'X'
@@ -393,7 +393,7 @@ func TestStoreManifestRoundTrip(t *testing.T) {
 	if _, err := LoadStore(bytes.NewReader(bad), StoreOptions{}); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("bad version accepted (err=%v)", err)
 	}
-	for _, v := range []byte{1, 2, 3, 4} {
+	for _, v := range []byte{1, 2, 3, 4, 5} {
 		bad = append([]byte(nil), saved...)
 		bad[8] = v
 		_, err := LoadStore(bytes.NewReader(bad), StoreOptions{})

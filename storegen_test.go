@@ -549,9 +549,12 @@ func TestCompactKeepsMemberOrder(t *testing.T) {
 // directory of REAL generation files must be rejected cleanly or
 // produce a searchable store, and the load must delete nothing. The
 // generations are a multi-member DNA one, whose packed core lists
-// separator rows, an appended protein one on the plane core and an
-// appended DNA one whose bit-packed samples straddle words; the seeds
-// flip every byte of the manifest and of each generation file.
+// separator rows, an appended protein one on the plane core, an
+// appended DNA one whose bit-packed samples straddle words and an
+// appended multi-member DNA one whose rank directory spans two
+// superblocks; the seeds flip every byte of the manifest and of each
+// small generation file, and every 499th bit of the large one's
+// FM-index.
 // The files are built once; each fuzz case gets a fresh directory of
 // hard links to them.
 func FuzzLoadStoreDir(f *testing.F) {
@@ -572,6 +575,9 @@ func FuzzLoadStoreDir(f *testing.F) {
 	if err := st.Append([]SeqRecord{{Name: "wide", Seq: wideSampleDNA()}}); err != nil {
 		f.Fatal(err)
 	}
+	if err := st.Append(twoSuperblockRecords()); err != nil {
+		f.Fatal(err)
+	}
 	if _, err := st.Delete("beta"); err != nil {
 		f.Fatal(err)
 	}
@@ -579,7 +585,7 @@ func FuzzLoadStoreDir(f *testing.F) {
 	if err := st.SaveDir(src); err != nil {
 		f.Fatal(err)
 	}
-	genNames := []string{genFileName(1), genFileName(2), genFileName(3)}
+	genNames := []string{genFileName(1), genFileName(2), genFileName(3), genFileName(4)}
 	goodManifest, err := readFileBytes(filepath.Join(src, manifestName))
 	if err != nil {
 		f.Fatal(err)
@@ -595,7 +601,7 @@ func FuzzLoadStoreDir(f *testing.F) {
 	for n := 0; n < len(goodManifest); n += 1 + len(goodManifest)/8 {
 		f.Add(append([]byte(nil), goodManifest[:n]...), uint8(0), []byte(nil))
 	}
-	for _, v := range []byte{3, 4} {
+	for _, v := range []byte{3, 4, 5} {
 		legacy := append([]byte(nil), goodManifest...)
 		legacy[8] = v
 		f.Add(legacy, uint8(0), []byte(nil))
@@ -605,12 +611,18 @@ func FuzzLoadStoreDir(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for pos := 0; pos < len(gen); pos++ {
-			flipped := append([]byte(nil), gen...)
-			flipped[pos] ^= 1 << (pos % 8)
-			f.Add(goodManifest, uint8(i), flipped)
+		if i == len(genNames)-1 {
+			for _, flipped := range sparseFlips(gen, len(gen)-indexTail(f, st.currentView().gens[i].ix)) {
+				f.Add(goodManifest, uint8(i), flipped)
+			}
+		} else {
+			for pos := 0; pos < len(gen); pos++ {
+				flipped := append([]byte(nil), gen...)
+				flipped[pos] ^= 1 << (pos % 8)
+				f.Add(goodManifest, uint8(i), flipped)
+			}
 		}
-		for _, v := range []byte{3, 4} {
+		for _, v := range []byte{3, 4, 5} {
 			legacy := append([]byte(nil), gen...)
 			legacy[8] = v
 			f.Add(goodManifest, uint8(i), legacy)

@@ -18,8 +18,9 @@ import (
 // generations, member names and lengths, tombstone flags — framing one
 // index payload per generation (encodeIndex: the text plus the
 // compressed suffix array, with the FM-index's own versioning and
-// rank-layout tags: its rank core's blocks as they sit in memory, the
-// packed core's separator rows, the bit-packed position samples). Each index
+// rank-layout tags: its rank core's data words as they sit in memory,
+// the packed core's separator rows, the bit-packed position samples;
+// the rank directory is rebuilt on load). Each index
 // payload is length-prefixed, which keeps the indexes' internal
 // buffered readers from consuming past their own frame. A bare text is
 // persisted as a one-record store.
@@ -31,9 +32,12 @@ import (
 // and stores the index's rank core verbatim, a DNA generation's
 // separator rows beside its 2-bit core (about 2.0 bytes per character
 // in all, against 2.9); 5 keeps that and packs the position samples at
-// bits.Len(n/SampleRate) bits each instead of 32. Only version 5 is
-// read: an older file fails with an error naming its version; rebuild
-// it from its FASTA.
+// bits.Len(n/SampleRate) bits each instead of 32; 6 keeps that and
+// writes only the rank core's data words, whose two-level directory
+// the load rebuilds in the pass that checks them, so no file carries a
+// count word (a 64-member DNA store about 1.61 bytes per live
+// character, against 1.74). Only version 6 is read: an older file
+// fails with an error naming its version; rebuild it from its FASTA.
 //
 // A directory-backed store (storegen.go) writes each generation as a
 // one-generation store file, and its MANIFEST is the whole store's
@@ -43,7 +47,7 @@ import (
 var storeMagic = [8]byte{'A', 'L', 'A', 'E', 'S', 'T', 'O', 'R'}
 
 // storeVersion is the manifest format version this build writes.
-const storeVersion uint32 = 5
+const storeVersion uint32 = 6
 
 // sane upper bounds for manifest fields: a reload of hostile or
 // corrupt bytes must fail with a message, not an allocation storm.
@@ -88,7 +92,7 @@ func (st *Store) Save(w io.Writer) error {
 	return saveGenerations(w, v.gens, v.stamp)
 }
 
-// saveGenerations writes gens in the version-5 format: one index
+// saveGenerations writes gens in the version-6 format: one index
 // payload per generation, no shard list. Index serialization is
 // deterministic, so the counting pre-pass's size is exact; the tee's
 // post-check turns any violation of that assumption into a save error
@@ -290,7 +294,7 @@ func LoadStoreFile(path string, opts StoreOptions) (*Store, error) {
 	return loadStore(f, fi.Size(), opts)
 }
 
-// LoadStore reads a store written by Save (format version 5). The
+// LoadStore reads a store written by Save (format version 6). The
 // generation list comes from the manifest; opts.QueryCacheSize
 // configures the (runtime-only, never persisted) query cache.
 func LoadStore(r io.Reader, opts StoreOptions) (*Store, error) {
