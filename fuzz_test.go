@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -83,13 +84,23 @@ func twoSuperblockRecords() []SeqRecord {
 
 // indexTail returns how many bytes end data, a store file or index
 // payload whose last generation's index is ix, that hold ix's FM-index:
-// its rank core, samples and bitmap, behind the text.
+// its rank core, samples and bitmap, which is all a payload holds.
 func indexTail(t testing.TB, ix *Index) int {
 	n, err := ix.trie.Index().WriteTo(io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return int(n)
+}
+
+// sampleTail returns how many bytes end the serialization of an
+// FM-index over n characters at the default sample rate of 8 that hold
+// its position samples' words (samples) and its sample bitmap's word
+// count and words (bitmap): the bytes the LF chains of a load check.
+func sampleTail(n int) (samples, bitmap int) {
+	count := uint(n/8 + 1)
+	width := uint(bits.Len(uint(n / 8)))
+	return 8 * int((count*width+63)/64), 8 + 8*((n+1+63)/64)
 }
 
 // addFlips seeds data with one bit flipped in each of its bytes from
@@ -103,14 +114,13 @@ func addFlips(f *testing.F, data []byte, from int) {
 }
 
 // sparseFlips returns copies of data with one bit flipped in each,
-// every flipStride-th bit from byte from on: a sweep whose seed count
-// stays bounded on a payload too large to flip byte by byte. The
-// stride is prime, so the flipped bit walks through every position of
-// a word.
-func sparseFlips(data []byte, from int) [][]byte {
-	const flipStride = 499
+// every stride-th bit from byte from up to byte to: a sweep whose seed
+// count stays bounded on a payload too large to flip byte by byte. The
+// strides used are prime, so the flipped bit walks through every
+// position of a word.
+func sparseFlips(data []byte, from, to, stride int) [][]byte {
 	var out [][]byte
-	for bit := 8 * from; bit < 8*len(data); bit += flipStride {
+	for bit := 8 * from; bit < 8*to; bit += stride {
 		flipped := append([]byte(nil), data...)
 		flipped[bit/8] ^= 1 << (bit % 8)
 		out = append(out, flipped)
@@ -118,16 +128,59 @@ func sparseFlips(data []byte, from int) [][]byte {
 	return out
 }
 
+// indexFlips returns sparseFlips through the FM-index that ends data,
+// a store file or index payload whose last generation's index is ix:
+// every 499th bit of the whole index, then every 97th bit of its
+// position samples and sample bitmap, which only the LF chains of the
+// load check against the BWT.
+func indexFlips(t testing.TB, data []byte, ix *Index) [][]byte {
+	samples, bitmap := sampleTail(ix.Len())
+	out := sparseFlips(data, len(data)-indexTail(t, ix), len(data), 499)
+	return append(out, sparseFlips(data, len(data)-bitmap-8-samples, len(data), 97)...)
+}
+
+// v6Payload returns ix's index payload in the retired store version 6,
+// which wrote the text (its length, then its bytes) before the
+// FM-index.
+func v6Payload(t testing.TB, ix *Index) []byte {
+	var buf bytes.Buffer
+	binary.Write(&buf, binary.LittleEndian, uint64(ix.Len()))
+	buf.Write(ix.text)
+	if err := encodeIndex(&buf, ix); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// v6Store returns the generations gens saved in the retired store
+// version 6: the manifest, then each generation's v6Payload behind its
+// length.
+func v6Store(t testing.TB, gens []*generation) []byte {
+	var buf bytes.Buffer
+	if err := writeStoreManifest(&buf, gens, 0); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(buf.Bytes()[8:], 6)
+	for _, g := range gens {
+		payload := v6Payload(t, g.ix)
+		binary.Write(&buf, binary.LittleEndian, uint64(len(payload)))
+		buf.Write(payload)
+	}
+	return buf.Bytes()
+}
+
 // FuzzLoad drives the index-payload decoder a store's load runs per
 // generation: it must reject arbitrary bytes cleanly (no panic, no
-// runaway allocation) and accept the encoder's output. Its seeds are a
-// one-text DNA payload, a multi-member DNA payload with separator rows,
-// a protein payload on planes and a one-text DNA payload whose samples
-// straddle words, each also with every byte flipped (the bit-packed
-// samples included), a multi-member DNA payload whose rank directory
-// spans two superblocks, with a sparse sweep of flips through its
-// FM-index, and payloads in the older index versions 2 to 4, which
-// must be rejected by name.
+// runaway allocation) and accept the encoder's output, whose text it
+// rebuilds from the BWT. Its seeds are a one-text DNA payload, a
+// multi-member DNA payload with separator rows, a protein payload on
+// planes and a one-text DNA payload whose samples straddle words, each
+// also with every byte flipped (the bit-packed samples included), a
+// multi-member DNA payload whose rank directory spans two superblocks,
+// with indexFlips' sparse sweeps of its FM-index and of its samples,
+// payloads in the older index versions 2 to 4, which must be rejected
+// by name, and each payload as store version 6 wrote it, text first,
+// which must be rejected.
 func FuzzLoad(f *testing.F) {
 	ixs := []*Index{NewIndex([]byte("ACGTACGTACGTACGT"))}
 	for _, st := range fuzzStores(f) {
@@ -146,7 +199,7 @@ func FuzzLoad(f *testing.F) {
 		}
 		f.Add(good.Bytes())
 		if i == len(ixs)-1 {
-			for _, flipped := range sparseFlips(good.Bytes(), good.Len()-indexTail(f, ix)) {
+			for _, flipped := range indexFlips(f, good.Bytes(), ix) {
 				f.Add(flipped)
 			}
 		} else {
@@ -154,23 +207,21 @@ func FuzzLoad(f *testing.F) {
 		}
 		for _, v := range []byte{2, 3, 4} {
 			old := append([]byte(nil), good.Bytes()...)
-			old[8+ix.Len()+4] = v // the index version, after the text
+			old[4] = v // the index version, after the magic
 			f.Add(old)
 		}
+		f.Add(v6Payload(f, ix))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := decodeIndex(bytes.NewReader(data))
-		// An index of another version ("ALAE", then the version, after
-		// the text) must be rejected by name.
-		if n := uint64(len(data)); n >= 16 {
-			if at := binary.LittleEndian.Uint64(data) + 8; at <= n-8 &&
-				binary.LittleEndian.Uint32(data[at:]) == 0x414c4145 {
-				if v := binary.LittleEndian.Uint32(data[at+4:]); v != 5 &&
-					(err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v))) {
-					t.Fatalf("a version-%d index was not rejected by name: %v", v, err)
-				}
+		// An index of another version ("ALAE", then the version) must
+		// be rejected by name.
+		if len(data) >= 8 && binary.LittleEndian.Uint32(data) == 0x414c4145 {
+			if v := binary.LittleEndian.Uint32(data[4:]); v != 5 &&
+				(err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v))) {
+				t.Fatalf("a version-%d index was not rejected by name: %v", v, err)
 			}
 		}
 		if err != nil {
@@ -243,7 +294,7 @@ func FuzzLoadStore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(twoSupers.Bytes())
-	for _, flipped := range sparseFlips(twoSupers.Bytes(), twoSupers.Len()-indexTail(f, big.currentView().gens[0].ix)) {
+	for _, flipped := range indexFlips(f, twoSupers.Bytes(), big.currentView().gens[0].ix) {
 		f.Add(flipped)
 	}
 	// Truncations at awkward places: inside the magic, the manifest,
@@ -257,13 +308,16 @@ func FuzzLoadStore(f *testing.F) {
 		// lengths, and every byte of the payloads' rank cores.
 		addFlips(f, src.Bytes(), 0)
 	}
-	// The retired format versions 1 to 5 in an otherwise valid file:
-	// each must be rejected by name.
-	for _, v := range []byte{1, 2, 3, 4, 5} {
+	// The retired format versions 1 to 6 in an otherwise valid file,
+	// and real version-6 files, whose payloads hold the text: each
+	// must be rejected by name.
+	for _, v := range []byte{1, 2, 3, 4, 5, 6} {
 		legacy := append([]byte(nil), good.Bytes()...)
 		legacy[8] = v
 		f.Add(legacy)
 	}
+	f.Add(v6Store(f, st.currentView().gens))
+	f.Add(v6Store(f, big.currentView().gens))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := LoadStore(bytes.NewReader(data), StoreOptions{})
 		checkVersionNamed(t, data, err)

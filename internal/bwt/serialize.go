@@ -264,7 +264,7 @@ func ReadFMIndex(r io.Reader) (*FMIndex, error) {
 		if nCore != uint64(rows) {
 			return nil, fmt.Errorf("bwt: BWT length %d != n+1 = %d", nCore, rows)
 		}
-		if fm.bwt, err = ReadExact(br, nCore); err != nil {
+		if fm.bwt, err = readExact(br, nCore); err != nil {
 			return nil, fmt.Errorf("bwt: reading BWT: %w", err)
 		}
 		totals, err = fm.verifyBytes()
@@ -406,27 +406,6 @@ func (fm *FMIndex) verifyBytes() ([]int32, error) {
 	return totals, nil
 }
 
-// VerifyText checks the index against the text it was built from:
-// the same length, and every byte of the text occurring exactly as
-// often as the index counts it. A loader runs it on an index payload
-// stored beside its text.
-func (fm *FMIndex) VerifyText(text []byte) error {
-	if len(text) != fm.n {
-		return fmt.Errorf("bwt: index length %d does not match text length %d", fm.n, len(text))
-	}
-	var counts [256]int32
-	for _, b := range text {
-		counts[b]++
-	}
-	for b, cnt := range counts {
-		k := int(fm.code[b])
-		if k < 0 && cnt != 0 || k >= 0 && fm.c[k+1]-fm.c[k] != cnt {
-			return fmt.Errorf("bwt: index counts of %q do not match the text", byte(b))
-		}
-	}
-	return nil
-}
-
 // readSlice reads count little-endian values, growing the result as
 // the bytes arrive — so that a lying count in a corrupted payload fails
 // at the end of the input instead of committing memory up front — to
@@ -491,10 +470,10 @@ func readBlocks(br *bufio.Reader, nBlocks, stride, dirWords int) ([]uint64, erro
 	return out, nil
 }
 
-// ReadExact reads exactly n bytes, growing the buffer in bounded
+// readExact reads exactly n bytes, growing the buffer in bounded
 // chunks so that a lying length field in a corrupted index fails with
 // an I/O error instead of exhausting memory on one giant allocation.
-func ReadExact(r io.Reader, n uint64) ([]byte, error) {
+func readExact(r io.Reader, n uint64) ([]byte, error) {
 	const chunk = 1 << 22
 	out := make([]byte, 0, min(n, chunk))
 	remaining := n

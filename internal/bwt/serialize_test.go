@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/bits"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -264,24 +266,21 @@ func TestSerializeRejectsCorruptCore(t *testing.T) {
 }
 
 // TestSerializeCoreBitFlips flips every bit of a multi-member DNA
-// payload's separator list, core and position samples, and of a
-// protein payload's planes and samples, and every 61st bit of the
-// separator list and core of a store payload whose core spans two
-// superblocks (the small payloads sweep the samples whole): each
-// flip is rejected by the load or by VerifyText against the text, or —
-// a separator moved onto another placeholder row of its block, which
-// no count can tell apart, or a sample changed within n/SampleRate —
-// loads an index whose every LF step and located position stays in
-// range.
+// payload and of a protein payload, and every 61st bit of a store
+// payload whose core spans two superblocks, from the separator list
+// through the core, the position samples and the sample bitmap: each
+// flip either fails the load — the
+// read or the inversion, which checks every position sample — or
+// loads an index that rebuilds the original text byte for byte and
+// locates every row where the built index does.
 func TestSerializeCoreBitFlips(t *testing.T) {
 	for _, tc := range []struct {
-		text    []byte
-		step    int
-		samples bool
+		text []byte
+		step int
 	}{
-		{storeText(6, 20, 60, 7), 1, true},
-		{randomText([]byte("ACDEFGHIKLMNPQRSTVWY"), 400, 8), 1, true},
-		{storeText(400, 60, 130, 9), 61, false},
+		{storeText(6, 20, 60, 7), 1},
+		{randomText([]byte("ACDEFGHIKLMNPQRSTVWY"), 400, 8), 1},
+		{storeText(400, 60, 130, 9), 61},
 	} {
 		fm := New(tc.text)
 		if tc.step > 1 && fm.Rows() <= 1<<(superShift+7) {
@@ -292,33 +291,184 @@ func TestSerializeCoreBitFlips(t *testing.T) {
 			t.Fatal(err)
 		}
 		good := buf.Bytes()
+		want := fm.Locate(0, fm.Rows())
 		sepsAt, _ := payloadOffsets(fm)
-		end := len(good) - 8 - 8*len(fm.sampleMark.words) // through the sample words
-		if !tc.samples {
-			end = samplesOffset(fm, len(good))
-		}
 		accepted, flips := 0, 0
-		for bit := 8 * sepsAt; bit < 8*end; bit += tc.step {
+		for bit := 8 * sepsAt; bit < 8*len(good); bit += tc.step {
 			flips++
 			bad := append([]byte(nil), good...)
 			bad[bit/8] ^= 1 << (bit % 8)
 			back, err := ReadFMIndex(bytes.NewReader(bad))
-			if err != nil || back.VerifyText(tc.text) != nil {
+			if err != nil {
+				continue
+			}
+			text, err := back.Invert()
+			if err != nil {
 				continue
 			}
 			accepted++
-			for row := 0; row < back.Rows(); row++ {
-				if _, next, ok := back.LFStep(row); ok && (next < 0 || next >= back.Rows()) {
-					t.Fatalf("bit %d: LFStep(%d) = %d, out of range", bit, row, next)
-				}
+			if !bytes.Equal(text, tc.text) {
+				t.Fatalf("bit %d: the load rebuilt another text", bit)
 			}
-			for _, p := range back.Locate(0, back.Rows()) {
-				if p < 0 || p > back.Len() {
-					t.Fatalf("bit %d: located position %d out of range", bit, p)
-				}
+			if got := back.Locate(0, back.Rows()); !slices.Equal(got, want) {
+				t.Fatalf("bit %d: the loaded index locates rows elsewhere", bit)
 			}
 		}
 		t.Logf("σ=%d, %d rows: %d of %d flips loaded", fm.Sigma(), fm.Rows(), accepted, flips)
+	}
+}
+
+// TestInvertRejectsBWTSwaps swaps every pair of adjacent, different
+// BWT letters of a byte-layout index, the sentinel's row left alone.
+// Such a swap keeps every letter count and exchanges the two rows' LF
+// targets, which splits LF's one cycle in two, so every swap must fail
+// the inversion; both ways a chain can fail — reaching $ early and
+// landing off its sample — must be seen.
+func TestInvertRejectsBWTSwaps(t *testing.T) {
+	text := randomText([]byte("ACGT"), 120, 6)
+	fm := NewWithOptions(text, Options{SampleRate: 4, ForceByteRank: true})
+	seen := map[string]int{}
+	for row := 0; row+1 < fm.Rows(); row++ {
+		a, b := fm.bwt[row], fm.bwt[row+1]
+		if a == b || row == fm.sentinelRow || row+1 == fm.sentinelRow {
+			continue
+		}
+		fm.bwt[row], fm.bwt[row+1] = b, a
+		fm.occ = buildOcc(fm.bwt, fm.sentinelRow, fm.ckptEvery, fm.sigma)
+		_, err := fm.Invert()
+		fm.bwt[row], fm.bwt[row+1] = a, b
+		switch {
+		case err == nil:
+			t.Fatalf("rows %d and %d swapped: the inversion passed", row, row+1)
+		case strings.Contains(err.Error(), "reaches $"):
+			seen["reaches $"]++
+		case strings.Contains(err.Error(), "lands on"):
+			seen["lands on"]++
+		default:
+			t.Fatalf("rows %d and %d swapped: %v", row, row+1, err)
+		}
+	}
+	if seen["reaches $"] == 0 || seen["lands on"] == 0 {
+		t.Fatalf("the swaps failed as %v; want both chain checks seen", seen)
+	}
+	t.Logf("%v", seen)
+}
+
+// setSample overwrites the i-th position sample of fm with p.
+func setSample(fm *FMIndex, i, p int) {
+	w, bit := fm.sampleBits, uint(i)*fm.sampleBits
+	mask := uint64(1)<<w - 1
+	fm.samples[bit/64] &^= mask << (bit % 64)
+	if bit%64+w > 64 {
+		fm.samples[bit/64+1] &^= mask >> (64 - bit%64)
+	}
+	fm.putSample(i, p)
+}
+
+// TestInvertRebuildsText inverts indexes of every rank layout — packed
+// with and without separator rows, planes, bytes — at several sample
+// rates and lengths, built and reloaded, and holds the rebuilt text to
+// the original byte for byte. It then moves samples the way a corrupt
+// payload could, each a way no count can tell: two samples swapped, the
+// samples of positions 0 and n moved to other rows, one position
+// sampled twice; every one must fail the inversion with the message of
+// its check. A text long enough to split across two workers inverts
+// whole, and fails with two of the second worker's samples swapped.
+func TestInvertRebuildsText(t *testing.T) {
+	wide := make([]byte, 0, 600)
+	for i := range 600 {
+		wide = append(wide, byte(33+i*7%90))
+	}
+	texts := [][]byte{
+		{}, []byte("A"), []byte("ACGTACGT"),
+		randomText([]byte("ACGT"), 1000, 1),
+		storeText(9, 10, 70, 2),
+		randomText([]byte("ACDEFGHIKLMNPQRSTVWY"), 700, 3),
+		wide,
+	}
+	for _, text := range texts {
+		for _, rate := range []int{1, 3, 8, 32} {
+			built := NewWithOptions(text, Options{SampleRate: rate})
+			var buf bytes.Buffer
+			if _, err := built.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := ReadFMIndex(&buf)
+			if err != nil {
+				t.Fatalf("%s, rate %d: %v", built, rate, err)
+			}
+			for _, fm := range []*FMIndex{built, loaded} {
+				got, err := fm.Invert()
+				if err != nil || !bytes.Equal(got, text) {
+					t.Fatalf("%s, rate %d: inverted %d bytes (err=%v), want the %d-byte text", fm, rate, len(got), err, len(text))
+				}
+			}
+		}
+	}
+	// A text long enough to split across two workers inverts whole, and
+	// fails when two samples among the second worker's rows swap.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	long := randomText([]byte("ACGT"), 2*invertSplitChars+77, 5)
+	fm := New(long)
+	if got, err := fm.Invert(); err != nil || !bytes.Equal(got, long) {
+		t.Fatalf("the %d-character text did not invert on two workers (err=%v)", len(long), err)
+	}
+	last := fm.sampleMark.Rank(fm.Rows()) - 1
+	if fm.sampleMark.Rank(fm.sentinelRow) >= last-1 {
+		t.Fatal("the sentinel row holds one of the last two samples")
+	}
+	pa, pb := fm.sample(last-1), fm.sample(last)
+	setSample(fm, last-1, pb)
+	setSample(fm, last, pa)
+	if _, err := fm.Invert(); err == nil || !strings.Contains(err.Error(), "lands on") {
+		t.Fatalf("two swapped samples in the second worker's rows: %v", err)
+	}
+
+	// Sixty characters at rate 4: row 0 is sampled, and the 16 samples
+	// are walked in one sweep, so each case meets its own check first.
+	text := storeText(3, 20, 20, 4)[:60]
+	// others returns the indexes of two samples on rows other than row 0
+	// and the sentinel row.
+	others := func(fm *FMIndex) (int, int) {
+		var out []int
+		for i := 1; len(out) < 2; i++ {
+			if i != fm.sampleMark.Rank(fm.sentinelRow) {
+				out = append(out, i)
+			}
+		}
+		return out[0], out[1]
+	}
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(fm *FMIndex)
+	}{
+		{"two samples swapped", "lands on", func(fm *FMIndex) {
+			a, b := others(fm)
+			pa, pb := fm.sample(a), fm.sample(b)
+			setSample(fm, a, pb)
+			setSample(fm, b, pa)
+		}},
+		{"position n off row 0", "only row 0", func(fm *FMIndex) {
+			a, _ := others(fm)
+			setSample(fm, a, fm.n)
+		}},
+		{"position 0 off the sentinel", "sentinel row", func(fm *FMIndex) {
+			a, _ := others(fm)
+			setSample(fm, a, 0)
+		}},
+		{"one position sampled twice", "two rows hold", func(fm *FMIndex) {
+			a, b := others(fm)
+			setSample(fm, a, fm.sample(b))
+		}},
+	} {
+		fm := NewWithOptions(text, Options{SampleRate: 4})
+		if _, err := fm.Invert(); err != nil {
+			t.Fatal(err)
+		}
+		tc.corrupt(fm)
+		if _, err := fm.Invert(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: inversion returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

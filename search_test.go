@@ -2,6 +2,7 @@ package alae
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -78,20 +79,24 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := decodeIndex(bytes.NewReader([]byte("not an index at all, definitely"))); err == nil {
 		t.Error("garbage accepted")
 	}
-	// A huge claimed length must fail fast, not allocate terabytes.
-	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
-	if _, err := decodeIndex(bytes.NewReader(huge)); err == nil {
-		t.Error("implausible length accepted")
-	}
-	// An FM-index that does not cover exactly the text is rejected.
 	var good bytes.Buffer
 	if err := encodeIndex(&good, NewIndex([]byte("ACGTACGTACGT"))); err != nil {
 		t.Fatal(err)
 	}
-	short := append([]byte{11, 0, 0, 0, 0, 0, 0, 0}, good.Bytes()[8:8+11]...)
-	short = append(short, good.Bytes()[8+12:]...)
-	if _, err := decodeIndex(bytes.NewReader(short)); err == nil {
-		t.Error("index over 12 bytes accepted for an 11-byte text")
+	// A huge claimed length must fail fast, not allocate terabytes.
+	huge := append([]byte(nil), good.Bytes()...)
+	binary.LittleEndian.PutUint64(huge[12:], 1<<62) // n, after magic, version and layout
+	if _, err := decodeIndex(bytes.NewReader(huge)); err == nil {
+		t.Error("implausible length accepted")
+	}
+	// An FM-index whose position samples disagree with its BWT is
+	// rejected: the text is rebuilt from the BWT and checked against
+	// every sample.
+	samples, bitmap := sampleTail(12)
+	moved := append([]byte(nil), good.Bytes()...)
+	moved[len(moved)-bitmap-samples] ^= 1
+	if _, err := decodeIndex(bytes.NewReader(moved)); err == nil || !strings.Contains(err.Error(), "sample") {
+		t.Errorf("an index whose samples disagree with its BWT was accepted (err=%v)", err)
 	}
 	// A payload must end where the index does: a store frame is decoded
 	// in place, so a byte past the index is a framing error.

@@ -3,7 +3,9 @@ package alae
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -381,8 +383,9 @@ func TestStoreManifestRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Corruptions: bad magic, bad version, the retired versions 1 to 5,
-	// truncated payload, hostile member length.
+	// Corruptions: bad magic, bad version, the retired versions 1 to 6
+	// (and a real version-6 file, its payloads text first), truncated
+	// payload, hostile member length.
 	bad := append([]byte(nil), saved...)
 	bad[0] = 'X'
 	if _, err := LoadStore(bytes.NewReader(bad), StoreOptions{}); err == nil || !strings.Contains(err.Error(), "magic") {
@@ -393,13 +396,16 @@ func TestStoreManifestRoundTrip(t *testing.T) {
 	if _, err := LoadStore(bytes.NewReader(bad), StoreOptions{}); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("bad version accepted (err=%v)", err)
 	}
-	for _, v := range []byte{1, 2, 3, 4, 5} {
+	for _, v := range []byte{1, 2, 3, 4, 5, 6} {
 		bad = append([]byte(nil), saved...)
 		bad[8] = v
 		_, err := LoadStore(bytes.NewReader(bad), StoreOptions{})
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
 			t.Fatalf("legacy version %d accepted or not named (err=%v)", v, err)
 		}
+	}
+	if _, err := LoadStore(bytes.NewReader(v6Store(t, st.currentView().gens)), StoreOptions{}); err == nil || !strings.Contains(err.Error(), "version 6") {
+		t.Fatalf("a version-6 store file was accepted or not named (err=%v)", err)
 	}
 	if _, err := LoadStore(bytes.NewReader(saved[:len(saved)/2]), StoreOptions{}); err == nil {
 		t.Fatal("truncated store accepted")
@@ -416,6 +422,74 @@ func TestStoreManifestRoundTrip(t *testing.T) {
 	if _, err := LoadStore(bytes.NewReader(bad), StoreOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "implausible") {
 		t.Fatalf("hostile member length accepted (err=%v)", err)
+	}
+	// A manifest one character short of its generation's index: no text
+	// is stored, so the index's own length is what the manifest must
+	// match.
+	bad = append([]byte(nil), saved...)
+	binary.LittleEndian.PutUint64(bad[off:], uint64(st.Sequences().SeqLen(0)-1))
+	if _, err := LoadStore(bytes.NewReader(bad), StoreOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "does not match manifest length") {
+		t.Fatalf("a manifest shorter than its index accepted (err=%v)", err)
+	}
+}
+
+// TestLoadStoreChecksSamples corrupts the position samples of a saved
+// multi-member store's last generation in ways its letter counts
+// cannot show — one sample's value off by one step, one sample-bitmap
+// bit flipped, and one sample mark moved to the next row: each load
+// must fail with a message naming the generation.
+func TestLoadStoreChecksSamples(t *testing.T) {
+	wl := buildStoreWorkload(seq.DNA, 5, 2000, 250, 713)
+	st, err := NewStore(wl.records[:3], StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(wl.records[3:]); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := st.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	if _, err := LoadStore(bytes.NewReader(saved), StoreOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	last := st.currentView().gens[1]
+	n := last.ix.Len()
+	samples, bitmap := sampleTail(n)
+	samplesAt, bitmapAt := len(saved)-bitmap-samples, len(saved)-bitmap+8
+	width := bits.Len(uint(n / 8))
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(b []byte)
+	}{
+		{"a sample off by one step", "two rows hold the sample", func(b []byte) {
+			bit := n / 8 / 2 * width // the low bit of the middle sample
+			b[samplesAt+bit/8] ^= 1 << (bit % 8)
+		}},
+		{"a sample-bitmap bit", "popcount", func(b []byte) {
+			b[bitmapAt+n/16] ^= 1 << 3
+		}},
+		{"a sample mark moved", "LF chain", func(b []byte) {
+			for bit := 8 * (bitmapAt + n/16); ; bit++ {
+				if b[bit/8]>>(bit%8)&1 == 1 && b[(bit+1)/8]>>((bit+1)%8)&1 == 0 {
+					b[bit/8] ^= 1 << (bit % 8)
+					b[(bit+1)/8] ^= 1 << ((bit + 1) % 8)
+					return
+				}
+			}
+		}},
+	} {
+		bad := append([]byte(nil), saved...)
+		tc.corrupt(bad)
+		_, err := LoadStore(bytes.NewReader(bad), StoreOptions{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("generation %d", last.id)) {
+			t.Errorf("%s: the load returned %v, want an error naming generation %d and containing %q",
+				tc.name, err, last.id, tc.want)
+		}
 	}
 }
 

@@ -553,8 +553,10 @@ func TestCompactKeepsMemberOrder(t *testing.T) {
 // appended DNA one whose bit-packed samples straddle words and an
 // appended multi-member DNA one whose rank directory spans two
 // superblocks; the seeds flip every byte of the manifest and of each
-// small generation file, and every 499th bit of the large one's
-// FM-index.
+// small generation file, and the large one's FM-index and samples by
+// indexFlips' sparse sweeps; the retired versions 3 to 6 in the
+// manifest and in each generation file, and the large generation as
+// version 6 wrote it, text first, must be rejected by name.
 // The files are built once; each fuzz case gets a fresh directory of
 // hard links to them.
 func FuzzLoadStoreDir(f *testing.F) {
@@ -601,7 +603,7 @@ func FuzzLoadStoreDir(f *testing.F) {
 	for n := 0; n < len(goodManifest); n += 1 + len(goodManifest)/8 {
 		f.Add(append([]byte(nil), goodManifest[:n]...), uint8(0), []byte(nil))
 	}
-	for _, v := range []byte{3, 4, 5} {
+	for _, v := range []byte{3, 4, 5, 6} {
 		legacy := append([]byte(nil), goodManifest...)
 		legacy[8] = v
 		f.Add(legacy, uint8(0), []byte(nil))
@@ -612,9 +614,11 @@ func FuzzLoadStoreDir(f *testing.F) {
 			f.Fatal(err)
 		}
 		if i == len(genNames)-1 {
-			for _, flipped := range sparseFlips(gen, len(gen)-indexTail(f, st.currentView().gens[i].ix)) {
+			g := st.currentView().gens[i]
+			for _, flipped := range indexFlips(f, gen, g.ix) {
 				f.Add(goodManifest, uint8(i), flipped)
 			}
+			f.Add(goodManifest, uint8(i), v6Store(f, []*generation{g}))
 		} else {
 			for pos := 0; pos < len(gen); pos++ {
 				flipped := append([]byte(nil), gen...)
@@ -622,7 +626,7 @@ func FuzzLoadStoreDir(f *testing.F) {
 				f.Add(goodManifest, uint8(i), flipped)
 			}
 		}
-		for _, v := range []byte{3, 4, 5} {
+		for _, v := range []byte{3, 4, 5, 6} {
 			legacy := append([]byte(nil), gen...)
 			legacy[8] = v
 			f.Add(goodManifest, uint8(i), legacy)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/bwt"
 	"repro/internal/core"
@@ -16,14 +17,16 @@ import (
 
 // Store persistence, the one on-disk format: a versioned manifest —
 // generations, member names and lengths, tombstone flags — framing one
-// index payload per generation (encodeIndex: the text plus the
-// compressed suffix array, with the FM-index's own versioning and
-// rank-layout tags: its rank core's data words as they sit in memory,
-// the packed core's separator rows, the bit-packed position samples;
-// the rank directory is rebuilt on load). Each index
-// payload is length-prefixed, which keeps the indexes' internal
-// buffered readers from consuming past their own frame. A bare text is
-// persisted as a one-record store.
+// index payload per generation (encodeIndex: the compressed suffix
+// array alone, with the FM-index's own versioning and rank-layout
+// tags: its rank core's data words as they sit in memory, the packed
+// core's separator rows, the bit-packed position samples; the rank
+// directory is rebuilt on load, and so is the text, by inverting the
+// BWT with one LF chain per position sample, each of which must land
+// on the next lower sample). Each index payload is length-prefixed,
+// which keeps the indexes' internal buffered readers from consuming
+// past their own frame. A bare text is persisted as a one-record
+// store.
 //
 // Version history: 1 and 2 persisted one index payload per shard; 3
 // persisted ONE index payload per generation, with a mutation stamp,
@@ -36,8 +39,11 @@ import (
 // writes only the rank core's data words, whose two-level directory
 // the load rebuilds in the pass that checks them, so no file carries a
 // count word (a 64-member DNA store about 1.61 bytes per live
-// character, against 1.74). Only version 6 is read: an older file
-// fails with an error naming its version; rebuild it from its FASTA.
+// character, against 1.74); 7 drops the text from each payload, which
+// the load rebuilds from the BWT and checks against every position
+// sample (about 0.61 bytes per live character). Only version 7 is
+// read: an older file fails with an error naming its version; rebuild
+// it from its FASTA.
 //
 // A directory-backed store (storegen.go) writes each generation as a
 // one-generation store file, and its MANIFEST is the whole store's
@@ -47,7 +53,7 @@ import (
 var storeMagic = [8]byte{'A', 'L', 'A', 'E', 'S', 'T', 'O', 'R'}
 
 // storeVersion is the manifest format version this build writes.
-const storeVersion uint32 = 6
+const storeVersion uint32 = 7
 
 // sane upper bounds for manifest fields: a reload of hostile or
 // corrupt bytes must fail with a message, not an allocation storm.
@@ -80,7 +86,7 @@ func (c *countingTee) Write(p []byte) (int, error) {
 }
 
 // Save serialises the store: the manifest followed by each
-// generation's index (text plus compressed suffix array). The format
+// generation's index (the compressed suffix array; no text). The format
 // is versioned and validated on load. Index payloads STREAM to w in
 // two passes — a counting pre-pass derives each length prefix, then
 // the serialization runs again writing through — so saving never
@@ -92,7 +98,7 @@ func (st *Store) Save(w io.Writer) error {
 	return saveGenerations(w, v.gens, v.stamp)
 }
 
-// saveGenerations writes gens in the version-6 format: one index
+// saveGenerations writes gens in the version-7 format: one index
 // payload per generation, no shard list. Index serialization is
 // deterministic, so the counting pre-pass's size is exact; the tee's
 // post-check turns any violation of that assumption into a save error
@@ -160,43 +166,23 @@ func writeStoreManifest(w io.Writer, gens []*generation, stamp uint64) error {
 	return err
 }
 
-// encodeIndex writes one generation's index payload: the text length,
-// the text, then the FM-index serialization.
+// encodeIndex writes one generation's index payload: the FM-index
+// serialization alone. The text is not written: decodeIndex rebuilds
+// it from the BWT.
 func encodeIndex(w io.Writer, ix *Index) error {
-	bw := bufio.NewWriter(w)
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(ix.text))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(ix.text); err != nil {
-		return err
-	}
-	if _, err := ix.trie.Index().WriteTo(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := ix.trie.Index().WriteTo(w)
+	return err
 }
 
 // decodeIndex reads an index payload written by encodeIndex, which
-// must be all of r. An implausible text length fails before any
-// allocation, and the FM-index must cover exactly the text.
+// must be all of r, and rebuilds the text from the BWT. The FM-index
+// indexes the reversed text, so the rebuilt bytes are mirrored in
+// place. The text is allocated only after the index's bytes have
+// arrived, so a lying header commits no memory.
 func decodeIndex(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
-	n, err := readLE(br, 8)
-	if err != nil {
-		return nil, fmt.Errorf("alae: reading index: %w", err)
-	}
-	if n > 1<<40 {
-		return nil, fmt.Errorf("alae: implausible text length %d", n)
-	}
-	text, err := bwt.ReadExact(br, n)
-	if err != nil {
-		return nil, fmt.Errorf("alae: reading text: %w", err)
-	}
 	fm, err := bwt.ReadFMIndex(br)
 	if err != nil {
-		return nil, err
-	}
-	if err := fm.VerifyText(text); err != nil {
 		return nil, err
 	}
 	if _, err := br.ReadByte(); err == nil {
@@ -204,6 +190,11 @@ func decodeIndex(r io.Reader) (*Index, error) {
 	} else if err != io.EOF {
 		return nil, fmt.Errorf("alae: reading index: %w", err)
 	}
+	text, err := fm.Invert()
+	if err != nil {
+		return nil, err
+	}
+	slices.Reverse(text)
 	return &Index{
 		text: text,
 		trie: strie.NewFromIndex(text, fm),
@@ -294,7 +285,7 @@ func LoadStoreFile(path string, opts StoreOptions) (*Store, error) {
 	return loadStore(f, fi.Size(), opts)
 }
 
-// LoadStore reads a store written by Save (format version 6). The
+// LoadStore reads a store written by Save (format version 7). The
 // generation list comes from the manifest; opts.QueryCacheSize
 // configures the (runtime-only, never persisted) query cache.
 func LoadStore(r io.Reader, opts StoreOptions) (*Store, error) {
@@ -522,11 +513,11 @@ func readStoreManifest(br *bufio.Reader, want *genManifest, size int64) ([]*genM
 	return manifests, stamp, nil
 }
 
-// readIndexPayload reads one length-prefixed index payload whose text
-// must be exactly textLen bytes. The manifest already says how long
-// the text is, so the payload frame gets a tight plausibility bound
-// (the index serialization is a small multiple of its text) instead of
-// a blanket huge one.
+// readIndexPayload reads one length-prefixed index payload whose
+// index must cover exactly textLen characters. The manifest already
+// says how long the text is, so the payload frame gets a tight
+// plausibility bound (the index serialization takes a few bytes per
+// character at most) instead of a blanket huge one.
 func readIndexPayload(br *bufio.Reader, textLen int, what string) (*Index, error) {
 	maxPayload := 64*uint64(textLen) + (1 << 20)
 	payloadLen, err := readLE(br, 8)
@@ -537,9 +528,8 @@ func readIndexPayload(br *bufio.Reader, textLen int, what string) (*Index, error
 		return nil, fmt.Errorf("alae: implausible store %s payload length %d", what, payloadLen)
 	}
 	// Decode straight from the frame: the decoder's reads grow as bytes
-	// arrive (bwt.ReadExact), so a crafted length pointing past the end
-	// of a short file fails on EOF, and it must end exactly at the
-	// frame's end.
+	// arrive, so a crafted length pointing past the end of a short file
+	// fails on EOF, and it must end exactly at the frame's end.
 	ix, err := decodeIndex(io.LimitReader(br, int64(payloadLen)))
 	if err != nil {
 		return nil, fmt.Errorf("alae: store %s: %w", what, err)
