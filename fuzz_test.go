@@ -63,8 +63,9 @@ func fuzzStores(f *testing.F) []*Store {
 }
 
 // wideSampleDNA returns a 200-base DNA text: its 26 position samples of
-// 5 bits each fill three words, so the bit-packed samples straddle word
-// boundaries, which the short seed texts' one sample word never does.
+// 5 bits each fill three words, so the samples a load packs straddle
+// word boundaries, which the short seed texts' one sample word never
+// does.
 func wideSampleDNA() []byte {
 	return randDNA(200, rand.New(rand.NewSource(7)))
 }
@@ -84,7 +85,7 @@ func twoSuperblockRecords() []SeqRecord {
 
 // indexTail returns how many bytes end data, a store file or index
 // payload whose last generation's index is ix, that hold ix's FM-index:
-// its rank core, samples and bitmap, which is all a payload holds.
+// its rank core, checksum and anchors, which is all a payload holds.
 func indexTail(t testing.TB, ix *Index) int {
 	n, err := ix.trie.Index().WriteTo(io.Discard)
 	if err != nil {
@@ -93,14 +94,14 @@ func indexTail(t testing.TB, ix *Index) int {
 	return int(n)
 }
 
-// sampleTail returns how many bytes end the serialization of an
+// anchorTail returns how many bytes end the serialization of an
 // FM-index over n characters at the default sample rate of 8 that hold
-// its position samples' words (samples) and its sample bitmap's word
-// count and words (bitmap): the bytes the LF chains of a load check.
-func sampleTail(n int) (samples, bitmap int) {
-	count := uint(n/8 + 1)
-	width := uint(bits.Len(uint(n / 8)))
-	return 8 * int((count*width+63)/64), 8 + 8*((n+1+63)/64)
+// its anchors' word count and words: the bytes only the LF chains of a
+// load check. At that rate the anchored positions are the multiples of
+// 512 below n, each held at bits.Len(n) bits.
+func anchorTail(n int) int {
+	count := uint(max(n-1, 0)/512 + 1)
+	return 8 + 8*int((count*uint(bits.Len(uint(n)))+63)/64)
 }
 
 // addFlips seeds data with one bit flipped in each of its bytes from
@@ -116,7 +117,7 @@ func addFlips(f *testing.F, data []byte, from int) {
 // sparseFlips returns copies of data with one bit flipped in each,
 // every stride-th bit from byte from up to byte to: a sweep whose seed
 // count stays bounded on a payload too large to flip byte by byte. The
-// strides used are prime, so the flipped bit walks through every
+// strides used are 1 or prime, so the flipped bit walks through every
 // position of a word.
 func sparseFlips(data []byte, from, to, stride int) [][]byte {
 	var out [][]byte
@@ -128,41 +129,98 @@ func sparseFlips(data []byte, from, to, stride int) [][]byte {
 	return out
 }
 
-// indexFlips returns sparseFlips through the FM-index that ends data,
-// a store file or index payload whose last generation's index is ix:
-// every 499th bit of the whole index, then every 97th bit of its
-// position samples and sample bitmap, which only the LF chains of the
-// load check against the BWT.
-func indexFlips(t testing.TB, data []byte, ix *Index) [][]byte {
-	samples, bitmap := sampleTail(ix.Len())
+// indexSweeps returns corrupt copies of data, a store file or index
+// payload whose last generation's index is ix: sparseFlips through its
+// FM-index, every 499th bit of the whole index, then every bit of its
+// anchors, and then each adjacent pair of anchors swapped, which keeps
+// every anchor a plausible row. Only the LF chains of the load check
+// the anchors against the BWT.
+func indexSweeps(t testing.TB, data []byte, ix *Index) [][]byte {
+	n := ix.Len()
+	at := len(data) - anchorTail(n)
 	out := sparseFlips(data, len(data)-indexTail(t, ix), len(data), 499)
-	return append(out, sparseFlips(data, len(data)-bitmap-8-samples, len(data), 97)...)
+	out = append(out, sparseFlips(data, at, len(data), 1)...)
+	width := bits.Len(uint(n))
+	// field reads (or, given v, writes) anchor k's bit b.
+	field := func(b []byte, k, i int, v ...byte) byte {
+		bit := 8*(at+8) + k*width + i
+		if len(v) > 0 {
+			b[bit/8] = b[bit/8]&^(1<<(bit%8)) | v[0]<<(bit%8)
+		}
+		return b[bit/8] >> (bit % 8) & 1
+	}
+	for k := 0; k+1 <= (n-1)/512; k++ {
+		swapped := append([]byte(nil), data...)
+		for i := range width {
+			x, y := field(data, k, i), field(data, k+1, i)
+			field(swapped, k, i, y)
+			field(swapped, k+1, i, x)
+		}
+		out = append(out, swapped)
+	}
+	return out
+}
+
+// v5Index returns ix's FM-index in the retired index version 5, which
+// held the position samples and their bitmap where version 6 holds the
+// checksum and the anchors: the samples' bit width, word count and
+// words — every position that is a multiple of the sample rate 8, as
+// p/8 in row order, at bits.Len(n/8) bits — then the bitmap's word
+// count and words, one bit per sampled row.
+func v5Index(t testing.TB, ix *Index) []byte {
+	fm := ix.trie.Index()
+	var buf bytes.Buffer
+	if _, err := fm.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	n := ix.Len()
+	out := buf.Bytes()[:buf.Len()-anchorTail(n)-4]
+	binary.LittleEndian.PutUint32(out[4:], 5) // the version, after the magic
+	width := bits.Len(uint(n / 8))
+	samples := make([]uint64, ((n/8+1)*width+63)/64)
+	mark := make([]uint64, (n+1+63)/64)
+	j := 0
+	for row := range fm.Rows() {
+		if p := fm.Position(row); p%8 == 0 {
+			mark[row/64] |= 1 << (row % 64)
+			for b := range width {
+				samples[(j*width+b)/64] |= uint64(p/8>>b&1) << ((j*width + b) % 64)
+			}
+			j++
+		}
+	}
+	out = binary.LittleEndian.AppendUint32(out, uint32(width))
+	for _, words := range [][]uint64{samples, mark} {
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(words)))
+		for _, w := range words {
+			out = binary.LittleEndian.AppendUint64(out, w)
+		}
+	}
+	return out
 }
 
 // v6Payload returns ix's index payload in the retired store version 6,
-// which wrote the text (its length, then its bytes) before the
+// which wrote the text (its length, then its bytes) before a version-5
 // FM-index.
 func v6Payload(t testing.TB, ix *Index) []byte {
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, uint64(ix.Len()))
-	buf.Write(ix.text)
-	if err := encodeIndex(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	out := binary.LittleEndian.AppendUint64(nil, uint64(ix.Len()))
+	return append(append(out, ix.text...), v5Index(t, ix)...)
 }
 
-// v6Store returns the generations gens saved in the retired store
-// version 6: the manifest, then each generation's v6Payload behind its
-// length.
-func v6Store(t testing.TB, gens []*generation) []byte {
+// legacyStore returns the generations gens saved in a retired store
+// version: 6, each generation's v6Payload behind its length, or 7,
+// its version-5 FM-index alone.
+func legacyStore(t testing.TB, gens []*generation, version uint32) []byte {
 	var buf bytes.Buffer
 	if err := writeStoreManifest(&buf, gens, 0); err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(buf.Bytes()[8:], 6)
+	binary.LittleEndian.PutUint32(buf.Bytes()[8:], version)
 	for _, g := range gens {
-		payload := v6Payload(t, g.ix)
+		payload := v5Index(t, g.ix)
+		if version == 6 {
+			payload = v6Payload(t, g.ix)
+		}
 		binary.Write(&buf, binary.LittleEndian, uint64(len(payload)))
 		buf.Write(payload)
 	}
@@ -174,13 +232,14 @@ func v6Store(t testing.TB, gens []*generation) []byte {
 // runaway allocation) and accept the encoder's output, whose text it
 // rebuilds from the BWT. Its seeds are a one-text DNA payload, a
 // multi-member DNA payload with separator rows, a protein payload on
-// planes and a one-text DNA payload whose samples straddle words, each
-// also with every byte flipped (the bit-packed samples included), a
-// multi-member DNA payload whose rank directory spans two superblocks,
-// with indexFlips' sparse sweeps of its FM-index and of its samples,
-// payloads in the older index versions 2 to 4, which must be rejected
-// by name, and each payload as store version 6 wrote it, text first,
-// which must be rejected.
+// planes and a 200-base DNA payload, each also with every byte flipped
+// (the checksum and anchors included), a multi-member DNA payload
+// whose rank directory spans two superblocks and which has 66 anchors,
+// with indexSweeps' sweeps of its FM-index and of its anchors, payloads
+// in the older index versions 2 to 4, and each payload as store
+// version 7 wrote it, a real version-5 FM-index, which must be rejected
+// by name, and as store version 6 wrote it, text first, which must be
+// rejected.
 func FuzzLoad(f *testing.F) {
 	ixs := []*Index{NewIndex([]byte("ACGTACGTACGTACGT"))}
 	for _, st := range fuzzStores(f) {
@@ -199,7 +258,7 @@ func FuzzLoad(f *testing.F) {
 		}
 		f.Add(good.Bytes())
 		if i == len(ixs)-1 {
-			for _, flipped := range indexFlips(f, good.Bytes(), ix) {
+			for _, flipped := range indexSweeps(f, good.Bytes(), ix) {
 				f.Add(flipped)
 			}
 		} else {
@@ -210,6 +269,7 @@ func FuzzLoad(f *testing.F) {
 			old[4] = v // the index version, after the magic
 			f.Add(old)
 		}
+		f.Add(v5Index(f, ix))
 		f.Add(v6Payload(f, ix))
 	}
 	f.Add([]byte{})
@@ -219,7 +279,7 @@ func FuzzLoad(f *testing.F) {
 		// An index of another version ("ALAE", then the version) must
 		// be rejected by name.
 		if len(data) >= 8 && binary.LittleEndian.Uint32(data) == 0x414c4145 {
-			if v := binary.LittleEndian.Uint32(data[4:]); v != 5 &&
+			if v := binary.LittleEndian.Uint32(data[4:]); v != 6 &&
 				(err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v))) {
 				t.Fatalf("a version-%d index was not rejected by name: %v", v, err)
 			}
@@ -294,7 +354,7 @@ func FuzzLoadStore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(twoSupers.Bytes())
-	for _, flipped := range indexFlips(f, twoSupers.Bytes(), big.currentView().gens[0].ix) {
+	for _, flipped := range indexSweeps(f, twoSupers.Bytes(), big.currentView().gens[0].ix) {
 		f.Add(flipped)
 	}
 	// Truncations at awkward places: inside the magic, the manifest,
@@ -308,16 +368,19 @@ func FuzzLoadStore(f *testing.F) {
 		// lengths, and every byte of the payloads' rank cores.
 		addFlips(f, src.Bytes(), 0)
 	}
-	// The retired format versions 1 to 6 in an otherwise valid file,
-	// and real version-6 files, whose payloads hold the text: each
-	// must be rejected by name.
-	for _, v := range []byte{1, 2, 3, 4, 5, 6} {
+	// The retired format versions 1 to 7 in an otherwise valid file,
+	// and real version-6 and version-7 files, whose payloads hold
+	// version-5 FM-indexes, version 6 the text before each: each must be
+	// rejected by name.
+	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7} {
 		legacy := append([]byte(nil), good.Bytes()...)
 		legacy[8] = v
 		f.Add(legacy)
 	}
-	f.Add(v6Store(f, st.currentView().gens))
-	f.Add(v6Store(f, big.currentView().gens))
+	for _, v := range []uint32{6, 7} {
+		f.Add(legacyStore(f, st.currentView().gens, v))
+		f.Add(legacyStore(f, big.currentView().gens, v))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := LoadStore(bytes.NewReader(data), StoreOptions{})
 		checkVersionNamed(t, data, err)

@@ -182,29 +182,38 @@ func sampleLayout(n, rate int) (width uint, words int) {
 // putSample stores text position p, a multiple of the sample rate, as
 // the i-th sample.
 func (fm *FMIndex) putSample(i, p int) {
-	w := fm.sampleBits
-	if w == 0 {
-		return
-	}
-	v, bit := uint64(p/fm.sampleRate), uint(i)*w
-	fm.samples[bit/64] |= v << (bit % 64)
-	if bit%64+w > 64 {
-		fm.samples[bit/64+1] |= v >> (64 - bit%64)
-	}
+	packedPut(fm.samples, fm.sampleBits, i, uint64(p/fm.sampleRate))
 }
 
 // sample returns the text position held as the i-th sample.
 func (fm *FMIndex) sample(i int) int {
-	w := fm.sampleBits
-	if w == 0 {
+	return int(packedGet(fm.samples, fm.sampleBits, i)) * fm.sampleRate
+}
+
+// packedPut ORs v, of at most width bits, into words as the i-th of
+// their width-bit values, whose bits must still be zero.
+func packedPut(words []uint64, width uint, i int, v uint64) {
+	if width == 0 {
+		return
+	}
+	bit := uint(i) * width
+	words[bit/64] |= v << (bit % 64)
+	if bit%64+width > 64 {
+		words[bit/64+1] |= v >> (64 - bit%64)
+	}
+}
+
+// packedGet returns the i-th width-bit value of words.
+func packedGet(words []uint64, width uint, i int) uint64 {
+	if width == 0 {
 		return 0
 	}
-	bit := uint(i) * w
-	v := fm.samples[bit/64] >> (bit % 64)
-	if bit%64+w > 64 {
-		v |= fm.samples[bit/64+1] << (64 - bit%64)
+	bit := uint(i) * width
+	v := words[bit/64] >> (bit % 64)
+	if bit%64+width > 64 {
+		v |= words[bit/64+1] << (64 - bit%64)
 	}
-	return int(v&(1<<w-1)) * fm.sampleRate
+	return v & (1<<width - 1)
 }
 
 // Rank-layout tags, as stored in a serialized index's header.

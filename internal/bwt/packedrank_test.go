@@ -156,7 +156,7 @@ func TestPackedRankSerializeRoundTrip(t *testing.T) {
 	if _, err := fm.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadFMIndex(&buf)
+	back, _, err := ReadFMIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestPlaneRankSerializeRoundTrip(t *testing.T) {
 	if _, err := fm.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadFMIndex(&buf)
+	back, _, err := ReadFMIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestPlaneRankSerializeRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), def.Bytes()) {
 		t.Error("byte-forced and default indexes write different payloads")
 	}
-	back2, err := ReadFMIndex(&buf)
+	back2, _, err := ReadFMIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,7 +162,7 @@ func roundTrip(t *testing.T, fm *FMIndex) *FMIndex {
 	if _, err := fm.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadFMIndex(&buf)
+	back, _, err := ReadFMIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 )
 
@@ -24,48 +25,76 @@ import (
 // the letters; the separator rows the packed core lists (a count and
 // int32 rows, none on the other layouts); the core (a count and that
 // many uint64 data words, block by block — packed or planes — or n+1
-// code bytes for the byte layout); the position samples (their bit
-// width, a count and that many uint64 words, as packed in memory); the
-// sample bitmap's words. Everything a file could hold inconsistently
-// with these is derived on load instead: the rank directory (both
-// levels, in the pass that checks the data words), the C array, the
-// byte layout's checkpoints and the sample bitmap's superblocks.
+// code bytes for the byte layout); a CRC-32C (Castagnoli) of every
+// byte before it; the anchors (a count and that many uint64 words: the
+// row of every text position that is a multiple of the anchor stride,
+// bit-packed at bits.Len(n) bits, about 0.005 bytes per character; see
+// anchorLayout). The checksum guards the content: a corrupt letter,
+// separator row or rank-core word can still be the BWT of another text
+// of the same length, which the inversion alone cannot tell from the
+// saved one when few anchors check it. A corrupt anchor always fails
+// the inversion, so the anchors need no checksum. Everything a file
+// could hold inconsistently with these is derived on load instead: the
+// rank directory (both levels, in the pass that checks the data
+// words), the C array, the byte layout's checkpoints, and the text, the
+// position samples and their bitmap, which the inversion rebuilds from
+// the BWT (invert.go).
 
 const (
 	serialMagic = 0x414c4145 // "ALAE"
-	// serialVersion 5 persists the rank core's data words only, with
-	// the packed core's separator rows, and the position samples
-	// bit-packed; the load rebuilds the two-level rank directory.
-	// Version 4 also held each block's absolute occurrence checkpoints,
-	// version 3 the samples as int32s, version 2 BWT code bytes plus
-	// occurrence checkpoints, and version 1 predated the rank-layout
-	// tag; all are rejected: rebuild the index.
-	serialVersion = 5
+	// serialVersion 6 persists the rank core's data words only, with
+	// the packed core's separator rows, and the anchors; the load
+	// rebuilds the two-level rank directory, and the position samples
+	// and their bitmap by inverting the BWT. Version 5 held the samples
+	// bit-packed and their bitmap instead of the anchors, version 4
+	// also each block's absolute occurrence checkpoints, version 3 the
+	// samples as int32s, version 2 BWT code bytes plus occurrence
+	// checkpoints, and version 1 predated the rank-layout tag; all are
+	// rejected: rebuild the index.
+	serialVersion = 6
 )
 
 // maxSerialRows bounds a loaded index's rows: counts are int32.
 const maxSerialRows = 1<<31 - 1
 
-// WriteTo serialises the index. It implements io.WriterTo. The rank
-// core's data words are written block by block from memory, its
-// directory left out; a ForceByteRank index writes the core a load of
-// it builds.
-func (fm *FMIndex) WriteTo(w io.Writer) (int64, error) {
+// serialCore returns the rank core WriteTo writes: the packed core's
+// separator rows and the blocks of stride words, the first dirWords of
+// each its directory, of the packed or plane core, or else the byte
+// layout's codes. A ForceByteRank index builds the core a load of it
+// builds.
+func (fm *FMIndex) serialCore() (seps []int32, blocks []uint64, stride, dirWords int, codes []byte) {
 	pk, pl, codes := fm.pk, fm.pl, fm.bwt
 	if codes != nil {
 		if pk, pl, _ = fm.buildCore(codes); pk != nil || pl != nil {
 			codes = nil
 		}
 	}
-	var seps []int32
-	var blocks []uint64
-	var stride, dirWords int
 	switch {
 	case pk != nil:
-		seps, blocks, stride, dirWords = pk.seps, pk.blocks, prStride, prDirWords
+		return pk.seps, pk.blocks, prStride, prDirWords, nil
 	case pl != nil:
-		blocks, stride, dirWords = pl.blocks, pl.stride, pl.dirWords
+		return nil, pl.blocks, pl.stride, pl.dirWords, nil
 	}
+	return nil, nil, 0, 0, codes
+}
+
+// SerializedSize returns how many bytes WriteTo writes, without
+// writing them.
+func (fm *FMIndex) SerializedSize() int64 {
+	seps, blocks, stride, dirWords, codes := fm.serialCore()
+	size := 36 + 4 + len(fm.letters) + 8 + 4*len(seps) + 8 + len(codes) + 4 + 8
+	if codes == nil {
+		size += 8 * len(blocks) / stride * (stride - dirWords)
+	}
+	_, _, _, words := anchorLayout(fm.n, fm.sampleRate)
+	return int64(size + 8*words)
+}
+
+// WriteTo serialises the index. It implements io.WriterTo. The rank
+// core's data words are written block by block from memory, its
+// directory left out. The anchors are read off the position samples.
+func (fm *FMIndex) WriteTo(w io.Writer) (int64, error) {
+	seps, blocks, stride, dirWords, codes := fm.serialCore()
 	layout, _ := coreLayout(fm.letters)
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
@@ -83,11 +112,17 @@ func (fm *FMIndex) WriteTo(w io.Writer) (int64, error) {
 		putLE(bw, uint64(len(blocks)/stride*(stride-dirWords)))
 		putData(bw, blocks, stride, dirWords)
 	}
-	putLE(bw, uint32(fm.sampleBits))
-	putLE(bw, uint64(len(fm.samples)))
-	putLE(bw, fm.samples...)
-	putLE(bw, uint64(len(fm.sampleMark.words)))
-	putLE(bw, fm.sampleMark.words...)
+	_, _, width, nWords := anchorLayout(fm.n, fm.sampleRate)
+	anchors := make([]uint64, nWords)
+	for k, row := range fm.anchorRows() {
+		packedPut(anchors, width, k, uint64(row))
+	}
+	if err := bw.Flush(); err != nil {
+		return cw.n, err
+	}
+	putLE(bw, cw.crc)
+	putLE(bw, uint64(nWords))
+	putLE(bw, anchors...)
 	err := bw.Flush() // a bufio.Writer keeps its first error
 	return cw.n, err
 }
@@ -131,20 +166,70 @@ func putData(w *bufio.Writer, blocks []uint64, stride, dirWords int) {
 	}
 }
 
+// castagnoli returns the CRC-32C table of the payload checksum. The
+// hash/crc32 package builds its tables (about 9 KB) on the first call,
+// so a program that never saves or loads an index never holds them.
+func castagnoli() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) }
+
+// countingWriter counts the bytes written through it and folds them
+// into a CRC-32C.
 type countingWriter struct {
-	w io.Writer
-	n int64
+	w   io.Writer
+	n   int64
+	crc uint32
 }
 
 func (cw *countingWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
 	cw.n += int64(n)
+	cw.crc = crc32.Update(cw.crc, castagnoli(), p[:n])
 	return n, err
 }
 
-// ReadFMIndex deserialises an index written by WriteTo.
-func ReadFMIndex(r io.Reader) (*FMIndex, error) {
-	br := bufio.NewReader(r)
+// crcReader is a bufio.Reader that folds every byte its Read and
+// Discard consume into a CRC-32C; the loader consumes through nothing
+// else.
+type crcReader struct {
+	*bufio.Reader
+	crc uint32
+}
+
+func (r *crcReader) Read(p []byte) (int, error) {
+	n, err := r.Reader.Read(p)
+	r.crc = crc32.Update(r.crc, castagnoli(), p[:n])
+	return n, err
+}
+
+func (r *crcReader) Discard(n int) (int, error) {
+	p, _ := r.Peek(n)
+	r.crc = crc32.Update(r.crc, castagnoli(), p)
+	return r.Reader.Discard(len(p))
+}
+
+// ReadFMIndex deserialises an index written by WriteTo and returns it
+// with its text, both rebuilt by inverting the BWT: the text, and the
+// position samples and their bitmap, which the payload does not hold.
+// The inversion checks the index against every anchor; see invert.
+func ReadFMIndex(r io.Reader) (*FMIndex, []byte, error) {
+	br := &crcReader{Reader: bufio.NewReader(r)}
+	fm, err := readIndex(br)
+	if err != nil {
+		return nil, nil, err
+	}
+	anchors, err := fm.readAnchors(br)
+	if err != nil {
+		return nil, nil, err
+	}
+	text, err := fm.invert(anchors)
+	if err != nil {
+		return nil, nil, err
+	}
+	return fm, text, nil
+}
+
+// readIndex reads a payload up to its anchors: the index without its
+// position samples, checked against the checksum.
+func readIndex(br *crcReader) (*FMIndex, error) {
 	read := func(vs ...any) error {
 		for _, v := range vs {
 			if err := binary.Read(br, binary.LittleEndian, v); err != nil {
@@ -286,66 +371,45 @@ func ReadFMIndex(r io.Reader) (*FMIndex, error) {
 	}
 	fm.c[fm.sigma] = sum
 
-	if err := fm.readSamples(br); err != nil {
-		return nil, err
+	crc := br.crc
+	var stored uint32
+	if err := read(&stored); err != nil {
+		return nil, fmt.Errorf("bwt: reading index checksum: %w", err)
 	}
-	var nWords uint64
-	if err := read(&nWords); err != nil {
-		return nil, err
+	if stored != crc {
+		return nil, fmt.Errorf("bwt: index checksum %#08x, want %#08x: the payload is corrupt", stored, crc)
 	}
-	if want := uint64((rows + 63) / 64); nWords != want {
-		return nil, fmt.Errorf("bwt: sample bitmap words %d != expected %d", nWords, want)
-	}
-	words, err := readSlice[uint64](br, nWords)
-	if err != nil {
-		return nil, err
-	}
-	if tail := rows % 64; tail != 0 && words[len(words)-1]>>tail != 0 {
-		return nil, fmt.Errorf("bwt: sample bitmap marks rows past the last")
-	}
-	mark := rankBitVectorOver(words, rows)
-	mark.Finish()
-	if got, want := mark.Rank(rows), fm.n/fm.sampleRate+1; got != want {
-		return nil, fmt.Errorf("bwt: sample bitmap popcount %d != sample count %d", got, want)
-	}
-	fm.sampleMark = mark
 	return fm, nil
 }
 
-// readSamples reads the bit-packed position samples and checks them
-// against n and the sample rate: the width, the word count, zero
-// padding past the last sample, and every value at most n/sampleRate.
-func (fm *FMIndex) readSamples(br *bufio.Reader) error {
-	var width uint32
+// readAnchors reads the bit-packed anchors and checks them against n
+// and the sample rate: the word count, zero padding past the last
+// anchor, and every row at most n.
+func (fm *FMIndex) readAnchors(br *crcReader) ([]int32, error) {
+	_, count, width, wantWords := anchorLayout(fm.n, fm.sampleRate)
 	var nWords uint64
-	if err := binary.Read(br, binary.LittleEndian, &width); err != nil {
-		return err
-	}
-	wantWidth, wantWords := sampleLayout(fm.n, fm.sampleRate)
-	if uint(width) != wantWidth {
-		return fmt.Errorf("bwt: sample width %d bits, want %d", width, wantWidth)
-	}
 	if err := binary.Read(br, binary.LittleEndian, &nWords); err != nil {
-		return err
+		return nil, err
 	}
 	if nWords != uint64(wantWords) {
-		return fmt.Errorf("bwt: %d sample words, want %d", nWords, wantWords)
+		return nil, fmt.Errorf("bwt: %d anchor words, want %d", nWords, wantWords)
 	}
 	words, err := readSlice[uint64](br, nWords)
 	if err != nil {
-		return fmt.Errorf("bwt: reading samples: %w", err)
+		return nil, fmt.Errorf("bwt: reading anchors: %w", err)
 	}
-	fm.sampleBits, fm.samples = wantWidth, words
-	count := fm.n/fm.sampleRate + 1
-	if used := uint(count) * wantWidth % 64; used != 0 && words[len(words)-1]>>used != 0 {
-		return fmt.Errorf("bwt: sample words hold bits past the last sample")
+	if used := uint(count) * width % 64; used != 0 && words[len(words)-1]>>used != 0 {
+		return nil, fmt.Errorf("bwt: anchor words hold bits past the last anchor")
 	}
-	for i := range count {
-		if p := fm.sample(i); p > fm.n {
-			return fmt.Errorf("bwt: sample position %d out of range", p)
+	anchors := make([]int32, count)
+	for k := range anchors {
+		row := packedGet(words, width, k)
+		if row > uint64(fm.n) {
+			return nil, fmt.Errorf("bwt: anchor %d on row %d, past the last row", k, row)
 		}
+		anchors[k] = int32(row)
 	}
-	return nil
+	return anchors, nil
 }
 
 // verify indexes a loaded packed core — a pass that rejects data past
@@ -410,7 +474,7 @@ func (fm *FMIndex) verifyBytes() ([]int32, error) {
 // the bytes arrive — so that a lying count in a corrupted payload fails
 // at the end of the input instead of committing memory up front — to
 // exactly count values.
-func readSlice[T int32 | uint64](br *bufio.Reader, count uint64) ([]T, error) {
+func readSlice[T int32 | uint64](br *crcReader, count uint64) ([]T, error) {
 	const chunk = 1 << 16 // values committed before their bytes arrive
 	var zero T
 	size := binary.Size(zero)
@@ -443,7 +507,7 @@ func readSlice[T int32 | uint64](br *bufio.Reader, count uint64) ([]T, error) {
 // words per block, leaving each block's first dirWords words — its
 // directory — zero. Like readSlice, it grows the core as the bytes
 // arrive, to exactly nBlocks blocks.
-func readBlocks(br *bufio.Reader, nBlocks, stride, dirWords int) ([]uint64, error) {
+func readBlocks(br *crcReader, nBlocks, stride, dirWords int) ([]uint64, error) {
 	const chunk = 1 << 13 // blocks committed before their bytes arrive
 	size := 8 * (stride - dirWords)
 	out := make([]uint64, 0, min(nBlocks, chunk)*stride)

@@ -2,6 +2,7 @@ package bwt
 
 import (
 	"bytes"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -33,7 +34,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if written != int64(buf.Len()) {
 		t.Errorf("WriteTo reported %d bytes, buffer has %d", written, buf.Len())
 	}
-	back, err := ReadFMIndex(&buf)
+	back, _, err := ReadFMIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestSerializeEmptyAndTiny(t *testing.T) {
 		if _, err := fm.WriteTo(&buf); err != nil {
 			t.Fatalf("%q: %v", text, err)
 		}
-		back, err := ReadFMIndex(&buf)
+		back, _, err := ReadFMIndex(&buf)
 		if err != nil {
 			t.Fatalf("%q: %v", text, err)
 		}
@@ -88,27 +89,27 @@ func TestSerializeRejectsCorruption(t *testing.T) {
 
 	// Truncations at many offsets must all fail, never panic.
 	for _, cut := range []int{0, 3, 8, 20, len(good) / 2, len(good) - 1} {
-		if _, err := ReadFMIndex(bytes.NewReader(good[:cut])); err == nil {
+		if _, _, err := ReadFMIndex(bytes.NewReader(good[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
 	// Bad magic.
 	bad := append([]byte(nil), good...)
 	bad[0] ^= 0xff
-	if _, err := ReadFMIndex(bytes.NewReader(bad)); err == nil {
+	if _, _, err := ReadFMIndex(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Bad version.
 	bad = append([]byte(nil), good...)
 	bad[4] = 99
-	if _, err := ReadFMIndex(bytes.NewReader(bad)); err == nil {
+	if _, _, err := ReadFMIndex(bytes.NewReader(bad)); err == nil {
 		t.Error("bad version accepted")
 	}
 	// The previous on-disk version (1, which predates the rank-layout
 	// tag) must be rejected with a version message, not misparsed.
 	bad = append([]byte(nil), good...)
 	bad[4] = 1
-	if _, err := ReadFMIndex(bytes.NewReader(bad)); err == nil {
+	if _, _, err := ReadFMIndex(bytes.NewReader(bad)); err == nil {
 		t.Error("version-1 index accepted")
 	} else if !strings.Contains(err.Error(), "version 1") {
 		t.Errorf("version-1 rejection unclear: %v", err)
@@ -116,13 +117,13 @@ func TestSerializeRejectsCorruption(t *testing.T) {
 	// Unknown rank-layout tag (bytes 8..11 of the v2 header).
 	bad = append([]byte(nil), good...)
 	bad[8] = 77
-	if _, err := ReadFMIndex(bytes.NewReader(bad)); err == nil {
+	if _, _, err := ReadFMIndex(bytes.NewReader(bad)); err == nil {
 		t.Error("unknown layout tag accepted")
 	}
 	// Layout tag inconsistent with the alphabet (plane tag on σ=4).
 	bad = append([]byte(nil), good...)
 	bad[8] = 2
-	if _, err := ReadFMIndex(bytes.NewReader(bad)); err == nil {
+	if _, _, err := ReadFMIndex(bytes.NewReader(bad)); err == nil {
 		t.Error("layout tag inconsistent with σ accepted")
 	}
 	// Implausible n (length field blown up). In the v2 header n is the
@@ -131,7 +132,7 @@ func TestSerializeRejectsCorruption(t *testing.T) {
 	for i := 12; i < 20; i++ {
 		bad[i] = 0xff
 	}
-	if _, err := ReadFMIndex(bytes.NewReader(bad)); err == nil {
+	if _, _, err := ReadFMIndex(bytes.NewReader(bad)); err == nil {
 		t.Error("implausible n accepted")
 	}
 }
@@ -148,7 +149,7 @@ func TestSerializeProteinAlphabet(t *testing.T) {
 	if _, err := fm.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadFMIndex(&buf)
+	back, _, err := ReadFMIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,22 +173,23 @@ func payloadOffsets(fm *FMIndex) (sepsAt, coreAt int) {
 	return sepsAt, sepsAt + 4*nSeps + 8
 }
 
-// samplesOffset returns where a serialized index's sample section (its
-// width field, then the word count and words) begins: before the
-// samples' 12 header bytes and words and the bitmap's count and words,
-// which end the payload.
-func samplesOffset(fm *FMIndex, payload int) int {
-	return payload - 8 - 8*len(fm.sampleMark.words) - 8*len(fm.samples) - 12
+// anchorsOffset returns where a serialized index's anchor section (its
+// word count, then the words, which end the payload) begins.
+func anchorsOffset(fm *FMIndex, payload int) int {
+	_, _, _, words := anchorLayout(fm.n, fm.sampleRate)
+	return payload - 8*words - 8
 }
 
-// TestSerializeRejectsCorruptCore corrupts a version-5 payload in each
+// TestSerializeRejectsCorruptCore corrupts a version-6 payload in each
 // way a load must catch: the core's word count, data bits past the last
 // row on either core, the separator list's order, a listed row holding
-// a letter, a plane code outside the alphabet, a sample width other
-// than n/SampleRate's, a set padding bit past the last sample, a sample
-// above n/SampleRate, and the older format versions — version 4 held
+// a letter, a plane code outside the alphabet, a checksum that does
+// not match the bytes before it, an anchor word count
+// other than n's, a set padding bit past the last anchor, an anchor
+// past the last row, and the older format versions — version 4 held
 // the rank directory's checkpoints, which a load now rebuilds, so no
-// file can carry an inconsistent one.
+// file can carry an inconsistent one, and version 5 the position
+// samples and their bitmap, which a load now rebuilds too.
 func TestSerializeRejectsCorruptCore(t *testing.T) {
 	text := storeText(12, 10, 40, 5)
 	fm := New(text)
@@ -204,7 +206,7 @@ func TestSerializeRejectsCorruptCore(t *testing.T) {
 		t.Helper()
 		bad := append([]byte(nil), good...)
 		f(bad)
-		_, err := ReadFMIndex(bytes.NewReader(bad))
+		_, _, err := ReadFMIndex(bytes.NewReader(bad))
 		if err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
@@ -212,7 +214,7 @@ func TestSerializeRejectsCorruptCore(t *testing.T) {
 			t.Fatalf("%s: %v, want an error naming %q", name, err, wantErr)
 		}
 	}
-	if _, err := ReadFMIndex(bytes.NewReader(good)); err != nil {
+	if _, _, err := ReadFMIndex(bytes.NewReader(good)); err != nil {
 		t.Fatal(err)
 	}
 	mutate("core words", "packed core of", func(b []byte) { b[coreAt-8]++ })
@@ -232,16 +234,22 @@ func TestSerializeRejectsCorruptCore(t *testing.T) {
 	mutate("version 2", "version 2", func(b []byte) { b[4] = 2 })
 	mutate("version 3", "version 3", func(b []byte) { b[4] = 3 })
 	mutate("version 4", "version 4", func(b []byte) { b[4] = 4 })
+	mutate("version 5", "version 5", func(b []byte) { b[4] = 5 })
 
-	samplesAt := samplesOffset(fm, len(good))
-	mutate("sample width", "sample width", func(b []byte) { b[samplesAt]++ })
-	mutate("sample padding", "past the last sample", func(b []byte) { b[len(b)-8-8*len(fm.sampleMark.words)-1] |= 0x80 })
-	// The first sample is the bits [0, width) of the first word.
-	limit := fm.n / fm.sampleRate
-	if 1<<fm.sampleBits-1 <= limit {
-		t.Fatalf("n/SampleRate = %d fills its %d bits: no out-of-range sample fits", limit, fm.sampleBits)
+	anchorsAt := anchorsOffset(fm, len(good))
+	mutate("checksum", "checksum", func(b []byte) { b[anchorsAt-4] ^= 1 })
+	mutate("anchor words", "anchor words", func(b []byte) { b[anchorsAt]++ })
+	mutate("anchor padding", "past the last anchor", func(b []byte) { b[len(b)-1] |= 0x80 })
+	// Anchor 0 is the bits [0, width) of the first word.
+	_, count, width, _ := anchorLayout(fm.n, fm.sampleRate)
+	if count != 1 || 1<<width-1 <= fm.n {
+		t.Fatalf("%d anchors of %d bits: no anchor past row n = %d fits", count, width, fm.n)
 	}
-	mutate("sample value", "out of range", func(b []byte) { b[samplesAt+12] |= byte(1<<fm.sampleBits - 1) })
+	mutate("anchor row", "past the last row", func(b []byte) {
+		for bit := range width {
+			b[anchorsAt+8+int(bit/8)] |= 1 << (bit % 8)
+		}
+	})
 
 	prot := New(randomText([]byte("ACDEFGHIKLMNPQRSTVWY"), 300, 6))
 	buf.Reset()
@@ -265,14 +273,40 @@ func TestSerializeRejectsCorruptCore(t *testing.T) {
 	mutate("plane core words", "plane core of", func(b []byte) { b[coreAt-8]-- })
 }
 
+// sameIndex fails t unless got — loaded and inverted — is the index
+// want, bit for bit: the same serialization, the same position sample
+// words and sample bitmap words, and every row at the same Position.
+func sameIndex(t *testing.T, what string, got, want *FMIndex) {
+	t.Helper()
+	var a, b bytes.Buffer
+	if _, err := got.WriteTo(&a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := want.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	switch {
+	case !bytes.Equal(a.Bytes(), b.Bytes()):
+		t.Fatalf("%s: the index serializes differently", what)
+	case got.sampleBits != want.sampleBits || !slices.Equal(got.samples, want.samples):
+		t.Fatalf("%s: the position sample words differ", what)
+	case !slices.Equal(got.sampleMark.words, want.sampleMark.words) || !slices.Equal(got.sampleMark.super, want.sampleMark.super):
+		t.Fatalf("%s: the sample bitmap differs", what)
+	}
+	for row := range want.Rows() {
+		if got.Position(row) != want.Position(row) {
+			t.Fatalf("%s: row %d at position %d, want %d", what, row, got.Position(row), want.Position(row))
+		}
+	}
+}
+
 // TestSerializeCoreBitFlips flips every bit of a multi-member DNA
 // payload and of a protein payload, and every 61st bit of a store
-// payload whose core spans two superblocks, from the separator list
-// through the core, the position samples and the sample bitmap: each
-// flip either fails the load — the
-// read or the inversion, which checks every position sample — or
-// loads an index that rebuilds the original text byte for byte and
-// locates every row where the built index does.
+// payload whose core spans two superblocks and every bit of its
+// anchors, from the separator list through the core and the anchors:
+// each flip either fails the load — the read or the inversion, which
+// checks every anchor — or loads the built index bit for bit and
+// rebuilds the original text byte for byte.
 func TestSerializeCoreBitFlips(t *testing.T) {
 	for _, tc := range []struct {
 		text []byte
@@ -291,18 +325,21 @@ func TestSerializeCoreBitFlips(t *testing.T) {
 			t.Fatal(err)
 		}
 		good := buf.Bytes()
-		want := fm.Locate(0, fm.Rows())
 		sepsAt, _ := payloadOffsets(fm)
-		accepted, flips := 0, 0
+		var flips []int
 		for bit := 8 * sepsAt; bit < 8*len(good); bit += tc.step {
-			flips++
+			flips = append(flips, bit)
+		}
+		if tc.step > 1 {
+			for bit := 8 * anchorsOffset(fm, len(good)); bit < 8*len(good); bit++ {
+				flips = append(flips, bit)
+			}
+		}
+		accepted := 0
+		for _, bit := range flips {
 			bad := append([]byte(nil), good...)
 			bad[bit/8] ^= 1 << (bit % 8)
-			back, err := ReadFMIndex(bytes.NewReader(bad))
-			if err != nil {
-				continue
-			}
-			text, err := back.Invert()
+			back, text, err := ReadFMIndex(bytes.NewReader(bad))
 			if err != nil {
 				continue
 			}
@@ -310,11 +347,9 @@ func TestSerializeCoreBitFlips(t *testing.T) {
 			if !bytes.Equal(text, tc.text) {
 				t.Fatalf("bit %d: the load rebuilt another text", bit)
 			}
-			if got := back.Locate(0, back.Rows()); !slices.Equal(got, want) {
-				t.Fatalf("bit %d: the loaded index locates rows elsewhere", bit)
-			}
+			sameIndex(t, fmt.Sprintf("bit %d", bit), back, fm)
 		}
-		t.Logf("σ=%d, %d rows: %d of %d flips loaded", fm.Sigma(), fm.Rows(), accepted, flips)
+		t.Logf("σ=%d, %d rows: %d of %d flips loaded", fm.Sigma(), fm.Rows(), accepted, len(flips))
 	}
 }
 
@@ -323,10 +358,14 @@ func TestSerializeCoreBitFlips(t *testing.T) {
 // Such a swap keeps every letter count and exchanges the two rows' LF
 // targets, which splits LF's one cycle in two, so every swap must fail
 // the inversion; both ways a chain can fail — reaching $ early and
-// landing off its sample — must be seen.
+// landing off its anchor — must be seen.
 func TestInvertRejectsBWTSwaps(t *testing.T) {
-	text := randomText([]byte("ACGT"), 120, 6)
+	text := randomText([]byte("ACGT"), 1200, 6)
 	fm := NewWithOptions(text, Options{SampleRate: 4, ForceByteRank: true})
+	anchors := fm.anchorRows()
+	if len(anchors) < 3 {
+		t.Fatalf("%d anchors; want chains from anchors as well as from row 0", len(anchors))
+	}
 	seen := map[string]int{}
 	for row := 0; row+1 < fm.Rows(); row++ {
 		a, b := fm.bwt[row], fm.bwt[row+1]
@@ -335,7 +374,7 @@ func TestInvertRejectsBWTSwaps(t *testing.T) {
 		}
 		fm.bwt[row], fm.bwt[row+1] = b, a
 		fm.occ = buildOcc(fm.bwt, fm.sentinelRow, fm.ckptEvery, fm.sigma)
-		_, err := fm.Invert()
+		_, err := fm.invert(anchors)
 		fm.bwt[row], fm.bwt[row+1] = a, b
 		switch {
 		case err == nil:
@@ -354,26 +393,19 @@ func TestInvertRejectsBWTSwaps(t *testing.T) {
 	t.Logf("%v", seen)
 }
 
-// setSample overwrites the i-th position sample of fm with p.
-func setSample(fm *FMIndex, i, p int) {
-	w, bit := fm.sampleBits, uint(i)*fm.sampleBits
-	mask := uint64(1)<<w - 1
-	fm.samples[bit/64] &^= mask << (bit % 64)
-	if bit%64+w > 64 {
-		fm.samples[bit/64+1] &^= mask >> (64 - bit%64)
-	}
-	fm.putSample(i, p)
-}
-
-// TestInvertRebuildsText inverts indexes of every rank layout — packed
+// TestInvertRebuildsText loads indexes of every rank layout — packed
 // with and without separator rows, planes, bytes — at several sample
-// rates and lengths, built and reloaded, and holds the rebuilt text to
-// the original byte for byte. It then moves samples the way a corrupt
-// payload could, each a way no count can tell: two samples swapped, the
-// samples of positions 0 and n moved to other rows, one position
-// sampled twice; every one must fail the inversion with the message of
-// its check. A text long enough to split across two workers inverts
-// whole, and fails with two of the second worker's samples swapped.
+// rates and lengths from empty to 1 000 characters, lengths beside an
+// anchor stride among them, and holds the rebuilt text to the original
+// byte for byte and the rebuilt index to the built one bit for bit:
+// its position sample words, its sample bitmap words and every row's
+// Position; every index states its serialized size exactly, and a
+// ForceByteRank index serializes as the built one does. A text long enough to split across two workers must be
+// split and load whole, and fail with two of the second worker's
+// anchors swapped. Then it moves anchors the way a corrupt payload
+// could, each failing with the message of its check: two anchors
+// swapped, anchor 0 off the sentinel row, and an anchor moved one LF
+// step.
 func TestInvertRebuildsText(t *testing.T) {
 	wide := make([]byte, 0, 600)
 	for i := range 600 {
@@ -381,6 +413,10 @@ func TestInvertRebuildsText(t *testing.T) {
 	}
 	texts := [][]byte{
 		{}, []byte("A"), []byte("ACGTACGT"),
+		randomText([]byte("ACGT"), 511, 1),
+		randomText([]byte("ACGT"), 512, 1),
+		randomText([]byte("ACGT"), 513, 1),
+		randomText([]byte("ACGT"), 768, 1),
 		randomText([]byte("ACGT"), 1000, 1),
 		storeText(9, 10, 70, 2),
 		randomText([]byte("ACDEFGHIKLMNPQRSTVWY"), 700, 3),
@@ -389,84 +425,86 @@ func TestInvertRebuildsText(t *testing.T) {
 	for _, text := range texts {
 		for _, rate := range []int{1, 3, 8, 32} {
 			built := NewWithOptions(text, Options{SampleRate: rate})
-			var buf bytes.Buffer
+			var buf, bytesLayout bytes.Buffer
 			if _, err := built.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := ReadFMIndex(&buf)
-			if err != nil {
-				t.Fatalf("%s, rate %d: %v", built, rate, err)
+			what := fmt.Sprintf("%s, rate %d", built, rate)
+			// A ForceByteRank index writes the same bytes, and both
+			// state their size.
+			forced := NewWithOptions(text, Options{SampleRate: rate, ForceByteRank: true})
+			if _, err := forced.WriteTo(&bytesLayout); err != nil {
+				t.Fatal(err)
 			}
-			for _, fm := range []*FMIndex{built, loaded} {
-				got, err := fm.Invert()
-				if err != nil || !bytes.Equal(got, text) {
-					t.Fatalf("%s, rate %d: inverted %d bytes (err=%v), want the %d-byte text", fm, rate, len(got), err, len(text))
-				}
+			if !bytes.Equal(bytesLayout.Bytes(), buf.Bytes()) {
+				t.Fatalf("%s: the byte layout serializes differently", what)
 			}
+			if built.SerializedSize() != int64(buf.Len()) || forced.SerializedSize() != int64(buf.Len()) {
+				t.Fatalf("%s: SerializedSize %d and %d, WriteTo wrote %d", what, built.SerializedSize(), forced.SerializedSize(), buf.Len())
+			}
+			loaded, got, err := ReadFMIndex(&buf)
+			if err != nil || !bytes.Equal(got, text) {
+				t.Fatalf("%s: loaded %d bytes (err=%v), want the %d-byte text", what, len(got), err, len(text))
+			}
+			sameIndex(t, what, loaded, built)
 		}
-	}
-	// A text long enough to split across two workers inverts whole, and
-	// fails when two samples among the second worker's rows swap.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	long := randomText([]byte("ACGT"), 2*invertSplitChars+77, 5)
-	fm := New(long)
-	if got, err := fm.Invert(); err != nil || !bytes.Equal(got, long) {
-		t.Fatalf("the %d-character text did not invert on two workers (err=%v)", len(long), err)
-	}
-	last := fm.sampleMark.Rank(fm.Rows()) - 1
-	if fm.sampleMark.Rank(fm.sentinelRow) >= last-1 {
-		t.Fatal("the sentinel row holds one of the last two samples")
-	}
-	pa, pb := fm.sample(last-1), fm.sample(last)
-	setSample(fm, last-1, pb)
-	setSample(fm, last, pa)
-	if _, err := fm.Invert(); err == nil || !strings.Contains(err.Error(), "lands on") {
-		t.Fatalf("two swapped samples in the second worker's rows: %v", err)
 	}
 
-	// Sixty characters at rate 4: row 0 is sampled, and the 16 samples
-	// are walked in one sweep, so each case meets its own check first.
-	text := storeText(3, 20, 20, 4)[:60]
-	// others returns the indexes of two samples on rows other than row 0
-	// and the sentinel row.
-	others := func(fm *FMIndex) (int, int) {
-		var out []int
-		for i := 1; len(out) < 2; i++ {
-			if i != fm.sampleMark.Rank(fm.sentinelRow) {
-				out = append(out, i)
-			}
-		}
-		return out[0], out[1]
+	// A text long enough to split across two workers loads whole, and
+	// fails when two anchors among the second worker's chains swap.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	long := randomText([]byte("ACGT"), 2*invertSplitChars+77, 5)
+	if w := invertWorkers(len(long)); w != 2 {
+		t.Fatalf("%d characters invert on %d workers, want 2", len(long), w)
 	}
+	fm := New(long)
+	var buf bytes.Buffer
+	if _, err := fm.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, got, err := ReadFMIndex(bytes.NewReader(buf.Bytes()))
+	if err != nil || !bytes.Equal(got, long) {
+		t.Fatalf("the %d-character text did not load on two workers (err=%v)", len(long), err)
+	}
+	sameIndex(t, "two workers", loaded, fm)
+	anchors := fm.anchorRows()
+	last := len(anchors) - 1
+	if second := 1 + (len(anchors)-1)/2; last-1 < second {
+		t.Fatalf("%d anchors: the second worker walks fewer than two chains", len(anchors))
+	}
+	anchors[last-1], anchors[last] = anchors[last], anchors[last-1]
+	if _, err := fm.invert(anchors); err == nil || !strings.Contains(err.Error(), "lands on") {
+		t.Fatalf("two swapped anchors in the second worker's chains: %v", err)
+	}
+
+	// 1 300 characters at rate 8: anchors at positions 0, 512 and 1024;
+	// the chain from row 0 walks first, then the chains from anchors 1
+	// and 2 in one sweep, so each case meets its own check first.
+	text := randomText([]byte("ACGT"), 1300, 4)
 	for _, tc := range []struct {
 		name, want string
-		corrupt    func(fm *FMIndex)
+		corrupt    func(fm *FMIndex, anchors []int32)
 	}{
-		{"two samples swapped", "lands on", func(fm *FMIndex) {
-			a, b := others(fm)
-			pa, pb := fm.sample(a), fm.sample(b)
-			setSample(fm, a, pb)
-			setSample(fm, b, pa)
+		{"two anchors swapped", "lands on", func(fm *FMIndex, a []int32) {
+			a[1], a[2] = a[2], a[1]
 		}},
-		{"position n off row 0", "only row 0", func(fm *FMIndex) {
-			a, _ := others(fm)
-			setSample(fm, a, fm.n)
+		{"anchor 0 off the sentinel row", "not the sentinel row", func(fm *FMIndex, a []int32) {
+			a[0] = int32((fm.sentinelRow + 1) % fm.Rows())
 		}},
-		{"position 0 off the sentinel", "sentinel row", func(fm *FMIndex) {
-			a, _ := others(fm)
-			setSample(fm, a, 0)
-		}},
-		{"one position sampled twice", "two rows hold", func(fm *FMIndex) {
-			a, b := others(fm)
-			setSample(fm, a, fm.sample(b))
+		{"an anchor moved one LF step", "reaches $", func(fm *FMIndex, a []int32) {
+			a[1] = int32(fm.lf(int(a[1])))
 		}},
 	} {
-		fm := NewWithOptions(text, Options{SampleRate: 4})
-		if _, err := fm.Invert(); err != nil {
+		fm := New(text)
+		anchors := fm.anchorRows()
+		if len(anchors) != 3 {
+			t.Fatalf("%d anchors, want 3", len(anchors))
+		}
+		if _, err := fm.invert(anchors); err != nil {
 			t.Fatal(err)
 		}
-		tc.corrupt(fm)
-		if _, err := fm.Invert(); err == nil || !strings.Contains(err.Error(), tc.want) {
+		tc.corrupt(fm, anchors)
+		if _, err := fm.invert(anchors); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: inversion returned %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
@@ -489,7 +527,7 @@ func TestPositionSamplesPacked(t *testing.T) {
 		if _, err := built.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := ReadFMIndex(&buf)
+		loaded, _, err := ReadFMIndex(&buf)
 		if err != nil {
 			t.Fatalf("n=%d rate=%d: %v", tc.n, tc.rate, err)
 		}

@@ -89,14 +89,12 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := decodeIndex(bytes.NewReader(huge)); err == nil {
 		t.Error("implausible length accepted")
 	}
-	// An FM-index whose position samples disagree with its BWT is
-	// rejected: the text is rebuilt from the BWT and checked against
-	// every sample.
-	samples, bitmap := sampleTail(12)
+	// An FM-index whose anchor disagrees with its BWT is rejected: the
+	// text is rebuilt from the BWT and checked against every anchor.
 	moved := append([]byte(nil), good.Bytes()...)
-	moved[len(moved)-bitmap-samples] ^= 1
-	if _, err := decodeIndex(bytes.NewReader(moved)); err == nil || !strings.Contains(err.Error(), "sample") {
-		t.Errorf("an index whose samples disagree with its BWT was accepted (err=%v)", err)
+	moved[len(moved)-anchorTail(12)+8] ^= 1 // the low bit of anchor 0
+	if _, err := decodeIndex(bytes.NewReader(moved)); err == nil || !strings.Contains(err.Error(), "anchor") {
+		t.Errorf("an index whose anchor disagrees with its BWT was accepted (err=%v)", err)
 	}
 	// A payload must end where the index does: a store frame is decoded
 	// in place, so a byte past the index is a framing error.

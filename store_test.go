@@ -383,8 +383,9 @@ func TestStoreManifestRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Corruptions: bad magic, bad version, the retired versions 1 to 6
-	// (and a real version-6 file, its payloads text first), truncated
+	// Corruptions: bad magic, bad version, the retired versions 1 to 7
+	// (and real version-6 and version-7 files, whose payloads hold
+	// version-5 FM-indexes, version 6 the text before each), truncated
 	// payload, hostile member length.
 	bad := append([]byte(nil), saved...)
 	bad[0] = 'X'
@@ -396,7 +397,7 @@ func TestStoreManifestRoundTrip(t *testing.T) {
 	if _, err := LoadStore(bytes.NewReader(bad), StoreOptions{}); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("bad version accepted (err=%v)", err)
 	}
-	for _, v := range []byte{1, 2, 3, 4, 5, 6} {
+	for _, v := range []byte{1, 2, 3, 4, 5, 6, 7} {
 		bad = append([]byte(nil), saved...)
 		bad[8] = v
 		_, err := LoadStore(bytes.NewReader(bad), StoreOptions{})
@@ -404,8 +405,11 @@ func TestStoreManifestRoundTrip(t *testing.T) {
 			t.Fatalf("legacy version %d accepted or not named (err=%v)", v, err)
 		}
 	}
-	if _, err := LoadStore(bytes.NewReader(v6Store(t, st.currentView().gens)), StoreOptions{}); err == nil || !strings.Contains(err.Error(), "version 6") {
-		t.Fatalf("a version-6 store file was accepted or not named (err=%v)", err)
+	for _, v := range []uint32{6, 7} {
+		legacy := legacyStore(t, st.currentView().gens, v)
+		if _, err := LoadStore(bytes.NewReader(legacy), StoreOptions{}); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Fatalf("a version-%d store file was accepted or not named (err=%v)", v, err)
+		}
 	}
 	if _, err := LoadStore(bytes.NewReader(saved[:len(saved)/2]), StoreOptions{}); err == nil {
 		t.Fatal("truncated store accepted")
@@ -434,12 +438,12 @@ func TestStoreManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadStoreChecksSamples corrupts the position samples of a saved
-// multi-member store's last generation in ways its letter counts
-// cannot show — one sample's value off by one step, one sample-bitmap
-// bit flipped, and one sample mark moved to the next row: each load
-// must fail with a message naming the generation.
-func TestLoadStoreChecksSamples(t *testing.T) {
+// TestLoadStoreChecksAnchors corrupts the anchors of a saved
+// multi-member store's last generation — one anchor moved one LF step
+// off its row, and one anchor bit flipped — in ways no count or
+// checksum can show: each load must fail on the LF chains, with a
+// message naming the generation.
+func TestLoadStoreChecksAnchors(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 5, 2000, 250, 713)
 	st, err := NewStore(wl.records[:3], StoreOptions{})
 	if err != nil {
@@ -457,38 +461,47 @@ func TestLoadStoreChecksSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := st.currentView().gens[1]
+	fm := last.ix.trie.Index()
 	n := last.ix.Len()
-	samples, bitmap := sampleTail(n)
-	samplesAt, bitmapAt := len(saved)-bitmap-samples, len(saved)-bitmap+8
-	width := bits.Len(uint(n / 8))
+	anchorsAt, width := len(saved)-anchorTail(n)+8, bits.Len(uint(n))
+	k := (n - 1) / 512 / 2 // a middle anchor, at position 512k
+	if k < 2 {
+		t.Fatalf("%d characters: too few anchors", n)
+	}
+	// anchor returns the bit offset of anchor k's row in the file.
+	bitOf := func(k, b int) (int, byte) { bit := 8*anchorsAt + k*width + b; return bit / 8, 1 << (bit % 8) }
+	row := 0
+	for b := range width {
+		if at, mask := bitOf(k, b); saved[at]&mask != 0 {
+			row |= 1 << b
+		}
+	}
+	if fm.Position(row) != 512*k {
+		t.Fatalf("anchor %d is row %d, at position %d; want position %d", k, row, fm.Position(row), 512*k)
+	}
+	_, moved, _ := fm.LFStep(row)
 	for _, tc := range []struct {
-		name, want string
-		corrupt    func(b []byte)
+		name    string
+		corrupt func(b []byte)
 	}{
-		{"a sample off by one step", "two rows hold the sample", func(b []byte) {
-			bit := n / 8 / 2 * width // the low bit of the middle sample
-			b[samplesAt+bit/8] ^= 1 << (bit % 8)
-		}},
-		{"a sample-bitmap bit", "popcount", func(b []byte) {
-			b[bitmapAt+n/16] ^= 1 << 3
-		}},
-		{"a sample mark moved", "LF chain", func(b []byte) {
-			for bit := 8 * (bitmapAt + n/16); ; bit++ {
-				if b[bit/8]>>(bit%8)&1 == 1 && b[(bit+1)/8]>>((bit+1)%8)&1 == 0 {
-					b[bit/8] ^= 1 << (bit % 8)
-					b[(bit+1)/8] ^= 1 << ((bit + 1) % 8)
-					return
-				}
+		{"an anchor one LF step off", func(b []byte) {
+			for bit := range width {
+				at, mask := bitOf(k, bit)
+				b[at] = b[at]&^mask | mask*byte(moved>>bit&1)
 			}
+		}},
+		{"an anchor bit", func(b []byte) {
+			at, mask := bitOf(k, 0)
+			b[at] ^= mask
 		}},
 	} {
 		bad := append([]byte(nil), saved...)
 		tc.corrupt(bad)
 		_, err := LoadStore(bytes.NewReader(bad), StoreOptions{})
-		if err == nil || !strings.Contains(err.Error(), tc.want) ||
+		if err == nil || !strings.Contains(err.Error(), "LF chain") ||
 			!strings.Contains(err.Error(), fmt.Sprintf("generation %d", last.id)) {
-			t.Errorf("%s: the load returned %v, want an error naming generation %d and containing %q",
-				tc.name, err, last.id, tc.want)
+			t.Errorf("%s: the load returned %v, want an LF chain error naming generation %d",
+				tc.name, err, last.id)
 		}
 	}
 }

@@ -550,13 +550,14 @@ func TestCompactKeepsMemberOrder(t *testing.T) {
 // produce a searchable store, and the load must delete nothing. The
 // generations are a multi-member DNA one, whose packed core lists
 // separator rows, an appended protein one on the plane core, an
-// appended DNA one whose bit-packed samples straddle words and an
+// appended DNA one whose rebuilt samples straddle words and an
 // appended multi-member DNA one whose rank directory spans two
 // superblocks; the seeds flip every byte of the manifest and of each
-// small generation file, and the large one's FM-index and samples by
-// indexFlips' sparse sweeps; the retired versions 3 to 6 in the
-// manifest and in each generation file, and the large generation as
-// version 6 wrote it, text first, must be rejected by name.
+// small generation file, and the large one's FM-index and anchors by
+// indexSweeps' sweeps; the retired versions 3 to 7 in the manifest and
+// in each generation file, and the large generation as versions 6 and
+// 7 wrote it (version-5 FM-indexes, version 6 text first), must be
+// rejected by name.
 // The files are built once; each fuzz case gets a fresh directory of
 // hard links to them.
 func FuzzLoadStoreDir(f *testing.F) {
@@ -603,7 +604,7 @@ func FuzzLoadStoreDir(f *testing.F) {
 	for n := 0; n < len(goodManifest); n += 1 + len(goodManifest)/8 {
 		f.Add(append([]byte(nil), goodManifest[:n]...), uint8(0), []byte(nil))
 	}
-	for _, v := range []byte{3, 4, 5, 6} {
+	for _, v := range []byte{3, 4, 5, 6, 7} {
 		legacy := append([]byte(nil), goodManifest...)
 		legacy[8] = v
 		f.Add(legacy, uint8(0), []byte(nil))
@@ -615,10 +616,12 @@ func FuzzLoadStoreDir(f *testing.F) {
 		}
 		if i == len(genNames)-1 {
 			g := st.currentView().gens[i]
-			for _, flipped := range indexFlips(f, gen, g.ix) {
+			for _, flipped := range indexSweeps(f, gen, g.ix) {
 				f.Add(goodManifest, uint8(i), flipped)
 			}
-			f.Add(goodManifest, uint8(i), v6Store(f, []*generation{g}))
+			for _, v := range []uint32{6, 7} {
+				f.Add(goodManifest, uint8(i), legacyStore(f, []*generation{g}, v))
+			}
 		} else {
 			for pos := 0; pos < len(gen); pos++ {
 				flipped := append([]byte(nil), gen...)
@@ -626,7 +629,7 @@ func FuzzLoadStoreDir(f *testing.F) {
 				f.Add(goodManifest, uint8(i), flipped)
 			}
 		}
-		for _, v := range []byte{3, 4, 5, 6} {
+		for _, v := range []byte{3, 4, 5, 6, 7} {
 			legacy := append([]byte(nil), gen...)
 			legacy[8] = v
 			f.Add(goodManifest, uint8(i), legacy)

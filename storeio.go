@@ -20,10 +20,12 @@ import (
 // index payload per generation (encodeIndex: the compressed suffix
 // array alone, with the FM-index's own versioning and rank-layout
 // tags: its rank core's data words as they sit in memory, the packed
-// core's separator rows, the bit-packed position samples; the rank
-// directory is rebuilt on load, and so is the text, by inverting the
-// BWT with one LF chain per position sample, each of which must land
-// on the next lower sample). Each index payload is length-prefixed,
+// core's separator rows, a checksum, and the anchors — the row of every
+// 512th text position at the default sample rate; the rank directory
+// is rebuilt on load, and so are the text, the position samples and
+// their bitmap, by inverting the BWT with one LF chain per anchor, each
+// of which must land on the next lower anchor). Each index payload is
+// length-prefixed,
 // which keeps the indexes' internal buffered readers from consuming
 // past their own frame. A bare text is persisted as a one-record
 // store.
@@ -41,9 +43,12 @@ import (
 // count word (a 64-member DNA store about 1.61 bytes per live
 // character, against 1.74); 7 drops the text from each payload, which
 // the load rebuilds from the BWT and checks against every position
-// sample (about 0.61 bytes per live character). Only version 7 is
-// read: an older file fails with an error naming its version; rebuild
-// it from its FASTA.
+// sample (about 0.61 bytes per live character); 8 drops the position
+// samples and their bitmap too (FM-index version 6), which the load
+// rebuilds on the same LF walk, checked against anchors every 512
+// positions, and adds a checksum of the rest (about 0.26 bytes per
+// live character). Only version 8 is read: an older file fails with an
+// error naming its version; rebuild it from its FASTA.
 //
 // A directory-backed store (storegen.go) writes each generation as a
 // one-generation store file, and its MANIFEST is the whole store's
@@ -53,7 +58,7 @@ import (
 var storeMagic = [8]byte{'A', 'L', 'A', 'E', 'S', 'T', 'O', 'R'}
 
 // storeVersion is the manifest format version this build writes.
-const storeVersion uint32 = 7
+const storeVersion uint32 = 8
 
 // sane upper bounds for manifest fields: a reload of hostile or
 // corrupt bytes must fail with a message, not an allocation storm.
@@ -63,17 +68,8 @@ const (
 	maxStoreSeqLen  = 1 << 40
 )
 
-// countingSink measures a serialization without holding it: the
-// pre-pass of the streaming save.
-type countingSink struct{ n int64 }
-
-func (c *countingSink) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
-// countingTee writes through while counting, so the second pass can
-// verify it produced exactly the bytes the pre-pass declared.
+// countingTee writes through while counting, so a save can verify it
+// wrote exactly the bytes its length prefix declared.
 type countingTee struct {
 	w io.Writer
 	n int64
@@ -87,9 +83,9 @@ func (c *countingTee) Write(p []byte) (int, error) {
 
 // Save serialises the store: the manifest followed by each
 // generation's index (the compressed suffix array; no text). The format
-// is versioned and validated on load. Index payloads STREAM to w in
-// two passes — a counting pre-pass derives each length prefix, then
-// the serialization runs again writing through — so saving never
+// is versioned and validated on load. Index payloads STREAM to w: the
+// FM-index states its serialized size, which becomes the length
+// prefix, and the serialization then writes through — so saving never
 // materialises a generation's payload in memory (the old single-pass
 // save buffered each payload whole, roughly doubling peak memory on
 // large stores).
@@ -98,32 +94,27 @@ func (st *Store) Save(w io.Writer) error {
 	return saveGenerations(w, v.gens, v.stamp)
 }
 
-// saveGenerations writes gens in the version-7 format: one index
-// payload per generation, no shard list. Index serialization is
-// deterministic, so the counting pre-pass's size is exact; the tee's
-// post-check turns any violation of that assumption into a save error
-// instead of a corrupt file.
+// saveGenerations writes gens in the version-8 format: one index
+// payload per generation, no shard list. The tee's post-check turns a
+// serialization of another size than the index stated into a save
+// error instead of a corrupt file.
 func saveGenerations(w io.Writer, gens []*generation, stamp uint64) error {
 	if err := writeStoreManifest(w, gens, stamp); err != nil {
 		return err
 	}
 	for _, g := range gens {
-		ix := g.ix
-		var cnt countingSink
-		if err := encodeIndex(&cnt, ix); err != nil {
-			return err
-		}
+		size := g.ix.trie.Index().SerializedSize()
 		var pfx [8]byte
-		binary.LittleEndian.PutUint64(pfx[:], uint64(cnt.n))
+		binary.LittleEndian.PutUint64(pfx[:], uint64(size))
 		if _, err := w.Write(pfx[:]); err != nil {
 			return err
 		}
 		tee := countingTee{w: w}
-		if err := encodeIndex(&tee, ix); err != nil {
+		if err := encodeIndex(&tee, g.ix); err != nil {
 			return err
 		}
-		if tee.n != cnt.n {
-			return fmt.Errorf("alae: saving store: generation payload measured %d bytes but wrote %d", cnt.n, tee.n)
+		if tee.n != size {
+			return fmt.Errorf("alae: saving store: generation payload measured %d bytes but wrote %d", size, tee.n)
 		}
 	}
 	return nil
@@ -175,13 +166,13 @@ func encodeIndex(w io.Writer, ix *Index) error {
 }
 
 // decodeIndex reads an index payload written by encodeIndex, which
-// must be all of r, and rebuilds the text from the BWT. The FM-index
-// indexes the reversed text, so the rebuilt bytes are mirrored in
-// place. The text is allocated only after the index's bytes have
-// arrived, so a lying header commits no memory.
+// must be all of r; the FM-index's load rebuilds the text from the
+// BWT. The FM-index indexes the reversed text, so the rebuilt bytes
+// are mirrored in place. The text is allocated only after the index's
+// bytes have arrived, so a lying header commits no memory.
 func decodeIndex(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
-	fm, err := bwt.ReadFMIndex(br)
+	fm, text, err := bwt.ReadFMIndex(br)
 	if err != nil {
 		return nil, err
 	}
@@ -189,10 +180,6 @@ func decodeIndex(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("alae: trailing bytes after the index")
 	} else if err != io.EOF {
 		return nil, fmt.Errorf("alae: reading index: %w", err)
-	}
-	text, err := fm.Invert()
-	if err != nil {
-		return nil, err
 	}
 	slices.Reverse(text)
 	return &Index{
@@ -285,7 +272,7 @@ func LoadStoreFile(path string, opts StoreOptions) (*Store, error) {
 	return loadStore(f, fi.Size(), opts)
 }
 
-// LoadStore reads a store written by Save (format version 7). The
+// LoadStore reads a store written by Save (format version 8). The
 // generation list comes from the manifest; opts.QueryCacheSize
 // configures the (runtime-only, never persisted) query cache.
 func LoadStore(r io.Reader, opts StoreOptions) (*Store, error) {
